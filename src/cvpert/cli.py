@@ -139,9 +139,10 @@ def evaluate_expectations(report: dict, expectations) -> list:
 
 def _run_inline(config: dict, rng, outdir: Path):
     from . import expansion as expmod
-    from .el import calibrate_nu, residual_norm
-    from .jets import Jet, TestBasis
+    from .el import calibrate_nu
+    from .jets import Jet
     from .lagrangian import build_lagrangian
+    from .linops import delta_zero_dual
     from .measure import DiscreteMeasure
 
     stages = []
@@ -158,10 +159,9 @@ def _run_inline(config: dict, rng, outdir: Path):
                                config["lagrangian"].get("params"))
         nu_cfg = config.get("nu", "calibrate")
         nu = calibrate_nu(mu, lag, tol=1e-6) if nu_cfg == "calibrate" else float(nu_cfg)
-        tb = TestBasis.full(mu.size, mu.dimension)
         stages.append({"name": "setup", "status": "ok",
                        "data": {"nu": nu, "points": mu.size,
-                                "residual": residual_norm(mu, lag, nu, tb)}})
+                                "residual": delta_zero_dual(mu, lag, nu).norm()}})
     if "expansion" in config:
         if mu is None:
             raise ConfigError("expansion stage needs an inline measure")

@@ -9,43 +9,59 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotCritical, NumericalFailure
-from .jets import TestBasis
-from .lagrangian import LagrangianModel
+from .errors import NotCritical
+from .jets import DualJet, TestBasis
+from .lagrangian import LagrangianModel, pair_table
 from .measure import DiscreteMeasure
 
 
-def _unit_index(m: int, k: int) -> tuple:
-    idx = [0] * m
-    idx[k] = 1
-    return tuple(idx)
+def integrate_partial(lagrangian, X, points, weights, alpha) -> np.ndarray:
+    """sum_j weights_j d^alpha_x L(X_i, points_j) for every row X_i.
+
+    The sum runs in support order, so that ell is exactly additive in the
+    measure and a row of the support table equals the single-point value.
+    """
+    table = pair_table(lagrangian, X, points, alpha, (0,) * lagrangian.dim)
+    total = np.zeros(len(table))
+    for w, column in zip(weights, table.T):
+        total += w * column
+    return total
+
+
+def ell_field(lagrangian, nu, X, points, weights) -> tuple:
+    """ell and its x-gradient at every row of X, for the measure with the
+    given support and weights (coincident or massless points allowed)."""
+    units = np.eye(lagrangian.dim, dtype=int)
+    vals = integrate_partial(lagrangian, X, points, weights, (0,) * lagrangian.dim) - nu / 2.0
+    grads = np.stack([integrate_partial(lagrangian, X, points, weights, e) for e in units],
+                     axis=-1)
+    return vals, grads
 
 
 def ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float, x) -> float:
     """Discrete integral of L(x, .) against the measure, minus nu/2."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for y, w in zip(measure.points, measure.weights):
-        val = lagrangian(x, y)
-        if not np.isfinite(val):
-            raise NumericalFailure("Lagrangian evaluation not finite", pair=(x, y))
-        total += w * val
-    return total - nu / 2.0
+    x = np.asarray(x, dtype=float)[None, :]
+    total = integrate_partial(lagrangian, x, measure.points, measure.weights,
+                              (0,) * measure.dimension)[0]
+    return float(total - nu / 2.0)
 
 
 def ell_on_support(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float) -> np.ndarray:
-    return np.array([ell(measure, lagrangian, nu, p) for p in measure.points])
+    return integrate_partial(lagrangian, measure.points, measure.points, measure.weights,
+                             (0,) * measure.dimension) - nu / 2.0
 
 
 def grad_ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, x) -> np.ndarray:
     """Gradient of ell in the first slot (nu drops out)."""
-    x = np.asarray(x, dtype=float)
-    m = measure.dimension
-    g = np.zeros(m)
-    for y, w in zip(measure.points, measure.weights):
-        for k in range(m):
-            g[k] += w * lagrangian.partial(x, y, _unit_index(m, k), (0,) * m)
-    return g
+    x = np.asarray(x, dtype=float)[None, :]
+    return np.array([integrate_partial(lagrangian, x, measure.points, measure.weights, e)[0]
+                     for e in np.eye(measure.dimension, dtype=int)])
+
+
+def support_dual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float) -> DualJet:
+    """ell and its gradient on the support as a dual jet (Delta_0); its norm
+    is the weak EL residual over the full test space."""
+    return DualJet(*ell_field(lagrangian, nu, measure.points, measure.points, measure.weights))
 
 
 def calibrate_nu(measure: DiscreteMeasure, lagrangian: LagrangianModel, tol: float = 1e-9) -> float:
@@ -65,11 +81,10 @@ def calibrate_nu(measure: DiscreteMeasure, lagrangian: LagrangianModel, tol: flo
 def weak_el_residual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float,
                      testbasis: TestBasis) -> np.ndarray:
     """Per test jet and per support point: a_i ell(x_i) + grad ell(x_i) . u_i."""
-    ells = ell_on_support(measure, lagrangian, nu)
-    grads = np.array([grad_ell(measure, lagrangian, p) for p in measure.points])
+    dual = support_dual(measure, lagrangian, nu)
     out = np.zeros((len(testbasis), measure.size))
     for r, jet in enumerate(testbasis.jets):
-        out[r] = jet.scalar * ells + np.einsum("ij,ij->i", grads, jet.vector)
+        out[r] = jet.scalar * dual.value + np.einsum("ij,ij->i", dual.gradient, jet.vector)
     return out
 
 
@@ -79,16 +94,10 @@ def residual_norm(measure, lagrangian, nu, testbasis) -> float:
 
 
 def is_critical(measure, lagrangian, nu, tol: float = 1e-9) -> bool:
-    ells = ell_on_support(measure, lagrangian, nu)
-    if np.max(np.abs(ells)) > tol:
-        return False
-    grads = np.array([grad_ell(measure, lagrangian, p) for p in measure.points])
-    return bool(np.max(np.abs(grads)) <= tol)
+    return support_dual(measure, lagrangian, nu).norm() <= tol
 
 
 def require_critical(measure, lagrangian, nu, tol: float = 1e-9):
-    ells = ell_on_support(measure, lagrangian, nu)
-    grads = np.array([grad_ell(measure, lagrangian, p) for p in measure.points])
-    dev = max(float(np.max(np.abs(ells))), float(np.max(np.abs(grads))))
+    dev = support_dual(measure, lagrangian, nu).norm()
     if dev > tol:
         raise NotCritical(dev)

@@ -267,9 +267,10 @@ def residual_slope(series: PerturbationSeries, measure, lagrangian, nu,
     vals = []
     for lam in lam_grid:
         rho = reconstruct(series, lam)
-        tb = testbasis if testbasis is not None and testbasis.jets[0].size == rho.size \
-            else TestBasis.full(rho.size, rho.dimension)
-        vals.append(residual_norm(rho, lagrangian, nu, tb))
+        if testbasis is not None and testbasis.jets[0].size == rho.size:
+            vals.append(residual_norm(rho, lagrangian, nu, testbasis))
+        else:
+            vals.append(linops.delta_zero_dual(rho, lagrangian, nu).norm())
     return loglog_slope(lam_grid, np.array(vals), floor=RESIDUAL_FLOOR)
 
 
@@ -301,8 +302,6 @@ def order_scaling_slope(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
     weak EL residual is measured.  A correct order-P scheme leaves a
     residual O(lambda^(P+1)).  Returns (slope, residual table).
     """
-    from .el import residual_norm
-
     lam_grid = np.asarray(lam_grid, dtype=float)
     rows = []
     for lam in lam_grid:
@@ -310,8 +309,7 @@ def order_scaling_slope(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
         series = expand(start, lagrangian, nu, order, strict=strict,
                         convention=convention, keep_ledger=False)
         corrected = reconstruct(series, 1.0)
-        tb = TestBasis.full(corrected.size, corrected.dimension)
-        rows.append((float(lam), residual_norm(corrected, lagrangian, nu, tb)))
+        rows.append((float(lam), linops.delta_zero_dual(corrected, lagrangian, nu).norm()))
     from .fitting import loglog_slope
 
     slope, fit_res = loglog_slope(lam_grid, np.array([r[1] for r in rows]),

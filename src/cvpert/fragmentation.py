@@ -26,6 +26,7 @@ import numpy as np
 
 from . import linops
 from .errors import InconclusiveFit, NotWellPosed, ShapeError
+from .el import ell_field, integrate_partial
 from .fitting import loglog_slope
 from .jets import Jet, MultiJet, TestBasis
 from .lagrangian import LagrangianModel
@@ -211,16 +212,12 @@ class FluctuationForm:
 def assemble_delta_F(measure: DiscreteMeasure, lagrangian: LagrangianModel) -> FluctuationForm:
     """Per-point Hessians of ell; the scalar components do not enter."""
     n, m = measure.size, measure.dimension
+    units = np.eye(m, dtype=int)
     hess = np.zeros((n, m, m))
-    for i in range(n):
-        for a in range(m):
-            for b in range(a, m):
-                idx = [0] * m
-                idx[a] += 1
-                idx[b] += 1
-                val = sum(wj * lagrangian.partial(measure.points[i], pj, tuple(idx), (0,) * m)
-                          for pj, wj in zip(measure.points, measure.weights))
-                hess[i, a, b] = hess[i, b, a] = val
+    for a in range(m):
+        for b in range(a, m):
+            hess[:, a, b] = hess[:, b, a] = integrate_partial(
+                lagrangian, measure.points, measure.points, measure.weights, units[a] + units[b])
     return FluctuationForm(hess)
 
 
@@ -269,32 +266,12 @@ def lin_fluct_basis(measure: DiscreteMeasure, lagrangian: LagrangianModel,
 # fragmented configurations: residuals and the flow Jacobian
 
 
-def _ell_field(frag: FragmentedMeasure, lagrangian, nu):
-    """ell of the fragmented measure at every subsystem point, with gradients
-    and Hessians (needed for the Jacobian)."""
+def _flat_support(frag: FragmentedMeasure) -> tuple:
+    """Subsystem-major flattened support (points, weights) and the row
+    weights rho_i / L of the subsystem average."""
     L, n = frag.log_weights.shape
-    m = frag.base.dimension
-    pos = frag.positions()
-    wts = frag.weights()
-    flat_pts = pos.reshape(L * n, m)
-    flat_wts = wts.reshape(L * n)
-    vals = np.zeros((L, n))
-    grads = np.zeros((L, n, m))
-    for a in range(L):
-        for i in range(n):
-            x = pos[a, i]
-            acc = 0.0
-            g = np.zeros(m)
-            for bj in range(L * n):
-                acc += flat_wts[bj] * lagrangian(x, flat_pts[bj])
-                for k in range(m):
-                    idx = [0] * m
-                    idx[k] = 1
-                    g[k] += flat_wts[bj] * lagrangian.partial(x, flat_pts[bj],
-                                                              tuple(idx), (0,) * m)
-            vals[a, i] = acc - nu / 2.0
-            grads[a, i] = g
-    return vals, grads
+    points = frag.positions().reshape(L * n, frag.base.dimension)
+    return points, frag.weights().reshape(L * n), np.tile(frag.base.weights, L) / L
 
 
 def fragmented_residual(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
@@ -303,17 +280,9 @@ def fragmented_residual(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
     Layout: subsystem major, point minor, slots (value, gradient); each
     block carries the test weight rho_i / L of the subsystem average.
     """
-    L, n = frag.log_weights.shape
-    m = frag.base.dimension
-    vals, grads = _ell_field(frag, lagrangian, nu)
-    out = np.zeros(L * n * (1 + m))
-    for a in range(L):
-        for i in range(n):
-            base = (a * n + i) * (1 + m)
-            w = frag.base.weights[i] / L
-            out[base] = w * vals[a, i]
-            out[base + 1:base + 1 + m] = w * grads[a, i]
-    return out
+    points, weights, rw = _flat_support(frag)
+    vals, grads = ell_field(lagrangian, nu, points, points, weights)
+    return (rw[:, None] * np.hstack([vals[:, None], grads])).ravel()
 
 
 def fragmented_jacobian(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
@@ -322,67 +291,13 @@ def fragmented_jacobian(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
     Columns follow the same subsystem-major jet layout; the derivative is
     taken along the flow (weights times e^{t b}, positions plus t v), the
     alternative formulation in which the scalar component acts only through
-    the y slot, so the Lagrange multiplier drops out.
+    the y slot, so the Lagrange multiplier drops out.  That is the breve
+    assembly of the linearized operator on the flattened L*N support, with
+    the rows of point (a, i) reweighted by rho_i / L.
     """
-    L, n = frag.log_weights.shape
-    m = frag.base.dimension
-    pos = frag.positions()
-    wts = frag.weights()
-    D = L * n * (1 + m)
-    J = np.zeros((D, D))
-    zero = (0,) * m
-
-    def unit(k):
-        idx = [0] * m
-        idx[k] = 1
-        return tuple(idx)
-
-    # second x-derivatives of ell-tilde at each subsystem point
-    hess = np.zeros((L, n, m, m))
-    for a in range(L):
-        for i in range(n):
-            x = pos[a, i]
-            for bj_a in range(L):
-                for bj_i in range(n):
-                    y = pos[bj_a, bj_i]
-                    w = wts[bj_a, bj_i]
-                    for r in range(m):
-                        for c in range(r, m):
-                            idx = [0] * m
-                            idx[r] += 1
-                            idx[c] += 1
-                            v = w * lagrangian.partial(x, y, tuple(idx), zero)
-                            hess[a, i, r, c] += v
-                            if c != r:
-                                hess[a, i, c, r] += v
-    _, grads = _ell_field(frag, lagrangian, nu)
-
-    for a in range(L):
-        for i in range(n):
-            rw = frag.base.weights[i] / L
-            row0 = (a * n + i) * (1 + m)
-            x = pos[a, i]
-            for b in range(L):
-                for j in range(n):
-                    col0 = (b * n + j) * (1 + m)
-                    y = pos[b, j]
-                    w = wts[b, j]
-                    lval = lagrangian(x, y)
-                    d1 = np.array([lagrangian.partial(x, y, unit(k), zero) for k in range(m)])
-                    d2 = np.array([lagrangian.partial(x, y, zero, unit(k)) for k in range(m)])
-                    d12 = np.array([[lagrangian.partial(x, y, unit(r), unit(c))
-                                     for c in range(m)] for r in range(m)])
-                    # value row: scalar column then vector columns
-                    J[row0, col0] += rw * w * lval
-                    J[row0, col0 + 1:col0 + 1 + m] += rw * w * d2
-                    # gradient rows
-                    J[row0 + 1:row0 + 1 + m, col0] += rw * w * d1
-                    J[row0 + 1:row0 + 1 + m, col0 + 1:col0 + 1 + m] += rw * w * d12
-            # motion of the evaluation point itself
-            col_self = (a * n + i) * (1 + m)
-            J[row0, col_self + 1:col_self + 1 + m] += rw * grads[a, i]
-            J[row0 + 1:row0 + 1 + m, col_self + 1:col_self + 1 + m] += rw * hess[a, i]
-    return J
+    points, weights, rw = _flat_support(frag)
+    blocks = linops._pointwise_blocks(points, weights, lagrangian, nu, "breve")
+    return np.repeat(rw, 1 + frag.base.dimension)[:, None] * blocks
 
 
 def apply_increment(frag: FragmentedMeasure, mj: MultiJet) -> FragmentedMeasure:
@@ -689,11 +604,9 @@ def fragment_expand_study(scenario: Scenario, order: int, lam_grid=None) -> dict
         out = fragment_expand(scenario, order, lam, report=report)
         if out.series is not None:
             from . import expansion
-            from .el import residual_norm
 
             corrected = expansion.reconstruct(out.series, 1.0)
-            tb = TestBasis.full(corrected.size, corrected.dimension)
-            val = residual_norm(corrected, scenario.lagrangian, scenario.nu, tb)
+            val = linops.delta_zero_dual(corrected, scenario.lagrangian, scenario.nu).norm()
             rows.append({"lambda": lam, "mean": val, "complement": 0.0, "lin_f": 0.0})
         else:
             rows.append({"lambda": lam, **out.sector_residuals[-1]})

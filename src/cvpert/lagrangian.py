@@ -30,6 +30,13 @@ def _as_multi_index(alpha, m) -> tuple:
     return alpha
 
 
+def _check_order(lag, alpha, beta):
+    total = sum(alpha) + sum(beta)
+    if total > lag.max_order:
+        raise OrderUnsupported(
+            f"{lag.name}: order {total} exceeds max_order {lag.max_order}")
+
+
 class LagrangianModel:
     """Symmetric two-point function with derivatives up to ``max_order``."""
 
@@ -47,12 +54,6 @@ class LagrangianModel:
     def partial(self, x, y, alpha, beta) -> float:
         """Mixed partial d^|alpha|_x d^|beta|_y L(x, y)."""
         raise NotImplementedError
-
-    def _check_order(self, alpha, beta):
-        total = sum(alpha) + sum(beta)
-        if total > self.max_order:
-            raise OrderUnsupported(
-                f"{self.name}: order {total} exceeds max_order {self.max_order}")
 
     def evaluate_checked(self, x, y) -> float:
         val = self(x, y)
@@ -97,8 +98,39 @@ class PolynomialLagrangian(LagrangianModel):
     def partial(self, x, y, alpha, beta) -> float:
         alpha = _as_multi_index(alpha, self.dim)
         beta = _as_multi_index(beta, self.dim)
-        self._check_order(alpha, beta)
+        _check_order(self, alpha, beta)
         return float(self._fn(alpha, beta)(*np.asarray(x, float), *np.asarray(y, float)))
+
+
+def pair_table(lag, X, Y, alpha, beta) -> np.ndarray:
+    """Table T[i, j] = d^alpha_x d^beta_y L(X[i], Y[j]) over all pairs of rows.
+
+    A polynomial model evaluates its cached lambdified partial once on
+    broadcast coordinates.  Any other model (finite differences, charted or
+    duck-typed) loops over the pairs, calling L itself for order zero and
+    ``partial`` otherwise; that loop is also the reference for the
+    vectorized path.  Raises NumericalFailure on a non-finite entry.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    alpha = _as_multi_index(alpha, lag.dim)
+    beta = _as_multi_index(beta, lag.dim)
+    _check_order(lag, alpha, beta)
+    table = np.empty((len(X), len(Y)))
+    if isinstance(lag, PolynomialLagrangian):
+        with np.errstate(all="ignore"):
+            table[...] = lag._fn(alpha, beta)(*(X[:, None, k] for k in range(lag.dim)),
+                                              *(Y[None, :, k] for k in range(lag.dim)))
+    elif not any(alpha) and not any(beta):
+        table[...] = [[lag(x, y) for y in Y] for x in X]
+    else:
+        table[...] = [[lag.partial(x, y, alpha, beta) for y in Y] for x in X]
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        i, j = bad[0]
+        raise NumericalFailure(f"{lag.name}: partial {alpha}, {beta} not finite at pair",
+                               pair=(X[i], Y[j]))
+    return table
 
 
 def fd_step(total_order: int) -> float:
@@ -162,7 +194,7 @@ class NumericLagrangian(LagrangianModel):
     def partial(self, x, y, alpha, beta) -> float:
         alpha = _as_multi_index(alpha, self.dim)
         beta = _as_multi_index(beta, self.dim)
-        self._check_order(alpha, beta)
+        _check_order(self, alpha, beta)
         return float(numeric_partial(self._evaluator, x, y, alpha, beta))
 
 

@@ -31,17 +31,11 @@ import numpy as np
 
 from .errors import OutOfRange, ShapeError
 from .jets import DualJet, Jet, TestBasis
-from .lagrangian import LagrangianModel
+from .lagrangian import LagrangianModel, pair_table
 from .measure import DiscreteMeasure
 
 TOL_RANK = 1e-8
 TOL_SOLVE = 1e-8
-
-
-def _unit(m, k):
-    idx = [0] * m
-    idx[k] = 1
-    return tuple(idx)
 
 
 def mixed_directional(lag: LagrangianModel, x, y, xdirs, ydirs) -> float:
@@ -78,11 +72,9 @@ def delta_zero(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float)
 
 def delta_zero_dual(measure, lagrangian, nu) -> DualJet:
     """Delta_0 lifted to a dual jet: (value, spatial gradient) per point."""
-    from .el import ell_on_support, grad_ell
+    from .el import support_dual
 
-    vals = ell_on_support(measure, lagrangian, nu)
-    grads = np.array([grad_ell(measure, lagrangian, p) for p in measure.points])
-    return DualJet(vals, grads)
+    return support_dual(measure, lagrangian, nu)
 
 
 def _delta_ell_terms(order, jets, measure, lagrangian, nu, convention, with_gradient):
@@ -225,46 +217,49 @@ class DeltaMatrix:
             writer.writerows(enumerate(s))
 
 
-def _pointwise_blocks(measure, lagrangian, nu, convention):
-    """Unweighted pointwise row blocks of the linearized operator."""
-    n, m = measure.size, measure.dimension
-    pts, wts = measure.points, measure.weights
-    L = np.empty((n, n))
-    D1 = np.empty((n, n, m))
-    D2 = np.empty((n, n, m))
-    D11 = np.empty((n, n, m, m))
-    D12 = np.empty((n, n, m, m))
+def _pointwise_blocks(points, weights, lagrangian, nu, convention):
+    """Unweighted pointwise row blocks of the linearized operator on the
+    support (points, weights), from pair tables of L and its partials."""
+    n, m = points.shape
+    units = np.eye(m, dtype=int)
     zero = (0,) * m
-    for i in range(n):
-        for j in range(n):
-            L[i, j] = lagrangian(pts[i], pts[j])
-            for a in range(m):
-                D1[i, j, a] = lagrangian.partial(pts[i], pts[j], _unit(m, a), zero)
-                D2[i, j, a] = lagrangian.partial(pts[i], pts[j], zero, _unit(m, a))
-                for b in range(a, m):
-                    ab = [0] * m
-                    ab[a] += 1
-                    ab[b] += 1
-                    D11[i, j, a, b] = D11[i, j, b, a] = lagrangian.partial(pts[i], pts[j], tuple(ab), zero)
-                for b in range(m):
-                    D12[i, j, a, b] = lagrangian.partial(pts[i], pts[j], _unit(m, a), _unit(m, b))
-    ells = L @ wts - nu / 2.0
-    gsum = np.einsum("j,ija->ia", wts, D1)
-    hsum = np.einsum("j,ijab->iab", wts, D11)
-    A = np.zeros((n * (1 + m), n * (1 + m)))
-    for i in range(n):
-        for j in range(n):
-            blk = np.zeros((1 + m, 1 + m))
-            if convention == "standard":
-                blk[0, 0] = (ells[i] if i == j else 0.0) + wts[j] * L[i, j]
-                blk[1:, 0] = (gsum[i] if i == j else 0.0) + wts[j] * D1[i, j]
-            else:  # breve: x-slot scalar of the argument jet does not act
-                blk[0, 0] = wts[j] * L[i, j]
-                blk[1:, 0] = wts[j] * D1[i, j]
-            blk[0, 1:] = (gsum[i] if i == j else 0.0) + wts[j] * D2[i, j]
-            blk[1:, 1:] = (hsum[i] if i == j else 0.0) + wts[j] * D12[i, j]
-            A[i * (1 + m):(i + 1) * (1 + m), j * (1 + m):(j + 1) * (1 + m)] = blk
-    return A
+
+    def table(alpha, beta):
+        return pair_table(lagrangian, points, points, alpha, beta)
+
+    L = table(zero, zero)
+    D1 = np.stack([table(e, zero) for e in units], axis=-1)
+    D2 = np.stack([table(zero, e) for e in units], axis=-1)
+    D12 = np.stack([np.stack([table(a, b) for b in units], axis=-1) for a in units], axis=-2)
+    D11 = np.empty((n, n, m, m))
+    for a in range(m):
+        for b in range(a, m):
+            D11[:, :, a, b] = D11[:, :, b, a] = table(units[a] + units[b], zero)
+    ells = L @ weights - nu / 2.0
+    gsum = np.einsum("j,ija->ia", weights, D1)
+    hsum = np.einsum("j,ijab->iab", weights, D11)
+    # A[i, s, j, t]: row slot s at point i, column slot t at point j
+    A = np.empty((n, 1 + m, n, 1 + m))
+    A[:, 0, :, 0] = weights * L
+    A[:, 1:, :, 0] = (weights[:, None] * D1).transpose(0, 2, 1)
+    A[:, 0, :, 1:] = weights[:, None] * D2
+    A[:, 1:, :, 1:] = (weights[:, None, None] * D12).transpose(0, 2, 1, 3)
+    i = np.arange(n)
+    if convention == "standard":  # in breve the x-slot scalar of the argument does not act
+        A[i, 0, i, 0] += ells
+        A[i, 1:, i, 0] += gsum
+    A[i, 0, i, 1:] += gsum
+    A[i, 1:, i, 1:] += hsum
+    return A.reshape(n * (1 + m), n * (1 + m))
+
+
+def _test_rows(testbasis: TestBasis, M: np.ndarray, width: int) -> np.ndarray:
+    """Rows restricted to a test basis: for each basis jet and support point,
+    the jet's block at that point contracted with the point's rows of M
+    (basis-jet major, point minor)."""
+    return np.array([block @ M[i * width:(i + 1) * width]
+                     for jet in testbasis.jets
+                     for i, block in enumerate(jet.flatten().reshape(-1, width))])
 
 
 def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float,
@@ -281,19 +276,13 @@ def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: fl
         from .errors import OrderUnsupported
 
         raise OrderUnsupported("assembling Delta needs second derivatives")
-    A = _pointwise_blocks(measure, lagrangian, nu, convention)
-    n, m = measure.size, measure.dimension
+    A = _pointwise_blocks(measure.points, measure.weights, lagrangian, nu, convention)
+    m = measure.dimension
     W = np.repeat(measure.weights, 1 + m)
     B = W[:, None] * A
     test_rows = None
     if testbasis is not None and not testbasis.full_space:
-        rows = []
-        for jet in testbasis.jets:
-            sel = jet.flatten()
-            for i in range(n):
-                block = sel[i * (1 + m):(i + 1) * (1 + m)]
-                rows.append(block @ B[i * (1 + m):(i + 1) * (1 + m), :])
-        test_rows = np.array(rows)
+        test_rows = _test_rows(testbasis, B, 1 + m)
     return DeltaMatrix(B, nu, measure.weights.copy(), m, convention,
                        measure.fingerprint(), test_rows)
 
@@ -365,14 +354,7 @@ class GreensOperator:
             return vec
         if testbasis is None:
             raise ShapeError("restricted DeltaMatrix solves need the test basis")
-        n, m = len(self.delta.weights), self.delta.dim
-        rows = []
-        for jet in testbasis.jets:
-            sel = jet.flatten()
-            for i in range(n):
-                rows.append(sel[i * (1 + m):(i + 1) * (1 + m)]
-                            @ vec[i * (1 + m):(i + 1) * (1 + m)])
-        return np.array(rows)
+        return _test_rows(testbasis, vec, 1 + self.delta.dim)
 
     def apply(self, dual: DualJet, testbasis: TestBasis | None = None):
         """Solve Delta w = -dual (min-norm); returns (jet, out-of-range residual)."""

@@ -130,17 +130,26 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
     if subgroup is not None and not subgroup.generators:
         raise ShapeError("subgroup sample needs generators")
 
-    trace = []
-    best_val, best_U = np.inf, None
+    if subgroup is None:
+        def project(K):
+            return K
+    else:
+        # restrict the descent to the subgroup tangent space
+        units = [g / max(np.linalg.norm(g), 1e-300) for g in subgroup.generators]
 
-    def descend(U0, rng):
-        U = U0.copy()
+        def project(K):
+            proj = np.zeros_like(K)
+            for gn in units:
+                proj += np.real(np.sum(np.conj(gn) * K)) * gn
+            return proj
+
+    def descend(U):
         val = mixing_functional(U)
         step = 0.5
         for _ in range(iters):
             G = _functional_gradient(U)
             K = U.conj().T @ G
-            K = (K - K.conj().T) / 2.0  # anti-Hermitian tangent coefficient
+            K = project((K - K.conj().T) / 2.0)  # anti-Hermitian tangent coefficient
             if np.max(np.abs(K)) < 1e-12:
                 break
             cand = U @ expm(-step * K)
@@ -154,37 +163,17 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
                     break
         return val, U
 
+    trace = []
+    best_val, best_U = np.inf, None
     for k in range(restarts):
         rng = np.random.default_rng(seed + k)
         if subgroup is None:
             U0 = np.eye(L, dtype=complex) if k == 0 else haar_unitary(rng, L)
-            val, U = descend(U0, rng)
         else:
             A = sum(rng.normal() * g for g in subgroup.generators) if k else \
                 np.zeros((L, L), dtype=complex)
             U0 = expm(A)
-            # restrict the descent to the subgroup tangent space
-            U, val = U0, mixing_functional(U0)
-            step = 0.5
-            for _ in range(iters):
-                G = _functional_gradient(U)
-                K = U.conj().T @ G
-                K = (K - K.conj().T) / 2.0
-                proj = np.zeros_like(K)
-                for g in subgroup.generators:
-                    gn = g / max(np.linalg.norm(g), 1e-300)
-                    proj += np.real(np.sum(np.conj(gn) * K)) * gn
-                if np.max(np.abs(proj)) < 1e-12:
-                    break
-                cand = U @ expm(-step * proj)
-                cval = mixing_functional(cand)
-                if cval < val - 1e-15:
-                    U, val = cand, cval
-                    step = min(step * 1.2, 1.0)
-                else:
-                    step *= 0.5
-                    if step < 1e-12:
-                        break
+        val, U = descend(U0)
         trace.append(float(val))
         if val < best_val:
             best_val, best_U = float(val), U

@@ -16,7 +16,7 @@ import numpy as np
 from . import expansion, fragmentation, mixing
 from .cfs import (CfsChart, CfsParams, spin_map_from_point, swap_symmetric_pair,
                   system_to_json)
-from .el import residual_norm
+from .el import integrate_partial, residual_norm
 from .jets import Jet, TestBasis
 from .lagrangian import build_lagrangian
 from .measure import DiscreteMeasure
@@ -62,11 +62,10 @@ def run_example52_fragmentation(config, rng, outdir: Path):
     mu = frag.as_measure()
 
     # profile of ell along the x1 axis at height lambda (the plotted slice)
-    from .el import ell
-
     xs = np.linspace(-3 * lam, 3 * lam, 121)
-    rows = [(float(x), float(ell(mu, scen.lagrangian, scen.nu, np.array([x, lam]))))
-            for x in xs]
+    ells = integrate_partial(scen.lagrangian, np.column_stack([xs, np.full_like(xs, lam)]),
+                             mu.points, mu.weights, (0, 0)) - scen.nu / 2.0
+    rows = [(float(x), float(v)) for x, v in zip(xs, ells)]
     profile = outdir / "ell_profile.csv"
     _write_csv(profile, ["x1", "ell"], rows)
 
@@ -93,9 +92,6 @@ def run_example52_fragmentation(config, rng, outdir: Path):
             "lin_f_form": [[float(v) for v in row] for row in M],
             "computed_diag": [float(M[0, 0]), float(M[1, 1])],
             "expected_diag_direct": [2 * lam ** 4, 16 * lam ** 2],
-            "reference_display_diag": [2 * lam ** 4, 24 * lam ** 2],
-            "matches_reference_display": bool(abs(M[1, 1] - 24 * lam ** 2)
-                                              <= 1e-8 * 24 * lam ** 2),
             "r_estimate": report.r_estimate,
             "verdict": report.verdict,
         },

@@ -189,3 +189,16 @@ def test_orbit_sampling_cyclicity(rng):
     orbit = orbit_sample_from_generators(gens, rng, count=32)
     rank = np.linalg.matrix_rank(np.array(orbit), tol=1e-8)
     assert rank == 3
+
+
+def test_minimize_subgroup_stays_in_subgroup():
+    # SU(2) on the first two coordinates: the descent is projected onto the
+    # generators, so the minimizer keeps the block form and reaches 1 + 1 + 1
+    g1 = np.diag([1j, -1j, 0.0])
+    g2 = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)
+    val, U, trace = minimize_mixing(3, subgroup=SubgroupSample([g1, g2]), restarts=4, seed=1)
+    assert abs(val - 3.0) <= 1e-6
+    assert len(trace) == 4
+    assert abs(U[2, 2] - 1.0) <= 1e-10
+    assert np.max(np.abs(U[2, :2])) <= 1e-10 and np.max(np.abs(U[:2, 2])) <= 1e-10
+    assert abs(np.linalg.det(U[:2, :2]) - 1.0) <= 1e-10
