@@ -192,7 +192,8 @@ def _run_inline(config: dict, rng, outdir: Path):
             files.append(path)
             stages.append({"name": "expansion", "status": "ok",
                            "data": {"order": order,
-                                    "jet_norms": [j.norm() for j in series.jets]}})
+                                    "jet_norms": [j.norm() for j in series.jets],
+                                    "range_defects": list(series.range_defects)}})
     if "mixing" in config:
         mcfg = config["mixing"]
         scen_stages, scen_files = scenarios._run_mixing(int(mcfg.get("L", 2)),

@@ -34,11 +34,15 @@ class ArgError(CvpError):
 
 
 class OutOfRange(CvpError):
-    """A dual jet has a component outside the range of the linearized operator."""
+    """A dual jet has a component outside the range of the linearized operator.
 
-    def __init__(self, residual, message=None):
+    ``order`` is the expansion order whose solve failed, when known.
+    """
+
+    def __init__(self, residual, message=None, order=None):
         super().__init__(message or f"dual jet outside operator range, residual {residual:.3e}")
         self.residual = residual
+        self.order = order
 
 
 class NotLinearized(CvpError):
@@ -79,6 +83,11 @@ class NotUnitary(CvpError):
 
 class NotOnMinimalStratum(CvpError):
     """|(Uv)^a| != 1 for some subsystem, decomposition undefined."""
+
+
+class InvalidMeasure(CvpError, ValueError):
+    """Measure data break the support conditions: a non-positive weight or
+    coincident points."""
 
 
 class ConfigError(CvpError):

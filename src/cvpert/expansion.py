@@ -2,9 +2,13 @@
 
 The jets w^(p) solve Delta w^(p) = -E^(p), where E^(1) is the dual lift of
 Delta_0 and, for p >= 2, E^(p) sums Delta_l over all ordered compositions
-q_1 + ... + q_l = p with l >= 2.  Every composition term is recorded in a
-diagram ledger (the expansion only produces tree diagrams, so the exported
-document is a forest).
+q_1 + ... + q_l = p with l >= 2.  That sum is one Taylor coefficient: the
+lambda^p coefficient of the weak EL dual jet along the jet series truncated
+before order p, which polynomial models compute in one pass
+(``linops.taylor_error_dual``).  The composition sum itself serves the
+black-box models and the tests, and fills the diagram ledger, which a
+series builds from its stored jets on first access (the expansion only
+produces tree diagrams, so the exported document is a forest).
 
 Evaluating the series at lambda pushes the base measure forward with the
 accumulated log-weight and shift fields; lambda itself is only the
@@ -19,9 +23,9 @@ from itertools import combinations
 import numpy as np
 
 from . import linops
-from .errors import ArgError, LedgerMissing, NotCritical, NotLinearized
+from .errors import ArgError, LedgerMissing, NotCritical, NotLinearized, OutOfRange
 from .jets import DualJet, Jet, TestBasis
-from .lagrangian import LagrangianModel
+from .lagrangian import LagrangianModel, takes_series
 from .measure import DiscreteMeasure, push_forward
 
 SLOPE_BAND = 0.2  # acceptance band on fitted exponents, next-order contamination
@@ -96,6 +100,8 @@ class PerturbationSeries:
 
     ``range_defects`` logs, per order, the relative norm of the error-term
     component outside range(Delta) that permissive mode projected away.
+    ``ledger_source`` is (lagrangian, first order) when the series keeps its
+    ledger, which is then built from the jets on first access.
     """
 
     base: DiscreteMeasure
@@ -104,8 +110,21 @@ class PerturbationSeries:
     jets: list
     convention: str = "standard"
     gauge_offsets: list | None = None
-    ledger: DiagramLedger | None = None
     range_defects: list = field(default_factory=list)
+    ledger_source: tuple | None = field(default=None, repr=False)
+    _ledger: DiagramLedger | None = field(default=None, init=False, repr=False)
+
+    @property
+    def ledger(self) -> DiagramLedger | None:
+        """Composition terms of every E^(p); None without ledger retention."""
+        if self._ledger is None and self.ledger_source is not None:
+            lagrangian, first = self.ledger_source
+            ledger = DiagramLedger()
+            for p in range(first, self.order + 1):
+                error_term(p, self.jets, self.base, lagrangian, self.nu,
+                           self.convention, ledger)
+            self._ledger = ledger
+        return self._ledger
 
     def to_json(self) -> dict:
         return {
@@ -130,7 +149,12 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
                lagrangian: LagrangianModel, nu: float,
                convention: str = "standard",
                ledger: DiagramLedger | None = None) -> DualJet:
-    """E^(p) as a dual jet; records each composition term in the ledger."""
+    """E^(p) as a dual jet, from the jets w^(1..p-1).
+
+    For p >= 2 a model that takes truncated series gets E^(p) as one Taylor
+    coefficient.  Other models, and every call with a ledger, sum Delta_l
+    over the compositions of p; each term is recorded in the ledger.
+    """
     if p < 1:
         raise ArgError("order must be >= 1")
     if p == 1:
@@ -140,6 +164,9 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
         return dual
     if len(jets_so_far) < p - 1:
         raise ArgError(f"E^({p}) needs jets w^(1..{p - 1})")
+    if ledger is None and takes_series(lagrangian):
+        return linops.taylor_error_dual(p, jets_so_far[:p - 1], measure, lagrangian, nu,
+                                        convention)
     total = DualJet.zero(measure.size, measure.dimension)
     for ell in range(2, p + 1):
         for comp in compositions(p, ell):
@@ -149,6 +176,16 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
             if ledger is not None:
                 ledger.add(LedgerTerm(p, ell, comp, dual))
     return total
+
+
+def _solve(greens: linops.GreensOperator, rhs: DualJet, p: int) -> tuple:
+    """greens.apply, with a strict-mode failure naming the order p."""
+    try:
+        return greens.apply(rhs)
+    except OutOfRange as err:
+        raise OutOfRange(err.residual, f"order {p}: right-hand side outside range(Delta), "
+                                       f"relative residual {err.residual:.3e}",
+                         order=p) from err
 
 
 def _zero_jets(inhom: Inhomogeneity | None, order, n, m) -> list:
@@ -177,23 +214,22 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
     delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention)
     vjets = _zero_jets(inhom, order, n, m)
     offsets = gauge_offsets or [None] * order
-    ledger = DiagramLedger() if keep_ledger else None
     greens = linops.GreensOperator(delta, tol_rank=tol_rank, strict=strict)
     jets: list[Jet] = []
     defects: list[float] = []
     for p in range(1, order + 1):
-        E = error_term(p, jets, measure, lagrangian, nu, convention, ledger)
+        E = error_term(p, jets, measure, lagrangian, nu, convention)
         v = vjets[p - 1]
         rhs = E + delta.apply(v)
-        correction, defect = greens.apply(rhs)
+        correction, defect = _solve(greens, rhs, p)
         defects.append(defect)
         w = v + correction
         if offsets[p - 1] is not None:
             w = w + offsets[p - 1]
         jets.append(w)
     return PerturbationSeries(measure, order, nu, jets, convention,
-                              gauge_offsets=offsets, ledger=ledger,
-                              range_defects=defects)
+                              gauge_offsets=offsets, range_defects=defects,
+                              ledger_source=(lagrangian, 1) if keep_ledger else None)
 
 
 def expand(measure, lagrangian, nu, order, gauge_offsets=None,
@@ -225,14 +261,14 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     if dw1.norm() > tol_rank * max(scale, 1.0):
         raise NotLinearized(
             f"|Delta w1| = {dw1.norm():.3e} exceeds {tol_rank:.1e} * {scale:.3e}")
-    ledger = DiagramLedger() if keep_ledger else None
     jets = [w1]
     greens = linops.GreensOperator(delta, tol_rank=tol_rank, strict=strict)
     for p in range(2, order + 1):
-        E = error_term(p, jets, measure, lagrangian, nu, convention, ledger)
-        w, _ = greens.apply(E)
+        E = error_term(p, jets, measure, lagrangian, nu, convention)
+        w, _ = _solve(greens, E, p)
         jets.append(w)
-    return PerturbationSeries(measure, order, nu, jets, convention, ledger=ledger)
+    return PerturbationSeries(measure, order, nu, jets, convention,
+                              ledger_source=(lagrangian, 2) if keep_ledger else None)
 
 
 def reconstruct(series: PerturbationSeries, lam: float) -> DiscreteMeasure:

@@ -67,6 +67,8 @@ class PolynomialLagrangian(LagrangianModel):
 
     Partials are generated symbolically and cached per multi-index pair, so
     repeated evaluation inside the multilinear operators is cheap and exact.
+    ``is_polynomial`` is False when the expression holds a non-polynomial
+    function of the coordinates (then it cannot take truncated series).
     """
 
     def __init__(self, name, dim, expr, xs, ys, max_order=8, params=None, nonnegative=False):
@@ -75,6 +77,7 @@ class PolynomialLagrangian(LagrangianModel):
         self._xs = xs
         self._ys = ys
         self._cache = {}
+        self.is_polynomial = bool(expr.is_polynomial(*xs, *ys))
 
     def _fn(self, alpha, beta):
         key = (alpha, beta)
@@ -131,6 +134,97 @@ def pair_table(lag, X, Y, alpha, beta) -> np.ndarray:
         raise NumericalFailure(f"{lag.name}: partial {alpha}, {beta} not finite at pair",
                                pair=(X[i], Y[j]))
     return table
+
+
+class TruncatedSeries:
+    """Power series in lambda cut after lambda^(K-1), with numpy coefficients
+    on a trailing axis of length K (Taylor propagation, Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13).
+
+    Supports +, -, * (the truncated Cauchy product) and non-negative integer
+    powers, with another series or with a scalar, broadcasting the leading
+    axes; that is all the lambdified code of a polynomial uses.
+    """
+
+    __array_ufunc__ = None  # a numpy scalar operand defers to the reflected operator
+
+    def __init__(self, coef):
+        self.coef = np.asarray(coef, dtype=float)
+
+    def __add__(self, other):
+        if isinstance(other, TruncatedSeries):
+            return TruncatedSeries(self.coef + other.coef)
+        coef = self.coef.copy()
+        coef[..., 0] += other
+        return TruncatedSeries(coef)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TruncatedSeries(-self.coef)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return TruncatedSeries(self.coef * other)
+        a, b = self.coef, other.coef
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+        for k in range(out.shape[-1]):
+            out[..., k] = np.sum(a[..., :k + 1] * b[..., k::-1], axis=-1)
+        return TruncatedSeries(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n != int(n) or n < 0:
+            raise TypeError(f"a truncated series takes only non-negative integer powers, not {n!r}")
+        n, result, base = int(n), None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self * 0.0 + 1.0 if result is None else result
+
+    def exp(self) -> "TruncatedSeries":
+        """exp of the series, from e' = a' e: e_k = sum_{j=1..k} j a_j e_{k-j} / k."""
+        a = self.coef
+        e = np.empty_like(a)
+        e[..., 0] = np.exp(a[..., 0])
+        for k in range(1, a.shape[-1]):
+            e[..., k] = sum(j * a[..., j] * e[..., k - j] for j in range(1, k + 1)) / k
+        return TruncatedSeries(e)
+
+
+def takes_series(lag) -> bool:
+    """True when the model's partials can be evaluated on truncated series:
+    a symbolic model whose expression is a polynomial in its coordinates."""
+    return isinstance(lag, PolynomialLagrangian) and lag.is_polynomial
+
+
+def pair_series(lag: PolynomialLagrangian, X, Y, alpha, beta) -> TruncatedSeries:
+    """pair_table on series points: X (n, m, K) and Y (n', m, K) hold the
+    lambda-coefficients of the coordinates, the result is the (n, n', K)
+    series of d^alpha_x d^beta_y L(X[i], Y[j]).  Calls the same cached
+    lambdified partial as pair_table, so the model must take series."""
+    alpha = _as_multi_index(alpha, lag.dim)
+    beta = _as_multi_index(beta, lag.dim)
+    _check_order(lag, alpha, beta)
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    shape = (len(X), len(Y), X.shape[-1])
+    with np.errstate(all="ignore"):
+        out = lag._fn(alpha, beta)(*(TruncatedSeries(X[:, None, k]) for k in range(lag.dim)),
+                                   *(TruncatedSeries(Y[None, :, k]) for k in range(lag.dim)))
+    if isinstance(out, TruncatedSeries):
+        return TruncatedSeries(np.broadcast_to(out.coef, shape))
+    return TruncatedSeries(np.zeros(shape)) + out  # a constant partial
 
 
 def fd_step(total_order: int) -> float:

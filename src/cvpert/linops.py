@@ -2,10 +2,14 @@
 Green's operators.
 
 Delta_l applies l factors of (scalar-at-x + scalar-at-y + derivative-at-x +
-derivative-at-y) to the Lagrangian, divided by l!, minus the nu-term.  The
-expansion enumerates all 4^l slot assignments directly; jets are never
+derivative-at-y) to the Lagrangian, divided by l!, minus the nu-term.
+``delta_ell`` enumerates all 4^l slot assignments directly; jets are never
 differentiated, so each assignment is a plain mixed directional derivative
-of L weighted by scalar jet values.
+of L weighted by scalar jet values.  The error term E^(p), the sum of
+Delta_l over the compositions of p, is one Taylor coefficient of the weak
+EL dual jet along the truncated jet series (``taylor_error_dual``), which
+polynomial models evaluate in one pass over all pairs.  The enumeration
+feeds the diagram ledger, the black-box models and the tests.
 
 Two conventions are supported.  "standard" carries the scalar component on
 both slots plus the nu-term; "breve" drops the x-slot scalar and the
@@ -29,9 +33,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import OutOfRange, ShapeError
+from .errors import NumericalFailure, OrderUnsupported, OutOfRange, ShapeError
 from .jets import DualJet, Jet, TestBasis
-from .lagrangian import LagrangianModel, pair_table
+from .lagrangian import LagrangianModel, TruncatedSeries, pair_series, pair_table
 from .measure import DiscreteMeasure
 
 TOL_RANK = 1e-8
@@ -77,15 +81,19 @@ def delta_zero_dual(measure, lagrangian, nu) -> DualJet:
     return support_dual(measure, lagrangian, nu)
 
 
+def _check_jets(count, jets, measure):
+    for w in jets:
+        if w.size != measure.size or w.dimension != measure.dimension:
+            raise ShapeError("jet shapes do not match the measure support")
+    if len(jets) != count:
+        raise ShapeError(f"need {count} jets, got {len(jets)}")
+
+
 def _delta_ell_terms(order, jets, measure, lagrangian, nu, convention, with_gradient):
     """Shared core for delta_ell / delta_ell_breve and their dual lifts."""
     if order < 1:
         raise ShapeError("order must be >= 1")
-    for w in jets:
-        if w.size != measure.size or w.dimension != measure.dimension:
-            raise ShapeError("jet shapes do not match the measure support")
-    if len(jets) != order:
-        raise ShapeError(f"need {order} jets, got {len(jets)}")
+    _check_jets(order, jets, measure)
     # factor options: 0 scalar at x, 1 scalar at y, 2 derivative at x, 3 at y;
     # breve drops the x-slot scalar option
     options = (1, 2, 3) if convention == "breve" else (0, 1, 2, 3)
@@ -155,6 +163,46 @@ def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") 
     """
     vals, grads = _delta_ell_terms(order, jets, measure, lagrangian, nu, convention, True)
     return DualJet(vals, grads)
+
+
+def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
+    """E^(p) from the jets w^(1..p-1) as one Taylor coefficient: the sum of
+    delta_ell_dual over all compositions of p into at least two parts.
+
+    Along the truncated series c = sum_{q<p} lam^q c^(q) and
+    u = sum_{q<p} lam^q u^(q) it is the lam^p coefficient of
+        value_i = e^{c_i} (sum_j w_j e^{c_j} L(x_i + u_i, x_j + u_j) - nu/2),
+        gradient_i = e^{c_i} sum_j w_j e^{c_j} d_x L(x_i + u_i, x_j + u_j);
+    breve drops the factor e^{c_i} and the nu-term.  The model must take
+    truncated series (``lagrangian.takes_series``).
+    """
+    _check_jets(p - 1, jets, measure)
+    if p + 1 > lagrangian.max_order:
+        raise OrderUnsupported(f"{lagrangian.name}: E^({p}) needs order {p + 1}, "
+                               f"max_order is {lagrangian.max_order}")
+    n, m = measure.size, measure.dimension
+    c = np.zeros((n, p + 1))
+    x = np.zeros((n, m, p + 1))
+    x[:, :, 0] = measure.points
+    for q, w in enumerate(jets, start=1):
+        c[:, q] = w.scalar
+        x[:, :, q] = w.vector
+    growth = TruncatedSeries(c).exp()
+    mass = TruncatedSeries(measure.weights[None, :, None] * growth.coef[None])
+    zero = (0,) * m
+
+    def integrate(alpha):  # sum_j w_j e^{c_j} d^alpha_x L(x_i + u_i, x_j + u_j)
+        return TruncatedSeries((pair_series(lagrangian, x, x, alpha, zero) * mass).coef.sum(axis=1))
+
+    value = integrate(zero)
+    grads = [integrate(e) for e in np.eye(m, dtype=int)]
+    if convention == "standard":
+        value = growth * (value - nu / 2.0)
+        grads = [growth * g for g in grads]
+    dual = DualJet(value.coef[:, p], np.stack([g.coef[:, p] for g in grads], axis=-1))
+    if not (np.all(np.isfinite(dual.value)) and np.all(np.isfinite(dual.gradient))):
+        raise NumericalFailure(f"{lagrangian.name}: E^({p}) not finite")
+    return dual
 
 
 @dataclass
@@ -273,8 +321,6 @@ def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: fl
     contracted rectangular row form.
     """
     if lagrangian.max_order < 2:
-        from .errors import OrderUnsupported
-
         raise OrderUnsupported("assembling Delta needs second derivatives")
     A = _pointwise_blocks(measure.points, measure.weights, lagrangian, nu, convention)
     m = measure.dimension

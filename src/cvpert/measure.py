@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalFailure, ShapeError
+from .errors import InvalidMeasure, NumericalFailure, ShapeError
 
 TOL_POINT_MERGE = 1e-9
 
@@ -37,11 +37,11 @@ class DiscreteMeasure:
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(wts)):
             raise NumericalFailure("non-finite entries in measure data")
         if np.any(wts <= 0):
-            raise ValueError("weights must be strictly positive")
+            raise InvalidMeasure("weights must be strictly positive")
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if np.max(np.abs(pts[i] - pts[j])) <= TOL_POINT_MERGE:
-                    raise ValueError(f"support points {i} and {j} coincide within tolerance")
+                    raise InvalidMeasure(f"support points {i} and {j} coincide within tolerance")
 
     @property
     def size(self) -> int:

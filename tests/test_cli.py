@@ -156,3 +156,37 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "mixing-L3" in proc.stdout
+
+
+@pytest.mark.parametrize("points, weights", [([[0.5], [0.5]], [1.0, 1.0]),
+                                             ([[0.5], [-0.5]], [1.0, 0.0])])
+def test_run_reports_invalid_measure(tmp_path, points, weights):
+    # coincident points, then a non-positive weight
+    config = {"schema_version": 1, "measure": {"points": points, "weights": weights},
+              "lagrangian": {"name": "quartic_pair"}}
+    report, code = run_config(config, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["stages"][-1]["error"].startswith("InvalidMeasure:")
+
+
+def test_run_inline_expansion_range_defects(tmp_path):
+    t = 2.0 * math.sqrt(2.0)
+    config = {
+        "schema_version": 1,
+        "measure": {"points": [[t + 0.05], [-t + 0.02]], "weights": [1.0, 1.2]},
+        "lagrangian": {"name": "quartic_pair"},
+        "nu": 6144.0,
+        "expansion": {"order": 3},
+    }
+    rep1, code = run_config(config, seed=3, out=str(tmp_path / "a"))
+    rep2, _ = run_config(config, seed=3, out=str(tmp_path / "b"))
+    assert code == 0
+    data = rep1["stages"][1]["data"]
+    assert len(data["range_defects"]) == len(data["jet_norms"]) == 3
+    a = json.loads(json.dumps(rep1, default=float))
+    b = json.loads(json.dumps(rep2, default=float))
+    for rep in (a, b):
+        rep.pop("wall_clock_s")
+        rep["files"] = [f.split("/")[-1] for f in rep["files"]]
+    assert a == b

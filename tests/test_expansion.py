@@ -319,3 +319,21 @@ def test_permissive_mode_logs_range_defects(example52, dirac_origin_2d):
     series = expand_inhomogeneous(dirac_origin_2d, example52, 0.0, 1,
                                   inhom=Inhomogeneity([v1]))
     assert len(series.range_defects) == 1
+
+
+def test_strict_mode_names_failing_order(example52_reg, dirac_origin_2d):
+    # Delta vanishes at the origin Dirac; along the inhomogeneity the x^6
+    # terms of the regularized model give the first nonzero error term,
+    # gradient (0, 6) u_1^5, at order 5, all of it outside range(Delta)
+    from cvpert.errors import OutOfRange
+
+    v1 = Jet(np.zeros(1), np.array([[0.0, 1.0]]))
+    with pytest.raises(OutOfRange) as info:
+        expand_inhomogeneous(dirac_origin_2d, example52_reg, 0.0, 5,
+                             inhom=Inhomogeneity([v1]), strict=True)
+    assert info.value.order == 5
+    assert info.value.residual == pytest.approx(1.0)
+    assert "order 5" in str(info.value)
+    with pytest.raises(OutOfRange) as info:
+        family_from_linearized(v1, dirac_origin_2d, example52_reg, 0.0, 5, strict=True)
+    assert info.value.order == 5
