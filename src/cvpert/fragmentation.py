@@ -30,7 +30,7 @@ from .el import ell_field, integrate_partial
 from .fitting import loglog_slope
 from .jets import Jet, MultiJet, TestBasis
 from .lagrangian import LagrangianModel
-from .measure import DiscreteMeasure, push_forward
+from .measure import DiscreteMeasure, merge_close, push_forward
 
 RESIDUAL_FLOOR = 5e-15
 
@@ -136,25 +136,11 @@ class FragmentedMeasure:
         return float(np.sum(self.weights()))
 
     def as_measure(self) -> DiscreteMeasure:
-        """Flatten to a plain discrete measure (collisions merged)."""
-        from .measure import TOL_POINT_MERGE
-
-        L, n = self.log_weights.shape
-        pts = self.positions().reshape(L * n, -1)
-        wts = self.weights().reshape(L * n)
-        merged_pts: list = []
-        merged_wts: list = []
-        for p, w in zip(pts, wts):
-            if w <= 0.0:  # massless subsystem (f0_a = 0)
-                continue
-            for k, q in enumerate(merged_pts):
-                if np.max(np.abs(p - q)) <= TOL_POINT_MERGE:
-                    merged_wts[k] += w
-                    break
-            else:
-                merged_pts.append(p)
-                merged_wts.append(float(w))
-        return DiscreteMeasure(np.array(merged_pts), np.array(merged_wts))
+        """Flatten to a plain discrete measure: massless points (f0_a = 0) are
+        dropped and collisions merged by ``merge_close``."""
+        points, weights, _ = _flat_support(self)
+        massive = ~(weights <= 0.0)  # a NaN weight stays, for DiscreteMeasure to reject
+        return DiscreteMeasure(*merge_close(points[massive], weights[massive]))
 
     def support_table(self, lam: float | None = None) -> list:
         rows = []
@@ -171,16 +157,10 @@ class FragmentedMeasure:
 def fragment_measure(measure: DiscreteMeasure, ansatz: FragmentationAnsatz,
                      lam: float) -> FragmentedMeasure:
     """Apply the fragmentation ansatz at coupling lambda."""
-    L = ansatz.n_subsystems
-    n, m = measure.size, measure.dimension
-    jets = ansatz.order_one_jets(lam)
-    log_w = np.zeros((L, n))
-    shifts = np.zeros((L, n, m))
-    for a in range(L):
-        log_w[a] = np.log(ansatz.f0[a]) if ansatz.f0[a] > 0 else -np.inf
-        log_w[a] = log_w[a] + jets.jets[a].scalar
-        shifts[a] = jets.jets[a].vector
-    return FragmentedMeasure(measure, log_w, shifts)
+    jets = ansatz.order_one_jets(lam).jets
+    with np.errstate(divide="ignore"):  # f0_a = 0: a massless subsystem
+        log_w = np.log(ansatz.f0)[:, None] + np.array([j.scalar for j in jets])
+    return FragmentedMeasure(measure, log_w, np.array([j.vector for j in jets]))
 
 
 def assemble_delta_bar(measure, lagrangian, nu, testbasis=None):
@@ -301,12 +281,8 @@ def fragmented_jacobian(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
 
 
 def apply_increment(frag: FragmentedMeasure, mj: MultiJet) -> FragmentedMeasure:
-    log_w = frag.log_weights.copy()
-    shifts = frag.shifts.copy()
-    for a in range(frag.n_subsystems):
-        log_w[a] += mj.jets[a].scalar
-        shifts[a] += mj.jets[a].vector
-    return FragmentedMeasure(frag.base, log_w, shifts)
+    return FragmentedMeasure(frag.base, frag.log_weights + [j.scalar for j in mj.jets],
+                             frag.shifts + [j.vector for j in mj.jets])
 
 
 def perturbed_laplacian_linF(measure: DiscreteMeasure, lagrangian: LagrangianModel,

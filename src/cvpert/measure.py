@@ -1,21 +1,64 @@
 """Discrete measures: weighted point sets in a single global chart.
 
 Integrals against the measure are weighted sums over the support.  Points
-that collide under a push-forward are merged; ``TOL_POINT_MERGE`` is the
-collision tolerance in chart units.
+within ``TOL_POINT_MERGE`` (max norm, chart units) are close; a support has
+no close pair.  ``merge_close`` merges each chain of close points (a~b, b~c,
+a not~ c) into its lowest-index point, whatever the input order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidMeasure, NumericalFailure, ShapeError
 
 TOL_POINT_MERGE = 1e-9
+
+
+def close_pairs(points) -> np.ndarray:
+    """Lexicographically sorted index pairs (i, j), i < j, of close points.
+
+    Sorts along the widest axis; ``searchsorted`` finds each window (2 * tol
+    wide, so rounding never drops a pair), then candidates are checked on all axes.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    axis = np.argmax(np.ptp(pts, axis=0))
+    order = np.argsort(pts[:, axis], kind="stable")
+    key, pos = pts[order, axis], np.arange(len(pts))
+    width = np.searchsorted(key, key + 2 * TOL_POINT_MERGE, side="right") - pos
+    found = [np.empty((0, 2), dtype=np.intp)]
+    for k in range(1, int(width.max())):  # candidates k places apart in sorted order
+        s = pos[width > k]
+        ij = np.sort(np.stack([order[s], order[s + k]], axis=1), axis=1)
+        near = np.max(np.abs(pts[ij[:, 0]] - pts[ij[:, 1]]), axis=1) <= TOL_POINT_MERGE
+        found.append(ij[near])
+    pairs = np.concatenate(found)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def merge_close(points, weights) -> tuple:
+    """Merge each connected component of the close-pair graph into its
+    lowest-index point (coordinates kept, weights summed); the kept points
+    stay in input order, so an input without close pairs comes back unchanged."""
+    points = np.asarray(points, dtype=float)
+    i, j = close_pairs(points).T
+    label = np.arange(len(points))
+    while True:  # min-label propagation with pointer jumping
+        low = label.copy()
+        np.minimum.at(low, j, label[i])
+        np.minimum.at(low, i, label[j])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    kept, cluster = np.unique(label, return_inverse=True)
+    return points[kept], np.bincount(cluster, weights=weights, minlength=len(kept))
 
 
 @dataclass(frozen=True)
@@ -38,10 +81,10 @@ class DiscreteMeasure:
             raise NumericalFailure("non-finite entries in measure data")
         if np.any(wts <= 0):
             raise InvalidMeasure("weights must be strictly positive")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.max(np.abs(pts[i] - pts[j])) <= TOL_POINT_MERGE:
-                    raise InvalidMeasure(f"support points {i} and {j} coincide within tolerance")
+        pairs = close_pairs(pts)
+        if len(pairs):
+            i, j = pairs[0]
+            raise InvalidMeasure(f"support points {i} and {j} coincide within tolerance")
 
     @property
     def size(self) -> int:
@@ -79,8 +122,9 @@ class DiscreteMeasure:
 def push_forward(measure: DiscreteMeasure, log_weight, shift) -> DiscreteMeasure:
     """Push the measure forward: new points x_i + shift_i, weights w_i * exp(c_i).
 
-    Pushed points that collide within ``TOL_POINT_MERGE`` are merged, adding
-    their weights (the first point's coordinates are kept).
+    Colliding points are merged by ``merge_close``: a chain of close points
+    becomes its lowest-index point, whose coordinates are kept, with the summed
+    weight.  A weight that underflows to 0 and merges with nothing is invalid.
     """
     log_weight = np.asarray(log_weight, dtype=float).ravel()
     shift = np.atleast_2d(np.asarray(shift, dtype=float))
@@ -95,15 +139,4 @@ def push_forward(measure: DiscreteMeasure, log_weight, shift) -> DiscreteMeasure
     new_wts = measure.weights * factors
     if not np.all(np.isfinite(new_pts)) or not np.all(np.isfinite(new_wts)):
         raise NumericalFailure("non-finite push-forward result")
-
-    merged_pts: list[np.ndarray] = []
-    merged_wts: list[float] = []
-    for p, w in zip(new_pts, new_wts):
-        for k, q in enumerate(merged_pts):
-            if np.max(np.abs(p - q)) <= TOL_POINT_MERGE:
-                merged_wts[k] += w
-                break
-        else:
-            merged_pts.append(p)
-            merged_wts.append(float(w))
-    return DiscreteMeasure(np.array(merged_pts), np.array(merged_wts))
+    return DiscreteMeasure(*merge_close(new_pts, new_wts))

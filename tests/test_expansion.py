@@ -312,13 +312,24 @@ def test_convention_equivalence_order_scaling(convention, quartic_pair, quartic_
 
 
 def test_permissive_mode_logs_range_defects(example52, dirac_origin_2d):
-    # Delta vanishes at the origin Dirac, so a prescribed non-kernel
-    # inhomogeneity leaves an out-of-range component that permissive mode
-    # projects away and records
+    # example52's weak-EL dual jet vanishes identically on a one-point
+    # measure (L and d_x L are zero on the diagonal), so every right-hand
+    # side is zero and the one logged defect is 0.0
     v1 = Jet(np.zeros(1), np.array([[0.0, 1.0]]))
     series = expand_inhomogeneous(dirac_origin_2d, example52, 0.0, 1,
                                   inhom=Inhomogeneity([v1]))
     assert len(series.range_defects) == 1
+
+
+def test_permissive_mode_projects_out_of_range_part(example52_reg, dirac_origin_2d):
+    # the regularized model's x^6 terms make E^(5) = (0, (0, 6)) u_1^5 along
+    # the inhomogeneity, all of it outside range(Delta) = {0}: permissive
+    # mode records the whole defect at order 5 and projects it away
+    v1 = Jet(np.zeros(1), np.array([[0.0, 1.0]]))
+    series = expand_inhomogeneous(dirac_origin_2d, example52_reg, 0.0, 5,
+                                  inhom=Inhomogeneity([v1]))
+    assert series.range_defects == pytest.approx([0.0, 0.0, 0.0, 0.0, 1.0], abs=1e-12)
+    assert series.jets[4].norm() == 0.0
 
 
 def test_strict_mode_names_failing_order(example52_reg, dirac_origin_2d):

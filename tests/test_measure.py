@@ -1,10 +1,43 @@
 import json
+import os
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cvpert
 from cvpert import DiscreteMeasure, push_forward
-from cvpert.errors import NumericalFailure, ShapeError
+from cvpert.errors import InvalidMeasure, NumericalFailure, ShapeError
+from cvpert.fragmentation import FragmentedMeasure
+from cvpert.measure import TOL_POINT_MERGE, close_pairs, merge_close
+
+TOL = TOL_POINT_MERGE
+
+
+def brute_close_pairs(pts):
+    """Reference: every pair in lexicographic order, checked one at a time."""
+    return [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+            if np.max(np.abs(pts[i] - pts[j])) <= TOL]
+
+
+def clustered(seed, n_clusters, m, max_size=4):
+    """Clusters 0.1 apart; each one a chain along axis 0 with steps 0.9 tol
+    (neighbours close, points two apart not), jittered by 0.05 tol elsewhere.
+    Returns points, weights and each point's cluster index."""
+    rng = np.random.default_rng(seed)
+    centers = 0.1 * rng.choice(1000, size=(n_clusters, m), replace=False)
+    sizes = rng.integers(1, max_size + 1, n_clusters)
+    label = np.repeat(np.arange(n_clusters), sizes)
+    step = np.concatenate([np.arange(k) for k in sizes])
+    pts = centers[label] + rng.uniform(-0.05, 0.05, (len(label), m)) * TOL
+    pts[:, 0] = centers[label, 0] + 0.9 * TOL * step
+    perm = rng.permutation(len(label))
+    return pts[perm], rng.uniform(0.5, 2.0, len(label)), label[perm]
 
 
 def test_validation_rejects_bad_data():
@@ -68,3 +101,142 @@ def test_json_round_trip():
     back = DiscreteMeasure.from_json(blob)
     assert np.array_equal(back.points, mu.points)
     assert np.array_equal(back.weights, mu.weights)
+
+
+def test_close_pairs_match_brute_force(rng):
+    for m in range(1, 5):
+        for _ in range(20):
+            n = int(rng.integers(0, 40))
+            centers = rng.normal(size=(max(1, n // 4), m))
+            pts = centers[rng.integers(0, len(centers), n)]
+            pts = pts + rng.choice([0.0, 0.6 * TOL, 1.5 * TOL], size=(n, m))
+            pts = np.vstack([pts, np.zeros(m), np.eye(m)[-1] * TOL])  # exactly tol apart
+            assert [tuple(p) for p in close_pairs(pts)] == brute_close_pairs(pts)
+
+
+def test_points_exactly_tol_apart_coincide():
+    for m in range(1, 5):
+        pts = np.zeros((2, m))
+        pts[1, m - 1] = TOL
+        assert np.max(np.abs(pts[0] - pts[1])) == TOL
+        assert [tuple(p) for p in close_pairs(pts)] == brute_close_pairs(pts) == [(0, 1)]
+        with pytest.raises(InvalidMeasure):
+            DiscreteMeasure(pts, np.ones(2))
+
+
+def test_coincidence_error_names_first_pair():
+    pts = np.array([[10.0], [0.0], [7.0], [5e-10], [7.0 + 5e-10], [1e-10]])
+    assert brute_close_pairs(pts)[0] == (1, 3)
+    with pytest.raises(InvalidMeasure, match="support points 1 and 3 coincide"):
+        DiscreteMeasure(pts, np.ones(len(pts)))
+
+
+def test_empty_support_constructs():
+    mu = DiscreteMeasure(np.zeros((0, 2)), np.zeros(0))
+    assert mu.size == 0 and mu.dimension == 2
+
+
+def test_chain_merges_whole_in_every_order():
+    # targets a~b and b~c but a not~ c: one cluster of weight 3, whose kept
+    # point is the pushed point of lowest index
+    targets = np.array([[0.0, 0.0], [0.8 * TOL, 0.0], [1.6 * TOL, 0.0]])
+    for order in permutations(range(3)):
+        mu = DiscreteMeasure(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]), np.ones(3))
+        out = push_forward(mu, np.zeros(3), targets[list(order)] - mu.points)
+        assert out.size == 1
+        assert out.weights.tolist() == [3.0]
+        assert np.array_equal(out.points, targets[[order[0]]])
+        frag = FragmentedMeasure(mu, np.zeros((1, 3)), (targets[list(order)] - mu.points)[None])
+        assert frag.as_measure().weights.tolist() == [3.0]
+
+
+def test_underflowed_push_forward_weight_is_invalid():
+    mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.ones(2))
+    with pytest.raises(InvalidMeasure):
+        push_forward(mu, np.array([0.0, -1e4]), np.zeros((2, 1)))
+
+
+def test_measure_layer_imports_no_scipy_graph_modules():
+    # importing scipy.spatial alone adds ~30 MB of resident memory
+    code = ("import sys, cvpert.measure, cvpert.fragmentation; "
+            "print([m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules])")
+    src = str(Path(cvpert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+clusters = given(seed=st.integers(0, 2 ** 32 - 1), n_clusters=st.integers(1, 8),
+                 m=st.integers(1, 4))
+few = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@few
+@clusters
+def test_merge_conserves_volume(seed, n_clusters, m):
+    pts, wts, _ = clustered(seed, n_clusters, m)
+    _, merged = merge_close(pts, wts)
+    assert len(merged) == n_clusters
+    assert abs(merged.sum() - wts.sum()) <= 1e-12 * wts.sum()
+
+
+@few
+@clusters
+def test_merge_is_idempotent(seed, n_clusters, m):
+    once = merge_close(*clustered(seed, n_clusters, m)[:2])
+    twice = merge_close(*once)
+    assert np.array_equal(twice[0], once[0]) and np.array_equal(twice[1], once[1])
+
+
+@few
+@clusters
+def test_merge_clusters_do_not_depend_on_input_order(seed, n_clusters, m):
+    pts, wts, label = clustered(seed, n_clusters, m)
+    perm = np.random.default_rng(seed + 1).permutation(len(wts))
+    for p, w, lab in ((pts, wts, label), (pts[perm], wts[perm], label[perm])):
+        # each cluster keeps its first input point, in input order
+        first = np.sort([np.flatnonzero(lab == c)[0] for c in np.unique(lab)])
+        kept, merged = merge_close(p, w)
+        assert np.array_equal(kept, p[first])
+        np.testing.assert_allclose(merged, [w[lab == lab[f]].sum() for f in first], rtol=1e-12)
+    # the two runs keep the same weight multiset, on points within a cluster's span
+    a, b = merge_close(pts, wts), merge_close(pts[perm], wts[perm])
+    np.testing.assert_allclose(np.sort(a[1]), np.sort(b[1]), rtol=1e-12)
+    ka, kb = a[0][np.lexsort(a[0].T)], b[0][np.lexsort(b[0].T)]
+    assert np.max(np.abs(ka - kb), initial=0.0) <= 3 * TOL
+
+
+@few
+@clusters
+def test_push_forward_by_zero_jet_is_identity(seed, n_clusters, m):
+    mu = DiscreteMeasure(*merge_close(*clustered(seed, n_clusters, m)[:2]))
+    out = push_forward(mu, np.zeros(mu.size), np.zeros((mu.size, m)))
+    assert np.array_equal(out.points, mu.points)
+    assert np.array_equal(out.weights, mu.weights)
+
+
+@few
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_data_raises_numerical_failure(seed, m, bad):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    pts, wts = rng.normal(size=(n, m)), rng.uniform(0.5, 2.0, n)
+    at = (int(rng.integers(n)), int(rng.integers(m)))
+    bad_pts = pts.copy()
+    bad_pts[at] = bad
+    with pytest.raises(NumericalFailure):
+        DiscreteMeasure(bad_pts, wts)
+    bad_wts = wts.copy()
+    bad_wts[at[0]] = abs(bad)
+    with pytest.raises(NumericalFailure):
+        DiscreteMeasure(pts, bad_wts)
+    mu = DiscreteMeasure(pts, wts)
+    with pytest.raises(NumericalFailure):
+        push_forward(mu, np.zeros(n), bad_pts - pts)
+    with pytest.raises(NumericalFailure):
+        push_forward(mu, np.where(np.arange(n) == at[0], abs(bad), 0.0), np.zeros((n, m)))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalFailure):
+            FragmentedMeasure(mu, np.zeros((1, n)), (bad_pts - pts)[None]).as_measure()
