@@ -91,13 +91,3 @@ def weak_el_residual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: 
 def residual_norm(measure, lagrangian, nu, testbasis) -> float:
     res = weak_el_residual(measure, lagrangian, nu, testbasis)
     return float(np.max(np.abs(res))) if res.size else 0.0
-
-
-def is_critical(measure, lagrangian, nu, tol: float = 1e-9) -> bool:
-    return support_dual(measure, lagrangian, nu).norm() <= tol
-
-
-def require_critical(measure, lagrangian, nu, tol: float = 1e-9):
-    dev = support_dual(measure, lagrangian, nu).norm()
-    if dev > tol:
-        raise NotCritical(dev)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops
-from .errors import InconclusiveFit, NotWellPosed, ShapeError
+from .errors import InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
 from .el import ell_field, integrate_partial
 from .fitting import loglog_slope
 from .jets import Jet, MultiJet, TestBasis
@@ -139,8 +139,11 @@ class FragmentedMeasure:
         """Flatten to a plain discrete measure: massless points (f0_a = 0) are
         dropped and collisions merged by ``merge_close``."""
         points, weights, _ = _flat_support(self)
-        massive = ~(weights <= 0.0)  # a NaN weight stays, for DiscreteMeasure to reject
-        return DiscreteMeasure(*merge_close(points[massive], weights[massive]))
+        massive = ~(weights <= 0.0)  # a NaN weight stays and is rejected below
+        points, weights = points[massive], weights[massive]
+        if not np.all(np.isfinite(points)) or not np.all(np.isfinite(weights)):
+            raise NumericalFailure("non-finite entries in fragmented measure data")
+        return DiscreteMeasure(*merge_close(points, weights))
 
     def support_table(self, lam: float | None = None) -> list:
         rows = []

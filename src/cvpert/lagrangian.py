@@ -55,12 +55,6 @@ class LagrangianModel:
         """Mixed partial d^|alpha|_x d^|beta|_y L(x, y)."""
         raise NotImplementedError
 
-    def evaluate_checked(self, x, y) -> float:
-        val = self(x, y)
-        if not np.isfinite(val):
-            raise NumericalFailure(f"{self.name} non-finite at pair", pair=(np.asarray(x), np.asarray(y)))
-        return float(val)
-
 
 class PolynomialLagrangian(LagrangianModel):
     """Lagrangian given by a sympy expression in x0..x{m-1}, y0..y{m-1}.

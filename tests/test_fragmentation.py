@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cvpert import DiscreteMeasure, Jet, MultiJet, calibrate_nu
-from cvpert.errors import NotWellPosed, ShapeError
-from cvpert.fragmentation import (FragmentationAnsatz, Scenario,
+from cvpert.errors import NotWellPosed, NumericalFailure, ShapeError
+from cvpert.fragmentation import (FragmentationAnsatz, FragmentedMeasure, Scenario,
                                   assemble_delta_F, assemble_delta_bar,
                                   example52_scenario, fragment_expand,
                                   fragment_expand_study, fragment_measure,
@@ -354,3 +354,12 @@ def test_fragment_expand_study_regularized():
     assert study["slopes"]["mean"] >= 3.0 - 0.2
     assert study["slopes"]["complement"] >= 3.0 - 0.2
     assert study["slopes"]["lin_f"] >= r + 1.0 - 0.2
+
+
+def test_as_measure_rejects_non_finite_positions_before_merging():
+    # an infinite shift used to reach the merge sweep, which warned on inf - inf
+    mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), np.ones(3))
+    shift = np.zeros((2, 3, 1))
+    shift[0, 1, 0] = shift[1, 2, 0] = np.inf
+    with pytest.raises(NumericalFailure):
+        FragmentedMeasure(mu, np.zeros((2, 3)), shift).as_measure()
