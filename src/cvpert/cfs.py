@@ -90,13 +90,9 @@ def spin_map_from_point(x: np.ndarray, n: int) -> np.ndarray:
     positive ones the -1 slots (the spin scalar product is -<u|xu>).
     """
     x = np.asarray(x, dtype=complex)
-    evals, evecs = np.linalg.eigh(x)
-    rows = []
-    for k in range(n):  # ascending order: most negative first
-        rows.append(np.sqrt(abs(evals[k])) * evecs[:, k].conj())
-    for k in range(x.shape[0] - n, x.shape[0]):
-        rows.append(np.sqrt(abs(evals[k])) * evecs[:, k].conj())
-    return np.array(rows)
+    evals, evecs = np.linalg.eigh(x)  # ascending order: most negative first
+    slots = list(range(n)) + list(range(x.shape[0] - n, x.shape[0]))
+    return np.array([np.sqrt(abs(evals[k])) * evecs[:, k].conj() for k in slots])
 
 
 def kernel(psi_x: np.ndarray, psi_y: np.ndarray, n: int) -> np.ndarray:
@@ -128,17 +124,26 @@ class WaveEvaluation:
         return kernel(self.maps[i], self.maps[j], self.params.n)
 
 
+def _chain_eigenvalues(psi_x: np.ndarray, psi_y: np.ndarray, n: int) -> np.ndarray:
+    """Eigenvalues of the closed chain A_xy; NumericalFailure if the solver fails."""
+    try:
+        return np.linalg.eigvals(closed_chain(psi_x, psi_y, n))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("eigenvalue solver failed on the closed chain") from exc
+
+
+def _quarter_sum(mods: np.ndarray, n: int) -> float:
+    """(1/4n) sum_ij (|l_i| - |l_j|)^2 over the eigenvalue moduli."""
+    return float(sum((a - b) ** 2 for a in mods for b in mods)) / (4.0 * n)
+
+
 def spectral_weights(x: np.ndarray, y: np.ndarray, n: int):
     """Eigenvalues of the closed chain and the two spectral weights.
 
     Returns (eigenvalues with algebraic multiplicity, |xy|, |(xy)^2|).
     """
-    psi_x = spin_map_from_point(np.asarray(x, complex), n)
-    psi_y = spin_map_from_point(np.asarray(y, complex), n)
-    try:
-        eigs = np.linalg.eigvals(closed_chain(psi_x, psi_y, n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigenvalue solver failed on the closed chain") from exc
+    eigs = _chain_eigenvalues(spin_map_from_point(np.asarray(x, complex), n),
+                             spin_map_from_point(np.asarray(y, complex), n), n)
     order = np.lexsort((eigs.imag, eigs.real, -np.abs(eigs)))
     eigs = eigs[order]
     mods = np.abs(eigs)
@@ -152,11 +157,9 @@ def causal_lagrangian(x: np.ndarray, y: np.ndarray, params: CfsParams,
     The kappa = 0 part uses (1/4n) sum_ij (|l_i| - |l_j|)^2, which vanishes
     exactly when all moduli agree (spacelike separation).
     """
-    n = params.n
-    eigs, w1, w2 = spectral_weights(x, y, n)
+    eigs, w1, w2 = spectral_weights(x, y, params.n)
     mods = np.abs(eigs)
-    quarter = float(sum((a - b) ** 2 for a in mods for b in mods)) / (4.0 * n)
-    value = quarter + params.kappa * w1 ** 2
+    value = _quarter_sum(mods, params.n) + params.kappa * w1 ** 2
     spread = float(np.max(mods) - np.min(mods)) if len(mods) else 0.0
     cls = "spacelike" if spread <= tol_class * max(1.0, float(np.max(mods, initial=0.0))) \
         else "timelike"
@@ -167,17 +170,12 @@ def causal_action(points, weights, params: CfsParams):
     """Double weighted sums: (action of the kappa = 0 part, boundedness T)."""
     S = 0.0
     T = 0.0
-    maps = [spin_map_from_point(np.asarray(p, complex), params.n) for p in points]
     n = params.n
+    maps = [spin_map_from_point(np.asarray(p, complex), n) for p in points]
     for i, wi in enumerate(weights):
         for j, wj in enumerate(weights):
-            try:
-                eigs = np.linalg.eigvals(closed_chain(maps[i], maps[j], n))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure("eigenvalue solver failed") from exc
-            mods = np.abs(eigs)
-            quarter = float(sum((a - b) ** 2 for a in mods for b in mods)) / (4.0 * n)
-            S += wi * wj * quarter
+            mods = np.abs(_chain_eigenvalues(maps[i], maps[j], n))
+            S += wi * wj * _quarter_sum(mods, n)
             T += wi * wj * float(np.sum(mods)) ** 2
     return S, T
 

@@ -269,15 +269,15 @@ def cmd_list(args) -> int:
 def cmd_slope(args) -> int:
     with open(args.csv) as fh:
         reader = csv.DictReader(fh)
-        xs, ys = [], []
-        for row in reader:
-            xs.append(float(row[args.x]))
-            ys.append(float(row[args.y]))
-    ys_arr = np.array(ys)
-    if np.allclose(ys_arr, ys_arr[0] if len(ys) else 0.0):
-        print(json.dumps({"slope": 0.0, "r_squared": 1.0}))
-        return 0
-    slope, r2 = strict_loglog_slope(xs, ys)
+        for column in (args.x, args.y):
+            if column not in (reader.fieldnames or []):
+                raise ConfigError(f"{args.csv}: no column {column!r}, "
+                                  f"have {reader.fieldnames or []}")
+        try:
+            rows = [(float(row[args.x]), float(row[args.y])) for row in reader]
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{args.csv}: {err}") from None
+    slope, r2 = strict_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     print(json.dumps({"slope": slope, "r_squared": r2}))
     return 0
 
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as err:
+    except (CvpError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

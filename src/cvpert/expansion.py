@@ -5,9 +5,9 @@ Delta_0 and, for p >= 2, E^(p) sums Delta_l over all ordered compositions
 q_1 + ... + q_l = p with l >= 2.  That sum is one Taylor coefficient: the
 lambda^p coefficient of the weak EL dual jet along the jet series truncated
 before order p, which polynomial models compute in one pass
-(``linops.taylor_error_dual``).  The composition sum itself serves the
-black-box models and the tests, and fills the diagram ledger, which a
-series builds from its stored jets on first access (the expansion only
+(``linops.taylor_error_dual``).  Other models and the diagram ledger sum
+Delta_l terms, each polarized from that coefficient along lines; a series
+builds its ledger from its jets on first access (the expansion only
 produces tree diagrams, so the exported document is a forest).
 
 Evaluating the series at lambda pushes the base measure forward with the
@@ -152,8 +152,8 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
     """E^(p) as a dual jet, from the jets w^(1..p-1).
 
     For p >= 2 a model that takes truncated series gets E^(p) as one Taylor
-    coefficient.  Other models, and every call with a ledger, sum Delta_l
-    over the compositions of p; each term is recorded in the ledger.
+    coefficient.  Other models, and every call with a ledger, sum the
+    polarized Delta_l over the compositions of p, recorded in the ledger.
     """
     if p < 1:
         raise ArgError("order must be >= 1")
@@ -189,11 +189,8 @@ def _solve(greens: linops.GreensOperator, rhs: DualJet, p: int) -> tuple:
 
 
 def _zero_jets(inhom: Inhomogeneity | None, order, n, m) -> list:
-    if inhom is None:
-        return [Jet.zero(n, m) for _ in range(order)]
-    if len(inhom.jets) < order:
-        return list(inhom.jets) + [Jet.zero(n, m) for _ in range(order - len(inhom.jets))]
-    return list(inhom.jets[:order])
+    given = [] if inhom is None else list(inhom.jets[:order])
+    return given + [Jet.zero(n, m) for _ in range(order - len(given))]
 
 
 def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,

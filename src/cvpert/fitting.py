@@ -30,7 +30,7 @@ def loglog_slope(xs, ys, floor: float = 0.0):
 def strict_loglog_slope(xs, ys):
     """Slope fit for tabulated data: needs >= 4 positive rows, else DegenerateFit.
 
-    Returns (slope, r_squared).
+    Returns (slope, r_squared); a constant y column gives exactly (0.0, 1.0).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -38,6 +38,8 @@ def strict_loglog_slope(xs, ys):
         raise DegenerateFit("need at least 4 rows of equal length")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise DegenerateFit("log-log fit needs positive values")
+    if np.allclose(ys, ys[0]):
+        return 0.0, 1.0
     lx, ly = np.log(xs), np.log(ys)
     coeffs = np.polyfit(lx, ly, 1)
     fit = np.polyval(coeffs, lx)

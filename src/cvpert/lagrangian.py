@@ -227,31 +227,20 @@ def fd_step(total_order: int) -> float:
 
 
 def _central_diff(fn, x, y, alpha, beta, h):
-    """Nested central differences for the mixed partial, fixed step h."""
-    slots = []
-    for i, k in enumerate(alpha):
-        slots.extend([(0, i)] * k)
-    for i, k in enumerate(beta):
-        slots.extend([(1, i)] * k)
-    if not slots:
+    """Nested central differences for the mixed partial, fixed step h; the
+    outermost difference is along the first x coordinate left in alpha,
+    then along beta."""
+    if not any(alpha) and not any(beta):
         return fn(x, y)
-    (side, idx), rest = slots[0], slots[1:]
-    ra = list(alpha)
-    rb = list(beta)
-    if side == 0:
-        ra[idx] -= 1
-    else:
-        rb[idx] -= 1
-    xp, xm = np.array(x, float), np.array(x, float)
-    yp, ym = np.array(y, float), np.array(y, float)
-    if side == 0:
-        xp[idx] += h
-        xm[idx] -= h
-    else:
-        yp[idx] += h
-        ym[idx] -= h
-    up = _central_diff(fn, xp, yp, tuple(ra), tuple(rb), h)
-    dn = _central_diff(fn, xm, ym, tuple(ra), tuple(rb), h)
+    side = 0 if any(alpha) else 1
+    orders = [list(alpha), list(beta)]
+    idx = next(i for i, k in enumerate(orders[side]) if k)
+    orders[side][idx] -= 1
+    plus, minus = ([np.array(x, float), np.array(y, float)] for _ in range(2))
+    plus[side][idx] += h
+    minus[side][idx] -= h
+    up = _central_diff(fn, *plus, tuple(orders[0]), tuple(orders[1]), h)
+    dn = _central_diff(fn, *minus, tuple(orders[0]), tuple(orders[1]), h)
     return (up - dn) / (2.0 * h)
 
 

@@ -2,14 +2,14 @@
 Green's operators.
 
 Delta_l applies l factors of (scalar-at-x + scalar-at-y + derivative-at-x +
-derivative-at-y) to the Lagrangian, divided by l!, minus the nu-term.
-``delta_ell`` enumerates all 4^l slot assignments directly; jets are never
-differentiated, so each assignment is a plain mixed directional derivative
-of L weighted by scalar jet values.  The error term E^(p), the sum of
-Delta_l over the compositions of p, is one Taylor coefficient of the weak
-EL dual jet along the truncated jet series (``taylor_error_dual``), which
-polynomial models evaluate in one pass over all pairs.  The enumeration
-feeds the diagram ledger, the black-box models and the tests.
+derivative-at-y) to the Lagrangian, divided by l!, minus the nu-term; jets
+are never differentiated.  Every Delta_l and E^(p) is one Taylor
+coefficient of the weak EL dual jet along a deformed measure.  E^(p), the
+sum of Delta_l over the compositions of p, is the lambda^p coefficient
+along the truncated jet series; Delta_l[s^l] is the lambda^l coefficient
+along the line x + lambda s, and the multilinear Delta_l follows by
+polarization over the 2^l - 1 non-empty subsets of its arguments
+(Griewank, Utke and Walther, Math. Comp. 69 (2000) 1117-1130).
 
 Two conventions are supported.  "standard" carries the scalar component on
 both slots plus the nu-term; "breve" drops the x-slot scalar and the
@@ -29,13 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cache
+from itertools import combinations, combinations_with_replacement, product
+from operator import add
 
 import numpy as np
 
+from .el import ell_on_support, support_dual
 from .errors import NumericalFailure, OrderUnsupported, OutOfRange, ShapeError
 from .jets import DualJet, Jet, TestBasis
-from .lagrangian import LagrangianModel, TruncatedSeries, pair_series, pair_table
+from .lagrangian import (LagrangianModel, TruncatedSeries, pair_series, pair_table,
+                         takes_series)
 from .measure import DiscreteMeasure
 
 TOL_RANK = 1e-8
@@ -69,15 +73,11 @@ def mixed_directional(lag: LagrangianModel, x, y, xdirs, ydirs) -> float:
 
 def delta_zero(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float) -> np.ndarray:
     """Delta_0 = ell on the support."""
-    from .el import ell_on_support
-
     return ell_on_support(measure, lagrangian, nu)
 
 
 def delta_zero_dual(measure, lagrangian, nu) -> DualJet:
     """Delta_0 lifted to a dual jet: (value, spatial gradient) per point."""
-    from .el import support_dual
-
     return support_dual(measure, lagrangian, nu)
 
 
@@ -89,70 +89,106 @@ def _check_jets(count, jets, measure):
         raise ShapeError(f"need {count} jets, got {len(jets)}")
 
 
-def _delta_ell_terms(order, jets, measure, lagrangian, nu, convention, with_gradient):
-    """Shared core for delta_ell / delta_ell_breve and their dual lifts."""
+def _require_order(lagrangian, order, what):
+    if order > lagrangian.max_order:
+        raise OrderUnsupported(f"{lagrangian.name}: {what} needs order {order}, "
+                               f"max_order is {lagrangian.max_order}")
+
+
+def _weak_el_coefficient(what, lagrangian, measure, nu, convention, c, pair, gradient):
+    """Top lam-coefficient of the weak EL dual jet, as columns (value, x-gradient
+    if ``gradient``), along log-weights with lam-coefficients c (n, K) and
+    points where pair(alpha) is the (n, n, K) series of d^alpha_x L(x_i, x_j):
+        value_i = e^{c_i} (sum_j w_j e^{c_j} L(x_i, x_j) - nu/2),
+        gradient_i = e^{c_i} sum_j w_j e^{c_j} d_x L(x_i, x_j);
+    breve drops the factor e^{c_i} and the nu-term.
+    """
+    growth = TruncatedSeries(c).exp()
+    mass = TruncatedSeries(measure.weights[None, :, None] * growth.coef[None])
+    m = measure.dimension
+    alphas = [(0,) * m] + (np.eye(m, dtype=int).tolist() if gradient else [])
+    parts = [TruncatedSeries((pair(tuple(a)) * mass).coef.sum(axis=1)) for a in alphas]
+    if convention == "standard":
+        parts = [growth * (parts[0] - nu / 2.0)] + [growth * g for g in parts[1:]]
+    top = np.stack([s.coef[:, -1] for s in parts], axis=-1)
+    if not np.all(np.isfinite(top)):
+        raise NumericalFailure(f"{lagrangian.name}: {what} not finite")
+    return top
+
+
+def _line_pairs(lagrangian, points, order):
+    """Maps a direction u (n, m) to pair(alpha), the series of
+    d^alpha_x L(x_i + lam u_i, x_j + lam u_j) through lam^order.
+
+    A model that takes series evaluates it on the line.  Any other model gets
+    the exact Taylor lift, whose lam^k coefficient is
+        sum_{|g|+|d|=k} d^{alpha+g}_x d^d_y L(x_i, x_j) u_i^g u_j^d / (g! d!),
+    from partial tables at lam = 0, each read once through ``partial``.
+    """
+    n, m = points.shape
+    if takes_series(lagrangian):
+        def along(u):
+            x = np.stack([points, u] + [np.zeros_like(u)] * (order - 1), axis=-1)
+            return lambda alpha: pair_series(lagrangian, x, x, alpha, (0,) * m)
+        return along
+    lifts = [tuple(slots.count(s) for s in range(2 * m)) for k in range(order + 1)
+             for slots in combinations_with_replacement(range(2 * m), k)]
+
+    @cache
+    def table(alpha, beta):
+        return np.array([[lagrangian.partial(x, y, alpha, beta) for y in points] for x in points])
+
+    def along(u):
+        def pair(alpha):
+            out = np.zeros((n, n, order + 1))
+            for idx in lifts:
+                g, d = idx[:m], idx[m:]
+                weight = np.prod(u ** g, axis=1)[:, None] * np.prod(u ** d, axis=1)[None, :]
+                out[:, :, sum(idx)] += (table(tuple(map(add, alpha, g)), d) * weight
+                                        / math.prod(map(math.factorial, idx)))
+            return TruncatedSeries(out)
+        return pair
+    return along
+
+
+def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient):
+    """Columns (value, x-gradient if ``with_gradient``) of Delta_l[a_1..a_l] by
+        l! Delta_l[a_1..a_l] = sum_S (-1)^(l-|S|) Delta_l[(sum_{k in S} a_k)^l]
+    over the non-empty subsets S of {1..l}; Delta_l[s^l] is the lam^l
+    coefficient along c = lam s.scalar, x = points + lam s.vector.  The jets
+    are scaled to unit sup-norm, and the norms multiplied back in, so that
+    disparate scales lose no accuracy; a zero jet gives exact zeros."""
     if order < 1:
         raise ShapeError("order must be >= 1")
     _check_jets(order, jets, measure)
-    # factor options: 0 scalar at x, 1 scalar at y, 2 derivative at x, 3 at y;
-    # breve drops the x-slot scalar option
-    options = (1, 2, 3) if convention == "breve" else (0, 1, 2, 3)
+    what = f"Delta_{order} gradient" if with_gradient else f"Delta_{order}"
+    _require_order(lagrangian, order + 1 if with_gradient else order, what)
     n, m = measure.size, measure.dimension
-    vals = np.zeros(n)
-    grads = np.zeros((n, m)) if with_gradient else None
-    units = [np.eye(m)[k] for k in range(m)]
-    for i in range(n):
-        xi = measure.points[i]
-        for j in range(n):
-            yj = measure.points[j]
-            wj = measure.weights[j]
-            acc_v = 0.0
-            acc_g = np.zeros(m) if with_gradient else None
-            for opts in product(options, repeat=order):
-                scal = 1.0
-                xdirs = []
-                ydirs = []
-                for k, o in enumerate(opts):
-                    jet = jets[k]
-                    if o == 0:
-                        scal *= jet.scalar[i]
-                    elif o == 1:
-                        scal *= jet.scalar[j]
-                    elif o == 2:
-                        xdirs.append(jet.vector[i])
-                    else:
-                        ydirs.append(jet.vector[j])
-                if scal == 0.0:
-                    continue
-                acc_v += scal * mixed_directional(lagrangian, xi, yj, xdirs, ydirs)
-                if with_gradient:
-                    for g in range(m):
-                        acc_g[g] += scal * mixed_directional(
-                            lagrangian, xi, yj, xdirs + [units[g]], ydirs)
-            vals[i] += wj * acc_v
-            if with_gradient:
-                grads[i] += wj * acc_g
-        if convention == "standard":
-            cprod = 1.0
-            for w in jets:
-                cprod *= w.scalar[i]
-            vals[i] -= nu / 2.0 * cprod
-    fact = math.factorial(order)
-    vals /= fact
-    if with_gradient:
-        grads /= fact
-        return vals, grads
-    return vals
+    total = np.zeros((n, 1 + m if with_gradient else 1))
+    norms = [max(np.max(np.abs(w.scalar), initial=0.0), np.max(np.abs(w.vector), initial=0.0))
+             for w in jets]
+    if min(norms) == 0.0:
+        return total
+    units = [Jet(w.scalar / s, w.vector / s) for w, s in zip(jets, norms)]
+    along = _line_pairs(lagrangian, measure.points, order)
+    c = np.zeros((n, order + 1))
+    for size in range(1, order + 1):
+        for subset in combinations(units, size):
+            c[:, 1] = sum(w.scalar for w in subset)
+            total += (-1.0) ** (order - size) * _weak_el_coefficient(
+                what, lagrangian, measure, nu, convention, c,
+                along(sum(w.vector for w in subset)), with_gradient)
+    return total * (math.prod(norms) / math.factorial(order))
 
 
 def delta_ell(order, jets, measure, lagrangian, nu) -> np.ndarray:
     """Delta_l[w_1..w_l] on the support, standard convention (with nu-term)."""
-    return _delta_ell_terms(order, jets, measure, lagrangian, nu, "standard", False)
+    return _polarized(order, jets, measure, lagrangian, nu, "standard", False)[:, 0]
 
 
 def delta_ell_breve(order, jets, measure, lagrangian) -> np.ndarray:
     """Breve variant: no scalar action on the x slot and no nu-term."""
-    return _delta_ell_terms(order, jets, measure, lagrangian, 0.0, "breve", False)
+    return _polarized(order, jets, measure, lagrangian, 0.0, "breve", False)[:, 0]
 
 
 def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
@@ -161,48 +197,25 @@ def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") 
     The gradient differentiates only the Lagrangian arguments; the nu-term
     is constant in x since jets are never differentiated.
     """
-    vals, grads = _delta_ell_terms(order, jets, measure, lagrangian, nu, convention, True)
-    return DualJet(vals, grads)
+    top = _polarized(order, jets, measure, lagrangian, nu, convention, True)
+    return DualJet(top[:, 0], top[:, 1:])
 
 
 def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
     """E^(p) from the jets w^(1..p-1) as one Taylor coefficient: the sum of
-    delta_ell_dual over all compositions of p into at least two parts.
-
-    Along the truncated series c = sum_{q<p} lam^q c^(q) and
-    u = sum_{q<p} lam^q u^(q) it is the lam^p coefficient of
-        value_i = e^{c_i} (sum_j w_j e^{c_j} L(x_i + u_i, x_j + u_j) - nu/2),
-        gradient_i = e^{c_i} sum_j w_j e^{c_j} d_x L(x_i + u_i, x_j + u_j);
-    breve drops the factor e^{c_i} and the nu-term.  The model must take
-    truncated series (``lagrangian.takes_series``).
+    delta_ell_dual over all compositions of p into at least two parts, and
+    the lam^p coefficient of the weak EL dual jet along the truncated series
+    c = sum_{q<p} lam^q c^(q), x + sum_{q<p} lam^q u^(q).  The model must
+    take truncated series (``lagrangian.takes_series``).
     """
     _check_jets(p - 1, jets, measure)
-    if p + 1 > lagrangian.max_order:
-        raise OrderUnsupported(f"{lagrangian.name}: E^({p}) needs order {p + 1}, "
-                               f"max_order is {lagrangian.max_order}")
+    _require_order(lagrangian, p + 1, f"E^({p})")
     n, m = measure.size, measure.dimension
-    c = np.zeros((n, p + 1))
-    x = np.zeros((n, m, p + 1))
-    x[:, :, 0] = measure.points
-    for q, w in enumerate(jets, start=1):
-        c[:, q] = w.scalar
-        x[:, :, q] = w.vector
-    growth = TruncatedSeries(c).exp()
-    mass = TruncatedSeries(measure.weights[None, :, None] * growth.coef[None])
-    zero = (0,) * m
-
-    def integrate(alpha):  # sum_j w_j e^{c_j} d^alpha_x L(x_i + u_i, x_j + u_j)
-        return TruncatedSeries((pair_series(lagrangian, x, x, alpha, zero) * mass).coef.sum(axis=1))
-
-    value = integrate(zero)
-    grads = [integrate(e) for e in np.eye(m, dtype=int)]
-    if convention == "standard":
-        value = growth * (value - nu / 2.0)
-        grads = [growth * g for g in grads]
-    dual = DualJet(value.coef[:, p], np.stack([g.coef[:, p] for g in grads], axis=-1))
-    if not (np.all(np.isfinite(dual.value)) and np.all(np.isfinite(dual.gradient))):
-        raise NumericalFailure(f"{lagrangian.name}: E^({p}) not finite")
-    return dual
+    c = np.stack([np.zeros(n)] + [w.scalar for w in jets] + [np.zeros(n)], axis=-1)
+    x = np.stack([measure.points] + [w.vector for w in jets] + [np.zeros((n, m))], axis=-1)
+    top = _weak_el_coefficient(f"E^({p})", lagrangian, measure, nu, convention, c,
+                               lambda alpha: pair_series(lagrangian, x, x, alpha, (0,) * m), True)
+    return DualJet(top[:, 0], top[:, 1:])
 
 
 @dataclass

@@ -190,3 +190,29 @@ def test_run_inline_expansion_range_defects(tmp_path):
         rep.pop("wall_clock_s")
         rep["files"] = [f.split("/")[-1] for f in rep["files"]]
     assert a == b
+
+
+@pytest.mark.parametrize("rows, column, message", [
+    (["1,2", "2,4", "3,6"], "x", "at least 4 rows"),
+    ([], "x", "at least 4 rows"),
+    (["1,0", "2,0", "3,0", "4,0"], "x", "positive values"),
+    (["1,2", "2,4", "3,6", "4,8"], "lam", "no column 'lam'"),
+    (["1,2", "2,oops", "3,6", "4,8"], "x", "could not convert"),
+], ids=["three-rows", "empty", "zero-column", "unknown-column", "non-numeric"])
+def test_cli_slope_bad_table_exits_2(tmp_path, capsys, rows, column, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["x,y"] + rows) + "\n")
+    assert main(["slope", str(path), "--x", column, "--y", "y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_strict_slope_constant_column_after_checks():
+    from cvpert.errors import DegenerateFit
+
+    assert strict_loglog_slope([1.0, 2.0, 3.0, 4.0], [5.0] * 4) == (0.0, 1.0)
+    with pytest.raises(DegenerateFit):
+        strict_loglog_slope([1.0, 2.0, 3.0], [5.0] * 3)
+    with pytest.raises(DegenerateFit):
+        strict_loglog_slope([1.0, 2.0, 3.0, 4.0], [0.0] * 4)
