@@ -258,13 +258,14 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     if dw1.norm() > tol_rank * max(scale, 1.0):
         raise NotLinearized(
             f"|Delta w1| = {dw1.norm():.3e} exceeds {tol_rank:.1e} * {scale:.3e}")
-    jets = [w1]
+    jets, defects = [w1], [0.0]
     greens = linops.GreensOperator(delta, tol_rank=tol_rank, strict=strict)
     for p in range(2, order + 1):
         E = error_term(p, jets, measure, lagrangian, nu, convention)
-        w, _ = _solve(greens, E, p)
+        w, defect = _solve(greens, E, p)
         jets.append(w)
-    return PerturbationSeries(measure, order, nu, jets, convention,
+        defects.append(defect)
+    return PerturbationSeries(measure, order, nu, jets, convention, range_defects=defects,
                               ledger_source=(lagrangian, 2) if keep_ledger else None)
 
 

@@ -10,6 +10,11 @@ perturbed form assembled on the fragmented support, which a well-posed
 ansatz makes definite of a single order lambda^r after the microstructure
 rescaling of the vector components by lambda^q.
 
+Fragmented directions are flat columns in the layout of ``MultiJet.flatten``
+(subsystem major, then point-major blocks [scalar, vector]).  The lin-F
+basis is one array of orthonormal columns kron(pattern, slot), and the
+lambda^q rescaling is one diagonal on those columns.
+
 The expansion driver corrects the configuration sector by sector (mean and
 complement through the operator of the current configuration, the neutral
 directions through the perturbed form), one sweep per order.  The exact
@@ -28,11 +33,13 @@ from . import linops
 from .errors import InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
 from .el import ell_field, integrate_partial
 from .fitting import loglog_slope
-from .jets import Jet, MultiJet, TestBasis
+from .jets import Jet, MultiJet
 from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, merge_close, push_forward
 
 RESIDUAL_FLOOR = 5e-15
+MAX_FIT_RESIDUAL = 0.1  # a worse log-log fit of the form's singular values is inconclusive
+SECTOR_RCOND = 0.1  # relative column cut of the mean and complement solve
 
 
 def split_mean_fluct(mj: MultiJet) -> tuple:
@@ -166,9 +173,9 @@ def fragment_measure(measure: DiscreteMeasure, ansatz: FragmentationAnsatz,
     return FragmentedMeasure(measure, log_w, np.array([j.vector for j in jets]))
 
 
-def assemble_delta_bar(measure, lagrangian, nu, testbasis=None):
+def assemble_delta_bar(measure, lagrangian, nu):
     """Mean-sector operator: identical to the unfragmented assembly."""
-    return linops.assemble_delta(measure, lagrangian, nu, testbasis=testbasis)
+    return linops.assemble_delta(measure, lagrangian, nu)
 
 
 @dataclass
@@ -177,16 +184,11 @@ class FluctuationForm:
 
     hessians: np.ndarray  # (N, m, m)
 
-    def form(self, u: MultiJet, v: MultiJet, weights=None) -> float:
-        L = u.n_subsystems
-        if v.n_subsystems != L:
+    def form(self, u: MultiJet, v: MultiJet) -> float:
+        if v.n_subsystems != u.n_subsystems:
             raise ShapeError("subsystem counts differ")
-        w = np.ones(u.size) if weights is None else np.asarray(weights, float)
-        total = 0.0
-        for a in range(L):
-            for i in range(u.size):
-                total += w[i] * u.jets[a].vector[i] @ self.hessians[i] @ v.jets[a].vector[i]
-        return total / L
+        U, V = (np.array([j.vector for j in mj.jets]) for mj in (u, v))
+        return float(np.einsum("aik,ikl,ail->", U, self.hessians, V)) / u.n_subsystems
 
     def eigenvalues(self) -> np.ndarray:
         return np.concatenate([np.linalg.eigvalsh(h) for h in self.hessians])
@@ -215,34 +217,36 @@ def _zero_mean_patterns(L: int) -> np.ndarray:
     return np.array(rows) if rows else np.zeros((0, L))
 
 
-def lin_fluct_basis(measure: DiscreteMeasure, lagrangian: LagrangianModel,
-                    n_subsystems: int, tol_rank: float = linops.TOL_RANK) -> list:
-    """Orthonormal basis of the linearized-fluctuation space.
+def lin_fluct_columns(measure: DiscreteMeasure, lagrangian: LagrangianModel,
+                      n_subsystems: int) -> np.ndarray:
+    """Orthonormal basis of the linearized-fluctuation space as flat columns.
 
-    Zero-mean subsystem patterns tensored with the per-point null directions
-    of the ell-Hessian, plus free scalar fluctuation components.
+    Columns kron(pattern, slot): for each zero-mean subsystem pattern, the
+    free scalar slot of every point, then the per-point null directions of
+    the ell-Hessian (pattern major, point minor).
     """
-    L = n_subsystems
-    n, m = measure.size, measure.dimension
-    dF = assemble_delta_F(measure, lagrangian)
-    patterns = _zero_mean_patterns(L)
-    basis = []
-    scale = max(float(np.max(np.abs(dF.hessians))), 1.0)
-    for chi in patterns:
-        for i in range(n):
-            jets = [Jet.zero(n, m) for _ in range(L)]
-            for a in range(L):
-                jets[a].scalar[i] = chi[a]
-            basis.append(MultiJet(jets))
-        for i in range(n):
-            evals, evecs = np.linalg.eigh(dF.hessians[i])
-            for k in range(m):
-                if abs(evals[k]) <= tol_rank * scale:
-                    jets = [Jet.zero(n, m) for _ in range(L)]
-                    for a in range(L):
-                        jets[a].vector[i] = chi[a] * evecs[:, k]
-                    basis.append(MultiJet(jets))
-    return basis
+    n, width = measure.size, 1 + measure.dimension
+    hess = assemble_delta_F(measure, lagrangian).hessians
+    evals, evecs = np.linalg.eigh(hess)
+    scale = max(float(np.max(np.abs(hess))), 1.0)
+    pts, ks = np.nonzero(np.abs(evals) <= linops.TOL_RANK * scale)
+    null = np.zeros((n, width, len(pts)))
+    null[pts, 1:, np.arange(len(pts))] = evecs[pts, :, ks]
+    slots = np.hstack([np.eye(n * width)[:, ::width], null.reshape(n * width, len(pts))])
+    return np.kron(_zero_mean_patterns(n_subsystems).T, slots)
+
+
+def lin_fluct_basis(measure: DiscreteMeasure, lagrangian: LagrangianModel,
+                    n_subsystems: int) -> list:
+    """The ``lin_fluct_columns`` basis as multi-jets."""
+    cols = lin_fluct_columns(measure, lagrangian, n_subsystems)
+    return [MultiJet.unflatten(c, n_subsystems, measure.dimension) for c in cols.T]
+
+
+def _q_scaling(measure: DiscreteMeasure, n_subsystems: int, lam: float, q: float) -> np.ndarray:
+    """Flat diagonal of the microstructure rescaling: 1 on scalar slots,
+    lambda^q on vector slots."""
+    return np.tile(np.r_[1.0, np.full(measure.dimension, lam ** q)], n_subsystems * measure.size)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +304,11 @@ def perturbed_laplacian_linF(measure: DiscreteMeasure, lagrangian: LagrangianMod
     orthonormal linearized-fluctuation basis of the base measure.
     """
     if directions is None:
-        directions = lin_fluct_basis(measure, lagrangian, ansatz.n_subsystems)
+        cols = lin_fluct_columns(measure, lagrangian, ansatz.n_subsystems)
+    else:
+        cols = np.array([d.flatten() for d in directions]).T
     frag = fragment_measure(measure, ansatz, lam)
-    J = fragmented_jacobian(frag, lagrangian, nu)
-    cols = np.array([d.flatten() for d in directions]).T
-    return cols.T @ J @ cols
+    return cols.T @ fragmented_jacobian(frag, lagrangian, nu) @ cols
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +326,6 @@ class Scenario:
     n_subsystems: int
     ansatz: FragmentationAnsatz
     lam_grid: np.ndarray = field(default_factory=lambda: np.geomspace(0.02, 0.1, 5))
-    testbasis: TestBasis | None = None
 
 
 def example52_scenario(f1: float = 1.0, w: float | None = None,
@@ -367,52 +370,42 @@ class WellPosednessReport:
         }
 
 
-def _q_scaled(directions, q, lam):
-    out = []
-    for d in directions:
-        out.append(MultiJet([Jet(j.scalar.copy(), lam ** q * j.vector) for j in d.jets]))
-    return out
-
-
-def wellposedness_check(scenario: Scenario, lam_grid=None,
-                        max_fit_residual: float = 0.1) -> WellPosednessReport:
+def wellposedness_check(scenario: Scenario) -> WellPosednessReport:
     """Estimate the definiteness order r of the perturbed form on the
     linearized-fluctuation space and compare it with the EL error exponent.
 
     Vector components of test and argument directions are rescaled by
     lambda^q (differentiating the microstructure costs a factor lambda^-q).
+    Both come from one fragmented measure per lambda of ``scenario.lam_grid``.
     Well-posed needs r > q and error exponent >= r + 1 - 0.2.
     """
-    grid = np.asarray(scenario.lam_grid if lam_grid is None else lam_grid, dtype=float)
+    grid = np.asarray(scenario.lam_grid, dtype=float)
     if len(grid) < 4:
         raise ShapeError("need a geometric grid with at least 4 points")
-    basis = lin_fluct_basis(scenario.measure, scenario.lagrangian, scenario.n_subsystems)
-    if not basis:
-        return WellPosednessReport(math.nan, 0.0, math.inf, "inconclusive",
-                                   scenario.ansatz.q,
+    measure, lagrangian, nu = scenario.measure, scenario.lagrangian, scenario.nu
+    L, q = scenario.n_subsystems, scenario.ansatz.q
+    basis = lin_fluct_columns(measure, lagrangian, L)
+    if not basis.size:
+        return WellPosednessReport(math.nan, 0.0, math.inf, "inconclusive", q,
                                    {"reason": "empty linearized-fluctuation space"})
-    q = scenario.ansatz.q
     smin, smax, errs = [], [], []
     for lam in grid:
-        scaled = _q_scaled(basis, q, lam)
-        M = perturbed_laplacian_linF(scenario.measure, scenario.lagrangian,
-                                     scenario.ansatz, lam, directions=scaled,
-                                     nu=scenario.nu)
+        cols = basis * _q_scaling(measure, L, lam, q)[:, None]
+        frag = fragment_measure(measure, scenario.ansatz, lam)
+        M = cols.T @ fragmented_jacobian(frag, lagrangian, nu) @ cols
         s = np.linalg.svd(M, compute_uv=False)
         smin.append(s[-1])
         smax.append(s[0])
-        frag = fragment_measure(scenario.measure, scenario.ansatz, lam)
-        res = fragmented_residual(frag, scenario.lagrangian, scenario.nu)
-        errs.append(max(abs(float(d.flatten() @ res)) for d in scaled))
+        errs.append(float(np.max(np.abs(cols.T @ fragmented_residual(frag, lagrangian, nu)))))
     r_min, fit_min = loglog_slope(grid, np.array(smin), floor=RESIDUAL_FLOOR)
     r_max, fit_max = loglog_slope(grid, np.array(smax), floor=RESIDUAL_FLOOR)
     err_exp, _ = loglog_slope(grid, np.array(errs), floor=RESIDUAL_FLOOR)
     if not math.isfinite(r_min):
         return WellPosednessReport(math.nan, 0.0, err_exp, "inconclusive",
                                    q, {"reason": "degenerate form values"})
-    if max(fit_min, fit_max) > max_fit_residual:
+    if max(fit_min, fit_max) > MAX_FIT_RESIDUAL:
         raise InconclusiveFit(
-            f"log-log fit residual {max(fit_min, fit_max):.3f} exceeds {max_fit_residual}")
+            f"log-log fit residual {max(fit_min, fit_max):.3f} exceeds {MAX_FIT_RESIDUAL}")
     uniform = abs(r_min - r_max) <= 0.5
     r = r_min
     ok = uniform and r > q and err_exp >= r + 1.0 - 0.2
@@ -422,25 +415,13 @@ def wellposedness_check(scenario: Scenario, lam_grid=None,
     return WellPosednessReport(r, max(fit_min, fit_max), err_exp, verdict, q, details)
 
 
-def _sector_projectors(measure, lagrangian, L, tol_rank=linops.TOL_RANK):
+def _sector_projectors(measure, lagrangian, L):
     """Orthonormal column blocks for mean, complement, lin-F coordinates."""
-    n, m = measure.size, measure.dimension
-    width = 1 + m
-    D = L * n * width
-    mean_cols = []
-    for i in range(n):
-        for s in range(width):
-            v = np.zeros(D)
-            for a in range(L):
-                v[(a * n + i) * width + s] = 1.0 / math.sqrt(L)
-            mean_cols.append(v)
-    mean = np.array(mean_cols).T
-    linf = np.array([mj.flatten() for mj in lin_fluct_basis(measure, lagrangian, L,
-                                                            tol_rank)]).T
-    if linf.size == 0:
-        linf = np.zeros((D, 0))
+    width = 1 + measure.dimension
+    mean = np.kron(np.full((L, 1), 1.0 / math.sqrt(L)), np.eye(measure.size * width))
+    linf = lin_fluct_columns(measure, lagrangian, L)
     taken = np.hstack([mean, linf])
-    proj = np.eye(D) - taken @ taken.T
+    proj = np.eye(len(taken)) - taken @ taken.T
     u, s, _ = np.linalg.svd(proj)
     compl = u[:, s > 0.5]
     return mean, compl, linf
@@ -458,8 +439,7 @@ class FragmentedExpansion:
 
 
 def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
-                    report: WellPosednessReport | None = None,
-                    sector_rcond: float = 0.1) -> FragmentedExpansion:
+                    report: WellPosednessReport | None = None) -> FragmentedExpansion:
     """Sector-by-sector correction sweeps on the fragmented configuration.
 
     One sweep per order beyond the ansatz: first the mean and complement
@@ -468,7 +448,7 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
     well-posedness order r guarantees).  For a single subsystem this reduces
     to the plain expansion, to which the call is delegated.
 
-    ``sector_rcond`` is the relative column cut of the mean and complement
+    ``SECTOR_RCOND`` is the relative column cut of the mean and complement
     solve: directions on which the operator is perturbatively small are
     deferred to later sweeps instead of being inverted, which would throw
     the iteration off the lambda microstructure.
@@ -483,8 +463,6 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
         jets = scenario.ansatz.order_one_jets(lam)
         start = push_forward(measure, jets.jets[0].scalar, jets.jets[0].vector)
         series = expansion.expand(start, lagrangian, nu, order)
-        frag = FragmentedMeasure(
-            start, np.zeros((1, start.size)), np.zeros((1, start.size, start.dimension)))
         corrected = expansion.reconstruct(series, 1.0)
         final = FragmentedMeasure(corrected, np.zeros((1, corrected.size)),
                                   np.zeros((1, corrected.size, corrected.dimension)))
@@ -495,22 +473,14 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
     if report.verdict != "well-posed":
         raise NotWellPosed(f"fragmentation verdict: {report.verdict}")
 
-    n, m = measure.size, measure.dimension
+    m = measure.dimension
     mean_P, compl_P, linf_P = _sector_projectors(measure, lagrangian, L)
+    linf_q = linf_P * _q_scaling(measure, L, lam, scenario.ansatz.q)[:, None]
     frag = fragment_measure(measure, scenario.ansatz, lam)
-    q = scenario.ansatz.q
 
     def sector_norms(res_vec):
-        linf_scaled = []
-        for col in linf_P.T:
-            mj = MultiJet.unflatten(col, L, m)
-            scaled = MultiJet([Jet(j.scalar, lam ** q * j.vector) for j in mj.jets])
-            linf_scaled.append(scaled.flatten())
-        return {
-            "mean": float(np.max(np.abs(mean_P.T @ res_vec))) if mean_P.size else 0.0,
-            "complement": float(np.max(np.abs(compl_P.T @ res_vec))) if compl_P.size else 0.0,
-            "lin_f": float(max((abs(v @ res_vec) for v in linf_scaled), default=0.0)),
-        }
+        sup = lambda P: float(np.max(np.abs(P.T @ res_vec))) if P.size else 0.0
+        return {"mean": sup(mean_P), "complement": sup(compl_P), "lin_f": sup(linf_q)}
 
     def damped(frag_in, res_in, step_vec, sector: np.ndarray):
         """Take the step only if it clearly reduces its own sector residual.
@@ -531,7 +501,7 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
                 return cand, res, mj
         return frag_in, res_in, None
 
-    def graded_solve(A, rhs, col_floor=1e-4):
+    def graded_solve(A, rhs):
         """Least-squares restricted to directions the operator can support.
 
         Directions whose operator column is perturbatively small relative to
@@ -539,7 +509,7 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
         excluded rather than inverted."""
         norms = np.linalg.norm(A, axis=0)
         top = norms.max() if norms.size else 0.0
-        keep = norms >= col_floor * top if top > 0 else norms > 0
+        keep = norms >= SECTOR_RCOND * top if top > 0 else norms > 0
         x = np.zeros(A.shape[1])
         if np.any(keep):
             sub = np.ix_(keep, keep)
@@ -555,7 +525,7 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
         mc = np.hstack([mean_P, compl_P])
         A = mc.T @ J @ mc
         rhs = mc.T @ residual
-        step = -mc @ graded_solve(A, rhs, col_floor=sector_rcond)
+        step = -mc @ graded_solve(A, rhs)
         frag, residual, taken = damped(frag, residual, step, mc)
         if taken is not None:
             increments.append(taken)
@@ -572,20 +542,17 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
     return FragmentedExpansion(scenario, lam, order, frag, increments, history)
 
 
-def fragment_expand_study(scenario: Scenario, order: int, lam_grid=None) -> dict:
-    """Per-sector residual decay exponents of the order-P sweeps over a grid."""
-    grid = np.asarray(scenario.lam_grid if lam_grid is None else lam_grid, dtype=float)
-    report = None
-    if scenario.n_subsystems > 1:
-        report = wellposedness_check(scenario)
+def fragment_expand_study(scenario: Scenario, order: int) -> dict:
+    """Per-sector residual decay exponents of the order-P sweeps over
+    ``scenario.lam_grid``."""
+    grid = np.asarray(scenario.lam_grid, dtype=float)
+    report = wellposedness_check(scenario) if scenario.n_subsystems > 1 else None
     rows = []
     for lam in grid:
         out = fragment_expand(scenario, order, lam, report=report)
         if out.series is not None:
-            from . import expansion
-
-            corrected = expansion.reconstruct(out.series, 1.0)
-            val = linops.delta_zero_dual(corrected, scenario.lagrangian, scenario.nu).norm()
+            val = linops.delta_zero_dual(out.measure.base, scenario.lagrangian,
+                                         scenario.nu).norm()
             rows.append({"lambda": lam, "mean": val, "complement": 0.0, "lin_f": 0.0})
         else:
             rows.append({"lambda": lam, **out.sector_residuals[-1]})

@@ -248,9 +248,12 @@ def numeric_partial(fn, x, y, alpha, beta, h=None):
     """Finite-difference mixed partial with one Richardson extrapolation step.
 
     The h**2 truncation term is eliminated, which makes the result exact
-    (up to round-off) for polynomials of degree <= |alpha|+|beta|+3.
+    (up to round-off) for polynomials of degree <= |alpha|+|beta|+3.  At
+    order 0 it is the value fn(x, y) from one call.
     """
     total = sum(alpha) + sum(beta)
+    if total == 0:
+        return fn(x, y)
     if h is None:
         h = fd_step(total)
     d_h = _central_diff(fn, x, y, tuple(alpha), tuple(beta), h)

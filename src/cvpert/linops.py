@@ -394,7 +394,6 @@ class GreensOperator:
     tol_solve: float = TOL_SOLVE
     strict: bool = False
     kernel_offset: Jet | None = None
-    gauge_policy: str = "min-norm"
     _svd: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -403,8 +402,10 @@ class GreensOperator:
         cut = self.tol_rank * (s[0] if len(s) else 0.0)
         rank = int(np.sum(s > cut))
         self._svd = (u[:, :rank], s[:rank], vt[:rank])
-        if self.kernel_offset is not None:
-            self.gauge_policy = "min-norm+offset"
+
+    @property
+    def gauge_policy(self) -> str:
+        return "min-norm" if self.kernel_offset is None else "min-norm+offset"
 
     def _rhs(self, dual: DualJet, testbasis: TestBasis | None = None) -> np.ndarray:
         """Weight-multiplied dual vector matching the row convention."""

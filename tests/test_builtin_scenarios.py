@@ -1,0 +1,36 @@
+"""Every builtin scenario through run_config, judged by the benchmark's own
+checks (perfbench/workloads.py, loaded by path)."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from cvpert import cli, scenarios
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_workloads()
+
+
+def test_benchmark_runs_every_builtin_scenario():
+    assert list(WORKLOADS.SCENARIOS) == [name for name, _ in scenarios.list_scenarios()]
+
+
+@pytest.mark.parametrize("name", WORKLOADS.SCENARIOS)
+def test_builtin_scenario_passes_benchmark_check(name, tmp_path):
+    report, code = cli.run_config({"schema_version": 1, "scenario": name}, seed=101,
+                                  out=str(tmp_path))
+    problems, _margins = WORKLOADS.check_scenario(name, report)
+    assert problems == []
+    assert code == 0

@@ -348,3 +348,13 @@ def test_strict_mode_names_failing_order(example52_reg, dirac_origin_2d):
     with pytest.raises(OutOfRange) as info:
         family_from_linearized(v1, dirac_origin_2d, example52_reg, 0.0, 5, strict=True)
     assert info.value.order == 5
+
+
+def test_family_records_range_defects(example52_reg, dirac_origin_2d):
+    # the same case as the permissive inhomogeneous expansion above: E^(5) lies
+    # wholly outside range(Delta) = {0}, and the family must say so
+    u = Jet(np.zeros(1), np.array([[0.0, 1.0]]))
+    family = family_from_linearized(u, dirac_origin_2d, example52_reg, 0.0, 5)
+    assert family.range_defects == pytest.approx([0.0, 0.0, 0.0, 0.0, 1.0], abs=1e-12)
+    assert family.range_defects[0] == 0.0  # the prescribed first order
+    assert family.jets[4].norm() == 0.0

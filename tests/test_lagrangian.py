@@ -3,7 +3,7 @@ import pytest
 
 from cvpert import build_lagrangian
 from cvpert.errors import OrderUnsupported
-from cvpert.lagrangian import (derivative_defect, numeric_partial,
+from cvpert.lagrangian import (NumericLagrangian, derivative_defect, numeric_partial,
                                symmetry_defect)
 
 MODELS = ["example52", "example52_regularized", "quartic_pair", "pair_distance"]
@@ -68,3 +68,22 @@ def test_numeric_partial_exact_on_cubic():
 def test_registry_unknown_name():
     with pytest.raises(KeyError):
         build_lagrangian("nope")
+
+
+def test_numeric_partial_order_zero_is_one_exact_call():
+    rng = np.random.default_rng(11)
+    calls = []
+
+    def fn(x, y):
+        calls.append(1)
+        return float(np.exp(x @ y) * np.sin(x[0] - y[1]))
+
+    for _ in range(50):
+        x, y = rng.normal(size=2), rng.normal(size=2)
+        calls.clear()
+        got = numeric_partial(fn, x, y, (0, 0), (0, 0))
+        assert len(calls) == 1
+        assert got == fn(x, y)
+    lag = NumericLagrangian("smooth", 2, fn)
+    x, y = rng.normal(size=2), rng.normal(size=2)
+    assert lag.partial(x, y, (0, 0), (0, 0)) == lag(x, y)
