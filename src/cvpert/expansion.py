@@ -153,7 +153,9 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
 
     For p >= 2 a model that takes truncated series gets E^(p) as one Taylor
     coefficient.  Other models, and every call with a ledger, sum the
-    polarized Delta_l over the compositions of p, recorded in the ledger.
+    polarized Delta_l over the compositions of p, recorded in the ledger;
+    the compositions share one reader of the partial tables, so a model
+    without series reads each partial at each pair of points once.
     """
     if p < 1:
         raise ArgError("order must be >= 1")
@@ -168,10 +170,12 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
         return linops.taylor_error_dual(p, jets_so_far[:p - 1], measure, lagrangian, nu,
                                         convention)
     total = DualJet.zero(measure.size, measure.dimension)
+    tables = linops._partial_tables(lagrangian, measure.points)
     for ell in range(2, p + 1):
         for comp in compositions(p, ell):
             args = [jets_so_far[q - 1] for q in comp]
-            dual = linops.delta_ell_dual(ell, args, measure, lagrangian, nu, convention)
+            dual = linops.delta_ell_dual(ell, args, measure, lagrangian, nu, convention,
+                                         _tables=tables)
             total = total + dual
             if ledger is not None:
                 ledger.add(LedgerTerm(p, ell, comp, dual))

@@ -2,8 +2,8 @@
 
 Two interchangeable backends are supplied:
 
-* symbolic polynomials (exact partials via lambdified expressions), used by
-  all built-in models;
+* symbolic polynomials (exact partials via lambdified expressions, each
+  compiled once per process per expression), used by all built-in models;
 * central finite differences with one Richardson step, used as the
   cross-validation oracle and as the only backend for charted models whose
   evaluator is a black box.
@@ -15,6 +15,7 @@ higher operators are never differentiated.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -56,11 +57,29 @@ class LagrangianModel:
         raise NotImplementedError
 
 
+@lru_cache(maxsize=None)
+def _compiled_partial(expr, xs, ys, alpha, beta):
+    """d^alpha_x d^beta_y expr, differentiated and lambdified over (xs, ys).
+
+    Memoized on the expression itself: sympy expressions hash and compare
+    structurally, so a model rebuilt with the same parameters reuses the
+    compiled code and different parameters or symbols compile their own.
+    Unbounded, since a process sees a handful of models.
+    """
+    e = expr
+    for sym, k in zip(xs + ys, alpha + beta):
+        if k:
+            e = sp.diff(e, sym, k)
+    return sp.lambdify(xs + ys, e, "numpy")
+
+
 class PolynomialLagrangian(LagrangianModel):
     """Lagrangian given by a sympy expression in x0..x{m-1}, y0..y{m-1}.
 
-    Partials are generated symbolically and cached per multi-index pair, so
-    repeated evaluation inside the multilinear operators is cheap and exact.
+    Partials are generated symbolically and compiled once per process per
+    expression, so repeated evaluation inside the multilinear operators and
+    across rebuilds of the same model is cheap and exact; ``_cache`` holds
+    the partials this instance has used.
     ``is_polynomial`` is False when the expression holds a non-polynomial
     function of the coordinates (then it cannot take truncated series).
     """
@@ -68,8 +87,8 @@ class PolynomialLagrangian(LagrangianModel):
     def __init__(self, name, dim, expr, xs, ys, max_order=8, params=None, nonnegative=False):
         super().__init__(name, dim, max_order, params, nonnegative)
         self.expr = expr
-        self._xs = xs
-        self._ys = ys
+        self._xs = tuple(xs)
+        self._ys = tuple(ys)
         self._cache = {}
         self.is_polynomial = bool(expr.is_polynomial(*xs, *ys))
 
@@ -77,15 +96,7 @@ class PolynomialLagrangian(LagrangianModel):
         key = (alpha, beta)
         fn = self._cache.get(key)
         if fn is None:
-            e = self.expr
-            for i, k in enumerate(alpha):
-                if k:
-                    e = sp.diff(e, self._xs[i], k)
-            for i, k in enumerate(beta):
-                if k:
-                    e = sp.diff(e, self._ys[i], k)
-            fn = sp.lambdify(tuple(self._xs) + tuple(self._ys), e, "numpy")
-            self._cache[key] = fn
+            fn = self._cache[key] = _compiled_partial(self.expr, self._xs, self._ys, alpha, beta)
         return fn
 
     def __call__(self, x, y) -> float:

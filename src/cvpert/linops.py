@@ -116,14 +116,25 @@ def _weak_el_coefficient(what, lagrangian, measure, nu, convention, c, pair, gra
     return top
 
 
-def _line_pairs(lagrangian, points, order):
+def _partial_tables(lagrangian, points):
+    """Reader of the tables T[i, j] = d^alpha_x d^beta_y L(x_i, x_j) at lam = 0,
+    table(alpha, beta), each read once through ``partial`` for the reader's
+    lifetime."""
+    @cache
+    def table(alpha, beta):
+        return np.array([[lagrangian.partial(x, y, alpha, beta) for y in points] for x in points])
+    return table
+
+
+def _line_pairs(lagrangian, points, order, table):
     """Maps a direction u (n, m) to pair(alpha), the series of
     d^alpha_x L(x_i + lam u_i, x_j + lam u_j) through lam^order.
 
     A model that takes series evaluates it on the line.  Any other model gets
     the exact Taylor lift, whose lam^k coefficient is
         sum_{|g|+|d|=k} d^{alpha+g}_x d^d_y L(x_i, x_j) u_i^g u_j^d / (g! d!),
-    from partial tables at lam = 0, each read once through ``partial``.
+    from the partial tables at lam = 0, read through ``table``, a
+    ``_partial_tables`` reader at ``points``.
     """
     n, m = points.shape
     if takes_series(lagrangian):
@@ -133,10 +144,6 @@ def _line_pairs(lagrangian, points, order):
         return along
     lifts = [tuple(slots.count(s) for s in range(2 * m)) for k in range(order + 1)
              for slots in combinations_with_replacement(range(2 * m), k)]
-
-    @cache
-    def table(alpha, beta):
-        return np.array([[lagrangian.partial(x, y, alpha, beta) for y in points] for x in points])
 
     def along(u):
         def pair(alpha):
@@ -151,7 +158,7 @@ def _line_pairs(lagrangian, points, order):
     return along
 
 
-def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient):
+def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, tables=None):
     """Columns (value, x-gradient if ``with_gradient``) of Delta_l[a_1..a_l] by
         l! Delta_l[a_1..a_l] = sum_S (-1)^(l-|S|) Delta_l[(sum_{k in S} a_k)^l]
     over the non-empty subsets S of {1..l}; Delta_l[s^l] is the lam^l
@@ -170,7 +177,9 @@ def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient):
     if min(norms) == 0.0:
         return total
     units = [Jet(w.scalar / s, w.vector / s) for w, s in zip(jets, norms)]
-    along = _line_pairs(lagrangian, measure.points, order)
+    if tables is None:
+        tables = _partial_tables(lagrangian, measure.points)
+    along = _line_pairs(lagrangian, measure.points, order, tables)
     c = np.zeros((n, order + 1))
     for size in range(1, order + 1):
         for subset in combinations(units, size):
@@ -191,13 +200,16 @@ def delta_ell_breve(order, jets, measure, lagrangian) -> np.ndarray:
     return _polarized(order, jets, measure, lagrangian, 0.0, "breve", False)[:, 0]
 
 
-def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
+def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard",
+                   _tables=None) -> DualJet:
     """Delta_l lifted to a dual jet (value and x-gradient per point).
 
     The gradient differentiates only the Lagrangian arguments; the nu-term
-    is constant in x since jets are never differentiated.
+    is constant in x since jets are never differentiated.  ``_tables``, a
+    ``_partial_tables`` reader at the support points, lets several calls on
+    one measure share their partial tables.
     """
-    top = _polarized(order, jets, measure, lagrangian, nu, convention, True)
+    top = _polarized(order, jets, measure, lagrangian, nu, convention, True, _tables)
     return DualJet(top[:, 0], top[:, 1:])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvpert import DiscreteMeasure, build_lagrangian
+from cvpert import DiscreteMeasure, build_lagrangian, lagrangian
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +35,27 @@ def quartic_base():
     # 3 t^4 + (8 - 4 s^2) t^2 + s^4 = 0 has the exact root t^2 = 8
     t = 2.0 * np.sqrt(2.0)
     return DiscreteMeasure(np.array([[t], [-t]]), np.array([1.0, 1.0]))
+
+
+class _CountingSympy:
+    """Stands in for ``sympy`` inside ``cvpert.lagrangian`` and records the
+    expression of every ``lambdify`` call, i.e. every compiled partial."""
+
+    def __init__(self, module, calls):
+        self._module = module
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+    def lambdify(self, args, expr, *rest, **kwargs):
+        self._calls.append(expr)
+        return self._module.lambdify(args, expr, *rest, **kwargs)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """List of the partials cvpert.lagrangian compiles during the test."""
+    calls = []
+    monkeypatch.setattr(lagrangian, "sp", _CountingSympy(lagrangian.sp, calls))
+    return calls

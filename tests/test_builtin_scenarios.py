@@ -2,6 +2,7 @@
 checks (perfbench/workloads.py, loaded by path)."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -34,3 +35,16 @@ def test_builtin_scenario_passes_benchmark_check(name, tmp_path):
     problems, _margins = WORKLOADS.check_scenario(name, report)
     assert problems == []
     assert code == 0
+
+
+@pytest.mark.parametrize("name", WORKLOADS.SCENARIOS)
+def test_builtin_scenario_rerun_compiles_nothing(name, tmp_path, compiles):
+    # a second job in one process reuses every compiled partial of the first
+    config = {"schema_version": 1, "scenario": name}
+    cli.run_config(config, seed=101, out=str(tmp_path / "first"))
+    compiles.clear()
+    cli.run_config(config, seed=101, out=str(tmp_path / "second"))
+    assert compiles == []
+    first, second = (json.loads((tmp_path / run / "report.json").read_text())
+                     for run in ("first", "second"))
+    assert second["stages"] == first["stages"]

@@ -1,10 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
+import sympy as sp
 
 from cvpert import build_lagrangian
 from cvpert.errors import OrderUnsupported
-from cvpert.lagrangian import (NumericLagrangian, derivative_defect, numeric_partial,
-                               symmetry_defect)
+from cvpert.lagrangian import (NumericLagrangian, PolynomialLagrangian, derivative_defect,
+                               numeric_partial, symmetry_defect)
 
 MODELS = ["example52", "example52_regularized", "quartic_pair", "pair_distance"]
 
@@ -87,3 +90,55 @@ def test_numeric_partial_order_zero_is_one_exact_call():
     lag = NumericLagrangian("smooth", 2, fn)
     x, y = rng.normal(size=2), rng.normal(size=2)
     assert lag.partial(x, y, (0, 0), (0, 0)) == lag(x, y)
+
+
+def partial_values(lag, max_total):
+    """Every mixed partial of total order <= max_total at one pair of points."""
+    x, y = np.linspace(0.7, -0.3, lag.dim), np.linspace(-0.4, 0.9, lag.dim)
+    return [lag.partial(x, y, idx[:lag.dim], idx[lag.dim:])
+            for idx in product(range(max_total + 1), repeat=2 * lag.dim)
+            if sum(idx) <= max_total]
+
+
+def sympy_values(lag, max_total):
+    """partial_values by substituting into the differentiated expression."""
+    x, y = np.linspace(0.7, -0.3, lag.dim), np.linspace(-0.4, 0.9, lag.dim)
+    syms = lag._xs + lag._ys
+    point = dict(zip(syms, [*x, *y]))
+    return [float(sp.diff(lag.expr, *zip(syms, idx)).subs(point))
+            for idx in product(range(max_total + 1), repeat=2 * lag.dim)
+            if sum(idx) <= max_total]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_rebuilt_model_compiles_nothing(name, compiles):
+    first = partial_values(build_lagrangian(name), 3)
+    compiles.clear()
+    assert partial_values(build_lagrangian(name), 3) == first
+    assert compiles == []
+
+
+def test_partials_are_not_shared_across_models(compiles):
+    x0, y0 = sp.symbols("x0 y0", real=True)  # the symbols of quartic_pair in dim 1
+    builds = [lambda: build_lagrangian("quartic_pair", {"well_scale": 4.0}),
+              lambda: build_lagrangian("quartic_pair", {"well_scale": 3.0}),
+              lambda: build_lagrangian("quartic_pair", {"dim": 2}),
+              lambda: PolynomialLagrangian("user", 1, (x0 - y0) ** 4 + x0 ** 2 * y0 ** 2,
+                                           (x0,), (y0,))]
+    for _ in range(2):
+        compiles.clear()
+        for build in builds:
+            lag = build()
+            assert partial_values(lag, 3) == pytest.approx(sympy_values(lag, 3), rel=1e-12)
+    # the rebuilds found their own compiled code, not another model's
+    assert compiles == []
+
+
+def test_fresh_model_cache_holds_only_its_own_partials(compiles):
+    partial_values(build_lagrangian("example52_regularized"), 4)
+    lag = build_lagrangian("example52_regularized")
+    assert lag._cache == {}
+    compiles.clear()
+    lag.partial(np.array([0.3, 0.1]), np.array([-0.2, 0.5]), (1, 0), (0, 1))
+    assert list(lag._cache) == [((1, 0), (0, 1))]
+    assert compiles == []

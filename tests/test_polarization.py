@@ -10,6 +10,7 @@ import sympy as sp
 
 from cvpert import DiscreteMeasure, Jet
 from cvpert.errors import OrderUnsupported
+from cvpert.expansion import compositions, error_term
 from cvpert.lagrangian import NumericLagrangian, PolynomialLagrangian, build_lagrangian
 from cvpert.linops import delta_ell, delta_ell_breve, delta_ell_dual, mixed_directional
 
@@ -142,12 +143,14 @@ class Counting:
         self._lag = lag
         self.name, self.dim, self.max_order = lag.name, lag.dim, lag.max_order
         self.calls = 0
+        self.reads = set()
 
     def __call__(self, x, y):
         return self._lag(x, y)
 
     def partial(self, x, y, alpha, beta):
         self.calls += 1
+        self.reads.add((tuple(x), tuple(y), tuple(alpha), tuple(beta)))
         return self._lag.partial(x, y, alpha, beta)
 
 
@@ -160,3 +163,20 @@ def test_black_box_reads_each_partial_table_once(order):
     # one table of n^2 pairs per multi-index pair (alpha, beta), |alpha|+|beta| <= l+1
     indices = math.comb(2 * lag.dim + order + 1, order + 1)
     assert 0 < box.calls <= indices * mu.size ** 2
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_black_box_error_term_reads_each_partial_once(p):
+    # the compositions of p share one table reader: no (x, y, alpha, beta) is
+    # read twice, and the sum is the per-composition sum bit for bit
+    lag, mu, jets, nu = make_case("example52_regularized", p - 1, seed=5)
+    box = Counting(lag)
+    dual = error_term(p, jets, mu, box, nu)
+    assert 0 < box.calls == len(box.reads)
+    ref_value, ref_gradient = 0.0, 0.0
+    for ell in range(2, p + 1):
+        for comp in compositions(p, ell):
+            term = delta_ell_dual(ell, [jets[q - 1] for q in comp], mu, Counting(lag), nu)
+            ref_value, ref_gradient = ref_value + term.value, ref_gradient + term.gradient
+    assert np.array_equal(dual.value, ref_value)
+    assert np.array_equal(dual.gradient, ref_gradient)
