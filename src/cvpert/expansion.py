@@ -153,9 +153,8 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
 
     For p >= 2 a model that takes truncated series gets E^(p) as one Taylor
     coefficient.  Other models, and every call with a ledger, sum the
-    polarized Delta_l over the compositions of p, recorded in the ledger;
-    the compositions share one reader of the partial tables, so a model
-    without series reads each partial at each pair of points once.
+    polarized Delta_l over the compositions of p
+    (``linops.composition_duals``), recorded in the ledger.
     """
     if p < 1:
         raise ArgError("order must be >= 1")
@@ -169,16 +168,13 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
     if ledger is None and takes_series(lagrangian):
         return linops.taylor_error_dual(p, jets_so_far[:p - 1], measure, lagrangian, nu,
                                         convention)
+    comps = [comp for ell in range(2, p + 1) for comp in compositions(p, ell)]
+    duals = linops.composition_duals(comps, jets_so_far, measure, lagrangian, nu, convention)
     total = DualJet.zero(measure.size, measure.dimension)
-    tables = linops._partial_tables(lagrangian, measure.points)
-    for ell in range(2, p + 1):
-        for comp in compositions(p, ell):
-            args = [jets_so_far[q - 1] for q in comp]
-            dual = linops.delta_ell_dual(ell, args, measure, lagrangian, nu, convention,
-                                         _tables=tables)
-            total = total + dual
-            if ledger is not None:
-                ledger.add(LedgerTerm(p, ell, comp, dual))
+    for comp, dual in zip(comps, duals):
+        total = total + dual
+        if ledger is not None:
+            ledger.add(LedgerTerm(p, len(comp), comp, dual))
     return total
 
 

@@ -3,7 +3,8 @@
 Two interchangeable backends are supplied:
 
 * symbolic polynomials (exact partials via lambdified expressions, each
-  compiled once per process per expression), used by all built-in models;
+  compiled once per process per expression among the ``COMPILED_PARTIALS``
+  most recently used), used by all built-in models;
 * central finite differences with one Richardson step, used as the
   cross-validation oracle and as the only backend for charted models whose
   evaluator is a black box.
@@ -57,14 +58,22 @@ class LagrangianModel:
         raise NotImplementedError
 
 
-@lru_cache(maxsize=None)
+# Compiled partials kept across model instances.  The benchmark workloads
+# leave 29 (scenarios), 154 (deep-orders) and 66 (wide-support) entries of
+# about 20 kB each; older entries are dropped past the bound.
+COMPILED_PARTIALS = 256
+
+
+@lru_cache(maxsize=COMPILED_PARTIALS)
 def _compiled_partial(expr, xs, ys, alpha, beta):
     """d^alpha_x d^beta_y expr, differentiated and lambdified over (xs, ys).
 
     Memoized on the expression itself: sympy expressions hash and compare
-    structurally, so a model rebuilt with the same parameters reuses the
-    compiled code and different parameters or symbols compile their own.
-    Unbounded, since a process sees a handful of models.
+    structurally, so a model rebuilt with the same parameters in the same
+    process reuses the compiled code and different parameters or symbols
+    compile their own.  That saves work only for callers that build a model
+    more than once per process (library loops, the test suite, repeated
+    benchmark passes); a ``cvpert run`` job builds each model once.
     """
     e = expr
     for sym, k in zip(xs + ys, alpha + beta):
@@ -76,10 +85,11 @@ def _compiled_partial(expr, xs, ys, alpha, beta):
 class PolynomialLagrangian(LagrangianModel):
     """Lagrangian given by a sympy expression in x0..x{m-1}, y0..y{m-1}.
 
-    Partials are generated symbolically and compiled once per process per
-    expression, so repeated evaluation inside the multilinear operators and
-    across rebuilds of the same model is cheap and exact; ``_cache`` holds
-    the partials this instance has used.
+    Partials are generated symbolically and compiled through
+    ``_compiled_partial``; ``_cache`` holds the partials this instance has
+    used, so repeated evaluation inside the multilinear operators is cheap
+    and exact, and a rebuild of the same model in one process reuses the
+    compiled code.
     ``is_polynomial`` is False when the expression holds a non-polynomial
     function of the coordinates (then it cannot take truncated series).
     """

@@ -158,13 +158,14 @@ def _line_pairs(lagrangian, points, order, table):
     return along
 
 
-def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, tables=None):
+def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, table):
     """Columns (value, x-gradient if ``with_gradient``) of Delta_l[a_1..a_l] by
         l! Delta_l[a_1..a_l] = sum_S (-1)^(l-|S|) Delta_l[(sum_{k in S} a_k)^l]
     over the non-empty subsets S of {1..l}; Delta_l[s^l] is the lam^l
     coefficient along c = lam s.scalar, x = points + lam s.vector.  The jets
     are scaled to unit sup-norm, and the norms multiplied back in, so that
-    disparate scales lose no accuracy; a zero jet gives exact zeros."""
+    disparate scales lose no accuracy; a zero jet gives exact zeros.
+    ``table`` is a ``_partial_tables`` reader at the support points."""
     if order < 1:
         raise ShapeError("order must be >= 1")
     _check_jets(order, jets, measure)
@@ -177,9 +178,7 @@ def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, 
     if min(norms) == 0.0:
         return total
     units = [Jet(w.scalar / s, w.vector / s) for w, s in zip(jets, norms)]
-    if tables is None:
-        tables = _partial_tables(lagrangian, measure.points)
-    along = _line_pairs(lagrangian, measure.points, order, tables)
+    along = _line_pairs(lagrangian, measure.points, order, table)
     c = np.zeros((n, order + 1))
     for size in range(1, order + 1):
         for subset in combinations(units, size):
@@ -192,25 +191,40 @@ def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, 
 
 def delta_ell(order, jets, measure, lagrangian, nu) -> np.ndarray:
     """Delta_l[w_1..w_l] on the support, standard convention (with nu-term)."""
-    return _polarized(order, jets, measure, lagrangian, nu, "standard", False)[:, 0]
+    return _polarized(order, jets, measure, lagrangian, nu, "standard", False,
+                      _partial_tables(lagrangian, measure.points))[:, 0]
 
 
 def delta_ell_breve(order, jets, measure, lagrangian) -> np.ndarray:
     """Breve variant: no scalar action on the x slot and no nu-term."""
-    return _polarized(order, jets, measure, lagrangian, 0.0, "breve", False)[:, 0]
+    return _polarized(order, jets, measure, lagrangian, 0.0, "breve", False,
+                      _partial_tables(lagrangian, measure.points))[:, 0]
 
 
-def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard",
-                   _tables=None) -> DualJet:
+def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
     """Delta_l lifted to a dual jet (value and x-gradient per point).
 
     The gradient differentiates only the Lagrangian arguments; the nu-term
-    is constant in x since jets are never differentiated.  ``_tables``, a
-    ``_partial_tables`` reader at the support points, lets several calls on
-    one measure share their partial tables.
+    is constant in x since jets are never differentiated.
     """
-    top = _polarized(order, jets, measure, lagrangian, nu, convention, True, _tables)
+    top = _polarized(order, jets, measure, lagrangian, nu, convention, True,
+                     _partial_tables(lagrangian, measure.points))
     return DualJet(top[:, 0], top[:, 1:])
+
+
+def composition_duals(comps, jets, measure, lagrangian, nu, convention="standard") -> list:
+    """For each composition q = (q_1..q_l) in ``comps``, the dual jet of
+    Delta_l[w^(q_1)..w^(q_l)] with w^(k) = jets[k - 1].  All terms share one
+    reader of the partial tables, so a model without series reads each
+    partial at each pair of points once.
+    """
+    table = _partial_tables(lagrangian, measure.points)
+    duals = []
+    for comp in comps:
+        top = _polarized(len(comp), [jets[q - 1] for q in comp], measure, lagrangian, nu,
+                         convention, True, table)
+        duals.append(DualJet(top[:, 0], top[:, 1:]))
+    return duals
 
 
 def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -> DualJet:

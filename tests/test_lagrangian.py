@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from cvpert import build_lagrangian
+from cvpert import build_lagrangian, lagrangian
 from cvpert.errors import OrderUnsupported
 from cvpert.lagrangian import (NumericLagrangian, PolynomialLagrangian, derivative_defect,
                                numeric_partial, symmetry_defect)
@@ -141,4 +141,19 @@ def test_fresh_model_cache_holds_only_its_own_partials(compiles):
     compiles.clear()
     lag.partial(np.array([0.3, 0.1]), np.array([-0.2, 0.5]), (1, 0), (0, 1))
     assert list(lag._cache) == [((1, 0), (0, 1))]
+    assert compiles == []
+
+
+def test_compiled_partial_memo_is_bounded(compiles):
+    # a parameter sweep adds partials past the bound; the memo drops the
+    # oldest, and a live model keeps the partials it already compiled
+    x0, y0 = sp.symbols("x0 y0", real=True)
+    x, y = np.array([0.5]), np.array([-0.25])
+    first = PolynomialLagrangian("sweep", 1, x0 * y0, (x0,), (y0,))
+    assert first.partial(x, y, (1,), (1,)) == 1.0
+    for k in range(lagrangian.COMPILED_PARTIALS + 1):
+        PolynomialLagrangian("sweep", 1, x0 * y0 + k, (x0,), (y0,)).partial(x, y, (0,), (0,))
+    assert lagrangian._compiled_partial.cache_info().currsize <= lagrangian.COMPILED_PARTIALS
+    compiles.clear()
+    assert first.partial(x, y, (1,), (1,)) == 1.0
     assert compiles == []
