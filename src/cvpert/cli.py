@@ -22,7 +22,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import scenarios
-from .errors import ConfigError, CvpError
+from .errors import ConfigError, CvpError, ShapeError
 from .fitting import strict_loglog_slope
 
 SCHEMA_VERSION = 1
@@ -157,6 +157,9 @@ def _run_inline(config: dict, rng, outdir: Path):
                              np.array(config["measure"]["weights"], dtype=float))
         lag = build_lagrangian(config["lagrangian"]["name"],
                                config["lagrangian"].get("params"))
+        if mu.dimension != lag.dim:
+            raise ShapeError(f"measure points have dimension {mu.dimension}, "
+                             f"Lagrangian {lag.name!r} has dimension {lag.dim}")
         nu_cfg = config.get("nu", "calibrate")
         nu = calibrate_nu(mu, lag, tol=1e-6) if nu_cfg == "calibrate" else float(nu_cfg)
         stages.append({"name": "setup", "status": "ok",

@@ -92,3 +92,9 @@ class InvalidMeasure(CvpError, ValueError):
 
 class ConfigError(CvpError):
     """Scenario configuration is invalid."""
+
+
+class UnknownModel(ConfigError, KeyError):
+    """No Lagrangian model is registered under the configured name."""
+
+    __str__ = Exception.__str__  # the message as given, not KeyError's repr of it

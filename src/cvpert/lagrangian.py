@@ -1,13 +1,26 @@
 """Two-point Lagrangians with a partial-derivative provider.
 
-Two interchangeable backends are supplied:
+Three backends are supplied:
 
-* symbolic polynomials (exact partials via lambdified expressions, each
-  compiled once per process per expression among the ``COMPILED_PARTIALS``
-  most recently used), used by all built-in models;
+* polynomials held as a monomial table, an exponent matrix E (T x 2m, the
+  x slots then the y slots) and coefficients c.  The partial
+  d^alpha_x d^beta_y is E shifted by (alpha, beta), its coefficients times
+  falling factorials, and one contraction evaluates it over all pairs of
+  points, on plain or on truncated-series coordinates (Taylor propagation,
+  Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  The
+  built-in polynomial models build their tables in numpy; a user's sympy
+  polynomial is converted once;
+* any other sympy expression, whose partials are differentiated and
+  lambdified, each compiled once per process per expression among the
+  ``COMPILED_PARTIALS`` most recently used;
 * central finite differences with one Richardson step, used as the
   cross-validation oracle and as the only backend for charted models whose
   evaluator is a black box.
+
+sympy is imported on first use, never with this module: the module
+attribute ``sp`` is resolved by the module ``__getattr__`` (PEP 562), and
+every sympy call here reads it through ``_sympy()`` at call time, so a
+stand-in assigned to ``lagrangian.sp`` sees every call.
 
 Partial derivatives are addressed by a pair of multi-indices (alpha on the
 x slot, beta on the y slot); derivatives commute, and jets passed to the
@@ -16,13 +29,30 @@ higher operators are never differentiated.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
-import sympy as sp
 
-from .errors import NumericalFailure, OrderUnsupported
+from .errors import ArgError, ConfigError, NumericalFailure, OrderUnsupported, UnknownModel
+
+
+def __getattr__(name):
+    # ``sp`` is sympy, imported on first access
+    if name == "sp":
+        global sp
+        import sympy as sp
+
+        return sp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _sympy():
+    """sympy as the module attribute ``sp``, read at call time."""
+    return sys.modules[__name__].sp
 
 
 def _as_multi_index(alpha, m) -> tuple:
@@ -58,9 +88,10 @@ class LagrangianModel:
         raise NotImplementedError
 
 
-# Compiled partials kept across model instances.  The benchmark workloads
-# leave 29 (scenarios), 154 (deep-orders) and 66 (wide-support) entries of
-# about 20 kB each; older entries are dropped past the bound.
+# Compiled expressions kept across model instances, about 20 kB each; older
+# entries are dropped past the bound.  Only the partials of non-polynomial
+# expressions and the values of user expressions are compiled: the
+# benchmark workloads leave 0 entries.
 COMPILED_PARTIALS = 256
 
 
@@ -69,65 +100,226 @@ def _compiled_partial(expr, xs, ys, alpha, beta):
     """d^alpha_x d^beta_y expr, differentiated and lambdified over (xs, ys).
 
     Memoized on the expression itself: sympy expressions hash and compare
-    structurally, so a model rebuilt with the same parameters in the same
-    process reuses the compiled code and different parameters or symbols
-    compile their own.  That saves work only for callers that build a model
-    more than once per process (library loops, the test suite, repeated
-    benchmark passes); a ``cvpert run`` job builds each model once.
+    structurally, so a model rebuilt with the same expression in the same
+    process reuses the compiled code and other expressions or symbols
+    compile their own.
     """
+    sympy = _sympy()
     e = expr
     for sym, k in zip(xs + ys, alpha + beta):
         if k:
-            e = sp.diff(e, sym, k)
-    return sp.lambdify(xs + ys, e, "numpy")
+            e = sympy.diff(e, sym, k)
+    return sympy.lambdify(xs + ys, e, "numpy")
+
+
+@lru_cache(maxsize=None)
+def _antidiagonals(K):
+    """(K*K, K) 0/1 matrix summing the (j, l) entries of a flattened K x K
+    outer product into coefficient j + l, dropping j + l >= K."""
+    j, l = np.divmod(np.arange(K * K), K)
+    return (j + l == np.arange(K)[:, None]).T.astype(float)
+
+
+def _cauchy(a, b):
+    """Truncated Cauchy product of coefficient arrays on the last axis,
+    broadcasting the leading axes."""
+    K = a.shape[-1]
+    if K == 1:
+        return a * b
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (K * K,)) @ _antidiagonals(K)
+
+
+def _monomials(X, factor):
+    """(T, n, K) series prod_k X[:, cols[k]]^exponents[t, k] at the points X
+    (n, m, K), for factor = (cols, exponents): the coordinates that occur and
+    their exponents."""
+    cols, exponents = factor
+    X = X[:, cols]
+    T, (n, _, K) = len(exponents), X.shape
+    if K == 1:  # plain coordinates: products of correctly rounded powers
+        return np.multiply.reduce(X[None, :, :, 0] ** exponents[:, None, :], axis=-1)[..., None]
+    if not len(cols):
+        return np.broadcast_to(np.eye(1, K), (T, n, K))
+    # one table of the Cauchy powers of every coordinate that occurs
+    powers = np.zeros((int(exponents.max()) + 1,) + X.shape)
+    powers[0, ..., 0] = 1.0
+    powers[1] = X
+    for e in range(2, len(powers)):
+        powers[e] = _cauchy(powers[e - 1], X)
+    factors = powers[exponents, :, np.arange(len(cols))]  # (T, cols, n, K)
+    out = factors[:, 0]
+    for k in range(1, len(cols)):
+        out = _cauchy(out, factors[:, k])
+    return out
+
+
+def _contract(terms, X, Y):
+    """(n, n', K) series sum_t c[t] X_i^ex[t] Y_j^ey[t] at the points
+    X (n, m, K) and Y (n', m, K), for terms = (x factor, y factor, c): the
+    product (X monomials . c) @ (Y monomials)^T, Cauchy on the coefficient
+    axis."""
+    xfactor, yfactor, coefs = terms
+    if not len(coefs):
+        return np.zeros((len(X), len(Y), X.shape[-1]))
+    A = _monomials(X, xfactor) * coefs[:, None, None]
+    B = _monomials(Y, yfactor)
+    (T, n, K), m = A.shape, len(Y)
+    out = np.zeros((n, m, K))
+    for a in range(K):  # X coefficient a meets Y coefficients 0 .. K-1-a
+        low = B[:, :, :K - a].reshape(T, m * (K - a))
+        out[:, :, a:] += (A[:, :, a].T @ low).reshape(n, m, K - a)
+    return out
+
+
+def _factor(exponents):
+    """(cols, exponents[:, cols]) for the columns with a non-zero exponent."""
+    cols = np.flatnonzero(exponents.any(axis=0))
+    return cols, exponents[:, cols]
+
+
+def _combined(exponents, coefs):
+    """The table with equal monomials summed and zero terms dropped."""
+    rows, inverse = np.unique(np.asarray(exponents, dtype=int), axis=0, return_inverse=True)
+    sums = np.zeros(len(rows))
+    np.add.at(sums, inverse.reshape(-1), np.asarray(coefs, dtype=float))
+    keep = sums != 0.0
+    return rows[keep], sums[keep]
+
+
+def _falling_factorials(top):
+    """F[e, k] = e! / (e - k)!, zero for k > e, for e, k <= top."""
+    return np.array([[math.perm(e, k) for k in range(top + 1)] for e in range(top + 1)],
+                    dtype=float)
 
 
 class PolynomialLagrangian(LagrangianModel):
-    """Lagrangian given by a sympy expression in x0..x{m-1}, y0..y{m-1}.
+    """Lagrangian given by a sympy expression in x0..x{m-1}, y0..y{m-1}, or
+    by a monomial table and a value formula (``from_table``).
 
-    Partials are generated symbolically and compiled through
-    ``_compiled_partial``; ``_cache`` holds the partials this instance has
-    used, so repeated evaluation inside the multilinear operators is cheap
-    and exact, and a rebuild of the same model in one process reuses the
-    compiled code.
-    ``is_polynomial`` is False when the expression holds a non-polynomial
-    function of the coordinates (then it cannot take truncated series).
+    Values (order 0) come from the factored form: the compiled expression of
+    a model given as one, the numpy formula of a built-in.  Expanded into
+    monomials, a value near x = y loses the cancellation of its factors, so
+    the factored form keeps the rounding that finite differences and sums of
+    values rely on.  A polynomial takes every partial of order >= 1, and
+    every truncated series, from its table: the shifted table with its
+    falling-factorial coefficients, split into x and y factors, built once
+    per partial into ``_cache``.  A non-polynomial expression compiles each
+    partial through ``_compiled_partial`` into ``_cache``; ``is_polynomial``
+    is then False and the model cannot take truncated series.
     """
 
     def __init__(self, name, dim, expr, xs, ys, max_order=8, params=None, nonnegative=False):
         super().__init__(name, dim, max_order, params, nonnegative)
-        self.expr = expr
-        self._xs = tuple(xs)
-        self._ys = tuple(ys)
+        self._symbolic = (expr, tuple(xs), tuple(ys))
+        self._value_fn = None  # compiled on first use
         self._cache = {}
         self.is_polynomial = bool(expr.is_polynomial(*xs, *ys))
+        if self.is_polynomial:
+            terms = _sympy().Poly(expr, *xs, *ys).terms()
+            exponents = np.array([e for e, _ in terms], dtype=int).reshape(len(terms), 2 * dim)
+            self._set_table(exponents, [float(c) for _, c in terms])
 
-    def _fn(self, alpha, beta):
+    @classmethod
+    def from_table(cls, name, dim, exponents, coefs, value, max_order=8, params=None,
+                   nonnegative=False):
+        """L = sum_t coefs[t] prod_k x_k^exponents[t, k] y_k^exponents[t, dim + k],
+        with ``value(x0, .., y{m-1})`` the same L in factored form, evaluated
+        elementwise on broadcast coordinates; no sympy is involved."""
+        lag = cls.__new__(cls)
+        LagrangianModel.__init__(lag, name, dim, max_order, params, nonnegative)
+        lag._symbolic = None  # written from the table on first use
+        lag._value_fn = value
+        lag._cache = {}
+        lag.is_polynomial = True
+        lag._set_table(exponents, coefs)
+        return lag
+
+    def _set_table(self, exponents, coefs):
+        self._exponents, self._coefs = _combined(exponents, coefs)
+        self._falling = _falling_factorials(int(self._exponents.max(initial=0)))
+
+    def _symbols(self):
+        """(expr, xs, ys) of the model."""
+        if self._symbolic is None:
+            sympy = _sympy()
+            xs = sympy.symbols(f"x0:{self.dim}", real=True)
+            ys = sympy.symbols(f"y0:{self.dim}", real=True)
+            expr = sympy.Add(*(sympy.Rational(c) * sympy.Mul(*map(pow, xs + ys, row))
+                               for row, c in zip(self._exponents.tolist(), self._coefs.tolist())))
+            self._symbolic = (expr, xs, ys)
+        return self._symbolic
+
+    @property
+    def expr(self):
+        return self._symbols()[0]
+
+    @property
+    def _xs(self):
+        return self._symbols()[1]
+
+    @property
+    def _ys(self):
+        return self._symbols()[2]
+
+    def _values(self):
+        """L(x0, .., y{m-1}) in factored form."""
+        if self._value_fn is None:
+            zero = (0,) * self.dim
+            self._value_fn = _compiled_partial(*self._symbolic, zero, zero)
+        return self._value_fn
+
+    def _partial(self, alpha, beta):
+        """The partial's terms (x factor, y factor, c) for a polynomial (see
+        ``_contract``), its compiled code otherwise; built once per instance."""
         key = (alpha, beta)
-        fn = self._cache.get(key)
-        if fn is None:
-            fn = self._cache[key] = _compiled_partial(self.expr, self._xs, self._ys, alpha, beta)
-        return fn
+        found = self._cache.get(key)
+        if found is None:
+            if self.is_polynomial:
+                shift = np.array(alpha + beta)
+                keep = np.all(self._exponents >= shift, axis=1)
+                rows = self._exponents[keep]
+                coefs = self._coefs[keep] * np.prod(self._falling[rows, shift], axis=1)
+                rows = rows - shift
+                found = (_factor(rows[:, :self.dim]), _factor(rows[:, self.dim:]), coefs)
+            else:
+                found = _compiled_partial(*self._symbols(), alpha, beta)
+            self._cache[key] = found
+        return found
+
+    def _table(self, X, Y, alpha, beta) -> np.ndarray:
+        """(n, n') table of the partial at the rows of X and Y."""
+        order_zero = not any(alpha) and not any(beta)
+        if self.is_polynomial and not order_zero:
+            return _contract(self._partial(alpha, beta), X[..., None], Y[..., None])[..., 0]
+        fn = self._values() if order_zero else self._partial(alpha, beta)
+        table = np.empty((len(X), len(Y)))
+        table[...] = fn(*(X[:, None, k] for k in range(self.dim)),
+                        *(Y[None, :, k] for k in range(self.dim)))
+        return table
 
     def __call__(self, x, y) -> float:
-        zero = (0,) * self.dim
-        return float(self._fn(zero, zero)(*np.asarray(x, float), *np.asarray(y, float)))
+        return float(self._values()(*np.asarray(x, float), *np.asarray(y, float)))
 
     def partial(self, x, y, alpha, beta) -> float:
         alpha = _as_multi_index(alpha, self.dim)
         beta = _as_multi_index(beta, self.dim)
         _check_order(self, alpha, beta)
-        return float(self._fn(alpha, beta)(*np.asarray(x, float), *np.asarray(y, float)))
+        return float(self._table(np.asarray(x, float)[None], np.asarray(y, float)[None],
+                                 alpha, beta)[0, 0])
 
 
 def pair_table(lag, X, Y, alpha, beta) -> np.ndarray:
     """Table T[i, j] = d^alpha_x d^beta_y L(X[i], Y[j]) over all pairs of rows.
 
-    A polynomial model evaluates its cached lambdified partial once on
-    broadcast coordinates.  Any other model (finite differences, charted or
-    duck-typed) loops over the pairs, calling L itself for order zero and
-    ``partial`` otherwise; that loop is also the reference for the
-    vectorized path.  Raises NumericalFailure on a non-finite entry.
+    A polynomial model contracts its monomial table once for a partial of
+    order >= 1 (the K = 1 case of ``pair_series``).  Values, and the partials
+    of a non-polynomial expression, are evaluated once on broadcast
+    coordinates, from the factored form or the compiled code.  Any other
+    model (finite differences, charted or duck-typed) loops over the pairs,
+    calling L itself for order zero and ``partial`` otherwise; that loop is
+    also the reference for the vectorized path.  Raises NumericalFailure on a
+    non-finite entry.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -137,8 +329,7 @@ def pair_table(lag, X, Y, alpha, beta) -> np.ndarray:
     table = np.empty((len(X), len(Y)))
     if isinstance(lag, PolynomialLagrangian):
         with np.errstate(all="ignore"):
-            table[...] = lag._fn(alpha, beta)(*(X[:, None, k] for k in range(lag.dim)),
-                                              *(Y[None, :, k] for k in range(lag.dim)))
+            table[...] = lag._table(X, Y, alpha, beta)
     elif not any(alpha) and not any(beta):
         table[...] = [[lag(x, y) for y in Y] for x in X]
     else:
@@ -158,7 +349,7 @@ class TruncatedSeries:
 
     Supports +, -, * (the truncated Cauchy product) and non-negative integer
     powers, with another series or with a scalar, broadcasting the leading
-    axes; that is all the lambdified code of a polynomial uses.
+    axes.
     """
 
     __array_ufunc__ = None  # a numpy scalar operand defers to the reflected operator
@@ -187,11 +378,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.coef * other)
-        a, b = self.coef, other.coef
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-        for k in range(out.shape[-1]):
-            out[..., k] = np.sum(a[..., :k + 1] * b[..., k::-1], axis=-1)
-        return TruncatedSeries(out)
+        return TruncatedSeries(_cauchy(self.coef, other.coef))
 
     __rmul__ = __mul__
 
@@ -219,27 +406,25 @@ class TruncatedSeries:
 
 def takes_series(lag) -> bool:
     """True when the model's partials can be evaluated on truncated series:
-    a symbolic model whose expression is a polynomial in its coordinates."""
+    a model held as a monomial table."""
     return isinstance(lag, PolynomialLagrangian) and lag.is_polynomial
 
 
 def pair_series(lag: PolynomialLagrangian, X, Y, alpha, beta) -> TruncatedSeries:
     """pair_table on series points: X (n, m, K) and Y (n', m, K) hold the
     lambda-coefficients of the coordinates, the result is the (n, n', K)
-    series of d^alpha_x d^beta_y L(X[i], Y[j]).  Calls the same cached
-    lambdified partial as pair_table, so the model must take series."""
+    series of d^alpha_x d^beta_y L(X[i], Y[j]), from the same monomial
+    contraction as pair_table with Cauchy products on the coefficient axis.
+    The model must take series."""
+    if not takes_series(lag):
+        raise ArgError(f"{lag.name}: truncated series need a polynomial model")
     alpha = _as_multi_index(alpha, lag.dim)
     beta = _as_multi_index(beta, lag.dim)
     _check_order(lag, alpha, beta)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    shape = (len(X), len(Y), X.shape[-1])
     with np.errstate(all="ignore"):
-        out = lag._fn(alpha, beta)(*(TruncatedSeries(X[:, None, k]) for k in range(lag.dim)),
-                                   *(TruncatedSeries(Y[None, :, k]) for k in range(lag.dim)))
-    if isinstance(out, TruncatedSeries):
-        return TruncatedSeries(np.broadcast_to(out.coef, shape))
-    return TruncatedSeries(np.zeros(shape)) + out  # a constant partial
+        out = _contract(lag._partial(alpha, beta), np.asarray(X, dtype=float),
+                        np.asarray(Y, dtype=float))
+    return TruncatedSeries(out)
 
 
 def fd_step(total_order: int) -> float:
@@ -299,43 +484,111 @@ class NumericLagrangian(LagrangianModel):
         return float(numeric_partial(self._evaluator, x, y, alpha, beta))
 
 
-def _example52_expr(regularized: bool):
-    x0, x1, y0, y1 = sp.symbols("x0 x1 y0 y1", real=True)
-    expr = (x0 - y0) ** 4 + (x1 - y1) ** 2 - (x1 + y1) ** 2 * (x0 - y0) ** 2
+# -- built-in polynomial models: a monomial table over (x0..x{m-1}, y0..y{m-1})
+# and the value in factored form, its terms summed left to right
+
+def _binomial(width, i, j, sign, n, coef=1.0):
+    """coef (v_i + sign v_j)^n as a monomial table over ``width`` variables."""
+    k = np.arange(n + 1)
+    exponents = np.zeros((n + 1, width), dtype=int)
+    exponents[:, i] = n - k
+    exponents[:, j] += k
+    return exponents, coef * np.array([math.comb(n, a) * sign ** a for a in range(n + 1)],
+                                      dtype=float)
+
+
+def _monomial(width, slot, power, coef=1.0):
+    exponents = np.zeros((1, width), dtype=int)
+    exponents[0, slot] = power
+    return exponents, np.array([coef])
+
+
+def _times(p, q):
+    """Product of two monomial tables (equal monomials not yet summed)."""
+    return ((p[0][:, None] + q[0][None]).reshape(-1, p[0].shape[1]),
+            np.outer(p[1], q[1]).ravel())
+
+
+def _plus(*tables):
+    return (np.concatenate([e for e, _ in tables]), np.concatenate([c for _, c in tables]))
+
+
+def _dim_param(params) -> int:
+    dim = params.get("dim", 1)
+    if (isinstance(dim, bool) or not isinstance(dim, numbers.Real)
+            or not float(dim).is_integer() or dim < 1):
+        raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
+    return int(dim)
+
+
+def _real_param(params, key, default) -> float:
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _example52_table(regularized: bool):
+    # (x0 - y0)^4 + (x1 - y1)^2 - (x1 + y1)^2 (x0 - y0)^2 [+ x0^6 + x1^6 + y0^6 + y1^6]
+    # over (x0, x1, y0, y1)
+    parts = [_binomial(4, 0, 2, -1, 4), _binomial(4, 1, 3, -1, 2),
+             _times(_binomial(4, 1, 3, 1, 2), _binomial(4, 0, 2, -1, 2, coef=-1.0))]
     if regularized:
-        expr = expr + x0 ** 6 + x1 ** 6 + y0 ** 6 + y1 ** 6
-    return expr, (x0, x1), (y0, y1)
+        parts += [_monomial(4, slot, 6) for slot in range(4)]
+    return _plus(*parts)
+
+
+def _example52_value(x0, x1, y0, y1):
+    return (x0 - y0) ** 4 - (x0 - y0) ** 2 * (x1 + y1) ** 2 + (x1 - y1) ** 2
+
+
+def _example52_regularized_value(x0, x1, y0, y1):
+    return (x0 ** 6 + x1 ** 6 + y0 ** 6 + y1 ** 6 + (x0 - y0) ** 4
+            - (x0 - y0) ** 2 * (x1 + y1) ** 2 + (x1 - y1) ** 2)
 
 
 def _build_example52(params):
-    expr, xs, ys = _example52_expr(False)
-    return PolynomialLagrangian("example52", 2, expr, xs, ys, params=params)
+    return PolynomialLagrangian.from_table("example52", 2, *_example52_table(False),
+                                           _example52_value, params=params)
 
 
 def _build_example52_regularized(params):
-    expr, xs, ys = _example52_expr(True)
-    return PolynomialLagrangian("example52_regularized", 2, expr, xs, ys, params=params)
+    return PolynomialLagrangian.from_table("example52_regularized", 2, *_example52_table(True),
+                                           _example52_regularized_value, params=params)
 
 
 def _build_quartic_pair(params):
-    dim = int(params.get("dim", 1))
-    s = float(params.get("well_scale", 4.0))
-    xs = sp.symbols(f"x0:{dim}", real=True)
-    ys = sp.symbols(f"y0:{dim}", real=True)
-    confine = lambda t: t ** 2 * (t ** 2 - s ** 2) ** 2  # sextic double-well, >= 0
-    expr = sum((xs[k] - ys[k]) ** 4 + confine(xs[k]) + confine(ys[k]) for k in range(dim))
-    return PolynomialLagrangian("quartic_pair", dim, expr, xs, ys,
-                                params={"dim": dim, "well_scale": s}, nonnegative=True)
+    # sum_k (x_k - y_k)^4 + c(x_k) + c(y_k), with the sextic double well
+    # c(t) = t^2 (t^2 - s^2)^2 >= 0
+    dim = _dim_param(params)
+    s = _real_param(params, "well_scale", 4.0)
+    s2 = s ** 2
+    parts = []
+    for k in range(dim):
+        parts.append(_binomial(2 * dim, k, dim + k, -1, 4))
+        for slot in (k, dim + k):
+            parts += [_monomial(2 * dim, slot, 6), _monomial(2 * dim, slot, 4, -2.0 * s2),
+                      _monomial(2 * dim, slot, 2, s2 ** 2)]
+
+    def value(*coords):
+        x, y = coords[:dim], coords[dim:]
+        return sum([t ** 2 * (t ** 2 - s2) ** 2 for t in coords]
+                   + [(x[k] - y[k]) ** 4 for k in range(dim)])
+
+    return PolynomialLagrangian.from_table("quartic_pair", dim, *_plus(*parts), value,
+                                           params={"dim": dim, "well_scale": s},
+                                           nonnegative=True)
 
 
 def _build_pair_distance(params):
     # ((x-y)^2 - d^2)^2 in 1-D: translation invariant, preferred pair distance d
-    d = float(params.get("distance", 1.0))
-    x0, = sp.symbols("x0:1", real=True)
-    y0, = sp.symbols("y0:1", real=True)
-    expr = ((x0 - y0) ** 2 - d ** 2) ** 2
-    return PolynomialLagrangian("pair_distance", 1, expr, (x0,), (y0,),
-                                params={"distance": d}, nonnegative=True)
+    d = _real_param(params, "distance", 1.0)
+    d2 = d ** 2
+    table = _plus(_binomial(2, 0, 1, -1, 4), _binomial(2, 0, 1, -1, 2, coef=-2.0 * d2),
+                  _monomial(2, 0, 0, d2 ** 2))
+    return PolynomialLagrangian.from_table("pair_distance", 1, *table,
+                                           lambda x0, y0: ((x0 - y0) ** 2 - d2) ** 2,
+                                           params={"distance": d}, nonnegative=True)
 
 
 def _build_cfs(params):
@@ -357,7 +610,7 @@ def build_lagrangian(name: str, params: dict | None = None) -> LagrangianModel:
     try:
         builder = REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown Lagrangian model {name!r}, have {sorted(REGISTRY)}") from None
+        raise UnknownModel(f"unknown Lagrangian model {name!r}, have {sorted(REGISTRY)}") from None
     return builder(dict(params or {}))
 
 

@@ -216,3 +216,43 @@ def test_strict_slope_constant_column_after_checks():
         strict_loglog_slope([1.0, 2.0, 3.0], [5.0] * 3)
     with pytest.raises(DegenerateFit):
         strict_loglog_slope([1.0, 2.0, 3.0, 4.0], [0.0] * 4)
+
+
+@pytest.mark.parametrize("model, error", [
+    ({"name": "nosuch"}, "UnknownModel: unknown Lagrangian model 'nosuch'"),
+    ({"name": "quartic_pair", "params": {"dim": 0}}, "ConfigError: dim must be an integer >= 1"),
+    ({"name": "quartic_pair", "params": {"dim": 1.5}}, "ConfigError: dim must be an integer >= 1"),
+    ({"name": "quartic_pair", "params": {"well_scale": "abc"}},
+     "ConfigError: well_scale must be a finite number"),
+    ({"name": "pair_distance", "params": {"distance": float("inf")}},
+     "ConfigError: distance must be a finite number"),
+], ids=["unknown-name", "dim-0", "dim-1.5", "well-scale-text", "distance-inf"])
+def test_cli_run_reports_bad_model_config(tmp_path, capsys, model, error):
+    config = {"schema_version": 1, "measure": {"points": [[1.0], [-1.0]], "weights": [1.0, 1.0]},
+              "lagrangian": model}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "error"
+    assert report["stages"][-1]["error"].startswith(error)
+
+
+def test_unknown_model_is_a_config_error_and_a_key_error():
+    from cvpert.lagrangian import build_lagrangian
+
+    with pytest.raises(ConfigError) as info:
+        build_lagrangian("nosuch")
+    assert isinstance(info.value, KeyError)
+    assert str(info.value).startswith("unknown Lagrangian model 'nosuch'")
+
+
+def test_run_reports_dimension_mismatch(tmp_path):
+    config = {"schema_version": 1, "measure": {"points": [[1.0], [-1.0]], "weights": [1.0, 1.0]},
+              "lagrangian": {"name": "quartic_pair", "params": {"dim": 2}}}
+    report, code = run_config(config, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["stages"][-1]["error"] == ("ShapeError: measure points have dimension 1, "
+                                             "Lagrangian 'quartic_pair' has dimension 2")
