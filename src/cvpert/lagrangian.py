@@ -165,6 +165,8 @@ def _contract(terms, X, Y):
     A = _monomials(X, xfactor) * coefs[:, None, None]
     B = _monomials(Y, yfactor)
     (T, n, K), m = A.shape, len(Y)
+    if K == 1:
+        return (A[..., 0].T @ B[..., 0])[..., None]
     out = np.zeros((n, m, K))
     for a in range(K):  # X coefficient a meets Y coefficients 0 .. K-1-a
         low = B[:, :, :K - a].reshape(T, m * (K - a))
@@ -195,7 +197,7 @@ def _falling_factorials(top):
 
 class PolynomialLagrangian(LagrangianModel):
     """Lagrangian given by a sympy expression in x0..x{m-1}, y0..y{m-1}, or
-    by a monomial table and a value formula (``from_table``).
+    by a numpy formula (``from_formula``).
 
     Values (order 0) come from the factored form: the compiled expression of
     a model given as one, the numpy formula of a built-in.  Expanded into
@@ -221,18 +223,19 @@ class PolynomialLagrangian(LagrangianModel):
             self._set_table(exponents, [float(c) for _, c in terms])
 
     @classmethod
-    def from_table(cls, name, dim, exponents, coefs, value, max_order=8, params=None,
-                   nonnegative=False):
-        """L = sum_t coefs[t] prod_k x_k^exponents[t, k] y_k^exponents[t, dim + k],
-        with ``value(x0, .., y{m-1})`` the same L in factored form, evaluated
-        elementwise on broadcast coordinates; no sympy is involved."""
+    def from_formula(cls, name, dim, value, max_order=8, params=None, nonnegative=False):
+        """L given by ``value(x0, .., x{m-1}, y0, .., y{m-1})``, a formula in
+        +, -, * and integer powers evaluated elementwise on broadcast
+        coordinates.  Its monomial table is the same formula run on the
+        coordinate monomials; no sympy is involved."""
         lag = cls.__new__(cls)
         LagrangianModel.__init__(lag, name, dim, max_order, params, nonnegative)
         lag._symbolic = None  # written from the table on first use
         lag._value_fn = value
         lag._cache = {}
         lag.is_polynomial = True
-        lag._set_table(exponents, coefs)
+        expansion = value(*_Expansion.variables(2 * dim))
+        lag._set_table(expansion.exponents, expansion.coefs)
         return lag
 
     def _set_table(self, exponents, coefs):
@@ -334,9 +337,8 @@ def pair_table(lag, X, Y, alpha, beta) -> np.ndarray:
         table[...] = [[lag(x, y) for y in Y] for x in X]
     else:
         table[...] = [[lag.partial(x, y, alpha, beta) for y in Y] for x in X]
-    bad = np.argwhere(~np.isfinite(table))
-    if len(bad):
-        i, j = bad[0]
+    if not np.isfinite(table).all():
+        i, j = np.argwhere(~np.isfinite(table))[0]
         raise NumericalFailure(f"{lag.name}: partial {alpha}, {beta} not finite at pair",
                                pair=(X[i], Y[j]))
     return table
@@ -484,34 +486,56 @@ class NumericLagrangian(LagrangianModel):
         return float(numeric_partial(self._evaluator, x, y, alpha, beta))
 
 
-# -- built-in polynomial models: a monomial table over (x0..x{m-1}, y0..y{m-1})
-# and the value in factored form, its terms summed left to right
+class _Expansion:
+    """A polynomial as a monomial table (exponents, coefs) under +, -, * and
+    non-negative integer powers, so that a formula run on ``variables``
+    expands itself; equal monomials are summed by ``_combined`` later."""
 
-def _binomial(width, i, j, sign, n, coef=1.0):
-    """coef (v_i + sign v_j)^n as a monomial table over ``width`` variables."""
-    k = np.arange(n + 1)
-    exponents = np.zeros((n + 1, width), dtype=int)
-    exponents[:, i] = n - k
-    exponents[:, j] += k
-    return exponents, coef * np.array([math.comb(n, a) * sign ** a for a in range(n + 1)],
-                                      dtype=float)
+    def __init__(self, exponents, coefs):
+        self.exponents, self.coefs = exponents, np.asarray(coefs, dtype=float)
+
+    @classmethod
+    def variables(cls, width):
+        return [cls(row[None], [1.0]) for row in np.eye(width, dtype=int)]
+
+    def _lift(self, other):
+        if isinstance(other, _Expansion):
+            return other
+        return _Expansion(np.zeros((1, self.exponents.shape[1]), dtype=int), [other])
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return _Expansion(np.concatenate([self.exponents, other.exponents]),
+                          np.concatenate([self.coefs, other.coefs]))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Expansion(self.exponents, -self.coefs)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        exponents = self.exponents[:, None] + other.exponents[None]
+        return _Expansion(exponents.reshape(-1, exponents.shape[-1]),
+                          (self.coefs[:, None] * other.coefs[None]).ravel())
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = self if n else self._lift(1.0)
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
 
-def _monomial(width, slot, power, coef=1.0):
-    exponents = np.zeros((1, width), dtype=int)
-    exponents[0, slot] = power
-    return exponents, np.array([coef])
-
-
-def _times(p, q):
-    """Product of two monomial tables (equal monomials not yet summed)."""
-    return ((p[0][:, None] + q[0][None]).reshape(-1, p[0].shape[1]),
-            np.outer(p[1], q[1]).ravel())
-
-
-def _plus(*tables):
-    return (np.concatenate([e for e, _ in tables]), np.concatenate([c for _, c in tables]))
-
+# -- built-in polynomial models, each written once in factored form: on arrays
+# the formula gives the values, on ``_Expansion`` variables the monomial table
 
 def _dim_param(params) -> int:
     dim = params.get("dim", 1)
@@ -528,67 +552,48 @@ def _real_param(params, key, default) -> float:
     return float(value)
 
 
-def _example52_table(regularized: bool):
-    # (x0 - y0)^4 + (x1 - y1)^2 - (x1 + y1)^2 (x0 - y0)^2 [+ x0^6 + x1^6 + y0^6 + y1^6]
-    # over (x0, x1, y0, y1)
-    parts = [_binomial(4, 0, 2, -1, 4), _binomial(4, 1, 3, -1, 2),
-             _times(_binomial(4, 1, 3, 1, 2), _binomial(4, 0, 2, -1, 2, coef=-1.0))]
-    if regularized:
-        parts += [_monomial(4, slot, 6) for slot in range(4)]
-    return _plus(*parts)
-
-
-def _example52_value(x0, x1, y0, y1):
+def _example52(x0, x1, y0, y1):
     return (x0 - y0) ** 4 - (x0 - y0) ** 2 * (x1 + y1) ** 2 + (x1 - y1) ** 2
 
 
-def _example52_regularized_value(x0, x1, y0, y1):
+def _example52_regularized(x0, x1, y0, y1):
     return (x0 ** 6 + x1 ** 6 + y0 ** 6 + y1 ** 6 + (x0 - y0) ** 4
             - (x0 - y0) ** 2 * (x1 + y1) ** 2 + (x1 - y1) ** 2)
 
 
 def _build_example52(params):
-    return PolynomialLagrangian.from_table("example52", 2, *_example52_table(False),
-                                           _example52_value, params=params)
+    return PolynomialLagrangian.from_formula("example52", 2, _example52, params=params)
 
 
 def _build_example52_regularized(params):
-    return PolynomialLagrangian.from_table("example52_regularized", 2, *_example52_table(True),
-                                           _example52_regularized_value, params=params)
+    return PolynomialLagrangian.from_formula("example52_regularized", 2,
+                                             _example52_regularized, params=params)
 
 
 def _build_quartic_pair(params):
-    # sum_k (x_k - y_k)^4 + c(x_k) + c(y_k), with the sextic double well
+    # sum_k c(x_k) + c(y_k) + (x_k - y_k)^4, with the sextic double well
     # c(t) = t^2 (t^2 - s^2)^2 >= 0
     dim = _dim_param(params)
     s = _real_param(params, "well_scale", 4.0)
     s2 = s ** 2
-    parts = []
-    for k in range(dim):
-        parts.append(_binomial(2 * dim, k, dim + k, -1, 4))
-        for slot in (k, dim + k):
-            parts += [_monomial(2 * dim, slot, 6), _monomial(2 * dim, slot, 4, -2.0 * s2),
-                      _monomial(2 * dim, slot, 2, s2 ** 2)]
 
     def value(*coords):
         x, y = coords[:dim], coords[dim:]
         return sum([t ** 2 * (t ** 2 - s2) ** 2 for t in coords]
                    + [(x[k] - y[k]) ** 4 for k in range(dim)])
 
-    return PolynomialLagrangian.from_table("quartic_pair", dim, *_plus(*parts), value,
-                                           params={"dim": dim, "well_scale": s},
-                                           nonnegative=True)
+    return PolynomialLagrangian.from_formula("quartic_pair", dim, value,
+                                             params={"dim": dim, "well_scale": s},
+                                             nonnegative=True)
 
 
 def _build_pair_distance(params):
     # ((x-y)^2 - d^2)^2 in 1-D: translation invariant, preferred pair distance d
     d = _real_param(params, "distance", 1.0)
     d2 = d ** 2
-    table = _plus(_binomial(2, 0, 1, -1, 4), _binomial(2, 0, 1, -1, 2, coef=-2.0 * d2),
-                  _monomial(2, 0, 0, d2 ** 2))
-    return PolynomialLagrangian.from_table("pair_distance", 1, *table,
-                                           lambda x0, y0: ((x0 - y0) ** 2 - d2) ** 2,
-                                           params={"distance": d}, nonnegative=True)
+    return PolynomialLagrangian.from_formula("pair_distance", 1,
+                                             lambda x0, y0: ((x0 - y0) ** 2 - d2) ** 2,
+                                             params={"distance": d}, nonnegative=True)
 
 
 def _build_cfs(params):
