@@ -26,6 +26,8 @@ from .errors import (NumericalFailure, ShapeError, SingularChart,
 from .lagrangian import NumericLagrangian
 
 TOL_EIG_REL = 1e-10
+COORDS_MAX_ITERS = 50  # Gauss-Newton steps of CfsChart.coords
+COORDS_STEP_TOL = 4 * np.finfo(float).eps  # relative step at rounding level
 
 
 @dataclass(frozen=True)
@@ -260,9 +262,9 @@ class CfsChart:
             basis.append(re + 1j * im)
         return basis
 
-    def _dR(self, e: np.ndarray) -> np.ndarray:
-        """Derivative of R at psi0 along the (real) direction e."""
-        psi = self.psi0
+    def _dR(self, e: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
+        """Derivative of R at psi (default psi0) along the (real) direction e."""
+        psi = self.psi0 if psi is None else psi
         n = self.params.n
         M = spin_adjoint(psi, n) @ psi
         t = np.trace(M).real
@@ -271,32 +273,40 @@ class CfsChart:
         c = self.params.trace_constant
         return (c / t) * dM - (c * dt / t ** 2) * M
 
-    def _differential_matrix(self) -> np.ndarray:
-        cols = [self._vec(self._dR(e)) for e in self.basis]
+    def _differential_matrix(self, psi: np.ndarray | None = None) -> np.ndarray:
+        cols = [self._vec(self._dR(e, psi)) for e in self.basis]
         return np.array(cols).T
+
+    def _spin_map(self, coords) -> np.ndarray:
+        return self.psi0 + sum(z * e for z, e in zip(coords, self.basis))
 
     def point(self, coords) -> np.ndarray:
         """Forward chart map: R(psi0 + sum z_a e_a)."""
-        coords = np.asarray(coords, dtype=float)
-        psi = self.psi0 + sum(z * e for z, e in zip(coords, self.basis))
-        return local_correlation(psi, self.params)
+        return local_correlation(self._spin_map(np.asarray(coords, dtype=float)), self.params)
 
     def coords(self, y: np.ndarray, x0=None, tol: float = 1e-10) -> np.ndarray:
-        """Inverse chart map by least squares on the matrix residual."""
-        from scipy.optimize import least_squares
+        """Inverse chart map by Gauss-Newton on the matrix residual.
 
+        Each step solves J dz = -(R(psi(z)) - y) in least squares, with J the
+        exact differential of R at psi(z).  The iteration stops once a step
+        is at rounding level, or after COORDS_MAX_ITERS steps; a residual
+        above tol (relative to |y|) raises SingularChart.
+        """
         y = np.asarray(y, dtype=complex)
-        start = np.zeros(self.dim) if x0 is None else np.asarray(x0, dtype=float)
-
-        def resid(z):
-            return self._vec(self.point(z) - y)
-
-        sol = least_squares(resid, start, xtol=3e-16, ftol=3e-16, gtol=3e-16)
-        if np.linalg.norm(sol.fun) > tol * max(1.0, np.linalg.norm(self._vec(y))):
-            raise SingularChart(
-                f"chart inversion did not converge, residual {np.linalg.norm(sol.fun):.3e}",
-                condition=self.condition)
-        return sol.x
+        z = np.zeros(self.dim) if x0 is None else np.array(x0, dtype=float)
+        target = self._vec(y)
+        for _ in range(COORDS_MAX_ITERS):
+            psi = self._spin_map(z)
+            resid = self._vec(local_correlation(psi, self.params)) - target
+            dz = np.linalg.lstsq(self._differential_matrix(psi), -resid, rcond=None)[0]
+            z = z + dz
+            if np.linalg.norm(dz) <= COORDS_STEP_TOL * max(1.0, np.linalg.norm(z)):
+                break
+        res = np.linalg.norm(self._vec(self.point(z)) - target)
+        if res > tol * max(1.0, np.linalg.norm(target)):
+            raise SingularChart(f"chart inversion did not converge, residual {res:.3e}",
+                                condition=self.condition)
+        return z
 
 
 def perturb_wave_evaluation(weo: WaveEvaluation, deltas, weights):

@@ -30,10 +30,16 @@ def _square(A) -> np.ndarray:
     return A
 
 
+def unitarity_defect(U: np.ndarray) -> float:
+    """max |U^dagger U - 1| over all entries (of a whole stack (..., L, L))."""
+    U = _square(U)
+    return float(np.max(np.abs(_adjoint(U) @ U - np.eye(U.shape[-1])), initial=0.0))
+
+
 def check_unitary(U: np.ndarray, tol: float = TOL_UNITARY) -> np.ndarray:
     """U as a complex array; a stack (..., L, L) is checked as a whole."""
     U = _square(U)
-    defect = np.max(np.abs(_adjoint(U) @ U - np.eye(U.shape[-1])), initial=0.0)
+    defect = unitarity_defect(U)
     if defect > tol:
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
     return U
@@ -122,6 +128,20 @@ def mixing_functional(U: np.ndarray, tol: float = 1e-8):
     z = U @ np.ones(U.shape[-1], dtype=complex)
     values = np.sum(np.abs(z) ** 4, axis=-1)
     return float(values) if U.ndim == 2 else values
+
+
+def gap_to_infimum(U: np.ndarray) -> float:
+    """sum_a (|(Uv)^a|^2 - 1)^2, the distance of U from the minimal stratum.
+
+    For v = (1, ..., 1), sum_a |z_a|^4 - L = sum_a (|z_a|^2 - 1)^2
+    + 2 (sum_a |z_a|^2 - L) with z = Uv; the last term vanishes for an
+    exactly unitary U, so this is the gap of the functional above its
+    infimum L, without the rounding of the last term that can make the
+    plain difference negative.
+    """
+    U = _square(U)
+    z = U @ np.ones(U.shape[-1], dtype=complex)
+    return float(np.sum((np.abs(z) ** 2 - 1.0) ** 2))
 
 
 def _functional_gradient(U: np.ndarray) -> np.ndarray:

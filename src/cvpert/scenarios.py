@@ -39,12 +39,14 @@ def regularized_two_point_base():
     """Exact symmetric critical pair of the regularized polynomial model.
 
     The stationarity conditions reduce to t (1 + 3 t^2 / 8) = 1/sqrt(3) with
-    h^2 = 2 t^2 + 3 t^4 / 4.
+    h^2 = 2 t^2 + 3 t^4 / 4.  The first is the depressed cubic
+    t^3 + (8/3) t - 8/(3 sqrt 3) = 0, with one real root (Cardano's formula),
+    polished by one Newton step.
     """
-    from scipy.optimize import brentq
-
-    t = brentq(lambda s: s * (1 + 0.375 * s * s) - 1.0 / math.sqrt(3.0),
-               0.1, 1.0, xtol=1e-15, rtol=8.9e-16)
+    q = 4.0 / (3.0 * math.sqrt(3.0))  # -1/2 times the constant term
+    d = math.sqrt(q * q + (8.0 / 9.0) ** 3)  # sqrt(q^2 + (p/3)^3), p = 8/3
+    t = float(np.cbrt(q + d) + np.cbrt(q - d))
+    t -= (t * (1 + 0.375 * t * t) - 1.0 / math.sqrt(3.0)) / (1 + 1.125 * t * t)
     h = math.sqrt(2 * t * t + 0.75 * t ** 4)
     return DiscreteMeasure(np.array([[t, h], [-t, h]]), np.ones(2))
 
@@ -156,8 +158,8 @@ def _run_mixing(L, config, rng, outdir: Path):
     stage = {
         "name": f"mixing-L{L}",
         "status": "ok",
-        "data": {"L": L, "min_value": val, "gap_to_infimum": val - L,
-                 "restarts": restarts},
+        "data": {"L": L, "min_value": val, "gap_to_infimum": mixing.gap_to_infimum(U),
+                 "unitarity_defect": mixing.unitarity_defect(U), "restarts": restarts},
     }
     return [stage], [out_file]
 

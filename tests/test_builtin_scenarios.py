@@ -48,3 +48,14 @@ def test_builtin_scenario_rerun_compiles_nothing(name, tmp_path, compiles):
     first, second = (json.loads((tmp_path / run / "report.json").read_text())
                      for run in ("first", "second"))
     assert second["stages"] == first["stages"]
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+@pytest.mark.parametrize("L", [2, 3])
+def test_mixing_gap_to_infimum_is_nonnegative(L, seed, tmp_path):
+    report, code = cli.run_config({"schema_version": 1, "scenario": f"mixing-L{L}"},
+                                  seed=seed, out=str(tmp_path))
+    assert code == 0
+    data = report["stages"][0]["data"]
+    assert 0.0 <= data["gap_to_infimum"] <= 1e-12
+    assert 0.0 <= data["unitarity_defect"] <= 1e-12

@@ -217,6 +217,41 @@ def test_chart_round_trip(rng):
         assert np.max(np.abs(chart.point(back) - y)) <= 1e-8
 
 
+def test_chart_coords_match_least_squares():
+    """Gauss-Newton inversion against scipy's least_squares at its former
+    tolerances, on round-trip points and on the swap-symmetric pair."""
+    from scipy.optimize import least_squares
+
+    params = CfsParams(2, 1, 1.0, kappa=0.1)
+    chart = CfsChart(params, spin_map_from_point(reference_point(params), 1))
+    rng = np.random.default_rng(20240817)
+    x1, x2 = swap_symmetric_pair(params, b=0.25)
+    H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    pair_chart = CfsChart(params, spin_map_from_point(H @ x1 @ H, 1))
+    cases = [(chart, chart.point(0.05 * rng.normal(size=3))) for _ in range(5)]
+    cases += [(pair_chart, x1), (pair_chart, x2)]
+    for ch, y in cases:
+        want = least_squares(lambda z: ch._vec(ch.point(z) - y), np.zeros(ch.dim),
+                             xtol=3e-16, ftol=3e-16, gtol=3e-16).x
+        assert np.max(np.abs(ch.coords(y) - want)) <= 1e-12
+
+
+def test_chart_coords_off_image_raises_within_cap(monkeypatch):
+    from cvpert import cfs
+
+    params = CfsParams(2, 1, 1.0, kappa=0.1)
+    chart = CfsChart(params, spin_map_from_point(reference_point(params), 1))
+    y = 1.1 * chart.point(np.array([0.03, -0.02, 0.01]))  # trace 1.1, off the image
+    steps = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: steps.append(1) or lstsq(*a, **k))
+    with pytest.raises(SingularChart) as err:
+        chart.coords(y)
+    assert 1 <= len(steps) <= cfs.COORDS_MAX_ITERS
+    assert err.value.condition == chart.condition
+    assert "7.071e-02" in str(err.value)  # the least-squares residual (trace defect 0.1 / sqrt 2)
+
+
 def test_chart_rejects_scale_direction():
     params = CfsParams(2, 1, 1.0)
     psi0 = spin_map_from_point(reference_point(params), 1)

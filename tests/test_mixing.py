@@ -5,8 +5,8 @@ from cvpert.cfs import CfsParams, WaveEvaluation, causal_action
 from cvpert.errors import NotOnMinimalStratum, NotUnitary
 from cvpert.mixing import (MixingSystem, SubgroupSample, check_unitary,
                            counterexample_family,
-                           decompose_diagonal_orthogonal, haar_unitary,
-                           minimize_mixing, mixed_kernel, mixing_functional,
+                           decompose_diagonal_orthogonal, gap_to_infimum,
+                           haar_unitary, minimize_mixing, mixed_kernel, mixing_functional,
                            orbit_sample_from_generators, unitary_pushforward)
 
 
@@ -107,6 +107,18 @@ def test_lower_bound_random_unitaries(rng):
     for L in (2, 3, 4):
         for _ in range(300):
             assert mixing_functional(haar_unitary(rng, L)) >= L - 1e-9
+
+
+def test_gap_to_infimum_is_the_functional_minus_L():
+    rng = np.random.default_rng(7)
+    for L in (2, 3, 4):
+        for _ in range(50):
+            U = haar_unitary(rng, L)
+            gap = gap_to_infimum(U)
+            assert gap >= 0.0
+            assert abs(gap - (mixing_functional(U) - L)) <= 1e-12 * L
+    assert gap_to_infimum(np.eye(3)) == 0.0
+    assert gap_to_infimum(counterexample_family(0.7)) <= 1e-28
 
 
 def test_minimal_stratum_characterization(rng):
