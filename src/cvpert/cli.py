@@ -178,10 +178,8 @@ def _run_inline(config: dict, rng, outdir: Path):
             grid = np.array(econf.get("lambda_grid", list(np.geomspace(0.01, 0.1, 5))))
             slope, table = expmod.order_scaling_slope(mu, lag, nu, dev, order, grid)
             path = outdir / "expansion_residuals.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["lambda", "residual", "order"])
-                writer.writerows([(lam, res, order) for lam, res in table])
+            scenarios._write_csv(path, ["lambda", "residual", "order"],
+                                 [(lam, res, order) for lam, res in table])
             files.append(path)
             stages.append({"name": "expansion", "status": "ok",
                            "data": {"order": order, "slope": slope}})
@@ -189,9 +187,7 @@ def _run_inline(config: dict, rng, outdir: Path):
             series = expmod.expand(mu, lag, nu, order, convention=convention,
                                    strict=bool(config.get("strict", False)))
             path = outdir / "series.json"
-            with open(path, "w") as fh:
-                json.dump(series.to_json(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            scenarios._write_json(path, series.to_json())
             files.append(path)
             stages.append({"name": "expansion", "status": "ok",
                            "data": {"order": order,

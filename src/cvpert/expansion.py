@@ -4,11 +4,11 @@ The jets w^(p) solve Delta w^(p) = -E^(p), where E^(1) is the dual lift of
 Delta_0 and, for p >= 2, E^(p) sums Delta_l over all ordered compositions
 q_1 + ... + q_l = p with l >= 2.  That sum is one Taylor coefficient: the
 lambda^p coefficient of the weak EL dual jet along the jet series truncated
-before order p, which polynomial models compute in one pass
-(``linops.taylor_error_dual``).  Other models and the diagram ledger sum
-Delta_l terms, each polarized from that coefficient along lines; a series
-builds its ledger from its jets on first access (the expansion only
-produces tree diagrams, so the exported document is a forest).
+before order p, which every model computes in one pass
+(``linops.taylor_error_dual``).  Only the diagram ledger sums the Delta_l
+terms, each polarized from that coefficient along lines; a series builds
+its ledger from its jets on first access (the expansion only produces tree
+diagrams, so the exported document is a forest).
 
 Evaluating the series at lambda pushes the base measure forward with the
 accumulated log-weight and shift fields; lambda itself is only the
@@ -25,7 +25,7 @@ import numpy as np
 from . import linops
 from .errors import ArgError, LedgerMissing, NotCritical, NotLinearized, OutOfRange
 from .jets import DualJet, Jet, TestBasis
-from .lagrangian import LagrangianModel, takes_series
+from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, push_forward
 
 SLOPE_BAND = 0.2  # acceptance band on fitted exponents, next-order contamination
@@ -151,10 +151,9 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
                ledger: DiagramLedger | None = None) -> DualJet:
     """E^(p) as a dual jet, from the jets w^(1..p-1).
 
-    For p >= 2 a model that takes truncated series gets E^(p) as one Taylor
-    coefficient.  Other models, and every call with a ledger, sum the
-    polarized Delta_l over the compositions of p
-    (``linops.composition_duals``), recorded in the ledger.
+    For p >= 2 it is one Taylor coefficient (``linops.taylor_error_dual``).
+    A call with a ledger instead sums the polarized Delta_l over the
+    compositions of p (``linops.composition_duals``), recorded in the ledger.
     """
     if p < 1:
         raise ArgError("order must be >= 1")
@@ -165,7 +164,7 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
         return dual
     if len(jets_so_far) < p - 1:
         raise ArgError(f"E^({p}) needs jets w^(1..{p - 1})")
-    if ledger is None and takes_series(lagrangian):
+    if ledger is None:
         return linops.taylor_error_dual(p, jets_so_far[:p - 1], measure, lagrangian, nu,
                                         convention)
     comps = [comp for ell in range(2, p + 1) for comp in compositions(p, ell)]
@@ -173,8 +172,7 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
     total = DualJet.zero(measure.size, measure.dimension)
     for comp, dual in zip(comps, duals):
         total = total + dual
-        if ledger is not None:
-            ledger.add(LedgerTerm(p, len(comp), comp, dual))
+        ledger.add(LedgerTerm(p, len(comp), comp, dual))
     return total
 
 

@@ -4,12 +4,16 @@ Green's operators.
 Delta_l applies l factors of (scalar-at-x + scalar-at-y + derivative-at-x +
 derivative-at-y) to the Lagrangian, divided by l!, minus the nu-term; jets
 are never differentiated.  Every Delta_l and E^(p) is one Taylor
-coefficient of the weak EL dual jet along a deformed measure.  E^(p), the
-sum of Delta_l over the compositions of p, is the lambda^p coefficient
-along the truncated jet series; Delta_l[s^l] is the lambda^l coefficient
-along the line x + lambda s, and the multilinear Delta_l follows by
-polarization over the 2^l - 1 non-empty subsets of its arguments
-(Griewank, Utke and Walther, Math. Comp. 69 (2000) 1117-1130).
+coefficient of the weak EL dual jet along a curve of log-weights and
+points.  E^(p), the sum of Delta_l over the compositions of p, is the
+lambda^p coefficient along the truncated jet series, for every model;
+Delta_l[s^l] is the lambda^l coefficient along the line x + lambda s, and
+the multilinear Delta_l follows by polarization over the 2^l - 1 non-empty
+subsets of its arguments (Griewank, Utke and Walther, Math. Comp. 69
+(2000) 1117-1130).  A polynomial model is evaluated on the curve itself;
+any other model gets the exact Taylor lift of the curve from its partial
+tables at lambda = 0, each read once.  The composition sum of polarized
+Delta_l only fills the diagram ledger.
 
 Two conventions are supported.  "standard" carries the scalar component on
 both slots plus the nu-term; "breve" drops the x-slot scalar and the
@@ -38,8 +42,8 @@ import numpy as np
 from .el import ell_on_support, support_dual
 from .errors import NumericalFailure, OrderUnsupported, OutOfRange, ShapeError
 from .jets import DualJet, Jet, TestBasis
-from .lagrangian import (LagrangianModel, TruncatedSeries, pair_series, pair_table,
-                         takes_series)
+from .lagrangian import (LagrangianModel, TruncatedSeries, _cauchy, _monomials, pair_series,
+                         pair_table, takes_series)
 from .measure import DiscreteMeasure
 
 TOL_RANK = 1e-8
@@ -95,25 +99,53 @@ def _require_order(lagrangian, order, what):
                                f"max_order is {lagrangian.max_order}")
 
 
-def _weak_el_coefficient(what, lagrangian, measure, nu, convention, c, pair, gradient):
-    """Top lam-coefficient of the weak EL dual jet, as columns (value, x-gradient
-    if ``gradient``), along log-weights with lam-coefficients c (n, K) and
-    points where pair(alpha) is the (n, n, K) series of d^alpha_x L(x_i, x_j):
-        value_i = e^{c_i} (sum_j w_j e^{c_j} L(x_i, x_j) - nu/2),
-        gradient_i = e^{c_i} sum_j w_j e^{c_j} d_x L(x_i, x_j);
-    breve drops the factor e^{c_i} and the nu-term.
-    """
-    growth = TruncatedSeries(c).exp()
-    mass = TruncatedSeries(measure.weights[None, :, None] * growth.coef[None])
-    m = measure.dimension
-    alphas = [(0,) * m] + (np.eye(m, dtype=int).tolist() if gradient else [])
-    parts = [TruncatedSeries((pair(tuple(a)) * mass).coef.sum(axis=1)) for a in alphas]
-    if convention == "standard":
-        parts = [growth * (parts[0] - nu / 2.0)] + [growth * g for g in parts[1:]]
-    top = np.stack([s.coef[:, -1] for s in parts], axis=-1)
+def _finite(top, lagrangian, what):
+    """top, after checking that every entry is finite."""
     if not np.all(np.isfinite(top)):
         raise NumericalFailure(f"{lagrangian.name}: {what} not finite")
     return top
+
+
+def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradient):
+    """Top lam-coefficient of the weak EL dual jet, as columns (value, x-gradient
+    if ``gradient``), along the curve with log-weights c (n, K) and points
+    x (n, m, K), lam-coefficients on the last axis, c(0) = 0 and x(0) the
+    support points:
+        value_i = e^{c_i} (sum_j w_j e^{c_j} L(x_i, x_j) - nu/2),
+        gradient_i = e^{c_i} sum_j w_j e^{c_j} d_x L(x_i, x_j);
+    breve drops the factor e^{c_i} and the nu-term.  The callers check that
+    the columns are finite (``_finite``).
+
+    A model that takes series evaluates d^alpha_x L(x_i, x_j) on the curve.
+    Any other model gets the exact Taylor lift
+        sum_{|g|+|d|<K} d^{alpha+g}_x d^d_y L(x_i(0), x_j(0)) dx_i^g dx_j^d / (g! d!)
+    with dx = x - x(0), from the partial tables at lam = 0 read through
+    ``table``, a ``_partial_tables`` reader at x(0).
+    """
+    n, m, K = x.shape
+    zero = (0,) * m
+    if takes_series(lagrangian):
+        def pair(alpha):
+            return pair_series(lagrangian, x, x, alpha, zero)
+    else:
+        lifts = [tuple(slots.count(s) for s in range(2 * m)) for k in range(K)
+                 for slots in combinations_with_replacement(range(2 * m), k)]
+        dx = x.copy()
+        dx[..., 0] = 0.0
+        gs, ds = (_monomials(dx, (np.arange(m), e)) for e in np.hsplit(np.array(lifts), [m]))
+        weights = [_cauchy(g[:, None], d[None]) / math.prod(map(math.factorial, idx))
+                   for idx, g, d in zip(lifts, gs, ds)]
+
+        def pair(alpha):
+            return TruncatedSeries(sum(table(tuple(map(add, alpha, idx[:m])), idx[m:])[..., None]
+                                       * weight for idx, weight in zip(lifts, weights)))
+    growth = TruncatedSeries(c).exp()
+    mass = TruncatedSeries(measure.weights[None, :, None] * growth.coef[None])
+    alphas = [zero] + (np.eye(m, dtype=int).tolist() if gradient else [])
+    parts = [TruncatedSeries((pair(tuple(a)) * mass).coef.sum(axis=1)) for a in alphas]
+    if convention == "standard":
+        parts = [growth * (parts[0] - nu / 2.0)] + [growth * g for g in parts[1:]]
+    return np.stack([s.coef[:, -1] for s in parts], axis=-1)
 
 
 def _partial_tables(lagrangian, points):
@@ -126,45 +158,13 @@ def _partial_tables(lagrangian, points):
     return table
 
 
-def _line_pairs(lagrangian, points, order, table):
-    """Maps a direction u (n, m) to pair(alpha), the series of
-    d^alpha_x L(x_i + lam u_i, x_j + lam u_j) through lam^order.
-
-    A model that takes series evaluates it on the line.  Any other model gets
-    the exact Taylor lift, whose lam^k coefficient is
-        sum_{|g|+|d|=k} d^{alpha+g}_x d^d_y L(x_i, x_j) u_i^g u_j^d / (g! d!),
-    from the partial tables at lam = 0, read through ``table``, a
-    ``_partial_tables`` reader at ``points``.
-    """
-    n, m = points.shape
-    if takes_series(lagrangian):
-        def along(u):
-            x = np.stack([points, u] + [np.zeros_like(u)] * (order - 1), axis=-1)
-            return lambda alpha: pair_series(lagrangian, x, x, alpha, (0,) * m)
-        return along
-    lifts = [tuple(slots.count(s) for s in range(2 * m)) for k in range(order + 1)
-             for slots in combinations_with_replacement(range(2 * m), k)]
-
-    def along(u):
-        def pair(alpha):
-            out = np.zeros((n, n, order + 1))
-            for idx in lifts:
-                g, d = idx[:m], idx[m:]
-                weight = np.prod(u ** g, axis=1)[:, None] * np.prod(u ** d, axis=1)[None, :]
-                out[:, :, sum(idx)] += (table(tuple(map(add, alpha, g)), d) * weight
-                                        / math.prod(map(math.factorial, idx)))
-            return TruncatedSeries(out)
-        return pair
-    return along
-
-
 def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, table):
     """Columns (value, x-gradient if ``with_gradient``) of Delta_l[a_1..a_l] by
         l! Delta_l[a_1..a_l] = sum_S (-1)^(l-|S|) Delta_l[(sum_{k in S} a_k)^l]
     over the non-empty subsets S of {1..l}; Delta_l[s^l] is the lam^l
-    coefficient along c = lam s.scalar, x = points + lam s.vector.  The jets
-    are scaled to unit sup-norm, and the norms multiplied back in, so that
-    disparate scales lose no accuracy; a zero jet gives exact zeros.
+    coefficient along the line c = lam s.scalar, x = points + lam s.vector.
+    The jets are scaled to unit sup-norm, and the norms multiplied back in,
+    so that disparate scales lose no accuracy; a zero jet gives exact zeros.
     ``table`` is a ``_partial_tables`` reader at the support points."""
     if order < 1:
         raise ShapeError("order must be >= 1")
@@ -178,14 +178,16 @@ def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, 
     if min(norms) == 0.0:
         return total
     units = [Jet(w.scalar / s, w.vector / s) for w, s in zip(jets, norms)]
-    along = _line_pairs(lagrangian, measure.points, order, table)
     c = np.zeros((n, order + 1))
+    x = np.zeros((n, m, order + 1))
+    x[..., 0] = measure.points
     for size in range(1, order + 1):
         for subset in combinations(units, size):
             c[:, 1] = sum(w.scalar for w in subset)
-            total += (-1.0) ** (order - size) * _weak_el_coefficient(
-                what, lagrangian, measure, nu, convention, c,
-                along(sum(w.vector for w in subset)), with_gradient)
+            x[..., 1] = sum(w.vector for w in subset)
+            top = _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table,
+                                       with_gradient)
+            total += (-1.0) ** (order - size) * _finite(top, lagrangian, what)
     return total * (math.prod(norms) / math.factorial(order))
 
 
@@ -231,16 +233,17 @@ def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -
     """E^(p) from the jets w^(1..p-1) as one Taylor coefficient: the sum of
     delta_ell_dual over all compositions of p into at least two parts, and
     the lam^p coefficient of the weak EL dual jet along the truncated series
-    c = sum_{q<p} lam^q c^(q), x + sum_{q<p} lam^q u^(q).  The model must
-    take truncated series (``lagrangian.takes_series``).
+    c = sum_{q<p} lam^q c^(q), x + sum_{q<p} lam^q u^(q).
     """
     _check_jets(p - 1, jets, measure)
-    _require_order(lagrangian, p + 1, f"E^({p})")
+    what = f"E^({p})"
+    _require_order(lagrangian, p + 1, what)
     n, m = measure.size, measure.dimension
     c = np.stack([np.zeros(n)] + [w.scalar for w in jets] + [np.zeros(n)], axis=-1)
     x = np.stack([measure.points] + [w.vector for w in jets] + [np.zeros((n, m))], axis=-1)
-    top = _weak_el_coefficient(f"E^({p})", lagrangian, measure, nu, convention, c,
-                               lambda alpha: pair_series(lagrangian, x, x, alpha, (0,) * m), True)
+    top = _finite(_weak_el_coefficient(lagrangian, measure, nu, convention, c, x,
+                                       _partial_tables(lagrangian, measure.points), True),
+                  lagrangian, what)
     return DualJet(top[:, 0], top[:, 1:])
 
 

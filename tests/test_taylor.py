@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvpert import DiscreteMeasure, Jet
+from cvpert import linops
 from cvpert.errors import OrderUnsupported
 from cvpert.expansion import (DiagramLedger, compositions, error_term, expand,
                               family_from_linearized)
-from cvpert.lagrangian import (PolynomialLagrangian, TruncatedSeries, build_lagrangian,
-                               takes_series)
+from cvpert.lagrangian import (NumericLagrangian, PolynomialLagrangian, TruncatedSeries,
+                               build_lagrangian, takes_series)
 from cvpert.linops import delta_ell_dual
 from cvpert.measure import push_forward
 
@@ -28,6 +29,11 @@ def composition_sum(p, jets, measure, lag, nu, convention="standard"):
     return total
 
 
+def assert_close(got, ref, rtol=1e-12):
+    scale = max(np.max(np.abs(ref)), 1e-300)
+    assert np.max(np.abs(got - ref)) <= rtol * scale
+
+
 def random_jets(rng, count, n, m, scale=0.3):
     return [Jet(scale * rng.normal(size=n), scale * rng.normal(size=(n, m)))
             for _ in range(count)]
@@ -40,8 +46,16 @@ def generic_start(lag):
     return push_forward(base, 0.05 * rng.normal(size=2), 0.05 * rng.normal(size=(2, 2)))
 
 
+def numeric52():
+    """Black box of example52_regularized, partials by finite differences up to
+    order 5, which E^(4) needs."""
+    return NumericLagrangian("numeric52", 2, build_lagrangian("example52_regularized"),
+                             max_order=5)
+
+
 MODELS = {"example52_regularized": build_lagrangian("example52_regularized"),
-          "quartic_pair": build_lagrangian("quartic_pair", {"dim": 2})}
+          "quartic_pair": build_lagrangian("quartic_pair", {"dim": 2}),
+          "numeric52": numeric52()}
 
 
 def test_truncated_series_arithmetic():
@@ -73,8 +87,7 @@ def test_taylor_error_term_matches_composition_sum(seed, n, p, convention, model
     nu = float(rng.normal())
     fast = error_term(p, jets, mu, lag, nu, convention)
     ref = composition_sum(p, jets, mu, lag, nu, convention)
-    scale = max(np.max(np.abs(ref.flatten())), 1e-300)
-    assert np.max(np.abs(fast.flatten() - ref.flatten())) <= 1e-12 * scale
+    assert_close(fast.flatten(), ref.flatten())
 
 
 def test_expand_makes_no_partial_call():
@@ -91,23 +104,44 @@ def test_expand_makes_no_partial_call():
 
 
 def test_lowered_max_order_fails_at_the_same_order():
-    lag = build_lagrangian("example52_regularized")
+    poly = build_lagrangian("example52_regularized")
+    start = generic_start(poly)
+    jets = expand(start, poly, 0.3, order=3, keep_ledger=False).jets
+    for lag in (poly, numeric52()):
+        lag.max_order = 3
+
+        def failing_orders(ledger):
+            out = []
+            for p in range(2, 5):
+                try:
+                    error_term(p, jets, start, lag, 0.3, ledger=ledger)
+                except OrderUnsupported:
+                    out.append(p)
+            return out
+
+        assert failing_orders(None) == failing_orders(DiagramLedger()) == [3, 4]
+        with pytest.raises(OrderUnsupported):
+            expand(start, lag, 0.3, order=3)
+
+
+def test_black_box_expansion_sums_compositions_only_for_the_ledger(monkeypatch):
+    lag = numeric52()
     start = generic_start(lag)
-    jets = expand(start, lag, 0.3, order=3, keep_ledger=False).jets
-    lag.max_order = 3
+    composition_duals = linops.composition_duals
 
-    def failing_orders(ledger):
-        out = []
-        for p in range(2, 5):
-            try:
-                error_term(p, jets, start, lag, 0.3, ledger=ledger)
-            except OrderUnsupported:
-                out.append(p)
-        return out
+    def forbidden(*args):
+        raise AssertionError("composition sum outside the ledger")
 
-    assert failing_orders(None) == failing_orders(DiagramLedger()) == [3, 4]
-    with pytest.raises(OrderUnsupported):
-        expand(start, lag, 0.3, order=3)
+    monkeypatch.setattr(linops, "composition_duals", forbidden)
+    series = expand(start, lag, 0.3, order=4)
+    entered = []
+    monkeypatch.setattr(linops, "composition_duals",
+                        lambda *args: entered.append(args) or composition_duals(*args))
+    ledger = series.ledger
+    assert entered
+    for p in range(1, 5):
+        assert_close(error_term(p, series.jets, start, lag, 0.3).flatten(),
+                     ledger.order_sum(p, start.size, start.dimension).flatten())
 
 
 def test_lazy_ledger_equals_eager_ledger():
@@ -133,7 +167,7 @@ def test_lazy_ledger_equals_eager_ledger():
     assert sorted(family.ledger.terms) == [2, 3]
 
 
-def test_non_polynomial_expression_takes_composition_path():
+def test_non_polynomial_expression_takes_taylor_lift():
     x0, = sp.symbols("x0:1", real=True)
     y0, = sp.symbols("y0:1", real=True)
     expr = (x0 - y0) ** 4 + sp.exp(-(x0 ** 2 + y0 ** 2) / 4)
@@ -149,4 +183,4 @@ def test_non_polynomial_expression_takes_composition_path():
     got = error_term(3, jets, mu, lag, 0.2)
     assert calls
     ref = composition_sum(3, jets, mu, lag, 0.2)
-    assert np.array_equal(got.flatten(), ref.flatten())
+    assert_close(got.flatten(), ref.flatten())
