@@ -7,6 +7,8 @@ parameter; it is calibrated once and never re-derived while perturbing.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import NotCritical
@@ -15,26 +17,31 @@ from .lagrangian import LagrangianModel, pair_table
 from .measure import DiscreteMeasure
 
 
-def integrate_partial(lagrangian, X, points, weights, alpha) -> np.ndarray:
-    """sum_j weights_j d^alpha_x L(X_i, points_j) for every row X_i.
-
-    The sum runs in support order, so that ell is exactly additive in the
-    measure and a row of the support table equals the single-point value.
-    """
-    table = pair_table(lagrangian, X, points, alpha, (0,) * lagrangian.dim)
+def _integrate(table, weights) -> np.ndarray:
+    """sum_j weights_j table[i, j] for every row i, in support order, so that
+    ell is exactly additive in the measure and a row of the support table
+    equals the single-point value."""
     total = np.zeros(len(table))
     for w, column in zip(weights, table.T):
         total += w * column
     return total
 
 
-def ell_field(lagrangian, nu, X, points, weights) -> tuple:
+def integrate_partial(lagrangian, X, points, weights, alpha) -> np.ndarray:
+    """sum_j weights_j d^alpha_x L(X_i, points_j) for every row X_i."""
+    return _integrate(pair_table(lagrangian, X, points, alpha, (0,) * lagrangian.dim), weights)
+
+
+def ell_field(lagrangian, nu, X, points, weights, table=None) -> tuple:
     """ell and its x-gradient at every row of X, for the measure with the
-    given support and weights (coincident or massless points allowed)."""
-    units = np.eye(lagrangian.dim, dtype=int)
-    vals = integrate_partial(lagrangian, X, points, weights, (0,) * lagrangian.dim) - nu / 2.0
-    grads = np.stack([integrate_partial(lagrangian, X, points, weights, e) for e in units],
-                     axis=-1)
+    given support and weights (coincident or massless points allowed).
+    ``table(alpha, beta)``, when given, reads the pair tables between X and
+    the support in place of ``pair_table``."""
+    table = table or partial(pair_table, lagrangian, X, points)
+    zero = (0,) * lagrangian.dim
+    units = [tuple(e) for e in np.eye(lagrangian.dim, dtype=int).tolist()]
+    vals = _integrate(table(zero, zero), weights) - nu / 2.0
+    grads = np.stack([_integrate(table(e, zero), weights) for e in units], axis=-1)
     return vals, grads
 
 
@@ -58,10 +65,13 @@ def grad_ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, x) -> np.nda
                      for e in np.eye(measure.dimension, dtype=int)])
 
 
-def support_dual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float) -> DualJet:
+def support_dual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float,
+                 table=None) -> DualJet:
     """ell and its gradient on the support as a dual jet (Delta_0); its norm
-    is the weak EL residual over the full test space."""
-    return DualJet(*ell_field(lagrangian, nu, measure.points, measure.points, measure.weights))
+    is the weak EL residual over the full test space.  ``table`` reads the
+    pair tables on the support (see ``ell_field``)."""
+    return DualJet(*ell_field(lagrangian, nu, measure.points, measure.points, measure.weights,
+                              table))
 
 
 def calibrate_nu(measure: DiscreteMeasure, lagrangian: LagrangianModel, tol: float = 1e-9) -> float:
@@ -80,9 +90,18 @@ def calibrate_nu(measure: DiscreteMeasure, lagrangian: LagrangianModel, tol: flo
 
 def weak_el_residual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float,
                      testbasis: TestBasis) -> np.ndarray:
-    """Per test jet and per support point: a_i ell(x_i) + grad ell(x_i) . u_i."""
-    dual = support_dual(measure, lagrangian, nu)
+    """Per test jet and per support point: a_i ell(x_i) + grad ell(x_i) . u_i.
+
+    A basis without vector parts reads only ell, no gradient: the term it
+    drops is a zero, so the entries are equal up to the sign of a zero.
+    """
     out = np.zeros((len(testbasis), measure.size))
+    if not any(np.any(jet.vector) for jet in testbasis.jets):
+        values = ell_on_support(measure, lagrangian, nu)
+        for r, jet in enumerate(testbasis.jets):
+            out[r] = jet.scalar * values
+        return out
+    dual = support_dual(measure, lagrangian, nu)
     for r, jet in enumerate(testbasis.jets):
         out[r] = jet.scalar * dual.value + np.einsum("ij,ij->i", dual.gradient, jet.vector)
     return out

@@ -8,16 +8,21 @@ before order p, which every model computes in one pass
 (``linops.taylor_error_dual``).  Only the diagram ledger sums the Delta_l
 terms, each polarized from that coefficient along lines; a series builds
 its ledger from its jets on first access (the expansion only produces tree
-diagrams, so the exported document is a forest).
+diagrams, so the exported document is a forest).  One reader of the partial
+tables at the support serves Delta, Delta_0 and every E^(p) of a series,
+and another its ledger, so a model without series reads each partial once.
 
 Evaluating the series at lambda pushes the base measure forward with the
 accumulated log-weight and shift fields; lambda itself is only the
-book-keeping parameter of the formal series.
+book-keeping parameter of the formal series.  Since w^(p) depends only on
+the lower orders, a series cut after order p is the order-p expansion, bit
+for bit; the order-scaling check expands once per lambda, to the highest
+order it fits, and reads every lower order from the cut series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -120,11 +125,22 @@ class PerturbationSeries:
         if self._ledger is None and self.ledger_source is not None:
             lagrangian, first = self.ledger_source
             ledger = DiagramLedger()
+            table = linops._partial_tables(lagrangian, self.base.points)
             for p in range(first, self.order + 1):
                 error_term(p, self.jets, self.base, lagrangian, self.nu,
-                           self.convention, ledger)
+                           self.convention, ledger, table)
             self._ledger = ledger
         return self._ledger
+
+    def truncated(self, order: int) -> "PerturbationSeries":
+        """The series cut after w^(order).  Each w^(p) depends only on
+        w^(1..p-1), so this is the order-``order`` expansion, bit for bit."""
+        if not 0 <= order <= self.order:
+            raise ArgError(f"cut order {order} outside 0..{self.order}")
+        offsets = self.gauge_offsets
+        return replace(self, order=order, jets=self.jets[:order],
+                       gauge_offsets=None if offsets is None else offsets[:order],
+                       range_defects=self.range_defects[:order])
 
     def to_json(self) -> dict:
         return {
@@ -148,17 +164,20 @@ class PerturbationSeries:
 def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
                lagrangian: LagrangianModel, nu: float,
                convention: str = "standard",
-               ledger: DiagramLedger | None = None) -> DualJet:
+               ledger: DiagramLedger | None = None, table=None) -> DualJet:
     """E^(p) as a dual jet, from the jets w^(1..p-1).
 
     For p >= 2 it is one Taylor coefficient (``linops.taylor_error_dual``).
     A call with a ledger instead sums the polarized Delta_l over the
     compositions of p (``linops.composition_duals``), recorded in the ledger.
+    ``table`` is the ``linops._partial_tables`` reader at the support points
+    that the orders of one series share, so that a model without series
+    reads each partial once per series; a new one by default.
     """
     if p < 1:
         raise ArgError("order must be >= 1")
     if p == 1:
-        dual = linops.delta_zero_dual(measure, lagrangian, nu)
+        dual = linops.delta_zero_dual(measure, lagrangian, nu, table)
         if ledger is not None:
             ledger.add(LedgerTerm(1, 0, (), dual))
         return dual
@@ -166,9 +185,10 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
         raise ArgError(f"E^({p}) needs jets w^(1..{p - 1})")
     if ledger is None:
         return linops.taylor_error_dual(p, jets_so_far[:p - 1], measure, lagrangian, nu,
-                                        convention)
+                                        convention, table)
     comps = [comp for ell in range(2, p + 1) for comp in compositions(p, ell)]
-    duals = linops.composition_duals(comps, jets_so_far, measure, lagrangian, nu, convention)
+    duals = linops.composition_duals(comps, jets_so_far, measure, lagrangian, nu, convention,
+                                     table)
     total = DualJet.zero(measure.size, measure.dimension)
     for comp, dual in zip(comps, duals):
         total = total + dual
@@ -206,14 +226,15 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
     component of the right-hand side outside range(Delta) is projected away.
     """
     n, m = measure.size, measure.dimension
-    delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention)
+    table = linops._partial_tables(lagrangian, measure.points)
+    delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention, table=table)
     vjets = _zero_jets(inhom, order, n, m)
     offsets = gauge_offsets or [None] * order
     greens = linops.GreensOperator(delta, tol_rank=tol_rank, strict=strict)
     jets: list[Jet] = []
     defects: list[float] = []
     for p in range(1, order + 1):
-        E = error_term(p, jets, measure, lagrangian, nu, convention)
+        E = error_term(p, jets, measure, lagrangian, nu, convention, table=table)
         v = vjets[p - 1]
         rhs = E + delta.apply(v)
         correction, defect = _solve(greens, rhs, p)
@@ -247,10 +268,11 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     follow the plain recursion starting at p = 2 (Delta_0 and Delta_1[w1]
     both vanish).
     """
-    d0 = linops.delta_zero_dual(measure, lagrangian, nu)
+    table = linops._partial_tables(lagrangian, measure.points)
+    d0 = linops.delta_zero_dual(measure, lagrangian, nu, table)
     if d0.norm() > tol_critical:
         raise NotCritical(d0.norm(), "family construction needs a critical base")
-    delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention)
+    delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention, table=table)
     dw1 = delta.apply(w1)
     scale = delta.operator_norm() * max(w1.norm(), 1.0)
     if dw1.norm() > tol_rank * max(scale, 1.0):
@@ -259,7 +281,7 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     jets, defects = [w1], [0.0]
     greens = linops.GreensOperator(delta, tol_rank=tol_rank, strict=strict)
     for p in range(2, order + 1):
-        E = error_term(p, jets, measure, lagrangian, nu, convention)
+        E = error_term(p, jets, measure, lagrangian, nu, convention, table=table)
         w, defect = _solve(greens, E, p)
         jets.append(w)
         defects.append(defect)
@@ -324,26 +346,40 @@ def export_diagrams(series: PerturbationSeries) -> dict:
     return {"tree_diagrams_only": True, "orders": forest}
 
 
+def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
+                         orders, lam_grid, strict=False, convention="standard") -> dict:
+    """Fitted decay exponents of the residual left after order-P corrections,
+    for every P in ``orders``.
+
+    For each lambda the base is pushed along lambda * deviation and expanded
+    once, to the highest order, around that start.  For each P the series
+    cut after w^(P), which is the order-P expansion bit for bit, corrects
+    the start, and the corrected measure's weak EL residual is measured.  A
+    correct order-P scheme leaves a residual O(lambda^(P+1)).  Returns
+    {P: (slope, residual table of (lambda, residual) rows)}.
+    """
+    from .fitting import loglog_slope
+
+    rows = {p: [] for p in orders}
+    if not rows:
+        return {}
+    lam_grid = np.asarray(lam_grid, dtype=float)
+    for lam in lam_grid:
+        start = push_forward(base, lam * deviation.scalar, lam * deviation.vector)
+        series = expand(start, lagrangian, nu, max(rows), strict=strict,
+                        convention=convention, keep_ledger=False)
+        for p, residuals in rows.items():
+            corrected = reconstruct(series.truncated(p), 1.0)
+            residuals.append((float(lam),
+                              linops.delta_zero_dual(corrected, lagrangian, nu).norm()))
+    return {p: (loglog_slope(lam_grid, np.array([r[1] for r in residuals]),
+                             floor=RESIDUAL_FLOOR)[0], residuals)
+            for p, residuals in rows.items()}
+
+
 def order_scaling_slope(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
                         order: int, lam_grid, strict=False,
                         convention="standard") -> tuple:
-    """Fitted decay exponent of the residual left after an order-P correction.
-
-    For each lambda the base is pushed along lambda * deviation, expanded to
-    the requested order around that start, and the fully corrected measure's
-    weak EL residual is measured.  A correct order-P scheme leaves a
-    residual O(lambda^(P+1)).  Returns (slope, residual table).
-    """
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    rows = []
-    for lam in lam_grid:
-        start = push_forward(base, lam * deviation.scalar, lam * deviation.vector)
-        series = expand(start, lagrangian, nu, order, strict=strict,
-                        convention=convention, keep_ledger=False)
-        corrected = reconstruct(series, 1.0)
-        rows.append((float(lam), linops.delta_zero_dual(corrected, lagrangian, nu).norm()))
-    from .fitting import loglog_slope
-
-    slope, fit_res = loglog_slope(lam_grid, np.array([r[1] for r in rows]),
-                                  floor=RESIDUAL_FLOOR)
-    return slope, rows
+    """``order_scaling_slopes`` for the one order P: (slope, residual table)."""
+    return order_scaling_slopes(base, lagrangian, nu, deviation, [order], lam_grid,
+                                strict=strict, convention=convention)[order]

@@ -12,7 +12,7 @@ the multilinear Delta_l follows by polarization over the 2^l - 1 non-empty
 subsets of its arguments (Griewank, Utke and Walther, Math. Comp. 69
 (2000) 1117-1130).  A polynomial model is evaluated on the curve itself;
 any other model gets the exact Taylor lift of the curve from its partial
-tables at lambda = 0, each read once.  The composition sum of polarized
+tables at lambda = 0, each read once per series.  The composition sum of polarized
 Delta_l only fills the diagram ledger.
 
 Two conventions are supported.  "standard" carries the scalar component on
@@ -25,15 +25,16 @@ B[(i,s),(j,t)] = w_i * <unit jet (i,s), Delta unit jet (j,t)>(x_i)
 in point-major layout (scalar slot, then m vector slots), which is exactly
 the second variation of the action and therefore symmetric in the standard
 convention.  Green's operators are min-norm pseudo-inverses with the sign
-convention Delta S v = -v; non-uniqueness is exposed via an optional kernel
-offset added to every solve.
+convention Delta S v = -v, from ``eigh`` for that symmetric form and from
+the SVD otherwise; non-uniqueness is exposed via an optional kernel offset
+added to every solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
@@ -80,9 +81,10 @@ def delta_zero(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float)
     return ell_on_support(measure, lagrangian, nu)
 
 
-def delta_zero_dual(measure, lagrangian, nu) -> DualJet:
-    """Delta_0 lifted to a dual jet: (value, spatial gradient) per point."""
-    return support_dual(measure, lagrangian, nu)
+def delta_zero_dual(measure, lagrangian, nu, table=None) -> DualJet:
+    """Delta_0 lifted to a dual jet: (value, spatial gradient) per point;
+    ``table`` is an optional ``_partial_tables`` reader at the support."""
+    return support_dual(measure, lagrangian, nu, table)
 
 
 def _check_jets(count, jets, measure):
@@ -150,12 +152,12 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradi
 
 def _partial_tables(lagrangian, points):
     """Reader of the tables T[i, j] = d^alpha_x d^beta_y L(x_i, x_j) at lam = 0,
-    table(alpha, beta), each read once through ``partial`` for the reader's
-    lifetime."""
-    @cache
-    def table(alpha, beta):
-        return np.array([[lagrangian.partial(x, y, alpha, beta) for y in points] for x in points])
-    return table
+    table(alpha, beta), each computed once for the reader's lifetime: by
+    ``pair_table`` for a model that takes series, and by one ``partial`` call
+    per pair for any other model.  One reader serves Delta, Delta_0 and every
+    E^(p) of an expansion, so that such a model reads each partial once."""
+    return cache(partial(pair_table, lagrangian, points, points,
+                         per_pair=not takes_series(lagrangian)))
 
 
 def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, table):
@@ -214,13 +216,15 @@ def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") 
     return DualJet(top[:, 0], top[:, 1:])
 
 
-def composition_duals(comps, jets, measure, lagrangian, nu, convention="standard") -> list:
+def composition_duals(comps, jets, measure, lagrangian, nu, convention="standard",
+                      table=None) -> list:
     """For each composition q = (q_1..q_l) in ``comps``, the dual jet of
     Delta_l[w^(q_1)..w^(q_l)] with w^(k) = jets[k - 1].  All terms share one
-    reader of the partial tables, so a model without series reads each
+    reader of the partial tables (``table``, a ``_partial_tables`` reader at
+    the support points, or a new one), so a model without series reads each
     partial at each pair of points once.
     """
-    table = _partial_tables(lagrangian, measure.points)
+    table = table or _partial_tables(lagrangian, measure.points)
     duals = []
     for comp in comps:
         top = _polarized(len(comp), [jets[q - 1] for q in comp], measure, lagrangian, nu,
@@ -229,11 +233,14 @@ def composition_duals(comps, jets, measure, lagrangian, nu, convention="standard
     return duals
 
 
-def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
+def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard",
+                      table=None) -> DualJet:
     """E^(p) from the jets w^(1..p-1) as one Taylor coefficient: the sum of
     delta_ell_dual over all compositions of p into at least two parts, and
     the lam^p coefficient of the weak EL dual jet along the truncated series
-    c = sum_{q<p} lam^q c^(q), x + sum_{q<p} lam^q u^(q).
+    c = sum_{q<p} lam^q c^(q), x + sum_{q<p} lam^q u^(q).  ``table`` is a
+    ``_partial_tables`` reader at the support points, shared by the orders
+    of one series; a new one by default.
     """
     _check_jets(p - 1, jets, measure)
     what = f"E^({p})"
@@ -242,7 +249,8 @@ def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -
     c = np.stack([np.zeros(n)] + [w.scalar for w in jets] + [np.zeros(n)], axis=-1)
     x = np.stack([measure.points] + [w.vector for w in jets] + [np.zeros((n, m))], axis=-1)
     top = _finite(_weak_el_coefficient(lagrangian, measure, nu, convention, c, x,
-                                       _partial_tables(lagrangian, measure.points), True),
+                                       table or _partial_tables(lagrangian, measure.points),
+                                       True),
                   lagrangian, what)
     return DualJet(top[:, 0], top[:, 1:])
 
@@ -307,16 +315,14 @@ class DeltaMatrix:
             writer.writerows(enumerate(s))
 
 
-def _pointwise_blocks(points, weights, lagrangian, nu, convention):
+def _pointwise_blocks(points, weights, lagrangian, nu, convention, table=None):
     """Unweighted pointwise row blocks of the linearized operator on the
-    support (points, weights), from pair tables of L and its partials."""
+    support (points, weights), from pair tables of L and its partials, read
+    by ``pair_table`` or by ``table``, a ``_partial_tables`` reader."""
     n, m = points.shape
-    units = np.eye(m, dtype=int)
+    units = [tuple(e) for e in np.eye(m, dtype=int).tolist()]
     zero = (0,) * m
-
-    def table(alpha, beta):
-        return pair_table(lagrangian, points, points, alpha, beta)
-
+    table = table or partial(pair_table, lagrangian, points, points)
     L = table(zero, zero)
     D1 = np.stack([table(e, zero) for e in units], axis=-1)
     D2 = np.stack([table(zero, e) for e in units], axis=-1)
@@ -324,7 +330,7 @@ def _pointwise_blocks(points, weights, lagrangian, nu, convention):
     D11 = np.empty((n, n, m, m))
     for a in range(m):
         for b in range(a, m):
-            D11[:, :, a, b] = D11[:, :, b, a] = table(units[a] + units[b], zero)
+            D11[:, :, a, b] = D11[:, :, b, a] = table(tuple(map(add, units[a], units[b])), zero)
     ells = L @ weights - nu / 2.0
     gsum = np.einsum("j,ija->ia", weights, D1)
     hsum = np.einsum("j,ijab->iab", weights, D11)
@@ -354,17 +360,18 @@ def _test_rows(testbasis: TestBasis, M: np.ndarray, width: int) -> np.ndarray:
 
 def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float,
                    testbasis: TestBasis | None = None,
-                   convention: str = "standard") -> DeltaMatrix:
+                   convention: str = "standard", table=None) -> DeltaMatrix:
     """Assemble the linearized operator as a finite bilinear form.
 
     Rows are test directions, weight-multiplied so the standard form is the
     symmetric second variation of the action; columns run over the full jet
     space.  A restricted (non-full) test basis additionally stores the
-    contracted rectangular row form.
+    contracted rectangular row form.  ``table`` is an optional
+    ``_partial_tables`` reader at the support.
     """
     if lagrangian.max_order < 2:
         raise OrderUnsupported("assembling Delta needs second derivatives")
-    A = _pointwise_blocks(measure.points, measure.weights, lagrangian, nu, convention)
+    A = _pointwise_blocks(measure.points, measure.weights, lagrangian, nu, convention, table)
     m = measure.dimension
     W = np.repeat(measure.weights, 1 + m)
     B = W[:, None] * A
@@ -416,6 +423,11 @@ class GreensOperator:
     Green's operator).  ``strict`` raises OutOfRange when the requested dual
     jet has a component outside range(Delta); otherwise that component is
     projected away and reported.
+
+    The symmetric standard Delta is decomposed by ``eigh``: with the
+    eigenpairs sorted by |lambda| descending, (V sign(lambda), |lambda|, V^T)
+    is an SVD of it.  Breve and restricted test rows are not symmetric and
+    take the SVD.  Singular values up to tol_rank * sigma_max are cut.
     """
 
     delta: DeltaMatrix
@@ -424,13 +436,34 @@ class GreensOperator:
     strict: bool = False
     kernel_offset: Jet | None = None
     _svd: tuple = field(init=False, repr=False, default=None)
+    _sigma_max: float = field(init=False, repr=False, default=0.0)
+    _first_dropped: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        M = self.delta.test_rows if self.delta.test_rows is not None else self.delta.matrix
-        u, s, vt = np.linalg.svd(M, full_matrices=False)
-        cut = self.tol_rank * (s[0] if len(s) else 0.0)
-        rank = int(np.sum(s > cut))
+        rows = self.delta.test_rows
+        if rows is None and self.delta.convention == "standard":
+            lam, v = np.linalg.eigh(self.delta.matrix)
+            order = np.argsort(-np.abs(lam), kind="stable")
+            lam, v = lam[order], v[:, order]
+            u, s, vt = v * np.where(lam < 0, -1.0, 1.0), np.abs(lam), v.T
+        else:
+            u, s, vt = np.linalg.svd(self.delta.matrix if rows is None else rows,
+                                     full_matrices=False)
+        self._sigma_max = float(s[0]) if len(s) else 0.0
+        rank = int(np.sum(s > self.tol_rank * self._sigma_max))
+        self._first_dropped = float(s[rank]) if rank < len(s) else None
         self._svd = (u[:, :rank], s[:rank], vt[:rank])
+
+    def health(self) -> dict:
+        """Numerical health of the decomposition the solves use: rank,
+        sigma_max, the smallest kept and the first dropped singular value
+        (None if none was dropped), and the condition number
+        sigma_max / smallest kept (inf at rank 0)."""
+        s = self._svd[1]
+        kept = float(s[-1]) if len(s) else 0.0
+        return {"rank": len(s), "sigma_max": self._sigma_max, "sigma_min_kept": kept,
+                "sigma_first_dropped": self._first_dropped,
+                "condition": self._sigma_max / kept if len(s) else math.inf}
 
     @property
     def gauge_policy(self) -> str:

@@ -102,11 +102,11 @@ def run_example52_fragmentation(config, rng, outdir: Path):
 
 
 def _expansion_stage(name, base, lagrangian, nu, deviation, orders, lam_grid, outdir):
+    fits = expansion.order_scaling_slopes(base, lagrangian, nu, deviation, orders, lam_grid)
     rows = []
     slopes = {}
     for order in orders:
-        slope, table = expansion.order_scaling_slope(base, lagrangian, nu,
-                                                     deviation, order, lam_grid)
+        slope, table = fits[order]
         slopes[str(order)] = slope
         rows.extend((lam, res, order) for lam, res in table)
     res_file = outdir / f"{name}_residuals.csv"

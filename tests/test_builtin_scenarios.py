@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cvpert import cli, scenarios
+from cvpert import cli, expansion, lagrangian, scenarios
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -59,3 +59,36 @@ def test_mixing_gap_to_infimum_is_nonnegative(L, seed, tmp_path):
     data = report["stages"][0]["data"]
     assert 0.0 <= data["gap_to_infimum"] <= 1e-12
     assert 0.0 <= data["unitarity_defect"] <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["example52-expansion", "quartic-pair-expansion"])
+def test_expansion_scenario_expands_once_per_lambda(name, tmp_path, monkeypatch):
+    # orders [1, 2] on a grid of 5 lambdas: one order-2 expansion per lambda
+    orders = []
+    inner = expansion.expand_inhomogeneous
+
+    def spy(*args, **kwargs):
+        orders.append(args[3])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "expand_inhomogeneous", spy)
+    _report, code = cli.run_config({"schema_version": 1, "scenario": name}, seed=101,
+                                   out=str(tmp_path))
+    assert code == 0
+    assert orders == [2] * 5
+
+
+def test_cfs_scalar_residual_reads_no_gradient(tmp_path, monkeypatch):
+    # the scalar test jet has no vector part, so no partial of order >= 1 is read
+    orders = []
+    inner = lagrangian.NumericLagrangian.partial
+
+    def spy(self, x, y, alpha, beta):
+        orders.append(sum(alpha) + sum(beta))
+        return inner(self, x, y, alpha, beta)
+
+    monkeypatch.setattr(lagrangian.NumericLagrangian, "partial", spy)
+    _report, code = cli.run_config({"schema_version": 1, "scenario": "cfs-two-point"},
+                                   seed=101, out=str(tmp_path))
+    assert code == 0
+    assert [k for k in orders if k >= 1] == []

@@ -140,3 +140,38 @@ def test_residual_norm_quartic_base(quartic_pair, quartic_base):
     assert nu == pytest.approx(6144.0, rel=1e-12)
     tb = TestBasis.full(2, 1)
     assert residual_norm(quartic_base, quartic_pair, nu, tb) <= 1e-9 * 6144
+
+
+class PerPairValues:
+    """Duck-typed view of a model, read pair by pair; with ``values_only``
+    every partial of order >= 1 raises."""
+
+    def __init__(self, lag, values_only=False):
+        self._lag = lag
+        self.name, self.dim, self.max_order = lag.name, lag.dim, lag.max_order
+        self.values_only = values_only
+
+    def __call__(self, x, y):
+        return self._lag(x, y)
+
+    def partial(self, x, y, alpha, beta):
+        if self.values_only and sum(alpha) + sum(beta) > 0:
+            raise AssertionError(f"partial {alpha}, {beta} read")
+        return self._lag.partial(x, y, alpha, beta)
+
+
+def test_scalar_basis_residual_reads_no_gradient(example52_reg, rng):
+    n = 4
+    mu = DiscreteMeasure(rng.normal(size=(n, 2)) * 0.6, rng.uniform(0.5, 1.5, n))
+    scalar_jets = [Jet(rng.normal(size=n), np.zeros((n, 2))), Jet(np.ones(n), np.zeros((n, 2)))]
+    vector_jet = Jet(rng.normal(size=n), rng.normal(size=(n, 2)))
+    values_only = PerPairValues(example52_reg, values_only=True)
+    fast = weak_el_residual(mu, values_only, 0.3, TestBasis(scalar_jets))
+    full = weak_el_residual(mu, PerPairValues(example52_reg), 0.3,
+                            TestBasis(scalar_jets + [vector_jet]))
+    assert fast.shape == (2, n)
+    assert np.array_equal(fast, full[:2])
+    assert residual_norm(mu, values_only, 0.3, TestBasis(scalar_jets)) == \
+        float(np.max(np.abs(full[:2])))
+    with pytest.raises(AssertionError):
+        weak_el_residual(mu, values_only, 0.3, TestBasis(scalar_jets + [vector_jet]))

@@ -4,15 +4,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cvpert import DiscreteMeasure, Jet, TestBasis, calibrate_nu
+from cvpert import DiscreteMeasure, Jet, TestBasis, calibrate_nu, cli, expansion
 from cvpert.el import residual_norm
 from cvpert.errors import ArgError, LedgerMissing, NotLinearized
 from cvpert.expansion import (Inhomogeneity, compositions, error_term, expand,
                               expand_inhomogeneous, export_diagrams,
                               family_from_linearized, order_scaling_slope,
-                              reconstruct, residual_slope)
+                              order_scaling_slopes, reconstruct, residual_slope)
 from cvpert.lagrangian import build_lagrangian
-from cvpert.linops import assemble_delta, kernel_basis
+from cvpert.linops import assemble_delta, delta_zero_dual, kernel_basis
 from cvpert.measure import push_forward
 
 
@@ -358,3 +358,86 @@ def test_family_records_range_defects(example52_reg, dirac_origin_2d):
     assert family.range_defects == pytest.approx([0.0, 0.0, 0.0, 0.0, 1.0], abs=1e-12)
     assert family.range_defects[0] == 0.0  # the prescribed first order
     assert family.jets[4].norm() == 0.0
+
+
+def scenario_slopes_call(name, out, monkeypatch):
+    """Arguments of the one order_scaling_slopes call of a builtin scenario."""
+    calls = []
+    inner = expansion.order_scaling_slopes
+    monkeypatch.setattr(expansion, "order_scaling_slopes",
+                        lambda *args: calls.append(args) or inner(*args))
+    cli.run_config({"schema_version": 1, "scenario": name}, seed=101, out=str(out))
+    monkeypatch.undo()
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("name", ["example52-expansion", "quartic-pair-expansion"])
+def test_slopes_of_all_orders_equal_one_order_calls(name, tmp_path, monkeypatch):
+    base, lag, nu, deviation, orders, grid = scenario_slopes_call(name, tmp_path, monkeypatch)
+    assert list(orders) == [1, 2]
+    fits = order_scaling_slopes(base, lag, nu, deviation, [1, 2], grid)
+    assert sorted(fits) == [1, 2]
+    for p in (1, 2):
+        slope, rows = order_scaling_slope(base, lag, nu, deviation, p, grid)
+        # oracle: an order-p expansion from scratch at every start
+        ref = []
+        for lam in grid:
+            start = push_forward(base, lam * deviation.scalar, lam * deviation.vector)
+            corrected = reconstruct(expand(start, lag, nu, p, keep_ledger=False), 1.0)
+            ref.append((float(lam), delta_zero_dual(corrected, lag, nu).norm()))
+        assert np.array_equal(fits[p][1], rows)
+        assert np.array_equal(rows, ref)
+        assert np.array_equal(fits[p][0], slope)
+    assert order_scaling_slopes(base, lag, nu, deviation, [], grid) == {}
+
+
+def test_truncated_series_is_the_lower_order_expansion(example52_reg, rng):
+    start = DiscreteMeasure(rng.normal(size=(3, 2)) * 0.4, rng.uniform(0.5, 1.5, 3))
+    full = expand(start, example52_reg, 0.3, order=3)
+    for p in range(4):
+        cut, low = full.truncated(p), expand(start, example52_reg, 0.3, order=p)
+        assert cut.order == p and len(cut.jets) == p
+        assert cut.range_defects == low.range_defects
+        for a, b in zip(cut.jets, low.jets):
+            assert np.array_equal(a.flatten(), b.flatten())
+        assert cut.ledger.to_json() == low.ledger.to_json()
+    with pytest.raises(ArgError):
+        full.truncated(4)
+    with pytest.raises(ArgError):
+        order_scaling_slopes(start, example52_reg, 0.3, Jet.zero(3, 2), [-1], [0.1])
+
+
+class CountingPartials:
+    """Duck-typed black box of a model that counts its partial calls."""
+
+    def __init__(self, lag):
+        self._lag = lag
+        self.name, self.dim, self.max_order = lag.name, lag.dim, lag.max_order
+        self.calls = 0
+        self.reads = set()
+
+    def __call__(self, x, y):
+        return self._lag(x, y)
+
+    def partial(self, x, y, alpha, beta):
+        self.calls += 1
+        self.reads.add((tuple(x), tuple(y), tuple(alpha), tuple(beta)))
+        return self._lag.partial(x, y, alpha, beta)
+
+
+def test_black_box_series_reads_each_partial_once(example52_reg):
+    # one partial-table reader serves Delta, Delta_0 and every E^(p) of the
+    # expansion, and another the whole ledger: 812 reads each at N = 2,
+    # order 5 (1728 and 1684 calls with one reader per order)
+    rng = np.random.default_rng(11)
+    base = DiscreteMeasure(np.array([[0.52353851, 0.7775154], [-0.52353851, 0.7775154]]),
+                           np.ones(2))
+    start = push_forward(base, 0.05 * rng.normal(size=2), 0.05 * rng.normal(size=(2, 2)))
+    box = CountingPartials(example52_reg)
+    series = expand(start, box, 0.3, order=5)
+    assert 0 < box.calls == len(box.reads) <= 812
+    box.calls, box.reads = 0, set()
+    ledger = series.ledger
+    assert 0 < box.calls == len(box.reads) <= 812
+    assert sorted(ledger.terms) == [1, 2, 3, 4, 5]
