@@ -125,7 +125,7 @@ class PerturbationSeries:
         if self._ledger is None and self.ledger_source is not None:
             lagrangian, first = self.ledger_source
             ledger = DiagramLedger()
-            table = linops._partial_tables(lagrangian, self.base.points)
+            table = linops._pair_tables(lagrangian, self.base.points)
             for p in range(first, self.order + 1):
                 error_term(p, self.jets, self.base, lagrangian, self.nu,
                            self.convention, ledger, table)
@@ -170,7 +170,7 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
     For p >= 2 it is one Taylor coefficient (``linops.taylor_error_dual``).
     A call with a ledger instead sums the polarized Delta_l over the
     compositions of p (``linops.composition_duals``), recorded in the ledger.
-    ``table`` is the ``linops._partial_tables`` reader at the support points
+    ``table`` is the ``linops._pair_tables`` reader at the support points
     that the orders of one series share, so that a model without series
     reads each partial once per series; a new one by default.
     """
@@ -226,7 +226,7 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
     component of the right-hand side outside range(Delta) is projected away.
     """
     n, m = measure.size, measure.dimension
-    table = linops._partial_tables(lagrangian, measure.points)
+    table = linops._pair_tables(lagrangian, measure.points)
     delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention, table=table)
     vjets = _zero_jets(inhom, order, n, m)
     offsets = gauge_offsets or [None] * order
@@ -268,7 +268,7 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     follow the plain recursion starting at p = 2 (Delta_0 and Delta_1[w1]
     both vanish).
     """
-    table = linops._partial_tables(lagrangian, measure.points)
+    table = linops._pair_tables(lagrangian, measure.points)
     d0 = linops.delta_zero_dual(measure, lagrangian, nu, table)
     if d0.norm() > tol_critical:
         raise NotCritical(d0.norm(), "family construction needs a critical base")

@@ -312,7 +312,7 @@ class PolynomialLagrangian(LagrangianModel):
                                  alpha, beta)[0, 0])
 
 
-def pair_table(lag, X, Y, alpha, beta, per_pair=False) -> np.ndarray:
+def pair_table(lag, X, Y, alpha, beta) -> np.ndarray:
     """Table T[i, j] = d^alpha_x d^beta_y L(X[i], Y[j]) over all pairs of rows.
 
     A polynomial model contracts its monomial table once for a partial of
@@ -321,9 +321,8 @@ def pair_table(lag, X, Y, alpha, beta, per_pair=False) -> np.ndarray:
     coordinates, from the factored form or the compiled code.  Any other
     model (finite differences, charted or duck-typed) loops over the pairs,
     calling L itself for order zero and ``partial`` otherwise; that loop is
-    also the reference for the vectorized path.  ``per_pair`` reads every
-    entry, order zero included, through ``partial``.  Raises NumericalFailure
-    on a non-finite entry.
+    also the reference for the vectorized path.  Raises NumericalFailure on a
+    non-finite entry.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -331,13 +330,13 @@ def pair_table(lag, X, Y, alpha, beta, per_pair=False) -> np.ndarray:
     beta = _as_multi_index(beta, lag.dim)
     _check_order(lag, alpha, beta)
     table = np.empty((len(X), len(Y)))
-    if isinstance(lag, PolynomialLagrangian) and not per_pair:
+    if isinstance(lag, PolynomialLagrangian):
         with np.errstate(all="ignore"):
             table[...] = lag._table(X, Y, alpha, beta)
-    elif per_pair or any(alpha) or any(beta):
-        table[...] = [[lag.partial(x, y, alpha, beta) for y in Y] for x in X]
-    else:
+    elif not any(alpha) and not any(beta):
         table[...] = [[lag(x, y) for y in Y] for x in X]
+    else:
+        table[...] = [[lag.partial(x, y, alpha, beta) for y in Y] for x in X]
     if not np.isfinite(table).all():
         i, j = np.argwhere(~np.isfinite(table))[0]
         raise NumericalFailure(f"{lag.name}: partial {alpha}, {beta} not finite at pair",

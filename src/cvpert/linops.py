@@ -49,6 +49,7 @@ from .measure import DiscreteMeasure
 
 TOL_RANK = 1e-8
 TOL_SOLVE = 1e-8
+TOL_SYMMETRIC = 1e-14  # relative symmetry defect up to which Delta is decomposed by eigh
 
 
 def mixed_directional(lag: LagrangianModel, x, y, xdirs, ydirs) -> float:
@@ -83,7 +84,8 @@ def delta_zero(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float)
 
 def delta_zero_dual(measure, lagrangian, nu, table=None) -> DualJet:
     """Delta_0 lifted to a dual jet: (value, spatial gradient) per point;
-    ``table`` is an optional ``_partial_tables`` reader at the support."""
+    ``table`` is an optional reader of the pair tables at the support
+    (``_pair_tables``)."""
     return support_dual(measure, lagrangian, nu, table)
 
 
@@ -122,7 +124,8 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradi
     Any other model gets the exact Taylor lift
         sum_{|g|+|d|<K} d^{alpha+g}_x d^d_y L(x_i(0), x_j(0)) dx_i^g dx_j^d / (g! d!)
     with dx = x - x(0), from the partial tables at lam = 0 read through
-    ``table``, a ``_partial_tables`` reader at x(0).
+    ``table``, a reader table(alpha, beta) of those tables at x(0)
+    (``_partial_tables`` or ``_pair_tables``).
     """
     n, m, K = x.shape
     zero = (0,) * m
@@ -152,12 +155,21 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradi
 
 def _partial_tables(lagrangian, points):
     """Reader of the tables T[i, j] = d^alpha_x d^beta_y L(x_i, x_j) at lam = 0,
-    table(alpha, beta), each computed once for the reader's lifetime: by
-    ``pair_table`` for a model that takes series, and by one ``partial`` call
-    per pair for any other model.  One reader serves Delta, Delta_0 and every
-    E^(p) of an expansion, so that such a model reads each partial once."""
-    return cache(partial(pair_table, lagrangian, points, points,
-                         per_pair=not takes_series(lagrangian)))
+    table(alpha, beta), each read once through ``partial`` for the reader's
+    lifetime."""
+    @cache
+    def table(alpha, beta):
+        return np.array([[lagrangian.partial(x, y, alpha, beta) for y in points] for x in points])
+    return table
+
+
+def _pair_tables(lagrangian, points):
+    """Reader of the same tables from ``pair_table``, each computed once for
+    the reader's lifetime: vectorized for a ``PolynomialLagrangian``, through
+    L and ``partial`` pair by pair for any other model.  An expansion shares
+    one between Delta, Delta_0 and every E^(p), so that a model without
+    series reads each partial once per series."""
+    return cache(partial(pair_table, lagrangian, points, points))
 
 
 def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, table):
@@ -167,7 +179,7 @@ def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, 
     coefficient along the line c = lam s.scalar, x = points + lam s.vector.
     The jets are scaled to unit sup-norm, and the norms multiplied back in,
     so that disparate scales lose no accuracy; a zero jet gives exact zeros.
-    ``table`` is a ``_partial_tables`` reader at the support points."""
+    ``table`` is a reader of the pair tables at the support points."""
     if order < 1:
         raise ShapeError("order must be >= 1")
     _check_jets(order, jets, measure)
@@ -220,9 +232,9 @@ def composition_duals(comps, jets, measure, lagrangian, nu, convention="standard
                       table=None) -> list:
     """For each composition q = (q_1..q_l) in ``comps``, the dual jet of
     Delta_l[w^(q_1)..w^(q_l)] with w^(k) = jets[k - 1].  All terms share one
-    reader of the partial tables (``table``, a ``_partial_tables`` reader at
-    the support points, or a new one), so a model without series reads each
-    partial at each pair of points once.
+    reader of the partial tables at the support points (``table``, or a new
+    ``_partial_tables``), so a model without series reads each partial at
+    each pair of points once.
     """
     table = table or _partial_tables(lagrangian, measure.points)
     duals = []
@@ -239,8 +251,8 @@ def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard",
     delta_ell_dual over all compositions of p into at least two parts, and
     the lam^p coefficient of the weak EL dual jet along the truncated series
     c = sum_{q<p} lam^q c^(q), x + sum_{q<p} lam^q u^(q).  ``table`` is a
-    ``_partial_tables`` reader at the support points, shared by the orders
-    of one series; a new one by default.
+    reader of the pair tables at the support points, shared by the orders
+    of one series (``_pair_tables``); a new ``_partial_tables`` by default.
     """
     _check_jets(p - 1, jets, measure)
     what = f"E^({p})"
@@ -318,7 +330,7 @@ class DeltaMatrix:
 def _pointwise_blocks(points, weights, lagrangian, nu, convention, table=None):
     """Unweighted pointwise row blocks of the linearized operator on the
     support (points, weights), from pair tables of L and its partials, read
-    by ``pair_table`` or by ``table``, a ``_partial_tables`` reader."""
+    by ``pair_table`` or by ``table``, a ``_pair_tables`` reader."""
     n, m = points.shape
     units = [tuple(e) for e in np.eye(m, dtype=int).tolist()]
     zero = (0,) * m
@@ -367,7 +379,7 @@ def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: fl
     symmetric second variation of the action; columns run over the full jet
     space.  A restricted (non-full) test basis additionally stores the
     contracted rectangular row form.  ``table`` is an optional
-    ``_partial_tables`` reader at the support.
+    ``_pair_tables`` reader at the support.
     """
     if lagrangian.max_order < 2:
         raise OrderUnsupported("assembling Delta needs second derivatives")
@@ -424,10 +436,12 @@ class GreensOperator:
     jet has a component outside range(Delta); otherwise that component is
     projected away and reported.
 
-    The symmetric standard Delta is decomposed by ``eigh``: with the
-    eigenpairs sorted by |lambda| descending, (V sign(lambda), |lambda|, V^T)
-    is an SVD of it.  Breve and restricted test rows are not symmetric and
-    take the SVD.  Singular values up to tol_rank * sigma_max are cut.
+    The standard Delta of a symmetric L is symmetric, and is decomposed by
+    ``eigh`` when its symmetry defect is at rounding level (TOL_SYMMETRIC):
+    with the eigenpairs sorted by |lambda| descending, (V sign(lambda),
+    |lambda|, V^T) is an SVD of it.  Any other Delta (a non-symmetric L,
+    breve, restricted test rows) takes the SVD.  Singular values up to
+    tol_rank * sigma_max are cut.
     """
 
     delta: DeltaMatrix
@@ -441,7 +455,8 @@ class GreensOperator:
 
     def __post_init__(self):
         rows = self.delta.test_rows
-        if rows is None and self.delta.convention == "standard":
+        if (rows is None and self.delta.convention == "standard"
+                and self.delta.symmetry_defect() <= TOL_SYMMETRIC):
             lam, v = np.linalg.eigh(self.delta.matrix)
             order = np.argsort(-np.abs(lam), kind="stable")
             lam, v = lam[order], v[:, order]

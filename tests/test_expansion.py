@@ -428,8 +428,9 @@ class CountingPartials:
 
 def test_black_box_series_reads_each_partial_once(example52_reg):
     # one partial-table reader serves Delta, Delta_0 and every E^(p) of the
-    # expansion, and another the whole ledger: 812 reads each at N = 2,
-    # order 5 (1728 and 1684 calls with one reader per order)
+    # expansion, and another the whole ledger: at most the 812 distinct
+    # reads each at N = 2, order 5 (1728 and 1684 calls with one reader per
+    # order)
     rng = np.random.default_rng(11)
     base = DiscreteMeasure(np.array([[0.52353851, 0.7775154], [-0.52353851, 0.7775154]]),
                            np.ones(2))

@@ -10,6 +10,7 @@ import pytest
 
 from cvpert import DiscreteMeasure, TestBasis, build_lagrangian, calibrate_nu
 from cvpert.jets import DualJet, Jet
+from cvpert.lagrangian import PolynomialLagrangian
 from cvpert.linops import TOL_RANK, DeltaMatrix, GreensOperator, assemble_delta
 
 
@@ -118,6 +119,23 @@ def check_health(greens, M):
         assert health["sigma_first_dropped"] is None
     else:
         assert abs(health["sigma_first_dropped"] - s[rank]) <= scale
+
+
+def test_non_symmetric_lagrangian_keeps_the_svd(rng):
+    # the standard Delta of an L with L(x, y) != L(y, x) is not symmetric;
+    # eigh, which reads one triangle, would invert a different matrix
+    lag = PolynomialLagrangian.from_formula(
+        "skew", 2, lambda x0, x1, y0, y1: x0 ** 2 * y0 + x1 * y0 ** 2 + (x0 - y1) ** 2)
+    mu = DiscreteMeasure(rng.normal(size=(3, 2)) * 0.5, rng.uniform(0.5, 1.5, 3))
+    delta = assemble_delta(mu, lag, 0.2)
+    assert delta.symmetry_defect() > 1e-3
+    greens = GreensOperator(delta)
+    for _ in range(3):
+        dual = random_dual(rng, delta)
+        w, rel = greens.apply(dual)
+        ref, ref_rel, _ = svd_apply(delta.matrix, -delta.weight_vector() * dual.flatten())
+        assert np.array_equal(w.flatten(), ref) and rel == ref_rel
+    check_health(greens, delta.matrix)
 
 
 def test_health_reads_the_decomposition(example52_reg, rng):
