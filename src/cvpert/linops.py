@@ -12,8 +12,8 @@ the multilinear Delta_l follows by polarization over the 2^l - 1 non-empty
 subsets of its arguments (Griewank, Utke and Walther, Math. Comp. 69
 (2000) 1117-1130).  A polynomial model is evaluated on the curve itself;
 any other model gets the exact Taylor lift of the curve from its partial
-tables at lambda = 0, each read once per series.  The composition sum of polarized
-Delta_l only fills the diagram ledger.
+tables at lambda = 0, each read once per series.  The composition sum of
+polarized Delta_l only fills the diagram ledger.
 
 Two conventions are supported.  "standard" carries the scalar component on
 both slots plus the nu-term; "breve" drops the x-slot scalar and the
@@ -25,9 +25,9 @@ B[(i,s),(j,t)] = w_i * <unit jet (i,s), Delta unit jet (j,t)>(x_i)
 in point-major layout (scalar slot, then m vector slots), which is exactly
 the second variation of the action and therefore symmetric in the standard
 convention.  Green's operators are min-norm pseudo-inverses with the sign
-convention Delta S v = -v, from ``eigh`` for that symmetric form and from
-the SVD otherwise; non-uniqueness is exposed via an optional kernel offset
-added to every solve.
+convention Delta S v = -v, from ``eigh`` when that form is symmetric to
+rounding and from the SVD otherwise; non-uniqueness is exposed via an
+optional kernel offset added to every solve.
 """
 
 from __future__ import annotations
