@@ -26,8 +26,15 @@ from .errors import (NumericalFailure, ShapeError, SingularChart,
 from .lagrangian import NumericLagrangian
 
 TOL_EIG_REL = 1e-10
+TOL_HERM = 1e-12  # relative self-adjointness defect of a valid point
+TOL_TRACE = 1e-10  # relative trace defect of a valid point
+TOL_CLASS = 1e-10  # relative spread of the chain's eigenvalue moduli that counts as spacelike
+TOL_LOCAL_TRACE = 1e-12  # relative |tr(psi* psi)| below which R(psi) is undefined
+TOL_CHART_RANK = 1e-10  # relative smallest singular value of a chart's differential
+REFERENCE_SPREAD = 0.25  # eigenvalue spacing of reference_point
 COORDS_MAX_ITERS = 50  # Gauss-Newton steps of CfsChart.coords
 COORDS_STEP_TOL = 4 * np.finfo(float).eps  # relative step at rounding level
+COORDS_TOL = 1e-10  # relative residual up to which CfsChart.coords converged
 
 
 @dataclass(frozen=True)
@@ -65,14 +72,13 @@ def spin_adjoint(psi: np.ndarray, n: int) -> np.ndarray:
     return psi.conj().T @ signature_matrix(n)
 
 
-def validate_cfs_point(x: np.ndarray, params: CfsParams, tol_herm: float = 1e-12,
-                       tol_trace: float = 1e-10) -> np.ndarray:
+def validate_cfs_point(x: np.ndarray, params: CfsParams) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     f, n = params.f, params.n
     if x.shape != (f, f):
         raise ShapeError(f"expected an {f} x {f} matrix")
     scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(x - x.conj().T)) > tol_herm * scale:
+    if np.max(np.abs(x - x.conj().T)) > TOL_HERM * scale:
         raise ShapeError("point is not self-adjoint within tolerance")
     evals = np.linalg.eigvalsh(x)
     tol_eig = TOL_EIG_REL * scale
@@ -80,7 +86,7 @@ def validate_cfs_point(x: np.ndarray, params: CfsParams, tol_herm: float = 1e-12
     n_neg = int(np.sum(evals < -tol_eig))
     if (n_pos, n_neg) != (n, n):
         raise ShapeError(f"signature ({n_pos}, {n_neg}) differs from ({n}, {n})")
-    if abs(np.trace(x).real - params.trace_constant) > tol_trace * scale:
+    if abs(np.trace(x).real - params.trace_constant) > TOL_TRACE * scale:
         raise ShapeError("trace constraint violated")
     return x
 
@@ -152,8 +158,7 @@ def spectral_weights(x: np.ndarray, y: np.ndarray, n: int):
     return eigs, float(np.sum(mods)), float(np.sum(mods ** 2))
 
 
-def causal_lagrangian(x: np.ndarray, y: np.ndarray, params: CfsParams,
-                      tol_class: float = 1e-10):
+def causal_lagrangian(x: np.ndarray, y: np.ndarray, params: CfsParams):
     """L_kappa(x, y) and the causal class of the pair.
 
     The kappa = 0 part uses (1/4n) sum_ij (|l_i| - |l_j|)^2, which vanishes
@@ -163,7 +168,7 @@ def causal_lagrangian(x: np.ndarray, y: np.ndarray, params: CfsParams,
     mods = np.abs(eigs)
     value = _quarter_sum(mods, params.n) + params.kappa * w1 ** 2
     spread = float(np.max(mods) - np.min(mods)) if len(mods) else 0.0
-    cls = "spacelike" if spread <= tol_class * max(1.0, float(np.max(mods, initial=0.0))) \
+    cls = "spacelike" if spread <= TOL_CLASS * max(1.0, float(np.max(mods, initial=0.0))) \
         else "timelike"
     return value, cls
 
@@ -182,8 +187,7 @@ def causal_action(points, weights, params: CfsParams):
     return S, T
 
 
-def local_correlation(psi: np.ndarray, params: CfsParams,
-                      tol: float = 1e-12) -> np.ndarray:
+def local_correlation(psi: np.ndarray, params: CfsParams) -> np.ndarray:
     """R(psi) = c psi* psi / tr(psi* psi), trace exactly the trace constant."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2 * params.n, params.f):
@@ -191,7 +195,7 @@ def local_correlation(psi: np.ndarray, params: CfsParams,
     M = spin_adjoint(psi, params.n) @ psi
     t = float(np.trace(M).real)
     scale = max(1.0, float(np.linalg.norm(psi) ** 2))
-    if abs(t) <= tol * scale:
+    if abs(t) <= TOL_LOCAL_TRACE * scale:
         raise VanishingLocalTrace(f"tr(psi* psi) = {t:.3e}")
     R = (params.trace_constant / t) * M
     # distribute the floating-point trace defect so the constraint is exact
@@ -214,7 +218,6 @@ class CfsChart:
     params: CfsParams
     psi0: np.ndarray
     basis: list = None
-    tol_rank: float = 1e-10
     condition: float = field(init=False, default=np.inf)
 
     def __post_init__(self):
@@ -223,7 +226,7 @@ class CfsChart:
             self.basis = self._default_basis()
         self._jac = self._differential_matrix()
         s = np.linalg.svd(self._jac, compute_uv=False)
-        if s[-1] <= self.tol_rank * s[0]:
+        if s[-1] <= TOL_CHART_RANK * s[0]:
             raise SingularChart("restricted differential is rank deficient",
                                 condition=float(s[0] / max(s[-1], 1e-300)))
         object.__setattr__(self, "condition", float(s[0] / s[-1]))
@@ -284,16 +287,16 @@ class CfsChart:
         """Forward chart map: R(psi0 + sum z_a e_a)."""
         return local_correlation(self._spin_map(np.asarray(coords, dtype=float)), self.params)
 
-    def coords(self, y: np.ndarray, x0=None, tol: float = 1e-10) -> np.ndarray:
+    def coords(self, y: np.ndarray) -> np.ndarray:
         """Inverse chart map by Gauss-Newton on the matrix residual.
 
         Each step solves J dz = -(R(psi(z)) - y) in least squares, with J the
-        exact differential of R at psi(z).  The iteration stops once a step
-        is at rounding level, or after COORDS_MAX_ITERS steps; a residual
-        above tol (relative to |y|) raises SingularChart.
+        exact differential of R at psi(z), from z = 0.  The iteration stops
+        once a step is at rounding level, or after COORDS_MAX_ITERS steps; a
+        residual above COORDS_TOL (relative to |y|) raises SingularChart.
         """
         y = np.asarray(y, dtype=complex)
-        z = np.zeros(self.dim) if x0 is None else np.array(x0, dtype=float)
+        z = np.zeros(self.dim)
         target = self._vec(y)
         for _ in range(COORDS_MAX_ITERS):
             psi = self._spin_map(z)
@@ -303,7 +306,7 @@ class CfsChart:
             if np.linalg.norm(dz) <= COORDS_STEP_TOL * max(1.0, np.linalg.norm(z)):
                 break
         res = np.linalg.norm(self._vec(self.point(z)) - target)
-        if res > tol * max(1.0, np.linalg.norm(target)):
+        if res > COORDS_TOL * max(1.0, np.linalg.norm(target)):
             raise SingularChart(f"chart inversion did not converge, residual {res:.3e}",
                                 condition=self.condition)
         return z
@@ -347,11 +350,12 @@ def build_cfs_lagrangian(params: dict) -> NumericLagrangian:
     return lag
 
 
-def reference_point(params: CfsParams, spread: float = 0.25) -> np.ndarray:
-    """Deterministic valid point: diag(c + b, -b) padded with zeros."""
+def reference_point(params: CfsParams) -> np.ndarray:
+    """Deterministic valid point: diag(c + b, -b) padded with zeros,
+    b = REFERENCE_SPREAD."""
     f, n, c = params.f, params.n, params.trace_constant
-    pos = [c / n + spread * (k + 1) for k in range(n)]
-    neg = [-spread * (k + 1) for k in range(n)]
+    pos = [c / n + REFERENCE_SPREAD * (k + 1) for k in range(n)]
+    neg = [-REFERENCE_SPREAD * (k + 1) for k in range(n)]
     diag = np.zeros(f)
     diag[:n] = pos
     diag[n:2 * n] = neg

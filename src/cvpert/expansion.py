@@ -34,6 +34,7 @@ from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, push_forward
 
 SLOPE_BAND = 0.2  # acceptance band on fitted exponents, next-order contamination
+TOL_CRITICAL = 1e-9  # |Delta_0| up to which a family's base counts as critical
 RESIDUAL_FLOOR = 1e-14
 
 
@@ -217,7 +218,6 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
                          gauge_offsets: list | None = None,
                          convention: str = "standard",
                          strict: bool = False,
-                         tol_rank: float = linops.TOL_RANK,
                          keep_ledger: bool = True) -> PerturbationSeries:
     """Iterative solve w^(p) = v^(p) + S^(p) (E^(p) + Delta v^(p)).
 
@@ -230,7 +230,7 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
     delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention, table=table)
     vjets = _zero_jets(inhom, order, n, m)
     offsets = gauge_offsets or [None] * order
-    greens = linops.GreensOperator(delta, tol_rank=tol_rank, strict=strict)
+    greens = linops.GreensOperator(delta, strict=strict)
     jets: list[Jet] = []
     defects: list[float] = []
     for p in range(1, order + 1):
@@ -249,44 +249,40 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
 
 
 def expand(measure, lagrangian, nu, order, gauge_offsets=None,
-           convention="standard", strict=False, tol_rank=linops.TOL_RANK,
-           keep_ledger=True) -> PerturbationSeries:
+           convention="standard", strict=False, keep_ledger=True) -> PerturbationSeries:
     """Order-by-order expansion w^(p) = S^(p) E^(p) (+ optional gauge offsets)."""
     return expand_inhomogeneous(measure, lagrangian, nu, order, inhom=None,
                                 gauge_offsets=gauge_offsets, convention=convention,
-                                strict=strict, tol_rank=tol_rank,
-                                keep_ledger=keep_ledger)
+                                strict=strict, keep_ledger=keep_ledger)
 
 
 def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
-                           tol_rank=linops.TOL_RANK, tol_critical=1e-9,
-                           convention="standard", strict=False,
-                           keep_ledger=True) -> PerturbationSeries:
+                           strict=False) -> PerturbationSeries:
     """One-parameter family of solutions whose first variation is w1.
 
-    Requires an exactly critical base and w1 in ker Delta; higher orders
-    follow the plain recursion starting at p = 2 (Delta_0 and Delta_1[w1]
-    both vanish).
+    Requires a critical base (|Delta_0| <= TOL_CRITICAL) and w1 in ker Delta
+    (|Delta w1| <= TOL_RANK |Delta| max(|w1|, 1)); higher orders follow the
+    plain recursion starting at p = 2 (Delta_0 and Delta_1[w1] both vanish).
     """
     table = linops._pair_tables(lagrangian, measure.points)
     d0 = linops.delta_zero_dual(measure, lagrangian, nu, table)
-    if d0.norm() > tol_critical:
+    if d0.norm() > TOL_CRITICAL:
         raise NotCritical(d0.norm(), "family construction needs a critical base")
-    delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention, table=table)
+    delta = linops.assemble_delta(measure, lagrangian, nu, table=table)
+    greens = linops.GreensOperator(delta, strict=strict)
     dw1 = delta.apply(w1)
     scale = delta.operator_norm() * max(w1.norm(), 1.0)
-    if dw1.norm() > tol_rank * max(scale, 1.0):
+    if dw1.norm() > linops.TOL_RANK * max(scale, 1.0):
         raise NotLinearized(
-            f"|Delta w1| = {dw1.norm():.3e} exceeds {tol_rank:.1e} * {scale:.3e}")
+            f"|Delta w1| = {dw1.norm():.3e} exceeds {linops.TOL_RANK:.1e} * {scale:.3e}")
     jets, defects = [w1], [0.0]
-    greens = linops.GreensOperator(delta, tol_rank=tol_rank, strict=strict)
     for p in range(2, order + 1):
-        E = error_term(p, jets, measure, lagrangian, nu, convention, table=table)
+        E = error_term(p, jets, measure, lagrangian, nu, table=table)
         w, defect = _solve(greens, E, p)
         jets.append(w)
         defects.append(defect)
-    return PerturbationSeries(measure, order, nu, jets, convention, range_defects=defects,
-                              ledger_source=(lagrangian, 2) if keep_ledger else None)
+    return PerturbationSeries(measure, order, nu, jets, range_defects=defects,
+                              ledger_source=(lagrangian, 2))
 
 
 def reconstruct(series: PerturbationSeries, lam: float) -> DiscreteMeasure:
@@ -347,7 +343,7 @@ def export_diagrams(series: PerturbationSeries) -> dict:
 
 
 def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
-                         orders, lam_grid, strict=False, convention="standard") -> dict:
+                         orders, lam_grid, convention="standard") -> dict:
     """Fitted decay exponents of the residual left after order-P corrections,
     for every P in ``orders``.
 
@@ -366,8 +362,8 @@ def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
     lam_grid = np.asarray(lam_grid, dtype=float)
     for lam in lam_grid:
         start = push_forward(base, lam * deviation.scalar, lam * deviation.vector)
-        series = expand(start, lagrangian, nu, max(rows), strict=strict,
-                        convention=convention, keep_ledger=False)
+        series = expand(start, lagrangian, nu, max(rows), convention=convention,
+                        keep_ledger=False)
         for p, residuals in rows.items():
             corrected = reconstruct(series.truncated(p), 1.0)
             residuals.append((float(lam),
@@ -378,8 +374,7 @@ def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
 
 
 def order_scaling_slope(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
-                        order: int, lam_grid, strict=False,
-                        convention="standard") -> tuple:
+                        order: int, lam_grid, convention="standard") -> tuple:
     """``order_scaling_slopes`` for the one order P: (slope, residual table)."""
     return order_scaling_slopes(base, lagrangian, nu, deviation, [order], lam_grid,
-                                strict=strict, convention=convention)[order]
+                                convention=convention)[order]

@@ -24,17 +24,19 @@ The assembled DeltaMatrix stores the weight-multiplied bilinear form
 B[(i,s),(j,t)] = w_i * <unit jet (i,s), Delta unit jet (j,t)>(x_i)
 in point-major layout (scalar slot, then m vector slots), which is exactly
 the second variation of the action and therefore symmetric in the standard
-convention.  Green's operators are min-norm pseudo-inverses with the sign
-convention Delta S v = -v, from ``eigh`` when that form is symmetric to
-rounding and from the SVD otherwise; non-uniqueness is exposed via an
-optional kernel offset added to every solve.
+convention.  Each DeltaMatrix is decomposed once, on first use: by ``eigh``
+when that form is symmetric to rounding, by the thin SVD otherwise.  Its
+Green's operator (the min-norm pseudo-inverse with the sign convention
+Delta S v = -v), its kernel and its singular values all read that one
+decomposition, cut at TOL_RANK * sigma_max; non-uniqueness is exposed via
+an optional kernel offset added to every solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
@@ -125,7 +127,7 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradi
         sum_{|g|+|d|<K} d^{alpha+g}_x d^d_y L(x_i(0), x_j(0)) dx_i^g dx_j^d / (g! d!)
     with dx = x - x(0), from the partial tables at lam = 0 read through
     ``table``, a reader table(alpha, beta) of those tables at x(0)
-    (``_partial_tables`` or ``_pair_tables``).
+    (``_pair_tables``).
     """
     n, m, K = x.shape
     zero = (0,) * m
@@ -153,18 +155,9 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradi
     return np.stack([s.coef[:, -1] for s in parts], axis=-1)
 
 
-def _partial_tables(lagrangian, points):
-    """Reader of the tables T[i, j] = d^alpha_x d^beta_y L(x_i, x_j) at lam = 0,
-    table(alpha, beta), each read once through ``partial`` for the reader's
-    lifetime."""
-    @cache
-    def table(alpha, beta):
-        return np.array([[lagrangian.partial(x, y, alpha, beta) for y in points] for x in points])
-    return table
-
-
 def _pair_tables(lagrangian, points):
-    """Reader of the same tables from ``pair_table``, each computed once for
+    """Reader of the tables T[i, j] = d^alpha_x d^beta_y L(x_i, x_j) at the
+    points, table(alpha, beta), from ``pair_table``, each computed once for
     the reader's lifetime: vectorized for a ``PolynomialLagrangian``, through
     L and ``partial`` pair by pair for any other model.  An expansion shares
     one between Delta, Delta_0 and every E^(p), so that a model without
@@ -208,13 +201,13 @@ def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, 
 def delta_ell(order, jets, measure, lagrangian, nu) -> np.ndarray:
     """Delta_l[w_1..w_l] on the support, standard convention (with nu-term)."""
     return _polarized(order, jets, measure, lagrangian, nu, "standard", False,
-                      _partial_tables(lagrangian, measure.points))[:, 0]
+                      _pair_tables(lagrangian, measure.points))[:, 0]
 
 
 def delta_ell_breve(order, jets, measure, lagrangian) -> np.ndarray:
     """Breve variant: no scalar action on the x slot and no nu-term."""
     return _polarized(order, jets, measure, lagrangian, 0.0, "breve", False,
-                      _partial_tables(lagrangian, measure.points))[:, 0]
+                      _pair_tables(lagrangian, measure.points))[:, 0]
 
 
 def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
@@ -224,7 +217,7 @@ def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") 
     is constant in x since jets are never differentiated.
     """
     top = _polarized(order, jets, measure, lagrangian, nu, convention, True,
-                     _partial_tables(lagrangian, measure.points))
+                     _pair_tables(lagrangian, measure.points))
     return DualJet(top[:, 0], top[:, 1:])
 
 
@@ -233,10 +226,9 @@ def composition_duals(comps, jets, measure, lagrangian, nu, convention="standard
     """For each composition q = (q_1..q_l) in ``comps``, the dual jet of
     Delta_l[w^(q_1)..w^(q_l)] with w^(k) = jets[k - 1].  All terms share one
     reader of the partial tables at the support points (``table``, or a new
-    ``_partial_tables``), so a model without series reads each partial at
-    each pair of points once.
+    ``_pair_tables``), so each table is computed once.
     """
-    table = table or _partial_tables(lagrangian, measure.points)
+    table = table or _pair_tables(lagrangian, measure.points)
     duals = []
     for comp in comps:
         top = _polarized(len(comp), [jets[q - 1] for q in comp], measure, lagrangian, nu,
@@ -252,7 +244,7 @@ def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard",
     the lam^p coefficient of the weak EL dual jet along the truncated series
     c = sum_{q<p} lam^q c^(q), x + sum_{q<p} lam^q u^(q).  ``table`` is a
     reader of the pair tables at the support points, shared by the orders
-    of one series (``_pair_tables``); a new ``_partial_tables`` by default.
+    of one series (``_pair_tables``); a new one by default.
     """
     _check_jets(p - 1, jets, measure)
     what = f"E^({p})"
@@ -261,7 +253,7 @@ def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard",
     c = np.stack([np.zeros(n)] + [w.scalar for w in jets] + [np.zeros(n)], axis=-1)
     x = np.stack([measure.points] + [w.vector for w in jets] + [np.zeros((n, m))], axis=-1)
     top = _finite(_weak_el_coefficient(lagrangian, measure, nu, convention, c, x,
-                                       table or _partial_tables(lagrangian, measure.points),
+                                       table or _pair_tables(lagrangian, measure.points),
                                        True),
                   lagrangian, what)
     return DualJet(top[:, 0], top[:, 1:])
@@ -274,6 +266,8 @@ class DeltaMatrix:
     ``matrix`` is square of size N(1+m) when assembled against the full test
     space; with a restricted test basis the rectangular test-row form is
     stored in ``test_rows`` (rows grouped basis-jet major, point minor).
+    Its one decomposition (``decomposition``) is cached on first read, so
+    the form is not to be changed afterwards.
     """
 
     matrix: np.ndarray
@@ -300,8 +294,33 @@ class DeltaMatrix:
         scale = max(1.0, float(np.max(np.abs(self.matrix))))
         return float(np.max(np.abs(self.matrix - self.matrix.T))) / scale
 
+    @cached_property
+    def decomposition(self) -> tuple:
+        """Thin (u, s, vt) of the operator rows (``test_rows`` if present,
+        else ``matrix``), s descending, computed on first read.
+
+        The standard Delta of a symmetric L is symmetric, and is decomposed
+        by ``eigh`` when its symmetry defect is at rounding level
+        (TOL_SYMMETRIC): with the eigenpairs sorted by |lambda| descending,
+        (V sign(lambda), |lambda|, V^T) is an SVD of it.  Any other Delta (a
+        non-symmetric L, breve, restricted test rows) takes the SVD.
+        """
+        rows = self.test_rows
+        if (rows is None and self.convention == "standard"
+                and self.symmetry_defect() <= TOL_SYMMETRIC):
+            lam, v = np.linalg.eigh(self.matrix)
+            order = np.argsort(-np.abs(lam), kind="stable")
+            lam, v = lam[order], v[:, order]
+            return v * np.where(lam < 0, -1.0, 1.0), np.abs(lam), v.T
+        return np.linalg.svd(self.matrix if rows is None else rows, full_matrices=False)
+
     def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
+        s = self.decomposition[1]
+        return float(s[0]) if len(s) else 0.0
+
+    def rank(self) -> int:
+        """Number of singular values above TOL_RANK * sigma_max."""
+        return int(np.sum(self.decomposition[1] > TOL_RANK * self.operator_norm()))
 
     def to_json(self) -> dict:
         return {
@@ -314,8 +333,7 @@ class DeltaMatrix:
         }
 
     def singular_value_report(self) -> list:
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        return [float(v) for v in s]
+        return [float(v) for v in self.decomposition[1]]
 
     def singular_values_csv(self, path):
         import csv
@@ -396,11 +414,10 @@ def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: fl
 
 @dataclass
 class KernelBasis:
-    """Orthonormal jets spanning ker Delta within tol_rank."""
+    """Orthonormal jets spanning ker Delta within TOL_RANK."""
 
     jets: list
     singular_values: np.ndarray
-    tol_rank: float
 
     def __len__(self):
         return len(self.jets)
@@ -409,21 +426,22 @@ class KernelBasis:
         return {
             "count": len(self.jets),
             "singular_values": [float(s) for s in self.singular_values],
-            "tol_rank": self.tol_rank,
+            "tol_rank": TOL_RANK,
             "jets": [{"c": [float(v) for v in j.scalar],
                       "F": [[float(v) for v in row] for row in j.vector]} for j in self.jets],
         }
 
 
-def kernel_basis(delta: DeltaMatrix, tol_rank: float = TOL_RANK) -> KernelBasis:
-    """Orthonormal kernel basis from the SVD, threshold tol_rank * sigma_max."""
-    M = delta.test_rows if delta.test_rows is not None else delta.matrix
-    u, s, vt = np.linalg.svd(M)
-    smax = s[0] if len(s) else 0.0
-    cut = tol_rank * smax
-    null = [vt[k] for k in range(M.shape[1]) if k >= len(s) or s[k] <= cut]
-    jets = [Jet.unflatten(v, delta.dim) for v in null]
-    return KernelBasis(jets, s, tol_rank)
+def kernel_basis(delta: DeltaMatrix) -> KernelBasis:
+    """Orthonormal kernel basis from Delta's decomposition: the right singular
+    vectors cut at TOL_RANK * sigma_max and, for a wide test-row form, the
+    orthonormal complement of the row space of vt."""
+    _, s, vt = delta.decomposition
+    null = vt[delta.rank():]
+    if len(vt) < delta.size:
+        q = np.linalg.qr(vt.T, mode="complete")[0]
+        null = np.vstack([null, q[:, len(vt):].T])
+    return KernelBasis([Jet.unflatten(v, delta.dim) for v in null], s)
 
 
 @dataclass
@@ -433,40 +451,20 @@ class GreensOperator:
     Non-uniqueness of Green's operators is exposed through ``kernel_offset``:
     a jet added to every solve (adding kernel elements yields every other
     Green's operator).  ``strict`` raises OutOfRange when the requested dual
-    jet has a component outside range(Delta); otherwise that component is
-    projected away and reported.
-
-    The standard Delta of a symmetric L is symmetric, and is decomposed by
-    ``eigh`` when its symmetry defect is at rounding level (TOL_SYMMETRIC):
-    with the eigenpairs sorted by |lambda| descending, (V sign(lambda),
-    |lambda|, V^T) is an SVD of it.  Any other Delta (a non-symmetric L,
-    breve, restricted test rows) takes the SVD.  Singular values up to
-    tol_rank * sigma_max are cut.
+    jet has a component outside range(Delta), relative to TOL_SOLVE;
+    otherwise that component is projected away and reported.  The solves
+    use Delta's decomposition (``DeltaMatrix.decomposition``) with the
+    singular values up to TOL_RANK * sigma_max cut.
     """
 
     delta: DeltaMatrix
-    tol_rank: float = TOL_RANK
-    tol_solve: float = TOL_SOLVE
     strict: bool = False
     kernel_offset: Jet | None = None
     _svd: tuple = field(init=False, repr=False, default=None)
-    _sigma_max: float = field(init=False, repr=False, default=0.0)
-    _first_dropped: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        rows = self.delta.test_rows
-        if (rows is None and self.delta.convention == "standard"
-                and self.delta.symmetry_defect() <= TOL_SYMMETRIC):
-            lam, v = np.linalg.eigh(self.delta.matrix)
-            order = np.argsort(-np.abs(lam), kind="stable")
-            lam, v = lam[order], v[:, order]
-            u, s, vt = v * np.where(lam < 0, -1.0, 1.0), np.abs(lam), v.T
-        else:
-            u, s, vt = np.linalg.svd(self.delta.matrix if rows is None else rows,
-                                     full_matrices=False)
-        self._sigma_max = float(s[0]) if len(s) else 0.0
-        rank = int(np.sum(s > self.tol_rank * self._sigma_max))
-        self._first_dropped = float(s[rank]) if rank < len(s) else None
+        u, s, vt = self.delta.decomposition
+        rank = self.delta.rank()
         self._svd = (u[:, :rank], s[:rank], vt[:rank])
 
     def health(self) -> dict:
@@ -474,11 +472,13 @@ class GreensOperator:
         sigma_max, the smallest kept and the first dropped singular value
         (None if none was dropped), and the condition number
         sigma_max / smallest kept (inf at rank 0)."""
-        s = self._svd[1]
-        kept = float(s[-1]) if len(s) else 0.0
-        return {"rank": len(s), "sigma_max": self._sigma_max, "sigma_min_kept": kept,
-                "sigma_first_dropped": self._first_dropped,
-                "condition": self._sigma_max / kept if len(s) else math.inf}
+        s = self.delta.decomposition[1]
+        rank = len(self._svd[1])
+        sigma_max = self.delta.operator_norm()
+        kept = float(s[rank - 1]) if rank else 0.0
+        return {"rank": rank, "sigma_max": sigma_max, "sigma_min_kept": kept,
+                "sigma_first_dropped": float(s[rank]) if rank < len(s) else None,
+                "condition": sigma_max / kept if rank else math.inf}
 
     @property
     def gauge_policy(self) -> str:
@@ -501,7 +501,7 @@ class GreensOperator:
         resid = float(np.linalg.norm(rhs - proj))
         scale = float(np.linalg.norm(rhs))
         rel = resid / scale if scale > 0 else 0.0
-        if self.strict and rel > self.tol_solve:
+        if self.strict and rel > TOL_SOLVE:
             raise OutOfRange(rel)
         w = vt.T @ ((u.T @ rhs) / s) if len(s) else np.zeros(self.delta.size)
         jet = Jet.unflatten(w, self.delta.dim)

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ArgError, NotOnMinimalStratum, NotUnitary, ShapeError
 
 TOL_UNITARY = 1e-10
+TOL_FUNCTIONAL_UNITARY = 1e-8  # unitarity defect accepted by mixing_functional
+TOL_STRATUM = 1e-8  # max | |(Uv)^a| - 1 | on the minimal stratum
+TOL_ORBIT = 1e-8  # max displacement of an orbit vector by the orthogonal factor
 
 
 def _adjoint(A: np.ndarray) -> np.ndarray:
@@ -122,9 +125,9 @@ def mixed_kernel(system: MixingSystem, a: int, b: int, x_index: int, y_index: in
     return -psi_x @ (Va @ Vb.conj().T) @ spin_adjoint(psi_y, weo.params.n)
 
 
-def mixing_functional(U: np.ndarray, tol: float = 1e-8):
+def mixing_functional(U: np.ndarray):
     """sum_a |(Uv)^a|^4 with v = (1, ..., 1), bounded below by L; one value per matrix."""
-    U = check_unitary(U, tol=tol)
+    U = check_unitary(U, tol=TOL_FUNCTIONAL_UNITARY)
     z = U @ np.ones(U.shape[-1], dtype=complex)
     values = np.sum(np.abs(z) ** 4, axis=-1)
     return float(values) if U.ndim == 2 else values
@@ -222,9 +225,7 @@ class DecompositionResult:
     message: str = ""
 
 
-def decompose_diagonal_orthogonal(U: np.ndarray, orbit_sample,
-                                  tol_stratum: float = 1e-8,
-                                  tol_orbit: float = 1e-8) -> DecompositionResult:
+def decompose_diagonal_orthogonal(U: np.ndarray, orbit_sample) -> DecompositionResult:
     """U = U^d U^perp on the minimal stratum.
 
     The diagonal factor is read off from the phases of Uv; the orthogonal
@@ -235,14 +236,14 @@ def decompose_diagonal_orthogonal(U: np.ndarray, orbit_sample,
     L = U.shape[0]
     z = U @ np.ones(L, dtype=complex)
     mods = np.abs(z)
-    if np.max(np.abs(mods - 1.0)) > tol_stratum:
+    if np.max(np.abs(mods - 1.0)) > TOL_STRATUM:
         raise NotOnMinimalStratum(
             f"max | |(Uv)^a| - 1 | = {np.max(np.abs(mods - 1.0)):.3e}")
     Ud = np.diag(z / mods)
     Uperp = Ud.conj().T @ U
     W = np.asarray(orbit_sample, dtype=complex).reshape(-1, L).T
     defect = float(np.max(np.abs(Uperp @ W - W), initial=0.0))
-    ok = defect <= tol_orbit
+    ok = defect <= TOL_ORBIT
     msg = "" if ok else f"orthogonal factor moves orbit vectors by {defect:.3e}"
     return DecompositionResult(ok, Ud, Uperp, defect, msg)
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import expansion, fragmentation, mixing
 from .cfs import (CfsChart, CfsParams, spin_map_from_point, swap_symmetric_pair,
                   system_to_json)
-from .el import integrate_partial, residual_norm
+from .el import ell_on_support, integrate_partial, residual_norm
+from .errors import ConfigError
 from .jets import Jet, TestBasis
 from .lagrangian import build_lagrangian
 from .measure import DiscreteMeasure
@@ -101,8 +102,17 @@ def run_example52_fragmentation(config, rng, outdir: Path):
     return [stage], [profile, wp_file, support]
 
 
-def _expansion_stage(name, base, lagrangian, nu, deviation, orders, lam_grid, outdir):
-    fits = expansion.order_scaling_slopes(base, lagrangian, nu, deviation, orders, lam_grid)
+def _run_expansion(name, base, model, deviation, config, outdir: Path):
+    """Order-scaling study of ``model`` around the critical ``base`` along
+    ``deviation``, written as stage ``name``."""
+    lag = build_lagrangian(model)
+    nu = 2.0 * float(np.mean(ell_on_support(base, lag, 0.0)))
+    orders = config.get("orders", [1, 2])
+    if not isinstance(orders, list) or any(
+            isinstance(o, bool) or not isinstance(o, int) or o < 0 for o in orders):
+        raise ConfigError(f"{name}: orders must be a list of integers >= 0, got {orders!r}")
+    grid = np.asarray(config.get("lambda_grid", list(np.geomspace(0.01, 0.1, 5))))
+    fits = expansion.order_scaling_slopes(base, lag, nu, deviation, orders, grid)
     rows = []
     slopes = {}
     for order in orders:
@@ -117,36 +127,20 @@ def _expansion_stage(name, base, lagrangian, nu, deviation, orders, lam_grid, ou
         "data": {"slopes": slopes,
                  "min_expected": {str(o): o + 1 - expansion.SLOPE_BAND for o in orders}},
     }
-    return stage, [res_file]
+    return [stage], [res_file]
 
 
 def run_example52_expansion(config, rng, outdir: Path):
-    base = regularized_two_point_base()
-    lag = build_lagrangian("example52_regularized")
-    from .el import ell_on_support
-
-    nu = 2.0 * float(np.mean(ell_on_support(base, lag, 0.0)))
-    deviation = Jet(np.array([0.1, -0.2]),
-                    np.array([[0.2, -0.15], [0.05, 0.1]]))
-    orders = config.get("orders", [1, 2])
-    grid = np.asarray(config.get("lambda_grid", list(np.geomspace(0.01, 0.1, 5))))
-    stage, files = _expansion_stage("example52-expansion", base, lag, nu,
-                                    deviation, orders, grid, outdir)
-    return [stage], files
+    return _run_expansion("example52-expansion", regularized_two_point_base(),
+                          "example52_regularized",
+                          Jet(np.array([0.1, -0.2]), np.array([[0.2, -0.15], [0.05, 0.1]])),
+                          config, outdir)
 
 
 def run_quartic_expansion(config, rng, outdir: Path):
-    base = quartic_two_point_base()
-    lag = build_lagrangian("quartic_pair")
-    from .el import ell_on_support
-
-    nu = 2.0 * float(np.mean(ell_on_support(base, lag, 0.0)))
-    deviation = Jet(np.array([0.21, -0.13]), np.array([[0.31], [-0.12]]))
-    orders = config.get("orders", [1, 2])
-    grid = np.asarray(config.get("lambda_grid", list(np.geomspace(0.01, 0.1, 5))))
-    stage, files = _expansion_stage("quartic-pair-expansion", base, lag, nu,
-                                    deviation, orders, grid, outdir)
-    return [stage], files
+    return _run_expansion("quartic-pair-expansion", quartic_two_point_base(), "quartic_pair",
+                          Jet(np.array([0.21, -0.13]), np.array([[0.31], [-0.12]])),
+                          config, outdir)
 
 
 def _run_mixing(L, config, rng, outdir: Path):
@@ -220,7 +214,5 @@ def list_scenarios() -> list:
 
 def run_scenario(name: str, config, rng, outdir: Path):
     if name not in REGISTRY:
-        from .errors import ConfigError
-
         raise ConfigError(f"unknown scenario {name!r}; have {sorted(REGISTRY)}")
     return REGISTRY[name][1](config, rng, outdir)

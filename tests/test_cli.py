@@ -256,3 +256,14 @@ def test_run_reports_dimension_mismatch(tmp_path):
     assert report["status"] == "error"
     assert report["stages"][-1]["error"] == ("ShapeError: measure points have dimension 1, "
                                              "Lagrangian 'quartic_pair' has dimension 2")
+
+
+@pytest.mark.parametrize("scenario", ["example52-expansion", "quartic-pair-expansion"])
+@pytest.mark.parametrize("orders", [[1.5], ["2"], [-1], [True], [1, 2.0], 2])
+def test_run_reports_bad_scenario_orders(tmp_path, scenario, orders):
+    config = {"schema_version": 1, "scenario": scenario,
+              "scenario_config": {"orders": orders}}
+    report, code = run_config(config, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["stages"][-1]["error"].startswith(f"ConfigError: {scenario}: orders must be")

@@ -1,0 +1,78 @@
+"""One decomposition per Delta: the Green's operator, the kernel basis and
+the singular values all read ``DeltaMatrix.decomposition``."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from cvpert import DiscreteMeasure, TestBasis, build_lagrangian, calibrate_nu
+from cvpert.jets import Jet
+from cvpert.linops import TOL_RANK, GreensOperator, assemble_delta, kernel_basis
+
+
+def wide_support_delta():
+    """Delta at the 32 vertices {+-2 sqrt 2}^5 of the 5-d quartic pair model,
+    symmetric with a 26-dimensional kernel."""
+    lag = build_lagrangian("quartic_pair", {"dim": 5})
+    points = 2.0 * math.sqrt(2.0) * np.array(list(itertools.product([-1.0, 1.0], repeat=5)))
+    mu = DiscreteMeasure(points, np.full(32, 1.3))
+    return assemble_delta(mu, lag, calibrate_nu(mu, lag))
+
+
+def small_measure(rng):
+    return DiscreteMeasure(rng.normal(size=(3, 2)) * 0.5, rng.uniform(0.5, 1.5, 3))
+
+
+def random_basis(rng, count):
+    return TestBasis([Jet(rng.normal(size=3), rng.normal(size=(3, 2))) for _ in range(count)])
+
+
+def count_factorizations(monkeypatch):
+    calls = []
+    for name in ("eigh", "svd"):
+        inner = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _n=name, _f=inner, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("kind, routine", [("symmetric", "eigh"), ("breve", "svd"),
+                                           ("test rows", "svd")])
+def test_each_delta_is_decomposed_once(kind, routine, example52_reg, rng, monkeypatch):
+    if kind == "symmetric":
+        delta = wide_support_delta()
+    else:
+        mu = small_measure(rng)
+        delta = (assemble_delta(mu, example52_reg, 0.2, convention="breve") if kind == "breve"
+                 else assemble_delta(mu, example52_reg, 0.2, testbasis=random_basis(rng, 2)))
+    calls = count_factorizations(monkeypatch)
+    plain = GreensOperator(delta)
+    strict = GreensOperator(delta, strict=True)
+    kb = kernel_basis(delta)
+    report = delta.singular_value_report()
+    norm = delta.operator_norm()
+    assert calls == [routine]
+    assert plain.health() == strict.health()
+    assert norm == report[0] == plain.health()["sigma_max"]
+    assert len(kb) == delta.size - plain.health()["rank"]
+
+
+def test_wide_test_row_kernel_matches_the_full_svd(example52, example52_reg, dirac_origin_2d,
+                                                   rng):
+    # generic rows have full row rank, so the kernel is the complement of the
+    # row space; at the origin Dirac of example52 the rows vanish and the
+    # kernel is the whole jet space
+    origin = TestBasis([Jet(np.array([1.0]), np.array([[0.3, -0.2]]))])
+    for delta in (assemble_delta(small_measure(rng), example52_reg, 0.2,
+                                 testbasis=random_basis(rng, 2)),
+                  assemble_delta(dirac_origin_2d, example52, 0.0, testbasis=origin)):
+        rows = delta.test_rows
+        assert rows.shape[0] < rows.shape[1]
+        _, s, vt = np.linalg.svd(rows)
+        ref = vt[int(np.sum(s > TOL_RANK * s[0])):]
+        got = np.array([j.flatten() for j in kernel_basis(delta).jets])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got @ got.T - np.eye(len(got)))) <= 1e-12
+        assert np.max(np.abs(got.T @ got - ref.T @ ref)) <= 1e-12
