@@ -62,7 +62,8 @@ CONFIG_SCHEMA = {
             "properties": {
                 "order": {"type": "integer", "minimum": 0},
                 "convention": {"enum": ["standard", "breve"]},
-                "lambda_grid": {"type": "array", "items": {"type": "number"}},
+                "lambda_grid": {"type": "array", "minItems": 2,
+                                "items": {"type": "number", "exclusiveMinimum": 0}},
                 "deviation": {
                     "type": "object",
                     "additionalProperties": False,
@@ -153,8 +154,8 @@ def _run_inline(config: dict, rng, outdir: Path):
     if "measure" in config:
         if "lagrangian" not in config:
             raise ConfigError("inline measure stage needs a lagrangian")
-        mu = DiscreteMeasure(np.array(config["measure"]["points"], dtype=float),
-                             np.array(config["measure"]["weights"], dtype=float))
+        mu = DiscreteMeasure(scenarios._array(config["measure"]["points"], "measure.points"),
+                             scenarios._array(config["measure"]["weights"], "measure.weights"))
         lag = build_lagrangian(config["lagrangian"]["name"],
                                config["lagrangian"].get("params"))
         if mu.dimension != lag.dim:
@@ -172,10 +173,11 @@ def _run_inline(config: dict, rng, outdir: Path):
         order = int(econf.get("order", 2))
         convention = econf.get("convention", "standard")
         if "deviation" in econf:
-            dev = Jet(np.array(econf["deviation"].get("c", np.zeros(mu.size))),
-                      np.array(econf["deviation"].get("F",
-                                                      np.zeros((mu.size, mu.dimension)))))
-            grid = np.array(econf.get("lambda_grid", list(np.geomspace(0.01, 0.1, 5))))
+            parts = {k: scenarios._array(v, f"deviation.{k}")
+                     for k, v in econf["deviation"].items()}
+            dev = Jet(parts.get("c", np.zeros(mu.size)),
+                      parts.get("F", np.zeros((mu.size, mu.dimension))))
+            grid = scenarios._lambda_grid(econf, "expansion")
             slope, table = expmod.order_scaling_slope(mu, lag, nu, dev, order, grid)
             path = outdir / "expansion_residuals.csv"
             scenarios._write_csv(path, ["lambda", "residual", "order"],

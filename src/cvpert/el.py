@@ -7,8 +7,6 @@ parameter; it is calibrated once and never re-derived while perturbing.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .errors import NotCritical
@@ -18,9 +16,9 @@ from .measure import DiscreteMeasure
 
 
 def _integrate(table, weights) -> np.ndarray:
-    """sum_j weights_j table[i, j] for every row i, in support order, so that
-    ell is exactly additive in the measure and a row of the support table
-    equals the single-point value."""
+    """sum_j weights_j table[i, j] for every row i, column by column in support
+    order, so a row of the support table equals the single-point value; ell
+    is additive in the measure only up to rounding."""
     total = np.zeros(len(table))
     for w, column in zip(weights, table.T):
         total += w * column
@@ -32,12 +30,10 @@ def integrate_partial(lagrangian, X, points, weights, alpha) -> np.ndarray:
     return _integrate(pair_table(lagrangian, X, points, alpha, (0,) * lagrangian.dim), weights)
 
 
-def ell_field(lagrangian, nu, X, points, weights, table=None) -> tuple:
-    """ell and its x-gradient at every row of X, for the measure with the
-    given support and weights (coincident or massless points allowed).
-    ``table(alpha, beta)``, when given, reads the pair tables between X and
-    the support in place of ``pair_table``."""
-    table = table or partial(pair_table, lagrangian, X, points)
+def ell_field(lagrangian, nu, weights, table) -> tuple:
+    """ell and its x-gradient at every row X_i that ``table(alpha, beta)``
+    reads, the reader of d^alpha_x d^beta_y L(X_i, y_j) against a support
+    y_j with the given weights (coincident or massless points allowed)."""
     zero = (0,) * lagrangian.dim
     units = [tuple(e) for e in np.eye(lagrangian.dim, dtype=int).tolist()]
     vals = _integrate(table(zero, zero), weights) - nu / 2.0
@@ -54,8 +50,8 @@ def ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float, x) -> 
 
 
 def ell_on_support(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float) -> np.ndarray:
-    return integrate_partial(lagrangian, measure.points, measure.points, measure.weights,
-                             (0,) * measure.dimension) - nu / 2.0
+    zero = (0,) * measure.dimension
+    return _integrate(measure.pair_tables(lagrangian)(zero, zero), measure.weights) - nu / 2.0
 
 
 def grad_ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, x) -> np.ndarray:
@@ -65,13 +61,10 @@ def grad_ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, x) -> np.nda
                      for e in np.eye(measure.dimension, dtype=int)])
 
 
-def support_dual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float,
-                 table=None) -> DualJet:
+def support_dual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float) -> DualJet:
     """ell and its gradient on the support as a dual jet (Delta_0); its norm
-    is the weak EL residual over the full test space.  ``table`` reads the
-    pair tables on the support (see ``ell_field``)."""
-    return DualJet(*ell_field(lagrangian, nu, measure.points, measure.points, measure.weights,
-                              table))
+    is the weak EL residual over the full test space."""
+    return DualJet(*ell_field(lagrangian, nu, measure.weights, measure.pair_tables(lagrangian)))
 
 
 def calibrate_nu(measure: DiscreteMeasure, lagrangian: LagrangianModel, tol: float = 1e-9) -> float:

@@ -8,9 +8,9 @@ before order p, which every model computes in one pass
 (``linops.taylor_error_dual``).  Only the diagram ledger sums the Delta_l
 terms, each polarized from that coefficient along lines; a series builds
 its ledger from its jets on first access (the expansion only produces tree
-diagrams, so the exported document is a forest).  One reader of the partial
-tables at the support serves Delta, Delta_0 and every E^(p) of a series,
-and another its ledger, so a model without series reads each partial once.
+diagrams, so the exported document is a forest).  Delta, Delta_0, every E^(p)
+and the ledger read the partial tables the base measure keeps, so a model
+without series reads each partial once per support.
 
 Evaluating the series at lambda pushes the base measure forward with the
 accumulated log-weight and shift fields; lambda itself is only the
@@ -126,10 +126,9 @@ class PerturbationSeries:
         if self._ledger is None and self.ledger_source is not None:
             lagrangian, first = self.ledger_source
             ledger = DiagramLedger()
-            table = linops._pair_tables(lagrangian, self.base.points)
             for p in range(first, self.order + 1):
                 error_term(p, self.jets, self.base, lagrangian, self.nu,
-                           self.convention, ledger, table)
+                           self.convention, ledger)
             self._ledger = ledger
         return self._ledger
 
@@ -165,20 +164,17 @@ class PerturbationSeries:
 def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
                lagrangian: LagrangianModel, nu: float,
                convention: str = "standard",
-               ledger: DiagramLedger | None = None, table=None) -> DualJet:
+               ledger: DiagramLedger | None = None) -> DualJet:
     """E^(p) as a dual jet, from the jets w^(1..p-1).
 
     For p >= 2 it is one Taylor coefficient (``linops.taylor_error_dual``).
     A call with a ledger instead sums the polarized Delta_l over the
     compositions of p (``linops.composition_duals``), recorded in the ledger.
-    ``table`` is the ``linops._pair_tables`` reader at the support points
-    that the orders of one series share, so that a model without series
-    reads each partial once per series; a new one by default.
     """
     if p < 1:
         raise ArgError("order must be >= 1")
     if p == 1:
-        dual = linops.delta_zero_dual(measure, lagrangian, nu, table)
+        dual = linops.delta_zero_dual(measure, lagrangian, nu)
         if ledger is not None:
             ledger.add(LedgerTerm(1, 0, (), dual))
         return dual
@@ -186,10 +182,9 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
         raise ArgError(f"E^({p}) needs jets w^(1..{p - 1})")
     if ledger is None:
         return linops.taylor_error_dual(p, jets_so_far[:p - 1], measure, lagrangian, nu,
-                                        convention, table)
+                                        convention)
     comps = [comp for ell in range(2, p + 1) for comp in compositions(p, ell)]
-    duals = linops.composition_duals(comps, jets_so_far, measure, lagrangian, nu, convention,
-                                     table)
+    duals = linops.composition_duals(comps, jets_so_far, measure, lagrangian, nu, convention)
     total = DualJet.zero(measure.size, measure.dimension)
     for comp, dual in zip(comps, duals):
         total = total + dual
@@ -226,15 +221,14 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
     component of the right-hand side outside range(Delta) is projected away.
     """
     n, m = measure.size, measure.dimension
-    table = linops._pair_tables(lagrangian, measure.points)
-    delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention, table=table)
+    delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention)
     vjets = _zero_jets(inhom, order, n, m)
     offsets = gauge_offsets or [None] * order
     greens = linops.GreensOperator(delta, strict=strict)
     jets: list[Jet] = []
     defects: list[float] = []
     for p in range(1, order + 1):
-        E = error_term(p, jets, measure, lagrangian, nu, convention, table=table)
+        E = error_term(p, jets, measure, lagrangian, nu, convention)
         v = vjets[p - 1]
         rhs = E + delta.apply(v)
         correction, defect = _solve(greens, rhs, p)
@@ -264,11 +258,10 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     (|Delta w1| <= TOL_RANK |Delta| max(|w1|, 1)); higher orders follow the
     plain recursion starting at p = 2 (Delta_0 and Delta_1[w1] both vanish).
     """
-    table = linops._pair_tables(lagrangian, measure.points)
-    d0 = linops.delta_zero_dual(measure, lagrangian, nu, table)
+    d0 = linops.delta_zero_dual(measure, lagrangian, nu)
     if d0.norm() > TOL_CRITICAL:
         raise NotCritical(d0.norm(), "family construction needs a critical base")
-    delta = linops.assemble_delta(measure, lagrangian, nu, table=table)
+    delta = linops.assemble_delta(measure, lagrangian, nu)
     greens = linops.GreensOperator(delta, strict=strict)
     dw1 = delta.apply(w1)
     scale = delta.operator_norm() * max(w1.norm(), 1.0)
@@ -277,7 +270,7 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
             f"|Delta w1| = {dw1.norm():.3e} exceeds {linops.TOL_RANK:.1e} * {scale:.3e}")
     jets, defects = [w1], [0.0]
     for p in range(2, order + 1):
-        E = error_term(p, jets, measure, lagrangian, nu, table=table)
+        E = error_term(p, jets, measure, lagrangian, nu)
         w, defect = _solve(greens, E, p)
         jets.append(w)
         defects.append(defect)

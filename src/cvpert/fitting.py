@@ -10,7 +10,7 @@ from .errors import DegenerateFit
 
 
 def loglog_slope(xs, ys, floor: float = 0.0):
-    """Least-squares slope of log y against log x.
+    """Least-squares slope of log y against log x, for finite x > 0 (else DegenerateFit).
 
     Values at or below ``floor`` are dropped; if fewer than two points
     survive the fit degenerates and (inf, 0.0) is returned as the sentinel
@@ -18,6 +18,8 @@ def loglog_slope(xs, ys, floor: float = 0.0):
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if not np.all(np.isfinite(xs) & (xs > 0)):
+        raise DegenerateFit("log-log fit needs finite positive x values")
     keep = ys > floor
     if np.count_nonzero(keep) < 2:
         return math.inf, 0.0

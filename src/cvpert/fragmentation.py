@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
 from .el import ell_field, integrate_partial
 from .fitting import loglog_slope
 from .jets import Jet, MultiJet
-from .lagrangian import LagrangianModel
+from .lagrangian import LagrangianModel, pair_table
 from .measure import DiscreteMeasure, merge_close, push_forward
 
 RESIDUAL_FLOOR = 5e-15
@@ -254,8 +255,8 @@ def _q_scaling(measure: DiscreteMeasure, n_subsystems: int, lam: float, q: float
 
 
 def _flat_support(frag: FragmentedMeasure) -> tuple:
-    """Subsystem-major flattened support (points, weights) and the row
-    weights rho_i / L of the subsystem average."""
+    """Subsystem-major flattened support (points, weights), no DiscreteMeasure
+    (points may coincide or be massless), and the row weights rho_i / L."""
     L, n = frag.log_weights.shape
     points = frag.positions().reshape(L * n, frag.base.dimension)
     return points, frag.weights().reshape(L * n), np.tile(frag.base.weights, L) / L
@@ -268,7 +269,8 @@ def fragmented_residual(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
     block carries the test weight rho_i / L of the subsystem average.
     """
     points, weights, rw = _flat_support(frag)
-    vals, grads = ell_field(lagrangian, nu, points, points, weights)
+    vals, grads = ell_field(lagrangian, nu, weights,
+                            partial(pair_table, lagrangian, points, points))
     return (rw[:, None] * np.hstack([vals[:, None], grads])).ravel()
 
 
@@ -283,7 +285,8 @@ def fragmented_jacobian(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
     the rows of point (a, i) reweighted by rho_i / L.
     """
     points, weights, rw = _flat_support(frag)
-    blocks = linops._pointwise_blocks(points, weights, lagrangian, nu, "breve")
+    blocks = linops._pointwise_blocks(weights, lagrangian, nu, "breve",
+                                      partial(pair_table, lagrangian, points, points))
     return np.repeat(rw, 1 + frag.base.dimension)[:, None] * blocks
 
 
@@ -531,7 +534,7 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
             increments.append(taken)
         # neutral directions through the perturbed form
         if linf_P.size:
-            J2 = fragmented_jacobian(frag, lagrangian, nu)
+            J2 = J if taken is None else fragmented_jacobian(frag, lagrangian, nu)
             A_f = linf_P.T @ J2 @ linf_P
             rhs_f = linf_P.T @ residual
             step_f = -linf_P @ np.linalg.lstsq(A_f, rhs_f, rcond=1e-12)[0]

@@ -12,8 +12,8 @@ the multilinear Delta_l follows by polarization over the 2^l - 1 non-empty
 subsets of its arguments (Griewank, Utke and Walther, Math. Comp. 69
 (2000) 1117-1130).  A polynomial model is evaluated on the curve itself;
 any other model gets the exact Taylor lift of the curve from its partial
-tables at lambda = 0, each read once per series.  The composition sum of
-polarized Delta_l only fills the diagram ledger.
+tables at lambda = 0, the measure's own (``DiscreteMeasure.pair_tables``).
+The composition sum of polarized Delta_l only fills the diagram ledger.
 
 Two conventions are supported.  "standard" carries the scalar component on
 both slots plus the nu-term; "breve" drops the x-slot scalar and the
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
@@ -46,7 +46,7 @@ from .el import ell_on_support, support_dual
 from .errors import NumericalFailure, OrderUnsupported, OutOfRange, ShapeError
 from .jets import DualJet, Jet, TestBasis
 from .lagrangian import (LagrangianModel, TruncatedSeries, _cauchy, _monomials, pair_series,
-                         pair_table, takes_series)
+                         takes_series)
 from .measure import DiscreteMeasure
 
 TOL_RANK = 1e-8
@@ -84,11 +84,9 @@ def delta_zero(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float)
     return ell_on_support(measure, lagrangian, nu)
 
 
-def delta_zero_dual(measure, lagrangian, nu, table=None) -> DualJet:
-    """Delta_0 lifted to a dual jet: (value, spatial gradient) per point;
-    ``table`` is an optional reader of the pair tables at the support
-    (``_pair_tables``)."""
-    return support_dual(measure, lagrangian, nu, table)
+def delta_zero_dual(measure, lagrangian, nu) -> DualJet:
+    """Delta_0 lifted to a dual jet: (value, spatial gradient) per point."""
+    return support_dual(measure, lagrangian, nu)
 
 
 def _check_jets(count, jets, measure):
@@ -112,7 +110,7 @@ def _finite(top, lagrangian, what):
     return top
 
 
-def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradient):
+def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, gradient):
     """Top lam-coefficient of the weak EL dual jet, as columns (value, x-gradient
     if ``gradient``), along the curve with log-weights c (n, K) and points
     x (n, m, K), lam-coefficients on the last axis, c(0) = 0 and x(0) the
@@ -125,9 +123,7 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradi
     A model that takes series evaluates d^alpha_x L(x_i, x_j) on the curve.
     Any other model gets the exact Taylor lift
         sum_{|g|+|d|<K} d^{alpha+g}_x d^d_y L(x_i(0), x_j(0)) dx_i^g dx_j^d / (g! d!)
-    with dx = x - x(0), from the partial tables at lam = 0 read through
-    ``table``, a reader table(alpha, beta) of those tables at x(0)
-    (``_pair_tables``).
+    with dx = x - x(0), from the measure's partial tables at lam = 0.
     """
     n, m, K = x.shape
     zero = (0,) * m
@@ -142,6 +138,7 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradi
         gs, ds = (_monomials(dx, (np.arange(m), e)) for e in np.hsplit(np.array(lifts), [m]))
         weights = [_cauchy(g[:, None], d[None]) / math.prod(map(math.factorial, idx))
                    for idx, g, d in zip(lifts, gs, ds)]
+        table = measure.pair_tables(lagrangian)
 
         def pair(alpha):
             return TruncatedSeries(sum(table(tuple(map(add, alpha, idx[:m])), idx[m:])[..., None]
@@ -155,24 +152,13 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table, gradi
     return np.stack([s.coef[:, -1] for s in parts], axis=-1)
 
 
-def _pair_tables(lagrangian, points):
-    """Reader of the tables T[i, j] = d^alpha_x d^beta_y L(x_i, x_j) at the
-    points, table(alpha, beta), from ``pair_table``, each computed once for
-    the reader's lifetime: vectorized for a ``PolynomialLagrangian``, through
-    L and ``partial`` pair by pair for any other model.  An expansion shares
-    one between Delta, Delta_0 and every E^(p), so that a model without
-    series reads each partial once per series."""
-    return cache(partial(pair_table, lagrangian, points, points))
-
-
-def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, table):
+def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient):
     """Columns (value, x-gradient if ``with_gradient``) of Delta_l[a_1..a_l] by
         l! Delta_l[a_1..a_l] = sum_S (-1)^(l-|S|) Delta_l[(sum_{k in S} a_k)^l]
     over the non-empty subsets S of {1..l}; Delta_l[s^l] is the lam^l
     coefficient along the line c = lam s.scalar, x = points + lam s.vector.
     The jets are scaled to unit sup-norm, and the norms multiplied back in,
-    so that disparate scales lose no accuracy; a zero jet gives exact zeros.
-    ``table`` is a reader of the pair tables at the support points."""
+    so that disparate scales lose no accuracy; a zero jet gives exact zeros."""
     if order < 1:
         raise ShapeError("order must be >= 1")
     _check_jets(order, jets, measure)
@@ -192,22 +178,19 @@ def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient, 
         for subset in combinations(units, size):
             c[:, 1] = sum(w.scalar for w in subset)
             x[..., 1] = sum(w.vector for w in subset)
-            top = _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, table,
-                                       with_gradient)
+            top = _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, with_gradient)
             total += (-1.0) ** (order - size) * _finite(top, lagrangian, what)
     return total * (math.prod(norms) / math.factorial(order))
 
 
 def delta_ell(order, jets, measure, lagrangian, nu) -> np.ndarray:
     """Delta_l[w_1..w_l] on the support, standard convention (with nu-term)."""
-    return _polarized(order, jets, measure, lagrangian, nu, "standard", False,
-                      _pair_tables(lagrangian, measure.points))[:, 0]
+    return _polarized(order, jets, measure, lagrangian, nu, "standard", False)[:, 0]
 
 
 def delta_ell_breve(order, jets, measure, lagrangian) -> np.ndarray:
     """Breve variant: no scalar action on the x slot and no nu-term."""
-    return _polarized(order, jets, measure, lagrangian, 0.0, "breve", False,
-                      _pair_tables(lagrangian, measure.points))[:, 0]
+    return _polarized(order, jets, measure, lagrangian, 0.0, "breve", False)[:, 0]
 
 
 def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
@@ -216,35 +199,22 @@ def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") 
     The gradient differentiates only the Lagrangian arguments; the nu-term
     is constant in x since jets are never differentiated.
     """
-    top = _polarized(order, jets, measure, lagrangian, nu, convention, True,
-                     _pair_tables(lagrangian, measure.points))
+    top = _polarized(order, jets, measure, lagrangian, nu, convention, True)
     return DualJet(top[:, 0], top[:, 1:])
 
 
-def composition_duals(comps, jets, measure, lagrangian, nu, convention="standard",
-                      table=None) -> list:
+def composition_duals(comps, jets, measure, lagrangian, nu, convention="standard") -> list:
     """For each composition q = (q_1..q_l) in ``comps``, the dual jet of
-    Delta_l[w^(q_1)..w^(q_l)] with w^(k) = jets[k - 1].  All terms share one
-    reader of the partial tables at the support points (``table``, or a new
-    ``_pair_tables``), so each table is computed once.
-    """
-    table = table or _pair_tables(lagrangian, measure.points)
-    duals = []
-    for comp in comps:
-        top = _polarized(len(comp), [jets[q - 1] for q in comp], measure, lagrangian, nu,
-                         convention, True, table)
-        duals.append(DualJet(top[:, 0], top[:, 1:]))
-    return duals
+    Delta_l[w^(q_1)..w^(q_l)] with w^(k) = jets[k - 1]."""
+    return [delta_ell_dual(len(comp), [jets[q - 1] for q in comp], measure, lagrangian, nu,
+                           convention) for comp in comps]
 
 
-def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard",
-                      table=None) -> DualJet:
+def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
     """E^(p) from the jets w^(1..p-1) as one Taylor coefficient: the sum of
     delta_ell_dual over all compositions of p into at least two parts, and
     the lam^p coefficient of the weak EL dual jet along the truncated series
-    c = sum_{q<p} lam^q c^(q), x + sum_{q<p} lam^q u^(q).  ``table`` is a
-    reader of the pair tables at the support points, shared by the orders
-    of one series (``_pair_tables``); a new one by default.
+    c = sum_{q<p} lam^q c^(q), x + sum_{q<p} lam^q u^(q).
     """
     _check_jets(p - 1, jets, measure)
     what = f"E^({p})"
@@ -252,9 +222,7 @@ def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard",
     n, m = measure.size, measure.dimension
     c = np.stack([np.zeros(n)] + [w.scalar for w in jets] + [np.zeros(n)], axis=-1)
     x = np.stack([measure.points] + [w.vector for w in jets] + [np.zeros((n, m))], axis=-1)
-    top = _finite(_weak_el_coefficient(lagrangian, measure, nu, convention, c, x,
-                                       table or _pair_tables(lagrangian, measure.points),
-                                       True),
+    top = _finite(_weak_el_coefficient(lagrangian, measure, nu, convention, c, x, True),
                   lagrangian, what)
     return DualJet(top[:, 0], top[:, 1:])
 
@@ -345,14 +313,13 @@ class DeltaMatrix:
             writer.writerows(enumerate(s))
 
 
-def _pointwise_blocks(points, weights, lagrangian, nu, convention, table=None):
-    """Unweighted pointwise row blocks of the linearized operator on the
-    support (points, weights), from pair tables of L and its partials, read
-    by ``pair_table`` or by ``table``, a ``_pair_tables`` reader."""
-    n, m = points.shape
+def _pointwise_blocks(weights, lagrangian, nu, convention, table):
+    """Unweighted pointwise row blocks of the linearized operator on a
+    support with the given weights, from the pair tables of L and its
+    partials that ``table(alpha, beta)`` reads on that support."""
+    n, m = len(weights), lagrangian.dim
     units = [tuple(e) for e in np.eye(m, dtype=int).tolist()]
     zero = (0,) * m
-    table = table or partial(pair_table, lagrangian, points, points)
     L = table(zero, zero)
     D1 = np.stack([table(e, zero) for e in units], axis=-1)
     D2 = np.stack([table(zero, e) for e in units], axis=-1)
@@ -390,18 +357,18 @@ def _test_rows(testbasis: TestBasis, M: np.ndarray, width: int) -> np.ndarray:
 
 def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float,
                    testbasis: TestBasis | None = None,
-                   convention: str = "standard", table=None) -> DeltaMatrix:
+                   convention: str = "standard") -> DeltaMatrix:
     """Assemble the linearized operator as a finite bilinear form.
 
     Rows are test directions, weight-multiplied so the standard form is the
     symmetric second variation of the action; columns run over the full jet
     space.  A restricted (non-full) test basis additionally stores the
-    contracted rectangular row form.  ``table`` is an optional
-    ``_pair_tables`` reader at the support.
+    contracted rectangular row form.
     """
     if lagrangian.max_order < 2:
         raise OrderUnsupported("assembling Delta needs second derivatives")
-    A = _pointwise_blocks(measure.points, measure.weights, lagrangian, nu, convention, table)
+    A = _pointwise_blocks(measure.weights, lagrangian, nu, convention,
+                          measure.pair_tables(lagrangian))
     m = measure.dimension
     W = np.repeat(measure.weights, 1 + m)
     B = W[:, None] * A

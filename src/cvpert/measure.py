@@ -11,10 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
 from .errors import InvalidMeasure, NumericalFailure, ShapeError
+from .lagrangian import pair_table
 
 TOL_POINT_MERGE = 1e-9
 
@@ -85,6 +87,16 @@ class DiscreteMeasure:
         if len(pairs):
             i, j = pairs[0]
             raise InvalidMeasure(f"support points {i} and {j} coincide within tolerance")
+        object.__setattr__(self, "_tables", {})
+
+    def pair_tables(self, lagrangian):
+        """Reader table(alpha, beta) of T[i, j] = d^alpha_x d^beta_y L(x_i, x_j)
+        on the support, one per model, each table computed by ``pair_table``
+        on first read: a model without series reads each partial once."""
+        if lagrangian not in self._tables:
+            self._tables[lagrangian] = cache(partial(pair_table, lagrangian,
+                                                     self.points, self.points))
+        return self._tables[lagrangian]
 
     @property
     def size(self) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,32 @@ def _write_json(path: Path, data):
         fh.write("\n")
 
 
+def _array(value, what, ndim=None) -> np.ndarray:
+    """value as a float array; ConfigError unless it is a regular array of
+    numbers, with ``ndim`` axes if given (0: a number)."""
+    arr = np.array(value, dtype=object)  # a ragged nesting keeps lists as entries
+    if (ndim not in (None, arr.ndim)
+            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat)):
+        kind = "a number" if ndim == 0 else "a regular array of numbers"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    return arr.astype(float)
+
+
+def _number(config, key, default, what) -> float:
+    return float(_array(config.get(key, default), f"{what}: {key}", 0))
+
+
+def _lambda_grid(config, what) -> np.ndarray:
+    """config["lambda_grid"] (5 geometric points on [0.01, 0.1] if absent):
+    at least 2 finite numbers > 0, the least a log-log slope fit needs."""
+    grid = _array(config.get("lambda_grid", np.geomspace(0.01, 0.1, 5)), f"{what}: lambda_grid",
+                  ndim=1)
+    if len(grid) < 2 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ConfigError(f"{what}: lambda_grid must be at least 2 finite numbers > 0, "
+                          f"got {grid.tolist()!r}")
+    return grid
+
+
 def regularized_two_point_base():
     """Exact symmetric critical pair of the regularized polynomial model.
 
@@ -59,7 +86,7 @@ def quartic_two_point_base():
 
 
 def run_example52_fragmentation(config, rng, outdir: Path):
-    lam = float(config.get("lambda", 0.1))
+    lam = _number(config, "lambda", 0.1, "example52-fragmentation")
     scen = fragmentation.example52_scenario()
     frag = fragmentation.fragment_measure(scen.measure, scen.ansatz, lam)
     mu = frag.as_measure()
@@ -111,7 +138,7 @@ def _run_expansion(name, base, model, deviation, config, outdir: Path):
     if not isinstance(orders, list) or any(
             isinstance(o, bool) or not isinstance(o, int) or o < 0 for o in orders):
         raise ConfigError(f"{name}: orders must be a list of integers >= 0, got {orders!r}")
-    grid = np.asarray(config.get("lambda_grid", list(np.geomspace(0.01, 0.1, 5))))
+    grid = _lambda_grid(config, name)
     fits = expansion.order_scaling_slopes(base, lag, nu, deviation, orders, grid)
     rows = []
     slopes = {}
@@ -144,7 +171,7 @@ def run_quartic_expansion(config, rng, outdir: Path):
 
 
 def _run_mixing(L, config, rng, outdir: Path):
-    restarts = int(config.get("restarts", 50))
+    restarts = config.get("restarts", 50)
     seed = int(config.get("seed", 0))
     val, U, trace = mixing.minimize_mixing(L, restarts=restarts, seed=seed)
     out_file = outdir / f"mixing_L{L}.json"
@@ -167,9 +194,9 @@ def run_mixing_l3(config, rng, outdir: Path):
 
 
 def run_cfs_two_point(config, rng, outdir: Path):
-    params = CfsParams(2, 1, float(config.get("trace_constant", 1.0)),
-                       float(config.get("kappa", 0.1)))
-    x1, x2 = swap_symmetric_pair(params, b=float(config.get("b", 0.25)))
+    params = CfsParams(2, 1, _number(config, "trace_constant", 1.0, "cfs-two-point"),
+                       _number(config, "kappa", 0.1, "cfs-two-point"))
+    x1, x2 = swap_symmetric_pair(params, b=_number(config, "b", 0.25, "cfs-two-point"))
     H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
     chart = CfsChart(params, spin_map_from_point(H @ x1 @ H, 1))
     lag = build_lagrangian("cfs", {"hilbert_dim": 2, "spin_dim": 1,

@@ -267,3 +267,106 @@ def test_run_reports_bad_scenario_orders(tmp_path, scenario, orders):
     assert code == 1
     assert report["status"] == "error"
     assert report["stages"][-1]["error"].startswith(f"ConfigError: {scenario}: orders must be")
+
+
+@pytest.mark.parametrize("scenario", ["example52-expansion", "quartic-pair-expansion"])
+@pytest.mark.parametrize("grid", [[0.0, 0.05, 0.1], [-0.05, 0.05], [], [0.05],
+                                  [0.05, float("inf")], [0.05, float("nan")], [True, 0.1],
+                                  ["0.1", 0.2], 0.1],
+                         ids=["zero", "negative", "empty", "one-point", "inf", "nan", "bool",
+                              "text", "scalar"])
+def test_run_reports_bad_scenario_lambda_grid(tmp_path, scenario, grid):
+    config = {"schema_version": 1, "scenario": scenario,
+              "scenario_config": {"lambda_grid": grid}}
+    report, code = run_config(config, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["stages"][-1]["error"].startswith(f"ConfigError: {scenario}: lambda_grid must be")
+
+
+def _inline_expansion(grid):
+    t = 2.0 * math.sqrt(2.0)
+    return {"schema_version": 1,
+            "measure": {"points": [[t], [-t]], "weights": [1.0, 1.0]},
+            "lagrangian": {"name": "quartic_pair"},
+            "expansion": {"order": 1, "deviation": {"c": [0.2, -0.1], "F": [[0.3], [-0.1]]},
+                          "lambda_grid": grid}}
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.05], [-0.05, 0.05], [], [0.05]],
+                         ids=["zero", "negative", "empty", "one-point"])
+def test_inline_schema_rejects_bad_lambda_grid(tmp_path, grid):
+    with pytest.raises(ConfigError, match="lambda_grid"):
+        run_config(_inline_expansion(grid), out=str(tmp_path))
+
+
+@pytest.mark.parametrize("grid", [[0.05, float("inf")], [float("nan"), 0.05]],
+                         ids=["inf", "nan"])
+def test_inline_run_reports_non_finite_lambda_grid(tmp_path, grid):
+    report, code = run_config(_inline_expansion(grid), out=str(tmp_path))
+    assert code == 1
+    assert report["stages"][-1]["error"].startswith(
+        "ConfigError: expansion: lambda_grid must be at least 2 finite numbers > 0")
+
+
+@pytest.mark.parametrize("xs", [[0.0, 0.1, 0.2], [-0.1, 0.1, 0.2], [np.nan, 0.1, 0.2],
+                                [np.inf, 0.1, 0.2]], ids=["zero", "negative", "nan", "inf"])
+def test_loglog_slope_rejects_non_positive_x(xs):
+    from cvpert.errors import DegenerateFit
+    from cvpert.fitting import loglog_slope
+
+    with pytest.raises(DegenerateFit, match="finite positive x"):
+        loglog_slope(xs, [1.0, 2.0, 4.0])
+
+
+def test_cli_bad_lambda_grid_exits_1_without_traceback(tmp_path):
+    # a zero entry used to reach the log-log fit: log 0 made the least-squares
+    # SVD fail, which surfaced as a LinAlgError traceback (and LAPACK's DLASCL
+    # lines, which only a separate process shows on stderr)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, "scenario": "quartic-pair-expansion",
+                                "scenario_config": {"lambda_grid": [0.0, 0.05, 0.1]}}))
+    proc = subprocess.run([sys.executable, "-m", "cvpert.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "DLASCL" not in proc.stderr
+    assert json.loads(proc.stdout)["passed"] is False
+
+
+_T = 2.0 * math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"scenario": "example52-fragmentation", "scenario_config": {"lambda": "0.1"}},
+     "ConfigError: example52-fragmentation: lambda must be a number"),
+    ({"scenario": "example52-fragmentation", "scenario_config": {"lambda": True}},
+     "ConfigError: example52-fragmentation: lambda must be a number"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"b": "x"}},
+     "ConfigError: cfs-two-point: b must be a number"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"kappa": [0.1]}},
+     "ConfigError: cfs-two-point: kappa must be a number"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"trace_constant": None}},
+     "ConfigError: cfs-two-point: trace_constant must be a number"),
+    ({"measure": {"points": [[_T], [-_T]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": "quartic_pair"},
+      "expansion": {"order": 1, "deviation": {"c": ["a", 0.1], "F": [[0.3], [-0.1]]}}},
+     "ConfigError: deviation.c must be a regular array of numbers"),
+    ({"measure": {"points": [[_T], [-_T]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": "quartic_pair"},
+      "expansion": {"order": 1, "deviation": {"c": [0.2, 0.1], "F": [[0.3], [-0.1, 0.2]]}}},
+     "ConfigError: deviation.F must be a regular array of numbers"),
+    ({"measure": {"points": [[1.0, 0.0], [-1.0]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": "quartic_pair"}},
+     "ConfigError: measure.points must be a regular array of numbers"),
+    ({"scenario": "mixing-L2", "scenario_config": {"restarts": "5"}},
+     "ShapeError: restarts must be an integer >= 1"),
+    ({"scenario": "mixing-L2", "scenario_config": {"restarts": 2.7}},
+     "ShapeError: restarts must be an integer >= 1"),
+], ids=["lambda-text", "lambda-bool", "b-text", "kappa-list", "trace-constant-null",
+        "deviation-c-text", "deviation-F-ragged", "points-ragged", "restarts-text",
+        "restarts-float"])
+def test_run_reports_non_numeric_config_values(tmp_path, config, error):
+    report, code = run_config({"schema_version": 1, **config}, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["stages"][-1]["error"].startswith(error)

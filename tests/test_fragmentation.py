@@ -356,6 +356,23 @@ def test_fragment_expand_study_regularized():
     assert study["slopes"]["lin_f"] >= r + 1.0 - 0.2
 
 
+def test_fragment_expand_builds_one_jacobian_per_configuration(monkeypatch):
+    # a sweep whose mean/complement step is rejected leaves the configuration
+    # unchanged, so its neutral-direction solve reuses the sweep's Jacobian
+    from cvpert import fragmentation
+
+    scen = example52_scenario(regularized=True, lam_grid=np.geomspace(0.03, 0.1, 4))
+    report = wellposedness_check(scen)
+    seen = []
+    jacobian = fragmentation.fragmented_jacobian
+    monkeypatch.setattr(fragmentation, "fragmented_jacobian",
+                        lambda frag, *args: seen.append(frag) or jacobian(frag, *args))
+    for order in (2, 3, 4):
+        seen.clear()
+        fragment_expand(scen, order, 0.05, report=report)
+        assert order - 1 <= len(seen) == len({id(frag) for frag in seen})
+
+
 def test_as_measure_rejects_non_finite_positions_before_merging():
     # an infinite shift used to reach the merge sweep, which warned on inf - inf
     mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), np.ones(3))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cvpert import DiscreteMeasure, Jet
 from cvpert import linops
+from cvpert import measure as measure_module
 from cvpert.errors import OrderUnsupported
 from cvpert.expansion import (DiagramLedger, compositions, error_term, expand,
                               family_from_linearized)
@@ -175,8 +176,8 @@ def test_non_polynomial_expression_takes_taylor_lift(monkeypatch):
     assert not takes_series(lag)
     assert takes_series(MODELS["quartic_pair"])
     calls = []
-    pair_table = linops.pair_table
-    monkeypatch.setattr(linops, "pair_table",
+    pair_table = measure_module.pair_table
+    monkeypatch.setattr(measure_module, "pair_table",
                         lambda *args: calls.append(args) or pair_table(*args))
     rng = np.random.default_rng(4)
     mu = DiscreteMeasure(np.array([[0.3], [-0.4]]), np.array([1.0, 0.7]))
