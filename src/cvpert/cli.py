@@ -7,6 +7,12 @@ Subcommands:
 
 Exit code 0 means every expectation in the config passed.  Reports are
 deterministic for a fixed config and seed up to the wall-clock field.
+
+A config is checked where it is read.  ``validate_config`` checks only what
+locating and labelling the report needs, before any stage runs; ``cvpert
+run`` exits with 2 on a violation and writes no report.  Every other key is
+checked by the stage that reads it, so a bad value there ends in a report
+with ``status: "error"`` and exit code 1.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import scenarios
 from .errors import ConfigError, CvpError, ShapeError
@@ -27,81 +32,23 @@ from .fitting import strict_loglog_slope
 
 SCHEMA_VERSION = 1
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "scenario": {"type": "string"},
-        "seed": {"type": "integer"},
-        "out": {"type": "string"},
-        "strict": {"type": "boolean"},
-        "scenario_config": {"type": "object"},
-        "measure": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["points", "weights"],
-            "properties": {
-                "points": {"type": "array", "items": {"type": "array",
-                                                      "items": {"type": "number"}}},
-                "weights": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "lagrangian": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
-        },
-        "nu": {"anyOf": [{"type": "number"}, {"const": "calibrate"}]},
-        "test_space": {"const": "full"},
-        "expansion": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "order": {"type": "integer", "minimum": 0},
-                "convention": {"enum": ["standard", "breve"]},
-                "lambda_grid": {"type": "array", "minItems": 2,
-                                "items": {"type": "number", "exclusiveMinimum": 0}},
-                "deviation": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"c": {"type": "array"}, "F": {"type": "array"}},
-                },
-            },
-        },
-        "mixing": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"L": {"type": "integer", "minimum": 2},
-                           "restarts": {"type": "integer", "minimum": 1}},
-        },
-        "expectations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["path", "op"],
-                "properties": {
-                    "path": {"type": "string"},
-                    "op": {"enum": ["approx", "le", "ge", "eq", "true"]},
-                    "value": {},
-                    "tol": {"type": "number"},
-                },
-            },
-        },
-    },
-}
+INLINE_KEYS = ("measure", "lagrangian", "nu", "test_space", "expansion", "mixing")
+CONFIG_KEYS = ("schema_version", "scenario", "scenario_config", "seed", "out", "strict",
+               "expectations") + INLINE_KEYS
 
 
 def validate_config(config: dict):
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.path))
-    if errors:
-        msgs = "; ".join(f"{'/'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
-                         for e in errors)
-        raise ConfigError(msgs)
+    """ConfigError unless ``config`` is an object of known keys with
+    ``schema_version`` 1, an integer ``seed`` >= 0, a string ``out`` and a
+    boolean ``strict`` (each optional but the version)."""
+    scenarios._object(config, "config", CONFIG_KEYS, required=("schema_version",))
+    version = config["schema_version"]
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError(f"config: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    scenarios._integer(config, "seed", 0, "config", 0)
+    for key, kind, name in (("out", str, "a string"), ("strict", bool, "a boolean")):
+        if key in config and not isinstance(config[key], kind):
+            raise ConfigError(f"config: {key} must be {name}, got {config[key]!r}")
     # a config with no stages at all is legal: it yields an empty report
 
 
@@ -115,22 +62,38 @@ def _lookup(report: dict, path: str):
     return node
 
 
+OPS = {
+    "approx": lambda actual, exp: (abs(float(actual) - float(exp["value"]))
+                                   <= float(exp.get("tol", 1e-9))),
+    "le": lambda actual, exp: float(actual) <= float(exp["value"]),
+    "ge": lambda actual, exp: float(actual) >= float(exp["value"]),
+    "eq": lambda actual, exp: actual == exp["value"],
+    "true": lambda actual, exp: bool(actual),
+}
+
+
+def _expectations(config: dict) -> list:
+    """config["expectations"]; ConfigError unless each is an object with a
+    string ``path``, an ``op`` of ``OPS`` and a numeric ``tol`` if any."""
+    expectations = config.get("expectations", [])
+    if not isinstance(expectations, list):
+        raise ConfigError(f"expectations must be a list, got {expectations!r}")
+    for k, exp in enumerate(expectations):
+        what = f"expectations.{k}"
+        scenarios._object(exp, what, ("path", "op", "value", "tol"), required=("path", "op"))
+        if not isinstance(exp["path"], str) or exp["op"] not in tuple(OPS):
+            raise ConfigError(f"{what}: path must be a string and op one of {list(OPS)}, "
+                              f"got {exp['path']!r} and {exp['op']!r}")
+        scenarios._number(exp, "tol", 1e-9, what)
+    return expectations
+
+
 def evaluate_expectations(report: dict, expectations) -> list:
     results = []
     for exp in expectations or []:
         try:
             actual = _lookup(report, exp["path"])
-            op = exp["op"]
-            if op == "approx":
-                ok = abs(float(actual) - float(exp["value"])) <= float(exp.get("tol", 1e-9))
-            elif op == "le":
-                ok = float(actual) <= float(exp["value"])
-            elif op == "ge":
-                ok = float(actual) >= float(exp["value"])
-            elif op == "eq":
-                ok = actual == exp["value"]
-            else:
-                ok = bool(actual)
+            ok = OPS[exp["op"]](actual, exp)
         except (KeyError, IndexError, TypeError, ValueError) as err:
             results.append({"path": exp["path"], "ok": False, "error": str(err)})
             continue
@@ -146,59 +109,65 @@ def _run_inline(config: dict, rng, outdir: Path):
     from .linops import delta_zero_dual
     from .measure import DiscreteMeasure
 
+    if "scenario_config" in config:
+        raise ConfigError("scenario_config needs a scenario")
+    orphans = [k for k in ("lagrangian", "nu", "test_space", "expansion") if k in config]
+    if orphans and "measure" not in config:
+        raise ConfigError(f"{orphans} need an inline measure")
     stages = []
     files = []
-    mu = None
-    lag = None
-    nu = None
     if "measure" in config:
-        if "lagrangian" not in config:
-            raise ConfigError("inline measure stage needs a lagrangian")
-        mu = DiscreteMeasure(scenarios._array(config["measure"]["points"], "measure.points"),
-                             scenarios._array(config["measure"]["weights"], "measure.weights"))
-        lag = build_lagrangian(config["lagrangian"]["name"],
-                               config["lagrangian"].get("params"))
+        mconf = scenarios._object(config["measure"], "measure", ("points", "weights"),
+                                  required=("points", "weights"))
+        mu = DiscreteMeasure(scenarios._array(mconf["points"], "measure.points", 2),
+                             scenarios._array(mconf["weights"], "measure.weights", 1))
+        lconf = scenarios._object(config.get("lagrangian"), "lagrangian", ("name", "params"),
+                                  required=("name",))
+        lag = build_lagrangian(lconf["name"],
+                               scenarios._object(lconf.get("params", {}), "lagrangian.params"))
         if mu.dimension != lag.dim:
             raise ShapeError(f"measure points have dimension {mu.dimension}, "
                              f"Lagrangian {lag.name!r} has dimension {lag.dim}")
-        nu_cfg = config.get("nu", "calibrate")
-        nu = calibrate_nu(mu, lag, tol=1e-6) if nu_cfg == "calibrate" else float(nu_cfg)
+        if config.get("test_space", "full") != "full":
+            raise ConfigError(f"test_space must be 'full', got {config['test_space']!r}")
+        nu = (calibrate_nu(mu, lag, tol=1e-6) if config.get("nu", "calibrate") == "calibrate"
+              else scenarios._number(config, "nu", None, "setup"))
         stages.append({"name": "setup", "status": "ok",
                        "data": {"nu": nu, "points": mu.size,
                                 "residual": delta_zero_dual(mu, lag, nu).norm()}})
     if "expansion" in config:
-        if mu is None:
-            raise ConfigError("expansion stage needs an inline measure")
-        econf = config["expansion"]
-        order = int(econf.get("order", 2))
+        econf = scenarios._object(config["expansion"], "expansion",
+                                  ("order", "convention", "lambda_grid", "deviation"))
+        order = scenarios._integer(econf, "order", 2, "expansion", 0)
         convention = econf.get("convention", "standard")
+        if convention not in ("standard", "breve"):
+            raise ConfigError(f"expansion: convention must be 'standard' or 'breve', "
+                              f"got {convention!r}")
+        grid = scenarios._lambda_grid(econf, "expansion")
         if "deviation" in econf:
-            parts = {k: scenarios._array(v, f"deviation.{k}")
-                     for k, v in econf["deviation"].items()}
+            parts = {k: scenarios._array(v, f"deviation.{k}") for k, v in
+                     scenarios._object(econf["deviation"], "deviation", ("c", "F")).items()}
             dev = Jet(parts.get("c", np.zeros(mu.size)),
                       parts.get("F", np.zeros((mu.size, mu.dimension))))
-            grid = scenarios._lambda_grid(econf, "expansion")
-            slope, table = expmod.order_scaling_slope(mu, lag, nu, dev, order, grid)
+            slope, table = expmod.order_scaling_slope(mu, lag, nu, dev, order, grid,
+                                                      convention=convention)
             path = outdir / "expansion_residuals.csv"
             scenarios._write_csv(path, ["lambda", "residual", "order"],
                                  [(lam, res, order) for lam, res in table])
-            files.append(path)
-            stages.append({"name": "expansion", "status": "ok",
-                           "data": {"order": order, "slope": slope}})
+            data = {"order": order, "slope": slope}
         else:
             series = expmod.expand(mu, lag, nu, order, convention=convention,
-                                   strict=bool(config.get("strict", False)))
+                                   strict=config.get("strict", False))
             path = outdir / "series.json"
             scenarios._write_json(path, series.to_json())
-            files.append(path)
-            stages.append({"name": "expansion", "status": "ok",
-                           "data": {"order": order,
-                                    "jet_norms": [j.norm() for j in series.jets],
-                                    "range_defects": list(series.range_defects)}})
+            data = {"order": order, "jet_norms": [j.norm() for j in series.jets],
+                    "range_defects": list(series.range_defects)}
+        files.append(path)
+        stages.append({"name": "expansion", "status": "ok", "data": data})
     if "mixing" in config:
-        mcfg = config["mixing"]
-        scen_stages, scen_files = scenarios._run_mixing(int(mcfg.get("L", 2)),
-                                                        mcfg, rng, outdir)
+        mcfg = scenarios._object(config["mixing"], "mixing", ("L", "restarts"))
+        scen_stages, scen_files = scenarios._run_mixing(
+            scenarios._integer(mcfg, "L", 2, "mixing", 2), mcfg, rng, outdir)
         stages.extend(scen_stages)
         files.extend(scen_files)
     return stages, files
@@ -208,7 +177,7 @@ def run_config(config: dict, seed: int | None = None, out: str | None = None,
                strict: bool | None = None) -> tuple:
     """Execute the configured stages; returns (report dict, exit code)."""
     validate_config(config)
-    seed = int(config.get("seed", 0)) if seed is None else seed
+    seed = config.get("seed", 0) if seed is None else seed
     outdir = Path(out or config.get("out", "cvpert-out"))
     outdir.mkdir(parents=True, exist_ok=True)
     if strict is not None:
@@ -217,10 +186,15 @@ def run_config(config: dict, seed: int | None = None, out: str | None = None,
     t0 = time.monotonic()
     stages = []
     files = []
+    expectations = []
     status = "ok"
     try:
+        expectations = _expectations(config)
         if "scenario" in config:
-            sub = dict(config.get("scenario_config", {}))
+            inline = [k for k in INLINE_KEYS if k in config]
+            if inline:
+                raise ConfigError(f"a scenario config takes no inline keys, got {inline}")
+            sub = dict(scenarios._object(config.get("scenario_config", {}), "scenario_config"))
             sub.setdefault("seed", seed)
             stages, files = scenarios.run_scenario(config["scenario"], sub, rng, outdir)
         else:
@@ -238,7 +212,7 @@ def run_config(config: dict, seed: int | None = None, out: str | None = None,
         "files": [str(f) for f in files],
         "expectations": [],
     }
-    report["expectations"] = evaluate_expectations(report, config.get("expectations"))
+    report["expectations"] = evaluate_expectations(report, expectations)
     ok = status == "ok" and all(e["ok"] for e in report["expectations"])
     report["passed"] = bool(ok)
     report["wall_clock_s"] = time.monotonic() - t0

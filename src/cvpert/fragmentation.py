@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linops
 from .errors import InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
-from .el import ell_field, integrate_partial
+from .el import _integrate, ell_field
 from .fitting import loglog_slope
 from .jets import Jet, MultiJet
 from .lagrangian import LagrangianModel, pair_table
@@ -199,11 +199,12 @@ def assemble_delta_F(measure: DiscreteMeasure, lagrangian: LagrangianModel) -> F
     """Per-point Hessians of ell; the scalar components do not enter."""
     n, m = measure.size, measure.dimension
     units = np.eye(m, dtype=int)
+    table = measure.pair_tables(lagrangian)
     hess = np.zeros((n, m, m))
     for a in range(m):
         for b in range(a, m):
-            hess[:, a, b] = hess[:, b, a] = integrate_partial(
-                lagrangian, measure.points, measure.points, measure.weights, units[a] + units[b])
+            hess[:, a, b] = hess[:, b, a] = _integrate(
+                table(tuple((units[a] + units[b]).tolist()), (0,) * m), measure.weights)
     return FluctuationForm(hess)
 
 

@@ -614,7 +614,7 @@ REGISTRY = {
 def build_lagrangian(name: str, params: dict | None = None) -> LagrangianModel:
     try:
         builder = REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that does not hash, e.g. a list
         raise UnknownModel(f"unknown Lagrangian model {name!r}, have {sorted(REGISTRY)}") from None
     return builder(dict(params or {}))
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import expansion, fragmentation, mixing
 from .cfs import (CfsChart, CfsParams, spin_map_from_point, swap_symmetric_pair,
                   system_to_json)
-from .el import ell_on_support, integrate_partial, residual_norm
+from .el import calibrate_nu, integrate_partial, residual_norm
 from .errors import ConfigError
 from .jets import Jet, TestBasis
 from .lagrangian import build_lagrangian
@@ -37,19 +37,44 @@ def _write_json(path: Path, data):
         fh.write("\n")
 
 
+def _object(value, what, keys=None, required=()) -> dict:
+    """value itself; ConfigError unless it is an object that holds every
+    ``required`` key and, if ``keys`` is given, no key outside it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    missing = [k for k in required if k not in value]
+    unknown = [k for k in value if keys is not None and k not in keys]
+    if missing or unknown:
+        raise ConfigError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+    return value
+
+
 def _array(value, what, ndim=None) -> np.ndarray:
     """value as a float array; ConfigError unless it is a regular array of
-    numbers, with ``ndim`` axes if given (0: a number)."""
+    numbers with ``ndim`` axes if given (0: a number), else at least one."""
     arr = np.array(value, dtype=object)  # a ragged nesting keeps lists as entries
-    if (ndim not in (None, arr.ndim)
-            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat)):
+    shaped = arr.ndim == ndim if ndim is not None else arr.ndim > 0
+    if not shaped or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                             for v in arr.flat):
         kind = "a number" if ndim == 0 else "a regular array of numbers"
-        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+        raise ConfigError(f"{what} must be {kind}{f' ({ndim}-D)' if ndim else ''}, got {value!r}")
     return arr.astype(float)
 
 
 def _number(config, key, default, what) -> float:
     return float(_array(config.get(key, default), f"{what}: {key}", 0))
+
+
+def _is_integer(value, least) -> bool:
+    """An int >= least; a bool or a float such as 2.0 is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _integer(config, key, default, what, least) -> int:
+    value = config.get(key, default)
+    if not _is_integer(value, least):
+        raise ConfigError(f"{what}: {key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _lambda_grid(config, what) -> np.ndarray:
@@ -133,10 +158,9 @@ def _run_expansion(name, base, model, deviation, config, outdir: Path):
     """Order-scaling study of ``model`` around the critical ``base`` along
     ``deviation``, written as stage ``name``."""
     lag = build_lagrangian(model)
-    nu = 2.0 * float(np.mean(ell_on_support(base, lag, 0.0)))
+    nu = calibrate_nu(base, lag)
     orders = config.get("orders", [1, 2])
-    if not isinstance(orders, list) or any(
-            isinstance(o, bool) or not isinstance(o, int) or o < 0 for o in orders):
+    if not isinstance(orders, list) or not all(_is_integer(o, 0) for o in orders):
         raise ConfigError(f"{name}: orders must be a list of integers >= 0, got {orders!r}")
     grid = _lambda_grid(config, name)
     fits = expansion.order_scaling_slopes(base, lag, nu, deviation, orders, grid)
@@ -172,7 +196,7 @@ def run_quartic_expansion(config, rng, outdir: Path):
 
 def _run_mixing(L, config, rng, outdir: Path):
     restarts = config.get("restarts", 50)
-    seed = int(config.get("seed", 0))
+    seed = _integer(config, "seed", 0, f"mixing-L{L}", 0)
     val, U, trace = mixing.minimize_mixing(L, restarts=restarts, seed=seed)
     out_file = outdir / f"mixing_L{L}.json"
     _write_json(out_file, mixing.results_to_json(L, val, U, restarts, trace))
@@ -205,8 +229,6 @@ def run_cfs_two_point(config, rng, outdir: Path):
     z1 = chart.coords(x1)
     z2 = chart.coords(x2)
     mu = DiscreteMeasure(np.vstack([z1, z2]), np.ones(2))
-    from .el import calibrate_nu
-
     nu = calibrate_nu(mu, lag, tol=1e-8)
     scalar_res = residual_norm(mu, lag, nu,
                                TestBasis([Jet(np.ones(2), np.zeros((2, 3)))]))
@@ -240,6 +262,6 @@ def list_scenarios() -> list:
 
 
 def run_scenario(name: str, config, rng, outdir: Path):
-    if name not in REGISTRY:
+    if not isinstance(name, str) or name not in REGISTRY:
         raise ConfigError(f"unknown scenario {name!r}; have {sorted(REGISTRY)}")
     return REGISTRY[name][1](config, rng, outdir)

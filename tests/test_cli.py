@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -293,15 +294,9 @@ def _inline_expansion(grid):
                           "lambda_grid": grid}}
 
 
-@pytest.mark.parametrize("grid", [[0.0, 0.05], [-0.05, 0.05], [], [0.05]],
-                         ids=["zero", "negative", "empty", "one-point"])
-def test_inline_schema_rejects_bad_lambda_grid(tmp_path, grid):
-    with pytest.raises(ConfigError, match="lambda_grid"):
-        run_config(_inline_expansion(grid), out=str(tmp_path))
-
-
-@pytest.mark.parametrize("grid", [[0.05, float("inf")], [float("nan"), 0.05]],
-                         ids=["inf", "nan"])
+@pytest.mark.parametrize("grid", [[0.05, float("inf")], [float("nan"), 0.05], [0.0, 0.05],
+                                  [-0.05, 0.05], [], [0.05]],
+                         ids=["inf", "nan", "zero", "negative", "empty", "one-point"])
 def test_inline_run_reports_non_finite_lambda_grid(tmp_path, grid):
     report, code = run_config(_inline_expansion(grid), out=str(tmp_path))
     assert code == 1
@@ -370,3 +365,149 @@ def test_run_reports_non_numeric_config_values(tmp_path, config, error):
     assert code == 1
     assert report["status"] == "error"
     assert report["stages"][-1]["error"].startswith(error)
+
+
+@pytest.mark.parametrize("config", [[], {}, {"schema_version": True}, {"schema_version": "1"},
+                                    {"schema_version": 1, "seed": "abc"},
+                                    {"schema_version": 1, "seed": 2.7},
+                                    {"schema_version": 1, "seed": True},
+                                    {"schema_version": 1, "seed": -1},
+                                    {"schema_version": 1, "out": 5},
+                                    {"schema_version": 1, "strict": "yes"}],
+                         ids=["list", "no-version", "version-bool", "version-text", "seed-text",
+                              "seed-float", "seed-bool", "seed-negative", "out-number",
+                              "strict-text"])
+def test_bad_top_level_exits_2_without_report(tmp_path, capsys, config):
+    with pytest.raises(ConfigError):
+        validate_config(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+_MEASURE = {"points": [[_T], [-_T]], "weights": [1.0, 1.0]}
+_QUARTIC = {"name": "quartic_pair"}
+_DEVIATION = {"c": [0.2, -0.1], "F": [[0.3], [-0.1]]}
+
+
+def _setup(**keys):
+    return {"measure": _MEASURE, "lagrangian": _QUARTIC, **keys}
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"scenario": 5}, "ConfigError: unknown scenario 5"),
+    ({"scenario": "mixing-L2", "scenario_config": [["restarts", 2]]},
+     "ConfigError: scenario_config must be an object"),
+    ({"scenario": "mixing-L2", "nu": "abc"},
+     "ConfigError: a scenario config takes no inline keys, got ['nu']"),
+    ({"scenario_config": {"restarts": 2}}, "ConfigError: scenario_config needs a scenario"),
+    ({"nu": "abc", "test_space": "full"},
+     "ConfigError: ['nu', 'test_space'] need an inline measure"),
+    ({"measure": [[_T], [-_T]], "lagrangian": _QUARTIC}, "ConfigError: measure must be an object"),
+    ({"measure": {**_MEASURE, "masses": [1.0, 1.0]}, "lagrangian": _QUARTIC},
+     "ConfigError: measure: missing keys [], unknown keys ['masses']"),
+    ({"measure": {"points": [[_T], [-_T]]}, "lagrangian": _QUARTIC},
+     "ConfigError: measure: missing keys ['weights'], unknown keys []"),
+    ({"measure": {"points": [_T, -_T], "weights": [1.0, 1.0]}, "lagrangian": _QUARTIC},
+     "ConfigError: measure.points must be a regular array of numbers (2-D)"),
+    ({"measure": {"points": [[_T], [-_T]], "weights": ["1", 1.0]}, "lagrangian": _QUARTIC},
+     "ConfigError: measure.weights must be a regular array of numbers (1-D)"),
+    ({"measure": _MEASURE, "lagrangian": "quartic_pair"},
+     "ConfigError: lagrangian must be an object"),
+    ({"measure": _MEASURE, "lagrangian": {"name": "quartic_pair", "dim": 1}},
+     "ConfigError: lagrangian: missing keys [], unknown keys ['dim']"),
+    ({"measure": _MEASURE, "lagrangian": {"params": {}}},
+     "ConfigError: lagrangian: missing keys ['name'], unknown keys []"),
+    ({"measure": _MEASURE, "lagrangian": {"name": ["quartic_pair"]}},
+     "UnknownModel: unknown Lagrangian model ['quartic_pair']"),
+    ({"measure": _MEASURE, "lagrangian": {"name": "quartic_pair", "params": [["dim", 1]]}},
+     "ConfigError: lagrangian.params must be an object"),
+    (_setup(nu="abc"), "ConfigError: setup: nu must be a number"),
+    (_setup(nu=True), "ConfigError: setup: nu must be a number"),
+    (_setup(test_space="kernel"), "ConfigError: test_space must be 'full'"),
+    (_setup(expansion="order 1"), "ConfigError: expansion must be an object"),
+    (_setup(expansion={"order": 1, "orders": [1]}),
+     "ConfigError: expansion: missing keys [], unknown keys ['orders']"),
+    (_setup(expansion={"order": -1}), "ConfigError: expansion: order must be an integer >= 0"),
+    (_setup(expansion={"order": 1.5}), "ConfigError: expansion: order must be an integer >= 0"),
+    (_setup(expansion={"order": True}), "ConfigError: expansion: order must be an integer >= 0"),
+    (_setup(expansion={"order": 1, "convention": "Breve"}),
+     "ConfigError: expansion: convention must be 'standard' or 'breve'"),
+    (_setup(expansion={"order": 1, "lambda_grid": [0.05]}),
+     "ConfigError: expansion: lambda_grid must be at least 2 finite numbers > 0"),
+    (_setup(expansion={"order": 1, "lambda_grid": ["0.1", 0.2], "deviation": _DEVIATION}),
+     "ConfigError: expansion: lambda_grid must be a regular array of numbers (1-D)"),
+    (_setup(expansion={"order": 1, "deviation": [0.2, -0.1]}),
+     "ConfigError: deviation must be an object"),
+    (_setup(expansion={"order": 1, "deviation": {**_DEVIATION, "u": [[0.3], [-0.1]]}}),
+     "ConfigError: deviation: missing keys [], unknown keys ['u']"),
+    (_setup(expansion={"order": 1, "deviation": {"c": 0.2}}),
+     "ConfigError: deviation.c must be a regular array of numbers, got 0.2"),
+    (_setup(expansion={"order": 1, "deviation": {"F": 0.3}}),
+     "ConfigError: deviation.F must be a regular array of numbers, got 0.3"),
+    ({"mixing": 2}, "ConfigError: mixing must be an object"),
+    ({"mixing": {"L": 2, "seed": 1}},
+     "ConfigError: mixing: missing keys [], unknown keys ['seed']"),
+    ({"mixing": {"L": 1}}, "ConfigError: mixing: L must be an integer >= 2"),
+    ({"mixing": {"L": 2.0}}, "ConfigError: mixing: L must be an integer >= 2"),
+    ({"mixing": {"L": "2"}}, "ConfigError: mixing: L must be an integer >= 2"),
+    ({"mixing": {"L": 2, "restarts": 0}}, "ShapeError: restarts must be an integer >= 1"),
+    ({"mixing": {"L": 2, "restarts": "5"}}, "ShapeError: restarts must be an integer >= 1"),
+    ({"expectations": {"path": "status", "op": "true"}},
+     "ConfigError: expectations must be a list"),
+    ({"expectations": ["status"]}, "ConfigError: expectations.0 must be an object"),
+    ({"expectations": [{"path": "status", "op": "true", "tolerance": 1}]},
+     "ConfigError: expectations.0: missing keys [], unknown keys ['tolerance']"),
+    ({"expectations": [{"path": "status"}]},
+     "ConfigError: expectations.0: missing keys ['op'], unknown keys []"),
+    ({"expectations": [{"path": ["status"], "op": "true"}]},
+     "ConfigError: expectations.0: path must be a string and op one of"),
+    ({"expectations": [{"path": "status", "op": "ne", "value": "error"}]},
+     "ConfigError: expectations.0: path must be a string and op one of"),
+    ({"expectations": [{"path": "status", "op": "approx", "value": 1, "tol": "1e-6"}]},
+     "ConfigError: expectations.0: tol must be a number"),
+], ids=lambda v: json.dumps(v)[:60] if isinstance(v, dict) else None)
+def test_stage_value_the_old_schema_rejected_ends_in_error_report(tmp_path, config, error):
+    # each config broke a rule of the removed JSON schema below the top level,
+    # which made run_config raise; the stage that reads the value now reports it
+    report, code = run_config({"schema_version": 1, **config}, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error" and report["passed"] is False
+    assert report["stages"][-1]["error"].startswith(error)
+    assert json.loads((tmp_path / "report.json").read_text())["status"] == "error"
+
+
+@pytest.mark.parametrize("seed", ["abc", 2.7, True, -1])
+def test_run_reports_bad_mixing_seed(tmp_path, seed):
+    config = {"schema_version": 1, "scenario": "mixing-L2",
+              "scenario_config": {"seed": seed, "restarts": 2}}
+    report, code = run_config(config, out=str(tmp_path))
+    assert code == 1
+    assert report["stages"][-1]["error"] == (
+        f"ConfigError: mixing-L2: seed must be an integer >= 0, got {seed!r}")
+
+
+def test_inline_breve_expansion_matches_the_library(tmp_path):
+    from cvpert import DiscreteMeasure, Jet, build_lagrangian
+    from cvpert.expansion import order_scaling_slopes
+
+    grid = [0.02, 0.04, 0.08]
+    tables = {}
+    for convention in ("standard", "breve"):
+        config = _inline_expansion(grid)
+        config["expansion"].update(order=2, convention=convention)
+        report, code = run_config(config, out=str(tmp_path / convention))
+        assert code == 0
+        nu = report["stages"][0]["data"]["nu"]
+        with open(tmp_path / convention / "expansion_residuals.csv") as fh:
+            tables[convention] = [(float(lam), float(res), int(p))
+                                  for lam, res, p in list(csv.reader(fh))[1:]]
+        slope, rows = order_scaling_slopes(
+            DiscreteMeasure(np.array([[_T], [-_T]]), np.ones(2)), build_lagrangian("quartic_pair"),
+            nu, Jet(np.array([0.2, -0.1]), np.array([[0.3], [-0.1]])), [2], np.array(grid),
+            convention=convention)[2]
+        assert report["stages"][1]["data"]["slope"] == slope
+        assert tables[convention] == [(lam, res, 2) for lam, res in rows]
+    assert tables["breve"] != tables["standard"]

@@ -380,3 +380,27 @@ def test_as_measure_rejects_non_finite_positions_before_merging():
     shift[0, 1, 0] = shift[1, 2, 0] = np.inf
     with pytest.raises(NumericalFailure):
         FragmentedMeasure(mu, np.zeros((2, 3)), shift).as_measure()
+
+
+def test_assemble_delta_F_reads_the_measures_tables(monkeypatch):
+    # the Hessians are the second x-partial tables that assemble_delta already
+    # read through the measure, summed in the same order: no new table, same bits
+    from cvpert import build_lagrangian, el
+    from cvpert import measure as measure_module
+
+    rng = np.random.default_rng(7)
+    mu = DiscreteMeasure(rng.normal(size=(5, 2)), rng.uniform(0.5, 1.5, 5))
+    lag = build_lagrangian("example52_regularized")
+    units = np.eye(2, dtype=int)
+    pairs = [(0, 0), (0, 1), (1, 1)]
+    want = [el.integrate_partial(lag, mu.points, mu.points, mu.weights, units[a] + units[b])
+            for a, b in pairs]
+    assemble_delta(mu, lag, 0.0)
+    calls = []
+    for module in (measure_module, el):
+        monkeypatch.setattr(module, "pair_table", lambda *args, table=module.pair_table:
+                            calls.append(args) or table(*args))
+    hess = assemble_delta_F(mu, lag).hessians
+    assert calls == []
+    for (a, b), w in zip(pairs, want):
+        assert np.array_equal(hess[:, a, b], w) and np.array_equal(hess[:, b, a], w)

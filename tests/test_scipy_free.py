@@ -1,5 +1,6 @@
-"""scipy is a test dependency only: the builtin scenarios neither import it
-nor need it, and the closed-form base root agrees with scipy's brentq."""
+"""scipy is a test dependency only and jsonschema no dependency: the builtin
+scenarios import neither, and the closed-form base root agrees with scipy's
+brentq."""
 
 import math
 import os
@@ -38,7 +39,8 @@ def test_builtin_scenarios_load_no_scipy(tmp_path):
             "    report, code = run_config({'schema_version': 1, 'scenario': name}, seed=101,\n"
             f"                              out={str(tmp_path)!r} + '/' + name)\n"
             "    assert code == 0, report\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'jsonschema')))")
     src = str(Path(cvpert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -55,5 +57,5 @@ def test_runtime_dependencies_exclude_scipy_and_sympy():
                 for req in requirements}
 
     runtime = names(project["dependencies"])
-    assert not runtime & {"scipy", "sympy"}
+    assert not runtime & {"scipy", "sympy", "jsonschema"}
     assert {"scipy", "sympy"} <= names(project["optional-dependencies"]["test"])
