@@ -6,13 +6,18 @@ Subcommands:
   slope <csv> --x COL --y COL
 
 Exit code 0 means every expectation in the config passed.  Reports are
-deterministic for a fixed config and seed up to the wall-clock field.
+deterministic for a fixed config and seed up to the wall-clock field.  The
+run's seed reaches the one stage that draws at random, mixing, both in the
+builtin mixing scenarios and in an inline ``mixing`` stage.
 
 A config is checked where it is read.  ``validate_config`` checks only what
-locating and labelling the report needs, before any stage runs; ``cvpert
-run`` exits with 2 on a violation and writes no report.  Every other key is
-checked by the stage that reads it, so a bad value there ends in a report
-with ``status: "error"`` and exit code 1.
+locating and labelling the report needs, before any stage runs: first on the
+file's own keys, then with ``--seed``/``--out``/``--strict`` merged in, so
+those are checked like the keys they override.  ``cvpert run`` exits with 2
+on a violation, or on a config file it cannot read or parse, and writes no
+report.  Every other key is checked by the stage that reads it, so a bad
+value there ends in a report with ``status: "error"`` and exit code 1; the
+stages that finished before it stay in the report.
 """
 
 from __future__ import annotations
@@ -101,7 +106,8 @@ def evaluate_expectations(report: dict, expectations) -> list:
     return results
 
 
-def _run_inline(config: dict, rng, outdir: Path):
+def _run_inline(config: dict, seed: int, outdir: Path):
+    """Yield the inline stages one at a time as (name, data, files)."""
     from . import expansion as expmod
     from .el import calibrate_nu
     from .jets import Jet
@@ -114,8 +120,6 @@ def _run_inline(config: dict, rng, outdir: Path):
     orphans = [k for k in ("lagrangian", "nu", "test_space", "expansion") if k in config]
     if orphans and "measure" not in config:
         raise ConfigError(f"{orphans} need an inline measure")
-    stages = []
-    files = []
     if "measure" in config:
         mconf = scenarios._object(config["measure"], "measure", ("points", "weights"),
                                   required=("points", "weights"))
@@ -132,9 +136,8 @@ def _run_inline(config: dict, rng, outdir: Path):
             raise ConfigError(f"test_space must be 'full', got {config['test_space']!r}")
         nu = (calibrate_nu(mu, lag, tol=1e-6) if config.get("nu", "calibrate") == "calibrate"
               else scenarios._number(config, "nu", None, "setup"))
-        stages.append({"name": "setup", "status": "ok",
-                       "data": {"nu": nu, "points": mu.size,
-                                "residual": delta_zero_dual(mu, lag, nu).norm()}})
+        yield "setup", {"nu": nu, "points": mu.size,
+                        "residual": delta_zero_dual(mu, lag, nu).norm()}, []
     if "expansion" in config:
         econf = scenarios._object(config["expansion"], "expansion",
                                   ("order", "convention", "lambda_grid", "deviation"))
@@ -162,27 +165,27 @@ def _run_inline(config: dict, rng, outdir: Path):
             scenarios._write_json(path, series.to_json())
             data = {"order": order, "jet_norms": [j.norm() for j in series.jets],
                     "range_defects": list(series.range_defects)}
-        files.append(path)
-        stages.append({"name": "expansion", "status": "ok", "data": data})
+        yield "expansion", data, [path]
     if "mixing" in config:
         mcfg = scenarios._object(config["mixing"], "mixing", ("L", "restarts"))
-        scen_stages, scen_files = scenarios._run_mixing(
-            scenarios._integer(mcfg, "L", 2, "mixing", 2), mcfg, rng, outdir)
-        stages.extend(scen_stages)
-        files.extend(scen_files)
-    return stages, files
+        yield scenarios._run_mixing(scenarios._integer(mcfg, "L", 2, "mixing", 2),
+                                    dict(mcfg, seed=seed), outdir)
 
 
 def run_config(config: dict, seed: int | None = None, out: str | None = None,
                strict: bool | None = None) -> tuple:
-    """Execute the configured stages; returns (report dict, exit code)."""
+    """Execute the configured stages; returns (report dict, exit code).
+
+    ``seed``, ``out`` and ``strict``, unless None, override the config keys of
+    the same name and are checked like them.  A stage that fails ends the run;
+    the stages finished before it stay in the report."""
     validate_config(config)
-    seed = config.get("seed", 0) if seed is None else seed
-    outdir = Path(out or config.get("out", "cvpert-out"))
+    overrides = {"seed": seed, "out": out, "strict": strict}
+    config = dict(config, **{k: v for k, v in overrides.items() if v is not None})
+    validate_config(config)
+    seed = config.get("seed", 0)
+    outdir = Path(config.get("out", "cvpert-out"))
     outdir.mkdir(parents=True, exist_ok=True)
-    if strict is not None:
-        config = dict(config, strict=strict)
-    rng = np.random.default_rng(seed)
     t0 = time.monotonic()
     stages = []
     files = []
@@ -196,9 +199,12 @@ def run_config(config: dict, seed: int | None = None, out: str | None = None,
                 raise ConfigError(f"a scenario config takes no inline keys, got {inline}")
             sub = dict(scenarios._object(config.get("scenario_config", {}), "scenario_config"))
             sub.setdefault("seed", seed)
-            stages, files = scenarios.run_scenario(config["scenario"], sub, rng, outdir)
+            runs = [scenarios.run_scenario(config["scenario"], sub, outdir)]
         else:
-            stages, files = _run_inline(config, rng, outdir)
+            runs = _run_inline(config, seed, outdir)
+        for name, data, written in runs:
+            stages.append({"name": name, "status": "ok", "data": data})
+            files.extend(written)
     except CvpError as err:
         status = "error"
         stages.append({"name": "run", "status": "error",
@@ -225,12 +231,16 @@ def run_config(config: dict, seed: int | None = None, out: str | None = None,
 
 def cmd_run(args) -> int:
     with open(args.config) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as err:  # malformed JSON or text
+            raise ConfigError(f"{args.config}: {err}") from None
     report, code = run_config(config, seed=args.seed, out=args.out,
                               strict=args.strict or None)
     print(json.dumps({"passed": report["passed"],
                       "stages": [s["name"] for s in report["stages"]],
-                      "out": str(Path(args.out or config.get("out", "cvpert-out")))},
+                      "out": str(Path(args.out if args.out is not None
+                                      else config.get("out", "cvpert-out")))},
                      sort_keys=True))
     return code
 
@@ -282,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CvpError, FileNotFoundError) as err:
+    except (CvpError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -175,7 +175,7 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
     value, best U, per-restart trace).
     """
     for name, value, least, error in (("L", L, 1, ShapeError), ("restarts", restarts, 1, ShapeError),
-                                      ("iters", iters, 0, ArgError)):
+                                      ("iters", iters, 0, ArgError), ("seed", seed, 0, ArgError)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise error(f"{name} must be an integer >= {least}, got {value!r}")
 

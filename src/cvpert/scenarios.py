@@ -1,12 +1,16 @@
 """Named scenario runners: the worked examples as reproducible pipelines.
 
-Each runner returns a list of stage records plus the files it wrote; plot
-output is data-only CSV for external tooling.
+Each runner takes its scenario config and the output directory and returns
+one stage as (name, data, files written); ``cli.run_config`` turns it into
+the stage record of the report.  The mixing stages, the only random draw,
+read the run's seed from ``config["seed"]``.  Plot output is data-only CSV
+for external tooling.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -110,7 +114,7 @@ def quartic_two_point_base():
     return DiscreteMeasure(np.array([[t], [-t]]), np.ones(2))
 
 
-def run_example52_fragmentation(config, rng, outdir: Path):
+def run_example52_fragmentation(config, outdir: Path):
     lam = _number(config, "lambda", 0.1, "example52-fragmentation")
     scen = fragmentation.example52_scenario()
     frag = fragmentation.fragment_measure(scen.measure, scen.ansatz, lam)
@@ -139,24 +143,21 @@ def run_example52_fragmentation(config, rng, outdir: Path):
                [(r["subsystem"], r["point"][0], r["point"][1], r["weight"], lam)
                 for r in frag.support_table(lam)])
 
-    stage = {
-        "name": "example52-fragmentation",
-        "status": "ok",
-        "data": {
-            "lambda": lam,
-            "lin_f_form": [[float(v) for v in row] for row in M],
-            "computed_diag": [float(M[0, 0]), float(M[1, 1])],
-            "expected_diag_direct": [2 * lam ** 4, 16 * lam ** 2],
-            "r_estimate": report.r_estimate,
-            "verdict": report.verdict,
-        },
+    data = {
+        "lambda": lam,
+        "lin_f_form": [[float(v) for v in row] for row in M],
+        "computed_diag": [float(M[0, 0]), float(M[1, 1])],
+        "expected_diag_direct": [2 * lam ** 4, 16 * lam ** 2],
+        "r_estimate": report.r_estimate,
+        "verdict": report.verdict,
     }
-    return [stage], [profile, wp_file, support]
+    return "example52-fragmentation", data, [profile, wp_file, support]
 
 
-def _run_expansion(name, base, model, deviation, config, outdir: Path):
-    """Order-scaling study of ``model`` around the critical ``base`` along
-    ``deviation``, written as stage ``name``."""
+def _run_expansion(name, make_base, model, deviation, config, outdir: Path):
+    """Order-scaling study of ``model`` around the critical ``make_base()``
+    along ``deviation``, written as stage ``name``."""
+    base = make_base()  # a measure per run: its pair tables must not outlive it
     lag = build_lagrangian(model)
     nu = calibrate_nu(base, lag)
     orders = config.get("orders", [1, 2])
@@ -172,52 +173,22 @@ def _run_expansion(name, base, model, deviation, config, outdir: Path):
         rows.extend((lam, res, order) for lam, res in table)
     res_file = outdir / f"{name}_residuals.csv"
     _write_csv(res_file, ["lambda", "residual", "order"], rows)
-    stage = {
-        "name": name,
-        "status": "ok",
-        "data": {"slopes": slopes,
-                 "min_expected": {str(o): o + 1 - expansion.SLOPE_BAND for o in orders}},
-    }
-    return [stage], [res_file]
+    min_expected = {str(o): o + 1 - expansion.SLOPE_BAND for o in orders}
+    return name, {"slopes": slopes, "min_expected": min_expected}, [res_file]
 
 
-def run_example52_expansion(config, rng, outdir: Path):
-    return _run_expansion("example52-expansion", regularized_two_point_base(),
-                          "example52_regularized",
-                          Jet(np.array([0.1, -0.2]), np.array([[0.2, -0.15], [0.05, 0.1]])),
-                          config, outdir)
-
-
-def run_quartic_expansion(config, rng, outdir: Path):
-    return _run_expansion("quartic-pair-expansion", quartic_two_point_base(), "quartic_pair",
-                          Jet(np.array([0.21, -0.13]), np.array([[0.31], [-0.12]])),
-                          config, outdir)
-
-
-def _run_mixing(L, config, rng, outdir: Path):
+def _run_mixing(L, config, outdir: Path):
     restarts = config.get("restarts", 50)
     seed = _integer(config, "seed", 0, f"mixing-L{L}", 0)
     val, U, trace = mixing.minimize_mixing(L, restarts=restarts, seed=seed)
     out_file = outdir / f"mixing_L{L}.json"
     _write_json(out_file, mixing.results_to_json(L, val, U, restarts, trace))
-    stage = {
-        "name": f"mixing-L{L}",
-        "status": "ok",
-        "data": {"L": L, "min_value": val, "gap_to_infimum": mixing.gap_to_infimum(U),
-                 "unitarity_defect": mixing.unitarity_defect(U), "restarts": restarts},
-    }
-    return [stage], [out_file]
+    data = {"L": L, "min_value": val, "gap_to_infimum": mixing.gap_to_infimum(U),
+            "unitarity_defect": mixing.unitarity_defect(U), "restarts": restarts}
+    return f"mixing-L{L}", data, [out_file]
 
 
-def run_mixing_l2(config, rng, outdir: Path):
-    return _run_mixing(2, config, rng, outdir)
-
-
-def run_mixing_l3(config, rng, outdir: Path):
-    return _run_mixing(3, config, rng, outdir)
-
-
-def run_cfs_two_point(config, rng, outdir: Path):
+def run_cfs_two_point(config, outdir: Path):
     params = CfsParams(2, 1, _number(config, "trace_constant", 1.0, "cfs-two-point"),
                        _number(config, "kappa", 0.1, "cfs-two-point"))
     x1, x2 = swap_symmetric_pair(params, b=_number(config, "b", 0.25, "cfs-two-point"))
@@ -234,26 +205,30 @@ def run_cfs_two_point(config, rng, outdir: Path):
                                TestBasis([Jet(np.ones(2), np.zeros((2, 3)))]))
     sys_file = outdir / "cfs_system.json"
     _write_json(sys_file, system_to_json(params, [x1, x2], [1.0, 1.0]))
-    stage = {
-        "name": "cfs-two-point",
-        "status": "ok",
-        "data": {"nu": nu, "chart_condition": chart.condition,
-                 "scalar_residual": scalar_res},
-    }
-    return [stage], [sys_file]
+    return "cfs-two-point", {"nu": nu, "chart_condition": chart.condition,
+                             "scalar_residual": scalar_res}, [sys_file]
 
 
 REGISTRY = {
     "cfs-two-point": ("two unitarily equivalent operators, charted and calibrated",
                       run_cfs_two_point),
     "example52-expansion": ("order-scaling study on the regularized polynomial model",
-                            run_example52_expansion),
+                            functools.partial(
+                                _run_expansion, "example52-expansion",
+                                regularized_two_point_base, "example52_regularized",
+                                Jet(np.array([0.1, -0.2]),
+                                    np.array([[0.2, -0.15], [0.05, 0.1]])))),
     "example52-fragmentation": ("fragmented two-point profile, neutral-space form, "
                                 "well-posedness fit", run_example52_fragmentation),
-    "mixing-L2": ("mixing functional minimization over U(2)", run_mixing_l2),
-    "mixing-L3": ("mixing functional minimization over U(3)", run_mixing_l3),
+    "mixing-L2": ("mixing functional minimization over U(2)",
+                  functools.partial(_run_mixing, 2)),
+    "mixing-L3": ("mixing functional minimization over U(3)",
+                  functools.partial(_run_mixing, 3)),
     "quartic-pair-expansion": ("order-scaling study on the quartic pair model",
-                               run_quartic_expansion),
+                               functools.partial(
+                                   _run_expansion, "quartic-pair-expansion",
+                                   quartic_two_point_base, "quartic_pair",
+                                   Jet(np.array([0.21, -0.13]), np.array([[0.31], [-0.12]])))),
 }
 
 
@@ -261,7 +236,8 @@ def list_scenarios() -> list:
     return [(name, REGISTRY[name][0]) for name in sorted(REGISTRY)]
 
 
-def run_scenario(name: str, config, rng, outdir: Path):
+def run_scenario(name: str, config, outdir: Path):
+    """Run builtin scenario ``name``; returns (stage name, data, files)."""
     if not isinstance(name, str) or name not in REGISTRY:
         raise ConfigError(f"unknown scenario {name!r}; have {sorted(REGISTRY)}")
-    return REGISTRY[name][1](config, rng, outdir)
+    return REGISTRY[name][1](config, outdir)

@@ -511,3 +511,60 @@ def test_inline_breve_expansion_matches_the_library(tmp_path):
         assert report["stages"][1]["data"]["slope"] == slope
         assert tables[convention] == [(lam, res, 2) for lam, res in rows]
     assert tables["breve"] != tables["standard"]
+
+
+def test_seed_argument_is_checked_like_the_config_seed(tmp_path):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
+        run_config({"schema_version": 1}, seed=-1, out=str(tmp_path))
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_negative_seed_exits_2_without_report(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, "scenario": "mixing-L2"}))
+    proc = subprocess.run([sys.executable, "-m", "cvpert.cli", "run", str(path), "--seed", "-1",
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_inline_mixing_draws_from_the_run_seed(tmp_path):
+    def trace(config, seed, name):
+        _, code = run_config({"schema_version": 1, **config}, seed=seed,
+                             out=str(tmp_path / name))
+        assert code == 0
+        return json.loads((tmp_path / name / "mixing_L3.json").read_text())["per_restart_trace"]
+
+    inline = {"mixing": {"L": 3, "restarts": 4}}
+    builtin = {"scenario": "mixing-L3", "scenario_config": {"restarts": 4}}
+    assert trace(inline, 5, "inline5") == trace(builtin, 5, "builtin5")
+    assert trace(inline, 5, "inline5") != trace(inline, 0, "inline0")
+
+
+def test_finished_stages_stay_in_the_report_when_a_later_one_fails(tmp_path):
+    report, code = run_config(_inline_expansion([0.0, 0.05]), out=str(tmp_path))
+    assert code == 1
+    assert [s["name"] for s in report["stages"]] == ["setup", "run"]
+    assert report["stages"][0]["data"]["nu"] == pytest.approx(6144.0, rel=1e-12)
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert [s["name"] for s in saved["stages"]] == ["setup", "run"]
+
+
+@pytest.mark.parametrize("case", ["malformed-json", "config-is-a-directory",
+                                  "out-is-a-file"])
+def test_cli_unreadable_config_or_output_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "config.json"
+    out = tmp_path / "out"
+    if case == "malformed-json":
+        path.write_text('{"schema_version": 1,')
+    elif case == "config-is-a-directory":
+        path.mkdir()
+    else:
+        path.write_text(json.dumps({"schema_version": 1}))
+        out.write_text("a file, not a directory\n")
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (out / "report.json").exists()

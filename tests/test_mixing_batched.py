@@ -186,10 +186,11 @@ def test_minimize_rejects_bad_restart_count(restarts):
         minimize_mixing(2, restarts=restarts)
 
 
-@pytest.mark.parametrize("iters", [-1, 1.5, None])
-def test_minimize_rejects_bad_iteration_count(iters):
-    with pytest.raises(ArgError):
-        minimize_mixing(2, iters=iters)
+@pytest.mark.parametrize("name, value", [("iters", -1), ("iters", 1.5), ("iters", None),
+                                         ("seed", -5), ("seed", 2.5), ("seed", "3")])
+def test_minimize_rejects_bad_iteration_count(name, value):
+    with pytest.raises(ArgError, match=f"{name} must be an integer >= 0"):
+        minimize_mixing(2, **{name: value})
 
 
 def test_minimize_rejects_generators_of_another_size():
