@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (NumericalFailure, ShapeError, SingularChart,
                      VanishingLocalTrace)
-from .lagrangian import NumericLagrangian
+from .lagrangian import NumericLagrangian, _dim_param, _real_param
 
 TOL_EIG_REL = 1e-10
 TOL_HERM = 1e-12  # relative self-adjointness defect of a valid point
@@ -332,16 +332,16 @@ def perturb_wave_evaluation(weo: WaveEvaluation, deltas, weights):
 def build_cfs_lagrangian(params: dict) -> NumericLagrangian:
     """Registry bridge: the causal Lagrangian in the chart of a reference
     system, with finite-difference derivatives only."""
-    p = CfsParams(int(params.get("hilbert_dim", 2)), int(params.get("spin_dim", 1)),
-                  float(params.get("trace_constant", 1.0)),
-                  float(params.get("kappa", 0.0)))
+    p = CfsParams(_dim_param(params, "hilbert_dim", 2), _dim_param(params, "spin_dim", 1),
+                  _real_param(params, "trace_constant", 1.0), _real_param(params, "kappa", 0.0))
+    max_order = _dim_param(params, "max_order", 3)
     chart = params.get("chart")
     if chart is None:
         x_ref = reference_point(p)
         chart = CfsChart(p, spin_map_from_point(x_ref, p.n))
     evaluator = lambda za, zb: causal_lagrangian(chart.point(za), chart.point(zb), p)[0]
     lag = NumericLagrangian("cfs", chart.dim, evaluator,
-                            max_order=int(params.get("max_order", 3)),
+                            max_order=max_order,
                             params={"hilbert_dim": p.f, "spin_dim": p.n,
                                     "trace_constant": p.trace_constant,
                                     "kappa": p.kappa})

@@ -15,11 +15,12 @@ Fragmented directions are flat columns in the layout of ``MultiJet.flatten``
 basis is one array of orthonormal columns kron(pattern, slot), and the
 lambda^q rescaling is one diagonal on those columns.
 
-The expansion driver corrects the configuration sector by sector (mean and
-complement through the operator of the current configuration, the neutral
-directions through the perturbed form), one sweep per order.  The exact
-combinatorial bookkeeping of the fragmented higher orders is open; the
-sweep below is a damped sector-by-sector realization of the scheme.
+The expansion driver corrects the neutral directions through the perturbed
+form of the current configuration, one damped sweep per order, and reports
+the mean, complement and lin-F residuals after each sweep.  The mean and
+complement are not corrected yet: their exact order-by-order solve through
+the operator of the configuration, and the exact combinatorial bookkeeping
+of the fragmented higher orders, are open.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .measure import DiscreteMeasure, merge_close, push_forward
 
 RESIDUAL_FLOOR = 5e-15
 MAX_FIT_RESIDUAL = 0.1  # a worse log-log fit of the form's singular values is inconclusive
-SECTOR_RCOND = 0.1  # relative column cut of the mean and complement solve
 
 
 def split_mean_fluct(mj: MultiJet) -> tuple:
@@ -444,18 +444,14 @@ class FragmentedExpansion:
 
 def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
                     report: WellPosednessReport | None = None) -> FragmentedExpansion:
-    """Sector-by-sector correction sweeps on the fragmented configuration.
+    """Neutral-direction correction sweeps on the fragmented configuration.
 
-    One sweep per order beyond the ansatz: first the mean and complement
-    sectors are corrected through the operator of the current configuration,
-    then the neutral directions through the perturbed form (the inverse the
-    well-posedness order r guarantees).  For a single subsystem this reduces
-    to the plain expansion, to which the call is delegated.
-
-    ``SECTOR_RCOND`` is the relative column cut of the mean and complement
-    solve: directions on which the operator is perturbatively small are
-    deferred to later sweeps instead of being inverted, which would throw
-    the iteration off the lambda microstructure.
+    One sweep per order beyond the ansatz: the neutral directions are
+    corrected through the perturbed form of the current configuration (the
+    inverse the well-posedness order r guarantees), and the mean, complement
+    and lin-F residuals are recorded.  The mean and complement residuals are
+    reported but not corrected.  For a single subsystem this reduces to the
+    plain expansion, to which the call is delegated.
     """
     if lam is None:
         lam = float(np.sqrt(scenario.lam_grid[0] * scenario.lam_grid[-1]))
@@ -505,43 +501,15 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
                 return cand, res, mj
         return frag_in, res_in, None
 
-    def graded_solve(A, rhs):
-        """Least-squares restricted to directions the operator can support.
-
-        Directions whose operator column is perturbatively small relative to
-        the largest one cannot be corrected at the current order; they are
-        excluded rather than inverted."""
-        norms = np.linalg.norm(A, axis=0)
-        top = norms.max() if norms.size else 0.0
-        keep = norms >= SECTOR_RCOND * top if top > 0 else norms > 0
-        x = np.zeros(A.shape[1])
-        if np.any(keep):
-            sub = np.ix_(keep, keep)
-            x[keep] = np.linalg.lstsq(A[sub], rhs[keep], rcond=1e-10)[0]
-        return x
-
     increments = []
     residual = fragmented_residual(frag, lagrangian, nu)
     history = [sector_norms(residual)]
-    for sweep in range(2, order + 1):
-        J = fragmented_jacobian(frag, lagrangian, nu)
-        # mean + complement step through the current operator
-        mc = np.hstack([mean_P, compl_P])
-        A = mc.T @ J @ mc
-        rhs = mc.T @ residual
-        step = -mc @ graded_solve(A, rhs)
-        frag, residual, taken = damped(frag, residual, step, mc)
+    for _ in range(2, order + 1):  # a well-posed verdict implies a non-empty lin-F basis
+        A = linf_P.T @ fragmented_jacobian(frag, lagrangian, nu) @ linf_P
+        step = -linf_P @ np.linalg.lstsq(A, linf_P.T @ residual, rcond=1e-12)[0]
+        frag, residual, taken = damped(frag, residual, step, linf_P)
         if taken is not None:
             increments.append(taken)
-        # neutral directions through the perturbed form
-        if linf_P.size:
-            J2 = J if taken is None else fragmented_jacobian(frag, lagrangian, nu)
-            A_f = linf_P.T @ J2 @ linf_P
-            rhs_f = linf_P.T @ residual
-            step_f = -linf_P @ np.linalg.lstsq(A_f, rhs_f, rcond=1e-12)[0]
-            frag, residual, taken_f = damped(frag, residual, step_f, linf_P)
-            if taken_f is not None:
-                increments.append(taken_f)
         history.append(sector_norms(residual))
     return FragmentedExpansion(scenario, lam, order, frag, increments, history)
 

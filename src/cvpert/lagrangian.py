@@ -537,12 +537,12 @@ class _Expansion:
 # -- built-in polynomial models, each written once in factored form: on arrays
 # the formula gives the values, on ``_Expansion`` variables the monomial table
 
-def _dim_param(params) -> int:
-    dim = params.get("dim", 1)
-    if (isinstance(dim, bool) or not isinstance(dim, numbers.Real)
-            or not float(dim).is_integer() or dim < 1):
-        raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
-    return int(dim)
+def _dim_param(params, key="dim", default=1) -> int:
+    value = params.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 1):
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _real_param(params, key, default) -> float:
@@ -562,12 +562,11 @@ def _example52_regularized(x0, x1, y0, y1):
 
 
 def _build_example52(params):
-    return PolynomialLagrangian.from_formula("example52", 2, _example52, params=params)
+    return PolynomialLagrangian.from_formula("example52", 2, _example52)
 
 
 def _build_example52_regularized(params):
-    return PolynomialLagrangian.from_formula("example52_regularized", 2,
-                                             _example52_regularized, params=params)
+    return PolynomialLagrangian.from_formula("example52_regularized", 2, _example52_regularized)
 
 
 def _build_quartic_pair(params):
@@ -602,21 +601,26 @@ def _build_cfs(params):
     return build_cfs_lagrangian(params)
 
 
-REGISTRY = {
-    "example52": _build_example52,
-    "example52_regularized": _build_example52_regularized,
-    "quartic_pair": _build_quartic_pair,
-    "pair_distance": _build_pair_distance,
-    "cfs": _build_cfs,
+REGISTRY = {  # name: (builder, the parameters it reads)
+    "example52": (_build_example52, ()),
+    "example52_regularized": (_build_example52_regularized, ()),
+    "quartic_pair": (_build_quartic_pair, ("dim", "well_scale")),
+    "pair_distance": (_build_pair_distance, ("distance",)),
+    "cfs": (_build_cfs, ("hilbert_dim", "spin_dim", "trace_constant", "kappa", "max_order",
+                         "chart")),
 }
 
 
 def build_lagrangian(name: str, params: dict | None = None) -> LagrangianModel:
     try:
-        builder = REGISTRY[name]
+        builder, keys = REGISTRY[name]
     except (KeyError, TypeError):  # TypeError: a name that does not hash, e.g. a list
         raise UnknownModel(f"unknown Lagrangian model {name!r}, have {sorted(REGISTRY)}") from None
-    return builder(dict(params or {}))
+    params = dict(params or {})
+    unknown = sorted(k for k in params if k not in keys)
+    if unknown:
+        raise ConfigError(f"{name} reads no parameters {unknown}; it reads {sorted(keys)}")
+    return builder(params)
 
 
 def symmetry_defect(lag: LagrangianModel, rng, n_probes=1000, scale=1.0) -> float:

@@ -133,8 +133,9 @@ def mixing_functional(U: np.ndarray):
     return float(values) if U.ndim == 2 else values
 
 
-def gap_to_infimum(U: np.ndarray) -> float:
-    """sum_a (|(Uv)^a|^2 - 1)^2, the distance of U from the minimal stratum.
+def gap_to_infimum(U: np.ndarray):
+    """sum_a (|(Uv)^a|^2 - 1)^2, the distance of U from the minimal stratum;
+    one value per matrix.
 
     For v = (1, ..., 1), sum_a |z_a|^4 - L = sum_a (|z_a|^2 - 1)^2
     + 2 (sum_a |z_a|^2 - L) with z = Uv; the last term vanishes for an
@@ -144,7 +145,8 @@ def gap_to_infimum(U: np.ndarray) -> float:
     """
     U = _square(U)
     z = U @ np.ones(U.shape[-1], dtype=complex)
-    return float(np.sum((np.abs(z) ** 2 - 1.0) ** 2))
+    values = np.sum((np.abs(z) ** 2 - 1.0) ** 2, axis=-1)
+    return float(values) if U.ndim == 2 else values
 
 
 def _functional_gradient(U: np.ndarray) -> np.ndarray:
@@ -170,9 +172,12 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
     Anti-Hermitian gradient steps with exponential retraction and
     backtracking; one deterministic seed per restart index.  All restarts
     advance together as one (restarts, L, L) stack, each with its own step
-    size and stop rule.  For the full unitary group the infimum L is reached
-    (the identity restart starts on a minimizer already).  Returns (best
-    value, best U, per-restart trace).
+    size and stop rule.  A step is taken when it lowers ``gap_to_infimum``,
+    which has no rounding floor at the infimum, so a converged restart stops
+    instead of stepping on the rounding of the functional.  For the full
+    unitary group the infimum L is reached (the identity restart starts on a
+    minimizer already).  Returns (best value, best U, per-restart trace),
+    the values read by ``mixing_functional`` of the final stack.
     """
     for name, value, least, error in (("L", L, 1, ShapeError), ("restarts", restarts, 1, ShapeError),
                                       ("iters", iters, 0, ArgError), ("seed", seed, 0, ArgError)):
@@ -191,7 +196,7 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
         units = gens / np.maximum(np.linalg.norm(gens, axis=(1, 2)), 1e-300)[:, None, None]
 
     U = _starting_points(L, subgroup, restarts, seed)
-    val = mixing_functional(U)
+    gap = gap_to_infimum(U)
     step = np.full(restarts, 0.5)
     live = np.arange(restarts)
     for _ in range(iters):
@@ -204,14 +209,16 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
         live, K = live[moving], K[moving]
         if not live.size:
             break
-        cand = U[live] @ expm(-step[live, None, None] * K)
-        cval = mixing_functional(cand)
-        accept = cval < val[live] - 1e-15
+        cand = check_unitary(U[live] @ expm(-step[live, None, None] * K),
+                             tol=TOL_FUNCTIONAL_UNITARY)
+        cgap = gap_to_infimum(cand)
+        accept = cgap < gap[live]
         won = live[accept]
-        U[won], val[won] = cand[accept], cval[accept]
+        U[won], gap[won] = cand[accept], cgap[accept]
         step[live] = np.where(accept, np.minimum(step[live] * 1.2, 1.0), step[live] * 0.5)
         live = live[accept | (step[live] >= 1e-12)]
 
+    val = mixing_functional(U)
     best = int(np.argmin(val))
     return float(val[best]), U[best], val.tolist()
 

@@ -184,7 +184,7 @@ def _run_mixing(L, config, outdir: Path):
     out_file = outdir / f"mixing_L{L}.json"
     _write_json(out_file, mixing.results_to_json(L, val, U, restarts, trace))
     data = {"L": L, "min_value": val, "gap_to_infimum": mixing.gap_to_infimum(U),
-            "unitarity_defect": mixing.unitarity_defect(U), "restarts": restarts}
+            "unitarity_defect": mixing.unitarity_defect(U), "restarts": restarts, "seed": seed}
     return f"mixing-L{L}", data, [out_file]
 
 

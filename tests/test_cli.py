@@ -227,7 +227,14 @@ def test_strict_slope_constant_column_after_checks():
      "ConfigError: well_scale must be a finite number"),
     ({"name": "pair_distance", "params": {"distance": float("inf")}},
      "ConfigError: distance must be a finite number"),
-], ids=["unknown-name", "dim-0", "dim-1.5", "well-scale-text", "distance-inf"])
+    ({"name": "cfs", "params": {"hilbert_dim": "abc"}},
+     "ConfigError: hilbert_dim must be an integer >= 1"),
+    ({"name": "cfs", "params": {"max_order": 1.7}}, "ConfigError: max_order must be an integer >= 1"),
+    ({"name": "cfs", "params": {"kappa": "abc"}}, "ConfigError: kappa must be a finite number"),
+    ({"name": "quartic_pair", "params": {"well_scal": 3}},
+     "ConfigError: quartic_pair reads no parameters ['well_scal']"),
+], ids=["unknown-name", "dim-0", "dim-1.5", "well-scale-text", "distance-inf",
+        "hilbert-dim-text", "max-order-1.7", "kappa-text", "unknown-param"])
 def test_cli_run_reports_bad_model_config(tmp_path, capsys, model, error):
     config = {"schema_version": 1, "measure": {"points": [[1.0], [-1.0]], "weights": [1.0, 1.0]},
               "lagrangian": model}
@@ -540,6 +547,14 @@ def test_inline_mixing_draws_from_the_run_seed(tmp_path):
     builtin = {"scenario": "mixing-L3", "scenario_config": {"restarts": 4}}
     assert trace(inline, 5, "inline5") == trace(builtin, 5, "builtin5")
     assert trace(inline, 5, "inline5") != trace(inline, 0, "inline0")
+
+
+def test_mixing_stage_records_the_seed_it_drew_from(tmp_path):
+    config = {"schema_version": 1, "scenario": "mixing-L2",
+              "scenario_config": {"seed": 3, "restarts": 2}}
+    report, code = run_config(config, seed=101, out=str(tmp_path))
+    assert code == 0
+    assert report["stages"][0]["data"]["seed"] == 3
 
 
 def test_finished_stages_stay_in_the_report_when_a_later_one_fails(tmp_path):

@@ -373,6 +373,23 @@ def test_fragment_expand_builds_one_jacobian_per_configuration(monkeypatch):
         assert order - 1 <= len(seen) == len({id(frag) for frag in seen})
 
 
+def test_fragment_expand_evaluates_only_neutral_direction_steps(monkeypatch):
+    # the start residual, then at most two damped tries of the one lin-F step
+    # per sweep: no mean-and-complement step is tried
+    from cvpert import fragmentation
+
+    scen = example52_scenario(regularized=True, lam_grid=np.geomspace(0.03, 0.1, 4))
+    report = wellposedness_check(scen)
+    calls = []
+    residual = fragmentation.fragmented_residual
+    monkeypatch.setattr(fragmentation, "fragmented_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    for order in (2, 3, 4):
+        calls.clear()
+        fragment_expand(scen, order, 0.05, report=report)
+        assert len(calls) <= 1 + 2 * (order - 1)
+
+
 def test_as_measure_rejects_non_finite_positions_before_merging():
     # an infinite shift used to reach the merge sweep, which warned on inf - inf
     mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), np.ones(3))

@@ -121,6 +121,28 @@ def test_gap_to_infimum_is_the_functional_minus_L():
     assert gap_to_infimum(counterexample_family(0.7)) <= 1e-28
 
 
+def test_gap_to_infimum_gives_one_value_per_matrix_of_a_stack():
+    rng = np.random.default_rng(3)
+    stack = np.stack([haar_unitary(rng, 3) for _ in range(5)])
+    gaps = gap_to_infimum(stack)
+    assert gaps.shape == (5,)
+    assert gaps.tolist() == [gap_to_infimum(U) for U in stack]
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_converged_restarts_stop_descending(L, monkeypatch):
+    # steps are accepted on the gap, which has no rounding floor at the
+    # infimum, so restarts at L stop instead of stepping on rounding noise
+    from cvpert import mixing
+
+    calls = []
+    expm = mixing.expm
+    monkeypatch.setattr(mixing, "expm", lambda A: calls.append(1) or expm(A))
+    val, U, trace = mixing.minimize_mixing(L, restarts=50, seed=101)
+    assert len(calls) < 50
+    assert val == min(trace) and gap_to_infimum(U) <= 1e-20
+
+
 def test_minimal_stratum_characterization(rng):
     # |functional - L| small iff all |(Uv)^a| near 1
     for L in (2, 3):
