@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -36,8 +35,8 @@ from .errors import InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
 from .el import _integrate, ell_field
 from .fitting import loglog_slope
 from .jets import Jet, MultiJet
-from .lagrangian import LagrangianModel, pair_table
-from .measure import DiscreteMeasure, merge_close, push_forward
+from .lagrangian import LagrangianModel
+from .measure import DiscreteMeasure, merge_close, pair_reader, push_forward
 
 RESIDUAL_FLOOR = 5e-15
 MAX_FIT_RESIDUAL = 0.1  # a worse log-log fit of the form's singular values is inconclusive
@@ -270,8 +269,7 @@ def fragmented_residual(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
     block carries the test weight rho_i / L of the subsystem average.
     """
     points, weights, rw = _flat_support(frag)
-    vals, grads = ell_field(lagrangian, nu, weights,
-                            partial(pair_table, lagrangian, points, points))
+    vals, grads = ell_field(lagrangian, nu, weights, pair_reader(lagrangian, points))
     return (rw[:, None] * np.hstack([vals[:, None], grads])).ravel()
 
 
@@ -287,7 +285,7 @@ def fragmented_jacobian(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
     """
     points, weights, rw = _flat_support(frag)
     blocks = linops._pointwise_blocks(weights, lagrangian, nu, "breve",
-                                      partial(pair_table, lagrangian, points, points))
+                                      pair_reader(lagrangian, points))
     return np.repeat(rw, 1 + frag.base.dimension)[:, None] * blocks
 
 

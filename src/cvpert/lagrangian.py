@@ -5,10 +5,14 @@ Three backends are supplied:
 * polynomials held as a monomial table, an exponent matrix E (T x 2m, the
   x slots then the y slots) and coefficients c.  The partial
   d^alpha_x d^beta_y is E shifted by (alpha, beta), its coefficients times
-  falling factorials, and one contraction evaluates it over all pairs of
-  points, on plain or on truncated-series coordinates (Taylor propagation,
-  Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  The
-  built-in polynomial models build their tables in numpy; a user's sympy
+  falling factorials.  Every shifted x or y exponent lies in one monomial
+  basis U per model (``basis``: each exponent vector below a term's,
+  indexed by mixed-radix codes), so a partial is stored as rows into U
+  with its coefficients.  The basis is evaluated once per point set,
+  V = basis_values(U, X) on plain or on truncated-series coordinates
+  (``series``), and each table over all pairs of points is the gathered
+  sum (V[ix] c)^T V[iy], never a dense product with U.  The built-in
+  polynomial models build their tables in numpy; a user's sympy
   polynomial is converted once;
 * any other sympy expression, whose partials are differentiated and
   lambdified, each compiled once per process per expression among the
@@ -38,6 +42,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ArgError, ConfigError, NumericalFailure, OrderUnsupported, UnknownModel
+from .series import TruncatedSeries, basis_values, cauchy_matmul, lower_set
 
 
 def __getattr__(name):
@@ -112,74 +117,6 @@ def _compiled_partial(expr, xs, ys, alpha, beta):
     return sympy.lambdify(xs + ys, e, "numpy")
 
 
-@lru_cache(maxsize=None)
-def _antidiagonals(K):
-    """(K*K, K) 0/1 matrix summing the (j, l) entries of a flattened K x K
-    outer product into coefficient j + l, dropping j + l >= K."""
-    j, l = np.divmod(np.arange(K * K), K)
-    return (j + l == np.arange(K)[:, None]).T.astype(float)
-
-
-def _cauchy(a, b):
-    """Truncated Cauchy product of coefficient arrays on the last axis,
-    broadcasting the leading axes."""
-    K = a.shape[-1]
-    if K == 1:
-        return a * b
-    outer = a[..., :, None] * b[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (K * K,)) @ _antidiagonals(K)
-
-
-def _monomials(X, factor):
-    """(T, n, K) series prod_k X[:, cols[k]]^exponents[t, k] at the points X
-    (n, m, K), for factor = (cols, exponents): the coordinates that occur and
-    their exponents."""
-    cols, exponents = factor
-    X = X[:, cols]
-    T, (n, _, K) = len(exponents), X.shape
-    if K == 1:  # plain coordinates: products of correctly rounded powers
-        return np.multiply.reduce(X[None, :, :, 0] ** exponents[:, None, :], axis=-1)[..., None]
-    if not len(cols):
-        return np.broadcast_to(np.eye(1, K), (T, n, K))
-    # one table of the Cauchy powers of every coordinate that occurs
-    powers = np.zeros((int(exponents.max()) + 1,) + X.shape)
-    powers[0, ..., 0] = 1.0
-    powers[1] = X
-    for e in range(2, len(powers)):
-        powers[e] = _cauchy(powers[e - 1], X)
-    factors = powers[exponents, :, np.arange(len(cols))]  # (T, cols, n, K)
-    out = factors[:, 0]
-    for k in range(1, len(cols)):
-        out = _cauchy(out, factors[:, k])
-    return out
-
-
-def _contract(terms, X, Y):
-    """(n, n', K) series sum_t c[t] X_i^ex[t] Y_j^ey[t] at the points
-    X (n, m, K) and Y (n', m, K), for terms = (x factor, y factor, c): the
-    product (X monomials . c) @ (Y monomials)^T, Cauchy on the coefficient
-    axis."""
-    xfactor, yfactor, coefs = terms
-    if not len(coefs):
-        return np.zeros((len(X), len(Y), X.shape[-1]))
-    A = _monomials(X, xfactor) * coefs[:, None, None]
-    B = _monomials(Y, yfactor)
-    (T, n, K), m = A.shape, len(Y)
-    if K == 1:
-        return (A[..., 0].T @ B[..., 0])[..., None]
-    out = np.zeros((n, m, K))
-    for a in range(K):  # X coefficient a meets Y coefficients 0 .. K-1-a
-        low = B[:, :, :K - a].reshape(T, m * (K - a))
-        out[:, :, a:] += (A[:, :, a].T @ low).reshape(n, m, K - a)
-    return out
-
-
-def _factor(exponents):
-    """(cols, exponents[:, cols]) for the columns with a non-zero exponent."""
-    cols = np.flatnonzero(exponents.any(axis=0))
-    return cols, exponents[:, cols]
-
-
 def _combined(exponents, coefs):
     """The table with equal monomials summed and zero terms dropped."""
     rows, inverse = np.unique(np.asarray(exponents, dtype=int), axis=0, return_inverse=True)
@@ -205,10 +142,12 @@ class PolynomialLagrangian(LagrangianModel):
     the factored form keeps the rounding that finite differences and sums of
     values rely on.  A polynomial takes every partial of order >= 1, and
     every truncated series, from its table: the shifted table with its
-    falling-factorial coefficients, split into x and y factors, built once
-    per partial into ``_cache``.  A non-polynomial expression compiles each
-    partial through ``_compiled_partial`` into ``_cache``; ``is_polynomial``
-    is then False and the model cannot take truncated series.
+    falling-factorial coefficients, held as the rows of its x and y
+    monomials in ``basis`` (U x m: every exponent vector below a term's x or
+    y exponents, sorted by mixed-radix code) and built once per partial into
+    ``_cache``.  A non-polynomial expression compiles each partial through
+    ``_compiled_partial`` into ``_cache``; ``is_polynomial`` is then False
+    and the model cannot take truncated series.
     """
 
     def __init__(self, name, dim, expr, xs, ys, max_order=8, params=None, nonnegative=False):
@@ -241,6 +180,7 @@ class PolynomialLagrangian(LagrangianModel):
     def _set_table(self, exponents, coefs):
         self._exponents, self._coefs = _combined(exponents, coefs)
         self._falling = _falling_factorials(int(self._exponents.max(initial=0)))
+        self.basis, self._place, self._codes = lower_set(self._exponents.reshape(-1, self.dim))
 
     def _symbols(self):
         """(expr, xs, ys) of the model."""
@@ -273,8 +213,9 @@ class PolynomialLagrangian(LagrangianModel):
         return self._value_fn
 
     def _partial(self, alpha, beta):
-        """The partial's terms (x factor, y factor, c) for a polynomial (see
-        ``_contract``), its compiled code otherwise; built once per instance."""
+        """The partial's terms (ix, iy, c) for a polynomial, the rows of its x
+        and y monomials in ``basis`` and its coefficients, its compiled code
+        otherwise; built once per instance."""
         key = (alpha, beta)
         found = self._cache.get(key)
         if found is None:
@@ -283,18 +224,31 @@ class PolynomialLagrangian(LagrangianModel):
                 keep = np.all(self._exponents >= shift, axis=1)
                 rows = self._exponents[keep]
                 coefs = self._coefs[keep] * np.prod(self._falling[rows, shift], axis=1)
-                rows = rows - shift
-                found = (_factor(rows[:, :self.dim]), _factor(rows[:, self.dim:]), coefs)
+                codes = (rows - shift).reshape(-1, 2, self.dim) @ self._place
+                ix, iy = np.searchsorted(self._codes, codes.T)
+                found = (ix, iy, coefs)
             else:
                 found = _compiled_partial(*self._symbols(), alpha, beta)
             self._cache[key] = found
         return found
 
-    def _table(self, X, Y, alpha, beta) -> np.ndarray:
-        """(n, n') table of the partial at the rows of X and Y."""
+    def gathered_sum(self, alpha, beta, VX, VY):
+        """(n, n', K) series of the partial at every pair of points whose basis
+        values are VX (U, n, K) and VY (U, n', K): the sum over its terms
+        c_t VX[ix_t, i] VY[iy_t, j], gathered from the values, never a dense
+        product with the basis.  The model must be a polynomial."""
+        ix, iy, coefs = self._partial(alpha, beta)
+        return cauchy_matmul(VX[ix] * coefs[:, None, None], VY[iy])
+
+    def _table(self, X, Y, alpha, beta, values=None) -> np.ndarray:
+        """(n, n') table of the partial at the rows of X and Y; ``values`` are
+        their basis values (VX, VY) if the caller keeps them."""
         order_zero = not any(alpha) and not any(beta)
         if self.is_polynomial and not order_zero:
-            return _contract(self._partial(alpha, beta), X[..., None], Y[..., None])[..., 0]
+            if values is None:
+                VX = basis_values(self.basis, X[..., None])
+                values = VX, VX if Y is X else basis_values(self.basis, Y[..., None])
+            return self.gathered_sum(alpha, beta, *values)[..., 0]
         fn = self._values() if order_zero else self._partial(alpha, beta)
         table = np.empty((len(X), len(Y)))
         table[...] = fn(*(X[:, None, k] for k in range(self.dim)),
@@ -312,17 +266,19 @@ class PolynomialLagrangian(LagrangianModel):
                                  alpha, beta)[0, 0])
 
 
-def pair_table(lag, X, Y, alpha, beta) -> np.ndarray:
+def pair_table(lag, X, Y, alpha, beta, values=None) -> np.ndarray:
     """Table T[i, j] = d^alpha_x d^beta_y L(X[i], Y[j]) over all pairs of rows.
 
-    A polynomial model contracts its monomial table once for a partial of
-    order >= 1 (the K = 1 case of ``pair_series``).  Values, and the partials
-    of a non-polynomial expression, are evaluated once on broadcast
-    coordinates, from the factored form or the compiled code.  Any other
-    model (finite differences, charted or duck-typed) loops over the pairs,
-    calling L itself for order zero and ``partial`` otherwise; that loop is
-    also the reference for the vectorized path.  Raises NumericalFailure on a
-    non-finite entry.
+    A polynomial model gathers a partial of order >= 1 from the basis values
+    of X and Y (the K = 1 case of ``pair_series``); ``values`` are those
+    values (VX, VY) when the caller keeps them, as a measure's tables do
+    (``measure.pair_reader``), and they are evaluated here otherwise.
+    Values, and the partials of a non-polynomial expression, are evaluated
+    once on broadcast coordinates, from the factored form or the compiled
+    code.  Any other model (finite differences, charted or duck-typed) loops
+    over the pairs, calling L itself for order zero and ``partial``
+    otherwise; that loop is also the reference for the vectorized path.
+    Raises NumericalFailure on a non-finite entry.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -332,7 +288,7 @@ def pair_table(lag, X, Y, alpha, beta) -> np.ndarray:
     table = np.empty((len(X), len(Y)))
     if isinstance(lag, PolynomialLagrangian):
         with np.errstate(all="ignore"):
-            table[...] = lag._table(X, Y, alpha, beta)
+            table[...] = lag._table(X, Y, alpha, beta, values)
     elif not any(alpha) and not any(beta):
         table[...] = [[lag(x, y) for y in Y] for x in X]
     else:
@@ -344,68 +300,6 @@ def pair_table(lag, X, Y, alpha, beta) -> np.ndarray:
     return table
 
 
-class TruncatedSeries:
-    """Power series in lambda cut after lambda^(K-1), with numpy coefficients
-    on a trailing axis of length K (Taylor propagation, Griewank & Walther,
-    *Evaluating Derivatives*, ch. 13).
-
-    Supports +, -, * (the truncated Cauchy product) and non-negative integer
-    powers, with another series or with a scalar, broadcasting the leading
-    axes.
-    """
-
-    __array_ufunc__ = None  # a numpy scalar operand defers to the reflected operator
-
-    def __init__(self, coef):
-        self.coef = np.asarray(coef, dtype=float)
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.coef + other.coef)
-        coef = self.coef.copy()
-        coef[..., 0] += other
-        return TruncatedSeries(coef)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(-self.coef)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.coef * other)
-        return TruncatedSeries(_cauchy(self.coef, other.coef))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n != int(n) or n < 0:
-            raise TypeError(f"a truncated series takes only non-negative integer powers, not {n!r}")
-        n, result, base = int(n), None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self * 0.0 + 1.0 if result is None else result
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of the series, from e' = a' e: e_k = sum_{j=1..k} j a_j e_{k-j} / k."""
-        a = self.coef
-        e = np.empty_like(a)
-        e[..., 0] = np.exp(a[..., 0])
-        for k in range(1, a.shape[-1]):
-            e[..., k] = sum(j * a[..., j] * e[..., k - j] for j in range(1, k + 1)) / k
-        return TruncatedSeries(e)
-
-
 def takes_series(lag) -> bool:
     """True when the model's partials can be evaluated on truncated series:
     a model held as a monomial table."""
@@ -415,18 +309,19 @@ def takes_series(lag) -> bool:
 def pair_series(lag: PolynomialLagrangian, X, Y, alpha, beta) -> TruncatedSeries:
     """pair_table on series points: X (n, m, K) and Y (n', m, K) hold the
     lambda-coefficients of the coordinates, the result is the (n, n', K)
-    series of d^alpha_x d^beta_y L(X[i], Y[j]), from the same monomial
-    contraction as pair_table with Cauchy products on the coefficient axis.
+    series of d^alpha_x d^beta_y L(X[i], Y[j]), gathered from the basis values
+    of X and Y as in pair_table, with Cauchy products on the coefficient axis.
     The model must take series."""
     if not takes_series(lag):
         raise ArgError(f"{lag.name}: truncated series need a polynomial model")
     alpha = _as_multi_index(alpha, lag.dim)
     beta = _as_multi_index(beta, lag.dim)
     _check_order(lag, alpha, beta)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     with np.errstate(all="ignore"):
-        out = _contract(lag._partial(alpha, beta), np.asarray(X, dtype=float),
-                        np.asarray(Y, dtype=float))
-    return TruncatedSeries(out)
+        VX = basis_values(lag.basis, X)
+        VY = VX if Y is X else basis_values(lag.basis, Y)
+        return TruncatedSeries(lag.gathered_sum(alpha, beta, VX, VY))
 
 
 def fd_step(total_order: int) -> float:

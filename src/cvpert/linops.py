@@ -10,9 +10,11 @@ lambda^p coefficient along the truncated jet series, for every model;
 Delta_l[s^l] is the lambda^l coefficient along the line x + lambda s, and
 the multilinear Delta_l follows by polarization over the 2^l - 1 non-empty
 subsets of its arguments (Griewank, Utke and Walther, Math. Comp. 69
-(2000) 1117-1130).  A polynomial model is evaluated on the curve itself;
-any other model gets the exact Taylor lift of the curve from its partial
-tables at lambda = 0, the measure's own (``DiscreteMeasure.pair_tables``).
+(2000) 1117-1130).  A polynomial model evaluates its monomial basis on the
+curve once and folds the mass into the y side before the sum over the
+support; any other model gets the exact Taylor lift of the curve from its
+partial tables at lambda = 0, the measure's own
+(``DiscreteMeasure.pair_tables``).
 The composition sum of polarized Delta_l only fills the diagram ledger.
 
 Two conventions are supported.  "standard" carries the scalar component on
@@ -45,9 +47,9 @@ import numpy as np
 from .el import ell_on_support, support_dual
 from .errors import NumericalFailure, OrderUnsupported, OutOfRange, ShapeError
 from .jets import DualJet, Jet, TestBasis
-from .lagrangian import (LagrangianModel, TruncatedSeries, _cauchy, _monomials, pair_series,
-                         takes_series)
+from .lagrangian import LagrangianModel, takes_series
 from .measure import DiscreteMeasure
+from .series import TruncatedSeries, _cauchy, basis_values, cauchy_matmul
 
 TOL_RANK = 1e-8
 TOL_SOLVE = 1e-8
@@ -118,37 +120,47 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, gradient):
         value_i = e^{c_i} (sum_j w_j e^{c_j} L(x_i, x_j) - nu/2),
         gradient_i = e^{c_i} sum_j w_j e^{c_j} d_x L(x_i, x_j);
     breve drops the factor e^{c_i} and the nu-term.  The callers check that
-    the columns are finite (``_finite``).
+    the columns are finite (``_finite``); overflow is left to that check.
 
-    A model that takes series evaluates d^alpha_x L(x_i, x_j) on the curve.
-    Any other model gets the exact Taylor lift
+    A model that takes series evaluates its basis on the curve once,
+    V = basis_values(x), and folds the mass m_j = w_j e^{c_j} in on the y
+    side first, Vm[u] = sum_j V[u, j] m_j, so each support sum
+        sum_j d^alpha_x L(x_i, x_j) m_j = sum_t c_t V[ix_t, i] Vm[iy_t]
+    is K matrix products over the n points, with no (n, n, K) table.  Any
+    other model gets the exact Taylor lift
         sum_{|g|+|d|<K} d^{alpha+g}_x d^d_y L(x_i(0), x_j(0)) dx_i^g dx_j^d / (g! d!)
-    with dx = x - x(0), from the measure's partial tables at lam = 0.
+    with dx = x - x(0), from the measure's partial tables at lam = 0, with
+    the mass folded into the dx_j^d factor the same way.
     """
     n, m, K = x.shape
     zero = (0,) * m
-    if takes_series(lagrangian):
-        def pair(alpha):
-            return pair_series(lagrangian, x, x, alpha, zero)
-    else:
-        lifts = [tuple(slots.count(s) for s in range(2 * m)) for k in range(K)
-                 for slots in combinations_with_replacement(range(2 * m), k)]
-        dx = x.copy()
-        dx[..., 0] = 0.0
-        gs, ds = (_monomials(dx, (np.arange(m), e)) for e in np.hsplit(np.array(lifts), [m]))
-        weights = [_cauchy(g[:, None], d[None]) / math.prod(map(math.factorial, idx))
-                   for idx, g, d in zip(lifts, gs, ds)]
-        table = measure.pair_tables(lagrangian)
+    with np.errstate(all="ignore"):
+        growth = TruncatedSeries(c).exp()
+        mass = measure.weights[:, None] * growth.coef
+        if takes_series(lagrangian):
+            V = basis_values(lagrangian.basis, x)
+            # contiguous, so that cauchy_matmul hands BLAS its usual layout
+            Vm = cauchy_matmul(np.ascontiguousarray(V.transpose(1, 0, 2)), mass[:, None])
 
-        def pair(alpha):
-            return TruncatedSeries(sum(table(tuple(map(add, alpha, idx[:m])), idx[m:])[..., None]
-                                       * weight for idx, weight in zip(lifts, weights)))
-    growth = TruncatedSeries(c).exp()
-    mass = TruncatedSeries(measure.weights[None, :, None] * growth.coef[None])
-    alphas = [zero] + (np.eye(m, dtype=int).tolist() if gradient else [])
-    parts = [TruncatedSeries((pair(tuple(a)) * mass).coef.sum(axis=1)) for a in alphas]
-    if convention == "standard":
-        parts = [growth * (parts[0] - nu / 2.0)] + [growth * g for g in parts[1:]]
+            def support_sum(alpha):
+                return lagrangian.gathered_sum(alpha, zero, V, Vm)[:, 0]
+        else:
+            lifts = [tuple(slots.count(s) for s in range(2 * m)) for k in range(K)
+                     for slots in combinations_with_replacement(range(2 * m), k)]
+            dx = x.copy()
+            dx[..., 0] = 0.0
+            gs, ds = np.split(basis_values(np.vstack(np.hsplit(np.array(lifts), [m])), dx), 2)
+            dms = _cauchy(ds, mass)
+            table = measure.pair_tables(lagrangian)
+
+            def support_sum(alpha):
+                return sum(_cauchy(g, table(tuple(map(add, alpha, idx[:m])), idx[m:]) @ dm)
+                           / math.prod(map(math.factorial, idx))
+                           for idx, g, dm in zip(lifts, gs, dms))
+        alphas = [zero] + (np.eye(m, dtype=int).tolist() if gradient else [])
+        parts = [TruncatedSeries(support_sum(tuple(a))) for a in alphas]
+        if convention == "standard":
+            parts = [growth * (parts[0] - nu / 2.0)] + [growth * g for g in parts[1:]]
     return np.stack([s.coef[:, -1] for s in parts], axis=-1)
 
 

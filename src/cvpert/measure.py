@@ -11,12 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
 from .errors import InvalidMeasure, NumericalFailure, ShapeError
-from .lagrangian import pair_table
+from .lagrangian import pair_table, takes_series
+from .series import basis_values
 
 TOL_POINT_MERGE = 1e-9
 
@@ -63,6 +64,28 @@ def merge_close(points, weights) -> tuple:
     return points[kept], np.bincount(cluster, weights=weights, minlength=len(kept))
 
 
+def pair_reader(lagrangian, points):
+    """Reader table(alpha, beta) of T[i, j] = d^alpha_x d^beta_y L(p_i, p_j)
+    over the rows p of ``points``, each table computed by ``pair_table`` on
+    first read.  A model that takes series evaluates its basis on the points
+    once, on the first read of a partial of order >= 1, and gathers every
+    such table from those values; order 0 comes from the factored form."""
+
+    @cache
+    def values():
+        with np.errstate(all="ignore"):
+            V = basis_values(lagrangian.basis, points[..., None])
+        return V, V
+
+    @cache
+    def table(alpha, beta):
+        gathered = takes_series(lagrangian) and (any(alpha) or any(beta))
+        return pair_table(lagrangian, points, points, alpha, beta,
+                          values() if gathered else None)
+
+    return table
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Positive measure with finite support: points (N, m) and weights (N,)."""
@@ -91,11 +114,11 @@ class DiscreteMeasure:
 
     def pair_tables(self, lagrangian):
         """Reader table(alpha, beta) of T[i, j] = d^alpha_x d^beta_y L(x_i, x_j)
-        on the support, one per model, each table computed by ``pair_table``
-        on first read: a model without series reads each partial once."""
+        on the support (``pair_reader``), one per model, kept with the
+        measure: a model without series reads each partial once, a
+        polynomial evaluates its basis on the support once."""
         if lagrangian not in self._tables:
-            self._tables[lagrangian] = cache(partial(pair_table, lagrangian,
-                                                     self.points, self.points))
+            self._tables[lagrangian] = pair_reader(lagrangian, self.points)
         return self._tables[lagrangian]
 
     @property

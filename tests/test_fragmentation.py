@@ -357,8 +357,9 @@ def test_fragment_expand_study_regularized():
 
 
 def test_fragment_expand_builds_one_jacobian_per_configuration(monkeypatch):
-    # a sweep whose mean/complement step is rejected leaves the configuration
-    # unchanged, so its neutral-direction solve reuses the sweep's Jacobian
+    # each of the order - 1 sweeps assembles one Jacobian, at the configuration
+    # it starts from; here every damped step is taken, so no configuration is
+    # assembled twice
     from cvpert import fragmentation
 
     scen = example52_scenario(regularized=True, lam_grid=np.geomspace(0.03, 0.1, 4))
