@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotCritical
-from .jets import DualJet, TestBasis
+from .jets import DualJet, TestBasis, check_on_support
 from .lagrangian import LagrangianModel, pair_table
 from .measure import DiscreteMeasure
 
@@ -88,6 +88,7 @@ def weak_el_residual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: 
     A basis without vector parts reads only ell, no gradient: the term it
     drops is a zero, so the entries are equal up to the sign of a zero.
     """
+    check_on_support(testbasis.jets, measure, "test basis")
     out = np.zeros((len(testbasis), measure.size))
     if not any(np.any(jet.vector) for jet in testbasis.jets):
         values = ell_on_support(measure, lagrangian, nu)

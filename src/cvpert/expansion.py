@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linops
 from .errors import ArgError, LedgerMissing, NotCritical, NotLinearized, OutOfRange
-from .jets import DualJet, Jet, TestBasis
+from .jets import DualJet, Jet, check_on_support
 from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, push_forward
 
@@ -115,7 +115,6 @@ class PerturbationSeries:
     nu: float
     jets: list
     convention: str = "standard"
-    gauge_offsets: list | None = None
     range_defects: list = field(default_factory=list)
     ledger_source: tuple | None = field(default=None, repr=False)
     _ledger: DiagramLedger | None = field(default=None, init=False, repr=False)
@@ -137,9 +136,7 @@ class PerturbationSeries:
         w^(1..p-1), so this is the order-``order`` expansion, bit for bit."""
         if not 0 <= order <= self.order:
             raise ArgError(f"cut order {order} outside 0..{self.order}")
-        offsets = self.gauge_offsets
         return replace(self, order=order, jets=self.jets[:order],
-                       gauge_offsets=None if offsets is None else offsets[:order],
                        range_defects=self.range_defects[:order])
 
     def to_json(self) -> dict:
@@ -202,28 +199,29 @@ def _solve(greens: linops.GreensOperator, rhs: DualJet, p: int) -> tuple:
                          order=p) from err
 
 
-def _zero_jets(inhom: Inhomogeneity | None, order, n, m) -> list:
+def _zero_jets(inhom: Inhomogeneity | None, order, measure) -> list:
     given = [] if inhom is None else list(inhom.jets[:order])
-    return given + [Jet.zero(n, m) for _ in range(order - len(given))]
+    check_on_support(given, measure, "inhomogeneity")
+    return given + [Jet.zero(measure.size, measure.dimension)] * (order - len(given))
 
 
 def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
                          nu: float, order: int,
                          inhom: Inhomogeneity | None = None,
-                         gauge_offsets: list | None = None,
                          convention: str = "standard",
                          strict: bool = False,
                          keep_ledger: bool = True) -> PerturbationSeries:
     """Iterative solve w^(p) = v^(p) + S^(p) (E^(p) + Delta v^(p)).
 
-    With a zero inhomogeneity this reduces bit-identically to the plain
-    expansion w^(p) = S^(p) E^(p).  In permissive mode (strict=False) the
-    component of the right-hand side outside range(Delta) is projected away.
+    Since S Delta v = -(v minus its kernel part), w^(p) is the min-norm
+    solution of Delta w^(p) = -E^(p) plus the kernel part of v^(p): the
+    solve keeps only that part, the gauge, whose one source is the
+    inhomogeneity (a zero one gives the plain expansion, bit for bit).  In
+    permissive mode the right-hand side's component outside range(Delta) is
+    projected away.
     """
-    n, m = measure.size, measure.dimension
     delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention)
-    vjets = _zero_jets(inhom, order, n, m)
-    offsets = gauge_offsets or [None] * order
+    vjets = _zero_jets(inhom, order, measure)
     greens = linops.GreensOperator(delta, strict=strict)
     jets: list[Jet] = []
     defects: list[float] = []
@@ -233,20 +231,15 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
         rhs = E + delta.apply(v)
         correction, defect = _solve(greens, rhs, p)
         defects.append(defect)
-        w = v + correction
-        if offsets[p - 1] is not None:
-            w = w + offsets[p - 1]
-        jets.append(w)
-    return PerturbationSeries(measure, order, nu, jets, convention,
-                              gauge_offsets=offsets, range_defects=defects,
+        jets.append(v + correction)
+    return PerturbationSeries(measure, order, nu, jets, convention, range_defects=defects,
                               ledger_source=(lagrangian, 1) if keep_ledger else None)
 
 
-def expand(measure, lagrangian, nu, order, gauge_offsets=None,
-           convention="standard", strict=False, keep_ledger=True) -> PerturbationSeries:
-    """Order-by-order expansion w^(p) = S^(p) E^(p) (+ optional gauge offsets)."""
-    return expand_inhomogeneous(measure, lagrangian, nu, order, inhom=None,
-                                gauge_offsets=gauge_offsets, convention=convention,
+def expand(measure, lagrangian, nu, order, convention="standard", strict=False,
+           keep_ledger=True) -> PerturbationSeries:
+    """Order-by-order expansion w^(p) = S^(p) E^(p), the min-norm gauge."""
+    return expand_inhomogeneous(measure, lagrangian, nu, order, convention=convention,
                                 strict=strict, keep_ledger=keep_ledger)
 
 
@@ -258,6 +251,7 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     (|Delta w1| <= TOL_RANK |Delta| max(|w1|, 1)); higher orders follow the
     plain recursion starting at p = 2 (Delta_0 and Delta_1[w1] both vanish).
     """
+    check_on_support([w1], measure, "w1")
     d0 = linops.delta_zero_dual(measure, lagrangian, nu)
     if d0.norm() > TOL_CRITICAL:
         raise NotCritical(d0.norm(), "family construction needs a critical base")
@@ -293,27 +287,18 @@ def reconstruct(series: PerturbationSeries, lam: float) -> DiscreteMeasure:
     return push_forward(series.base, log_w, shift)
 
 
-def residual_slope(series: PerturbationSeries, measure, lagrangian, nu,
-                   testbasis: TestBasis | None, lam_grid) -> tuple:
-    """Fitted exponent of the weak EL residual of reconstruct(lambda).
+def residual_slope(series: PerturbationSeries, lagrangian, nu, lam_grid) -> tuple:
+    """Fitted exponent of the weak EL residual of reconstruct(lambda), over
+    the full test space (the norm of Delta_0 on the reconstructed support).
 
-    ``measure`` must be the expansion base of the series.  Returns
-    (slope, max log-fit residual); (inf, 0.0) when the residuals sit below
-    the degeneracy floor (exactly critical series).
+    Returns (slope, max log-fit residual); (inf, 0.0) when the residuals
+    sit below the degeneracy floor (exactly critical series).
     """
-    from .el import residual_norm
     from .fitting import loglog_slope
 
-    if measure is not None and measure.fingerprint() != series.base.fingerprint():
-        raise ArgError("measure does not match the series base")
     lam_grid = np.asarray(lam_grid, dtype=float)
-    vals = []
-    for lam in lam_grid:
-        rho = reconstruct(series, lam)
-        if testbasis is not None and testbasis.jets[0].size == rho.size:
-            vals.append(residual_norm(rho, lagrangian, nu, testbasis))
-        else:
-            vals.append(linops.delta_zero_dual(rho, lagrangian, nu).norm())
+    vals = [linops.delta_zero_dual(reconstruct(series, lam), lagrangian, nu).norm()
+            for lam in lam_grid]
     return loglog_slope(lam_grid, np.array(vals), floor=RESIDUAL_FLOOR)
 
 

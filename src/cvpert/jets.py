@@ -111,6 +111,14 @@ class DualJet:
     __rmul__ = __mul__
 
 
+def check_on_support(jets, measure, what: str = "jet") -> None:
+    """ShapeError unless every jet has one entry per support point of the
+    measure, with vectors of the measure's dimension."""
+    for w in jets:
+        if w.size != measure.size or w.dimension != measure.dimension:
+            raise ShapeError(f"{what} shapes do not match the measure support")
+
+
 def pairing(dual: DualJet, jet: Jet) -> np.ndarray:
     """Pointwise dual pairing g_i a_i + phi_i . u_i."""
     if dual.size != jet.size or dual.gradient.shape != jet.vector.shape:

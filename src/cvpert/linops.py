@@ -30,8 +30,9 @@ convention.  Each DeltaMatrix is decomposed once, on first use: by ``eigh``
 when that form is symmetric to rounding, by the thin SVD otherwise.  Its
 Green's operator (the min-norm pseudo-inverse with the sign convention
 Delta S v = -v), its kernel and its singular values all read that one
-decomposition, cut at TOL_RANK * sigma_max; non-uniqueness is exposed via
-an optional kernel offset added to every solve.
+decomposition, cut at TOL_RANK * sigma_max.  The solves are min-norm; a
+kernel part (the gauge) enters only through the expansion's inhomogeneity
+(``expansion.Inhomogeneity``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .el import ell_on_support, support_dual
 from .errors import NumericalFailure, OrderUnsupported, OutOfRange, ShapeError
-from .jets import DualJet, Jet, TestBasis
+from .jets import DualJet, Jet, TestBasis, check_on_support
 from .lagrangian import LagrangianModel, takes_series
 from .measure import DiscreteMeasure
 from .series import TruncatedSeries, _cauchy, basis_values, cauchy_matmul
@@ -92,9 +93,7 @@ def delta_zero_dual(measure, lagrangian, nu) -> DualJet:
 
 
 def _check_jets(count, jets, measure):
-    for w in jets:
-        if w.size != measure.size or w.dimension != measure.dimension:
-            raise ShapeError("jet shapes do not match the measure support")
+    check_on_support(jets, measure)
     if len(jets) != count:
         raise ShapeError(f"need {count} jets, got {len(jets)}")
 
@@ -243,11 +242,12 @@ def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -
 class DeltaMatrix:
     """Weight-multiplied bilinear form of the linearized operator.
 
-    ``matrix`` is square of size N(1+m) when assembled against the full test
-    space; with a restricted test basis the rectangular test-row form is
-    stored in ``test_rows`` (rows grouped basis-jet major, point minor).
-    Its one decomposition (``decomposition``) is cached on first read, so
-    the form is not to be changed afterwards.
+    ``matrix`` is square of size N(1+m), assembled against the full test
+    space.  A restricted test basis is kept with the form it was assembled
+    against (``testbasis``; None for the full space), and its rectangular
+    test-row form ``test_rows`` (rows grouped basis-jet major, point minor)
+    is computed on first read.  Its one decomposition (``decomposition``) is
+    cached on first read too, so the form is not to be changed afterwards.
     """
 
     matrix: np.ndarray
@@ -256,7 +256,14 @@ class DeltaMatrix:
     dim: int
     convention: str = "standard"
     measure_fingerprint: str = ""
-    test_rows: np.ndarray | None = None
+    testbasis: TestBasis | None = None
+
+    @cached_property
+    def test_rows(self) -> np.ndarray | None:
+        """Rows restricted to ``testbasis``; None for the full test space."""
+        if self.testbasis is None:
+            return None
+        return _test_rows(self.testbasis, self.matrix, 1 + self.dim)
 
     @property
     def size(self) -> int:
@@ -334,8 +341,6 @@ def _pointwise_blocks(weights, lagrangian, nu, convention, table):
     zero = (0,) * m
     L = table(zero, zero)
     D1 = np.stack([table(e, zero) for e in units], axis=-1)
-    D2 = np.stack([table(zero, e) for e in units], axis=-1)
-    D12 = np.stack([np.stack([table(a, b) for b in units], axis=-1) for a in units], axis=-2)
     D11 = np.empty((n, n, m, m))
     for a in range(m):
         for b in range(a, m):
@@ -343,12 +348,11 @@ def _pointwise_blocks(weights, lagrangian, nu, convention, table):
     ells = L @ weights - nu / 2.0
     gsum = np.einsum("j,ija->ia", weights, D1)
     hsum = np.einsum("j,ijab->iab", weights, D11)
-    # A[i, s, j, t]: row slot s at point i, column slot t at point j
+    # A[i, s, j, t] = w_j d^s_x d^t_y L(x_i, x_j): row slot s at point i, column
+    # slot t at point j, slot 0 the zero multi-index
     A = np.empty((n, 1 + m, n, 1 + m))
-    A[:, 0, :, 0] = weights * L
-    A[:, 1:, :, 0] = (weights[:, None] * D1).transpose(0, 2, 1)
-    A[:, 0, :, 1:] = weights[:, None] * D2
-    A[:, 1:, :, 1:] = (weights[:, None, None] * D12).transpose(0, 2, 1, 3)
+    for (s, alpha), (t, beta) in product(enumerate([zero] + units), repeat=2):
+        A[:, s, :, t] = weights * table(alpha, beta)
     i = np.arange(n)
     if convention == "standard":  # in breve the x-slot scalar of the argument does not act
         A[i, 0, i, 0] += ells
@@ -374,21 +378,20 @@ def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: fl
 
     Rows are test directions, weight-multiplied so the standard form is the
     symmetric second variation of the action; columns run over the full jet
-    space.  A restricted (non-full) test basis additionally stores the
-    contracted rectangular row form.
+    space.  A restricted (non-full) test basis is kept on the form, whose
+    solves contract with it (``DeltaMatrix.test_rows``).
     """
     if lagrangian.max_order < 2:
         raise OrderUnsupported("assembling Delta needs second derivatives")
+    check_on_support([] if testbasis is None else testbasis.jets, measure, "test basis")
     A = _pointwise_blocks(measure.weights, lagrangian, nu, convention,
                           measure.pair_tables(lagrangian))
     m = measure.dimension
     W = np.repeat(measure.weights, 1 + m)
     B = W[:, None] * A
-    test_rows = None
-    if testbasis is not None and not testbasis.full_space:
-        test_rows = _test_rows(testbasis, B, 1 + m)
+    restricted = testbasis if testbasis is not None and not testbasis.full_space else None
     return DeltaMatrix(B, nu, measure.weights.copy(), m, convention,
-                       measure.fingerprint(), test_rows)
+                       measure.fingerprint(), restricted)
 
 
 @dataclass
@@ -427,18 +430,18 @@ def kernel_basis(delta: DeltaMatrix) -> KernelBasis:
 class GreensOperator:
     """Min-norm pseudo-inverse of Delta with the sign convention S = -Delta^+.
 
-    Non-uniqueness of Green's operators is exposed through ``kernel_offset``:
-    a jet added to every solve (adding kernel elements yields every other
-    Green's operator).  ``strict`` raises OutOfRange when the requested dual
-    jet has a component outside range(Delta), relative to TOL_SOLVE;
-    otherwise that component is projected away and reported.  The solves
-    use Delta's decomposition (``DeltaMatrix.decomposition``) with the
-    singular values up to TOL_RANK * sigma_max cut.
+    Every other Green's operator adds a kernel jet to each solve; the
+    expansion takes that gauge from its inhomogeneity alone.  A restricted
+    Delta contracts the right-hand side with the test basis it was assembled
+    against.  ``strict`` raises OutOfRange when the requested dual jet has a
+    component outside range(Delta), relative to TOL_SOLVE; otherwise that
+    component is projected away and reported.  The solves use Delta's
+    decomposition (``DeltaMatrix.decomposition``) with the singular values
+    up to TOL_RANK * sigma_max cut.
     """
 
     delta: DeltaMatrix
     strict: bool = False
-    kernel_offset: Jet | None = None
     _svd: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -459,22 +462,15 @@ class GreensOperator:
                 "sigma_first_dropped": float(s[rank]) if rank < len(s) else None,
                 "condition": sigma_max / kept if rank else math.inf}
 
-    @property
-    def gauge_policy(self) -> str:
-        return "min-norm" if self.kernel_offset is None else "min-norm+offset"
-
-    def _rhs(self, dual: DualJet, testbasis: TestBasis | None = None) -> np.ndarray:
+    def _rhs(self, dual: DualJet) -> np.ndarray:
         """Weight-multiplied dual vector matching the row convention."""
         vec = self.delta.weight_vector() * dual.flatten()
-        if self.delta.test_rows is None:
-            return vec
-        if testbasis is None:
-            raise ShapeError("restricted DeltaMatrix solves need the test basis")
-        return _test_rows(testbasis, vec, 1 + self.delta.dim)
+        basis = self.delta.testbasis
+        return vec if basis is None else _test_rows(basis, vec, 1 + self.delta.dim)
 
-    def apply(self, dual: DualJet, testbasis: TestBasis | None = None):
+    def apply(self, dual: DualJet):
         """Solve Delta w = -dual (min-norm); returns (jet, out-of-range residual)."""
-        rhs = -self._rhs(dual, testbasis)
+        rhs = -self._rhs(dual)
         u, s, vt = self._svd
         proj = u @ (u.T @ rhs)
         resid = float(np.linalg.norm(rhs - proj))
@@ -483,13 +479,4 @@ class GreensOperator:
         if self.strict and rel > TOL_SOLVE:
             raise OutOfRange(rel)
         w = vt.T @ ((u.T @ rhs) / s) if len(s) else np.zeros(self.delta.size)
-        jet = Jet.unflatten(w, self.delta.dim)
-        if self.kernel_offset is not None:
-            jet = jet + self.kernel_offset
-        return jet, rel
-
-
-def greens_apply(greens: GreensOperator, dual: DualJet) -> Jet:
-    """Apply the Green's operator; strict mode raises OutOfRange."""
-    jet, _ = greens.apply(dual)
-    return jet
+        return Jet.unflatten(w, self.delta.dim), rel

@@ -6,7 +6,7 @@ import pytest
 
 from cvpert import DiscreteMeasure, Jet, TestBasis, calibrate_nu, cli, expansion
 from cvpert.el import residual_norm
-from cvpert.errors import ArgError, LedgerMissing, NotLinearized
+from cvpert.errors import ArgError, LedgerMissing, NotLinearized, ShapeError
 from cvpert.expansion import (Inhomogeneity, compositions, error_term, expand,
                               expand_inhomogeneous, export_diagrams,
                               family_from_linearized, order_scaling_slope,
@@ -147,6 +147,65 @@ def test_expand_inhomogeneous_kernel_jet_passes_through():
     assert series.jets[1].norm() <= 1e-10
 
 
+def test_expand_inhomogeneous_keeps_only_the_kernel_part_of_v():
+    # a stretched pair is not critical (E^(1) != 0); v^(1) = translation (in
+    # ker Delta) plus a jet off the kernel: only the kernel part is the gauge,
+    # and w^(1) still solves Delta w^(1) = -E^(1)
+    lag = build_lagrangian("pair_distance")
+    base = DiscreteMeasure(np.array([[0.0], [1.2]]), np.ones(2))
+    nu = 1.3
+    delta = assemble_delta(base, lag, nu)
+    kernel = kernel_basis(delta).jets
+
+    def kernel_part(jet):
+        return sum((float(jet.flatten() @ k.flatten()) * k for k in kernel), Jet.zero(2, 1))
+
+    raw = Jet(np.array([0.3, -0.8]), np.array([[0.5], [0.2]]))
+    off_kernel = raw - kernel_part(raw)
+    v = 0.7 * Jet(np.zeros(2), np.ones((2, 1))) + off_kernel
+    E = error_term(1, [], base, lag, nu)
+    assert E.norm() > 1.0 and off_kernel.norm() > 0.1
+    w = expand_inhomogeneous(base, lag, nu, 1, inhom=Inhomogeneity([v])).jets[0]
+    gauge = expand_inhomogeneous(base, lag, nu, 1, inhom=Inhomogeneity([kernel_part(v)]))
+    assert (w - gauge.jets[0]).norm() <= 1e-12
+    assert (delta.apply(w) + E).norm() <= 1e-12 * (1.0 + E.norm())
+
+
+def _triple():
+    return DiscreteMeasure(np.array([[0.0], [0.9], [2.1]]), np.ones(3))
+
+
+def _pair():
+    return DiscreteMeasure(np.array([[0.0], [1.0]]), np.ones(2))
+
+
+def _scalar_basis(n, m):
+    return TestBasis([Jet(np.eye(n)[k], np.zeros((n, m))) for k in range(n)])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda lag: residual_norm(_triple(), lag, 0.0, _scalar_basis(2, 1)),
+                 id="residual-norm-size"),
+    pytest.param(lambda lag: residual_norm(_triple(), lag, 0.0, _scalar_basis(3, 2)),
+                 id="residual-norm-dimension-zero-vectors"),
+    pytest.param(lambda lag: assemble_delta(_triple(), lag, 0.0, testbasis=TestBasis(
+        [Jet(np.ones(2), np.ones((2, 1)))])), id="assemble-delta-size"),
+    pytest.param(lambda lag: expand_inhomogeneous(_pair(), lag, 1.0, 1, inhom=Inhomogeneity(
+        [Jet.zero(3, 1)])), id="inhomogeneity-size"),
+    pytest.param(lambda lag: expand_inhomogeneous(_pair(), lag, 1.0, 2, inhom=Inhomogeneity(
+        [Jet.zero(2, 1), Jet.zero(2, 2)])), id="inhomogeneity-dimension"),
+    pytest.param(lambda lag: family_from_linearized(Jet.zero(3, 1), _pair(), lag,
+                                                    calibrate_nu(_pair(), lag), 2),
+                 id="family-w1-size"),
+    pytest.param(lambda lag: family_from_linearized(Jet.zero(2, 2), _pair(), lag,
+                                                    calibrate_nu(_pair(), lag), 2),
+                 id="family-w1-dimension"),
+])
+def test_jets_off_the_support_raise_shape_error(call):
+    with pytest.raises(ShapeError):
+        call(build_lagrangian("pair_distance"))
+
+
 def test_gauge_covariance_of_reconstructed_residual():
     # adding a kernel jet to w^(1) changes the series but not the residual
     # scaling of the reconstructed measures (both stay exactly critical here)
@@ -156,10 +215,10 @@ def test_gauge_covariance_of_reconstructed_residual():
     translation = Jet(np.zeros(2), np.ones((2, 1)))
     grid = np.geomspace(1e-3, 1e-1, 5)
     plain = expand(base, lag, nu, order=2)
-    gauged = expand(base, lag, nu, order=2, gauge_offsets=[translation, None])
+    gauged = expand_inhomogeneous(base, lag, nu, order=2, inhom=Inhomogeneity([translation]))
     assert (gauged.jets[0] - plain.jets[0]).norm() == pytest.approx(1.0)
-    s_plain, _ = residual_slope(plain, base, lag, nu, None, grid)
-    s_gauged, _ = residual_slope(gauged, base, lag, nu, None, grid)
+    s_plain, _ = residual_slope(plain, lag, nu, grid)
+    s_gauged, _ = residual_slope(gauged, lag, nu, grid)
     assert s_plain == s_gauged == math.inf
 
 
@@ -231,8 +290,7 @@ def test_residual_slope_sentinel_on_critical(example52, dirac_origin_2d):
     # below the degeneracy floor, the fit returns the +inf sentinel
     series = expand(dirac_origin_2d, example52, 0.0, order=2)
     assert all(j.norm() == 0.0 for j in series.jets)
-    slope, _ = residual_slope(series, dirac_origin_2d, example52, 0.0, None,
-                              np.geomspace(1e-3, 1e-1, 5))
+    slope, _ = residual_slope(series, example52, 0.0, np.geomspace(1e-3, 1e-1, 5))
     assert slope == math.inf
 
 
@@ -294,8 +352,7 @@ def test_residual_slope_finite_case(quartic_pair, quartic_base):
     nu = calibrate_nu(quartic_base, quartic_pair, tol=1e-8)
     series = PerturbationSeries(quartic_base, 1, nu,
                                 [Jet(np.zeros(2), np.array([[0.4], [0.1]]))])
-    slope, _ = residual_slope(series, quartic_base, quartic_pair, nu, None,
-                              np.geomspace(1e-3, 1e-2, 5))
+    slope, _ = residual_slope(series, quartic_pair, nu, np.geomspace(1e-3, 1e-2, 5))
     assert slope == pytest.approx(1.0, abs=0.05)
 
 
