@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotCritical
-from .jets import DualJet, TestBasis, check_on_support
+from .jets import DualJet, TestBasis, check_on_support, pairing
 from .lagrangian import LagrangianModel, pair_table
 from .measure import DiscreteMeasure
 
@@ -61,12 +61,6 @@ def grad_ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, x) -> np.nda
                      for e in np.eye(measure.dimension, dtype=int)])
 
 
-def support_dual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float) -> DualJet:
-    """ell and its gradient on the support as a dual jet (Delta_0); its norm
-    is the weak EL residual over the full test space."""
-    return DualJet(*ell_field(lagrangian, nu, measure.weights, measure.pair_tables(lagrangian)))
-
-
 def calibrate_nu(measure: DiscreteMeasure, lagrangian: LagrangianModel, tol: float = 1e-9) -> float:
     """nu making ell vanish on the support: twice the mean of the L-integrals.
 
@@ -83,22 +77,18 @@ def calibrate_nu(measure: DiscreteMeasure, lagrangian: LagrangianModel, tol: flo
 
 def weak_el_residual(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float,
                      testbasis: TestBasis) -> np.ndarray:
-    """Per test jet and per support point: a_i ell(x_i) + grad ell(x_i) . u_i.
+    """Per test jet and per support point: a_i ell(x_i) + grad ell(x_i) . u_i,
+    the ``pairing`` of the jet with (ell, grad ell) from ``ell_field``.
 
     A basis without vector parts reads only ell, no gradient: the term it
     drops is a zero, so the entries are equal up to the sign of a zero.
     """
-    check_on_support(testbasis.jets, measure, "test basis")
-    out = np.zeros((len(testbasis), measure.size))
+    check_on_support(testbasis.jets, measure.size, measure.dimension, "test basis")
     if not any(np.any(jet.vector) for jet in testbasis.jets):
         values = ell_on_support(measure, lagrangian, nu)
-        for r, jet in enumerate(testbasis.jets):
-            out[r] = jet.scalar * values
-        return out
-    dual = support_dual(measure, lagrangian, nu)
-    for r, jet in enumerate(testbasis.jets):
-        out[r] = jet.scalar * dual.value + np.einsum("ij,ij->i", dual.gradient, jet.vector)
-    return out
+        return np.array([jet.scalar * values for jet in testbasis.jets])
+    dual = DualJet(*ell_field(lagrangian, nu, measure.weights, measure.pair_tables(lagrangian)))
+    return np.array([pairing(dual, jet) for jet in testbasis.jets])
 
 
 def residual_norm(measure, lagrangian, nu, testbasis) -> float:

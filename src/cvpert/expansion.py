@@ -201,7 +201,7 @@ def _solve(greens: linops.GreensOperator, rhs: DualJet, p: int) -> tuple:
 
 def _zero_jets(inhom: Inhomogeneity | None, order, measure) -> list:
     given = [] if inhom is None else list(inhom.jets[:order])
-    check_on_support(given, measure, "inhomogeneity")
+    check_on_support(given, measure.size, measure.dimension, "inhomogeneity")
     return given + [Jet.zero(measure.size, measure.dimension)] * (order - len(given))
 
 
@@ -251,7 +251,7 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     (|Delta w1| <= TOL_RANK |Delta| max(|w1|, 1)); higher orders follow the
     plain recursion starting at p = 2 (Delta_0 and Delta_1[w1] both vanish).
     """
-    check_on_support([w1], measure, "w1")
+    check_on_support([w1], measure.size, measure.dimension, "w1")
     d0 = linops.delta_zero_dual(measure, lagrangian, nu)
     if d0.norm() > TOL_CRITICAL:
         raise NotCritical(d0.norm(), "family construction needs a critical base")
@@ -276,9 +276,10 @@ def reconstruct(series: PerturbationSeries, lam: float) -> DiscreteMeasure:
     """Evaluate the series: push the base forward with the lambda-weighted jets."""
     if not np.isfinite(lam):
         raise ArgError("lambda must be finite")
+    n, m = series.base.size, series.base.dimension
+    check_on_support(series.jets, n, m, "series jet")
     if lam == 0.0 or not series.jets:
         return series.base
-    n, m = series.base.size, series.base.dimension
     log_w = np.zeros(n)
     shift = np.zeros((n, m))
     for p, jet in enumerate(series.jets, start=1):

@@ -16,11 +16,11 @@ basis is one array of orthonormal columns kron(pattern, slot), and the
 lambda^q rescaling is one diagonal on those columns.
 
 The expansion driver corrects the neutral directions through the perturbed
-form of the current configuration, one damped sweep per order, and reports
-the mean, complement and lin-F residuals after each sweep.  The mean and
-complement are not corrected yet: their exact order-by-order solve through
-the operator of the configuration, and the exact combinatorial bookkeeping
-of the fragmented higher orders, are open.
+form of the current configuration, one step per order taken whole or not
+at all, and reports the mean, complement and lin-F residuals after each
+sweep.  The mean and complement are not corrected yet: their exact
+order-by-order solve through the operator of the configuration, and the
+exact combinatorial bookkeeping of the fragmented higher orders, are open.
 """
 
 from __future__ import annotations
@@ -171,11 +171,6 @@ def fragment_measure(measure: DiscreteMeasure, ansatz: FragmentationAnsatz,
     with np.errstate(divide="ignore"):  # f0_a = 0: a massless subsystem
         log_w = np.log(ansatz.f0)[:, None] + np.array([j.scalar for j in jets])
     return FragmentedMeasure(measure, log_w, np.array([j.vector for j in jets]))
-
-
-def assemble_delta_bar(measure, lagrangian, nu):
-    """Mean-sector operator: identical to the unfragmented assembly."""
-    return linops.assemble_delta(measure, lagrangian, nu)
 
 
 @dataclass
@@ -446,10 +441,11 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
 
     One sweep per order beyond the ansatz: the neutral directions are
     corrected through the perturbed form of the current configuration (the
-    inverse the well-posedness order r guarantees), and the mean, complement
-    and lin-F residuals are recorded.  The mean and complement residuals are
-    reported but not corrected.  For a single subsystem this reduces to the
-    plain expansion, to which the call is delegated.
+    inverse the well-posedness order r guarantees), the step taken whole or
+    not at all, and the mean, complement and lin-F residuals are recorded.
+    The mean and complement residuals are reported but not corrected.  For
+    a single subsystem this reduces to the plain expansion, to which the
+    call is delegated.
     """
     if lam is None:
         lam = float(np.sqrt(scenario.lam_grid[0] * scenario.lam_grid[-1]))
@@ -481,22 +477,19 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
         return {"mean": sup(mean_P), "complement": sup(compl_P), "lin_f": sup(linf_q)}
 
     def damped(frag_in, res_in, step_vec, sector: np.ndarray):
-        """Take the step only if it clearly reduces its own sector residual.
+        """Take the whole step only if it clearly reduces its own sector residual.
 
         The sector operators of a fragmented configuration are graded in
         lambda; an undamped solve can leave the microstructure scale along
-        nearly-neutral directions.  A step is accepted only when it improves
-        the targeted sector substantially without inflating the rest,
-        otherwise the correction is deferred to a later order."""
+        nearly-neutral directions.  The step is accepted only when it improves
+        the targeted sector substantially without inflating the rest;
+        otherwise none of it is taken, and a later order tries again."""
         own = lambda r: np.linalg.norm(sector.T @ r) if sector.size else 0.0
-        base_own = own(res_in)
-        base_total = np.linalg.norm(res_in)
-        for scale in (1.0, 0.5):
-            mj = MultiJet.unflatten(step_vec * scale, L, m)
-            cand = apply_increment(frag_in, mj)
-            res = fragmented_residual(cand, lagrangian, nu)
-            if own(res) < 0.5 * base_own and np.linalg.norm(res) <= 2.0 * base_total:
-                return cand, res, mj
+        mj = MultiJet.unflatten(step_vec, L, m)
+        cand = apply_increment(frag_in, mj)
+        res = fragmented_residual(cand, lagrangian, nu)
+        if own(res) < 0.5 * own(res_in) and np.linalg.norm(res) <= 2.0 * np.linalg.norm(res_in):
+            return cand, res, mj
         return frag_in, res_in, None
 
     increments = []

@@ -89,6 +89,10 @@ class DualJet:
     def size(self) -> int:
         return len(self.value)
 
+    @property
+    def dimension(self) -> int:
+        return self.gradient.shape[1]
+
     def flatten(self) -> np.ndarray:
         return np.hstack([self.value[:, None], self.gradient]).ravel()
 
@@ -111,12 +115,12 @@ class DualJet:
     __rmul__ = __mul__
 
 
-def check_on_support(jets, measure, what: str = "jet") -> None:
-    """ShapeError unless every jet has one entry per support point of the
-    measure, with vectors of the measure's dimension."""
+def check_on_support(jets, n_points: int, dim: int, what: str = "jet") -> None:
+    """ShapeError unless every jet or dual jet has one entry per point of a
+    support of ``n_points`` points, with vectors of dimension ``dim``."""
     for w in jets:
-        if w.size != measure.size or w.dimension != measure.dimension:
-            raise ShapeError(f"{what} shapes do not match the measure support")
+        if w.size != n_points or w.dimension != dim:
+            raise ShapeError(f"{what} shapes do not match the support")
 
 
 def pairing(dual: DualJet, jet: Jet) -> np.ndarray:

@@ -37,7 +37,6 @@ import math
 import numbers
 import sys
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -347,8 +346,9 @@ def _central_diff(fn, x, y, alpha, beta, h):
     return (up - dn) / (2.0 * h)
 
 
-def numeric_partial(fn, x, y, alpha, beta, h=None):
-    """Finite-difference mixed partial with one Richardson extrapolation step.
+def numeric_partial(fn, x, y, alpha, beta):
+    """Finite-difference mixed partial: central differences at the step
+    h = fd_step(|alpha| + |beta|) and at h/2, one Richardson step apart.
 
     The h**2 truncation term is eliminated, which makes the result exact
     (up to round-off) for polynomials of degree <= |alpha|+|beta|+3.  At
@@ -357,8 +357,7 @@ def numeric_partial(fn, x, y, alpha, beta, h=None):
     total = sum(alpha) + sum(beta)
     if total == 0:
         return fn(x, y)
-    if h is None:
-        h = fd_step(total)
+    h = fd_step(total)
     d_h = _central_diff(fn, x, y, tuple(alpha), tuple(beta), h)
     d_h2 = _central_diff(fn, x, y, tuple(alpha), tuple(beta), h / 2.0)
     return (4.0 * d_h2 - d_h) / 3.0
@@ -516,31 +515,3 @@ def build_lagrangian(name: str, params: dict | None = None) -> LagrangianModel:
     if unknown:
         raise ConfigError(f"{name} reads no parameters {unknown}; it reads {sorted(keys)}")
     return builder(params)
-
-
-def symmetry_defect(lag: LagrangianModel, rng, n_probes=1000, scale=1.0) -> float:
-    """Max |L(x,y) - L(y,x)| / (1 + |L|) over random probe pairs."""
-    worst = 0.0
-    for _ in range(n_probes):
-        x = rng.uniform(-scale, scale, size=lag.dim)
-        y = rng.uniform(-scale, scale, size=lag.dim)
-        a, b = lag(x, y), lag(y, x)
-        worst = max(worst, abs(a - b) / (1.0 + abs(a)))
-    return worst
-
-
-def derivative_defect(lag: LagrangianModel, rng, max_total=3, n_probes=25, scale=0.8) -> float:
-    """Max relative gap between analytic partials and the finite-difference oracle."""
-    worst = 0.0
-    m = lag.dim
-    indices = [idx for idx in product(range(max_total + 1), repeat=2 * m)
-               if 1 <= sum(idx) <= max_total]
-    for _ in range(n_probes):
-        x = rng.uniform(-scale, scale, size=m)
-        y = rng.uniform(-scale, scale, size=m)
-        for idx in indices:
-            alpha, beta = idx[:m], idx[m:]
-            ana = lag.partial(x, y, alpha, beta)
-            num = numeric_partial(lambda a, b: lag(a, b), x, y, alpha, beta)
-            worst = max(worst, abs(ana - num) / (1.0 + abs(ana)))
-    return worst

@@ -1,5 +1,6 @@
 """Multilinear operators Delta_l, the linearized operator as a matrix, and
-Green's operators.
+Green's operators.  Delta_0 is ``delta_zero_dual``, ell and its gradient
+on the support.
 
 Delta_l applies l factors of (scalar-at-x + scalar-at-y + derivative-at-x +
 derivative-at-y) to the Lagrangian, divided by l!, minus the nu-term; jets
@@ -20,7 +21,8 @@ The composition sum of polarized Delta_l only fills the diagram ledger.
 Two conventions are supported.  "standard" carries the scalar component on
 both slots plus the nu-term; "breve" drops the x-slot scalar and the
 nu-term (the weight function divided out of the EL equations).  At a
-critical measure the two linearized operators coincide.
+critical measure the two linearized operators coincide.  ``delta_ell``
+and ``delta_ell_dual`` take the convention as an argument.
 
 The assembled DeltaMatrix stores the weight-multiplied bilinear form
 B[(i,s),(j,t)] = w_i * <unit jet (i,s), Delta unit jet (j,t)>(x_i)
@@ -45,7 +47,7 @@ from operator import add
 
 import numpy as np
 
-from .el import ell_on_support, support_dual
+from .el import ell_field
 from .errors import NumericalFailure, OrderUnsupported, OutOfRange, ShapeError
 from .jets import DualJet, Jet, TestBasis, check_on_support
 from .lagrangian import LagrangianModel, takes_series
@@ -82,18 +84,14 @@ def mixed_directional(lag: LagrangianModel, x, y, xdirs, ydirs) -> float:
     return total
 
 
-def delta_zero(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float) -> np.ndarray:
-    """Delta_0 = ell on the support."""
-    return ell_on_support(measure, lagrangian, nu)
-
-
 def delta_zero_dual(measure, lagrangian, nu) -> DualJet:
-    """Delta_0 lifted to a dual jet: (value, spatial gradient) per point."""
-    return support_dual(measure, lagrangian, nu)
+    """Delta_0: ell and its x-gradient on the support as a dual jet, whose
+    norm is the weak EL residual over the full test space."""
+    return DualJet(*ell_field(lagrangian, nu, measure.weights, measure.pair_tables(lagrangian)))
 
 
 def _check_jets(count, jets, measure):
-    check_on_support(jets, measure)
+    check_on_support(jets, measure.size, measure.dimension)
     if len(jets) != count:
         raise ShapeError(f"need {count} jets, got {len(jets)}")
 
@@ -194,14 +192,11 @@ def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient):
     return total * (math.prod(norms) / math.factorial(order))
 
 
-def delta_ell(order, jets, measure, lagrangian, nu) -> np.ndarray:
-    """Delta_l[w_1..w_l] on the support, standard convention (with nu-term)."""
-    return _polarized(order, jets, measure, lagrangian, nu, "standard", False)[:, 0]
-
-
-def delta_ell_breve(order, jets, measure, lagrangian) -> np.ndarray:
-    """Breve variant: no scalar action on the x slot and no nu-term."""
-    return _polarized(order, jets, measure, lagrangian, 0.0, "breve", False)[:, 0]
+def delta_ell(order, jets, measure, lagrangian, nu, convention="standard") -> np.ndarray:
+    """Delta_l[w_1..w_l] on the support in either convention: "standard"
+    (with the nu-term) or "breve" (no scalar action on the x slot and no
+    nu-term, so nu is not read)."""
+    return _polarized(order, jets, measure, lagrangian, nu, convention, False)[:, 0]
 
 
 def delta_ell_dual(order, jets, measure, lagrangian, nu, convention="standard") -> DualJet:
@@ -274,6 +269,7 @@ class DeltaMatrix:
 
     def apply(self, jet: Jet) -> DualJet:
         """Pointwise dual jet of Delta applied to the jet (weights divided out)."""
+        check_on_support([jet], len(self.weights), self.dim)
         out = self.matrix @ jet.flatten()
         return DualJet.unflatten(out / self.weight_vector(), self.dim)
 
@@ -383,7 +379,8 @@ def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: fl
     """
     if lagrangian.max_order < 2:
         raise OrderUnsupported("assembling Delta needs second derivatives")
-    check_on_support([] if testbasis is None else testbasis.jets, measure, "test basis")
+    check_on_support([] if testbasis is None else testbasis.jets, measure.size,
+                     measure.dimension, "test basis")
     A = _pointwise_blocks(measure.weights, lagrangian, nu, convention,
                           measure.pair_tables(lagrangian))
     m = measure.dimension
@@ -470,6 +467,7 @@ class GreensOperator:
 
     def apply(self, dual: DualJet):
         """Solve Delta w = -dual (min-norm); returns (jet, out-of-range residual)."""
+        check_on_support([dual], len(self.delta.weights), self.delta.dim, "dual jet")
         rhs = -self._rhs(dual)
         u, s, vt = self._svd
         proj = u @ (u.T @ rhs)

@@ -7,12 +7,13 @@ import pytest
 from cvpert import DiscreteMeasure, Jet, TestBasis, calibrate_nu, cli, expansion
 from cvpert.el import residual_norm
 from cvpert.errors import ArgError, LedgerMissing, NotLinearized, ShapeError
-from cvpert.expansion import (Inhomogeneity, compositions, error_term, expand,
-                              expand_inhomogeneous, export_diagrams,
+from cvpert.expansion import (Inhomogeneity, PerturbationSeries, compositions, error_term,
+                              expand, expand_inhomogeneous, export_diagrams,
                               family_from_linearized, order_scaling_slope,
                               order_scaling_slopes, reconstruct, residual_slope)
+from cvpert.jets import DualJet
 from cvpert.lagrangian import build_lagrangian
-from cvpert.linops import assemble_delta, delta_zero_dual, kernel_basis
+from cvpert.linops import GreensOperator, assemble_delta, delta_zero_dual, kernel_basis
 from cvpert.measure import push_forward
 
 
@@ -204,6 +205,25 @@ def _scalar_basis(n, m):
 def test_jets_off_the_support_raise_shape_error(call):
     with pytest.raises(ShapeError):
         call(build_lagrangian("pair_distance"))
+
+
+# (points, dimension) of a jet off the 2-point 1-D support; a 1-point 3-D
+# jet flattens to 4 entries, as a jet on that support does
+@pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (1, 3)],
+                         ids=["size", "dimension", "same-flat-length"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda delta, n, m: delta.apply(Jet(np.ones(n), np.ones((n, m)))),
+                 id="delta-apply"),
+    pytest.param(lambda delta, n, m: GreensOperator(delta).apply(
+        DualJet(np.ones(n), np.ones((n, m)))), id="greens-apply"),
+    pytest.param(lambda delta, n, m: reconstruct(PerturbationSeries(
+        _pair(), 1, delta.nu, [Jet(np.ones(n), np.ones((n, m)))]), 0.1), id="reconstruct"),
+])
+def test_misfit_jets_on_a_delta_or_series_raise_shape_error(call, n, m):
+    lag = build_lagrangian("pair_distance")
+    delta = assemble_delta(_pair(), lag, calibrate_nu(_pair(), lag))
+    with pytest.raises(ShapeError):
+        call(delta, n, m)
 
 
 def test_gauge_covariance_of_reconstructed_residual():

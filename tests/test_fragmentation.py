@@ -6,7 +6,7 @@ import pytest
 from cvpert import DiscreteMeasure, Jet, MultiJet, calibrate_nu
 from cvpert.errors import NotWellPosed, NumericalFailure, ShapeError
 from cvpert.fragmentation import (FragmentationAnsatz, FragmentedMeasure, Scenario,
-                                  assemble_delta_F, assemble_delta_bar,
+                                  assemble_delta_F,
                                   example52_scenario, fragment_expand,
                                   fragment_expand_study, fragment_measure,
                                   fragmented_jacobian, lin_fluct_basis,
@@ -65,12 +65,6 @@ def test_ansatz_validation():
                     Jet(np.array([-0.1]), np.zeros((1, 2)))])
     with pytest.raises(ShapeError):
         FragmentationAnsatz(np.array([1.0, 1.0]), 1.0, 1.0, mean, linf_fluct=bad)
-
-
-def test_assemble_delta_bar_equals_unfragmented(example52, dirac_origin_2d):
-    a = assemble_delta_bar(dirac_origin_2d, example52, 0.0)
-    b = assemble_delta(dirac_origin_2d, example52, 0.0)
-    assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-14
 
 
 def test_delta_F_example52_hessian(example52, dirac_origin_2d):
@@ -204,7 +198,7 @@ def test_block_structure_mean_sector_matches_delta_bar(example52, dirac_origin_2
     J = fragmented_jacobian(frag, example52, 0.0)
     mean_P, _, _ = _sector_projectors(dirac_origin_2d, example52, L)
     mean_block = mean_P.T @ J @ mean_P
-    bar = assemble_delta_bar(dirac_origin_2d, example52, 0.0)
+    bar = assemble_delta(dirac_origin_2d, example52, 0.0)
     assert np.allclose(mean_block, bar.matrix, atol=1e-12)
 
 
@@ -389,6 +383,21 @@ def test_fragment_expand_evaluates_only_neutral_direction_steps(monkeypatch):
         calls.clear()
         fragment_expand(scen, order, 0.05, report=report)
         assert len(calls) <= 1 + 2 * (order - 1)
+
+
+def test_fragment_expand_tries_each_sweep_step_once(monkeypatch):
+    # the start residual, then one residual per sweep: a step is taken whole
+    # or not at all (on plain example52 both sweeps of order 3 are declined)
+    from cvpert import fragmentation
+
+    scen = example52_scenario()
+    report = wellposedness_check(scen)
+    calls = []
+    residual = fragmentation.fragmented_residual
+    monkeypatch.setattr(fragmentation, "fragmented_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    fragment_expand(scen, 3, 0.05, report=report)
+    assert len(calls) == 1 + (3 - 1)
 
 
 def test_as_measure_rejects_non_finite_positions_before_merging():

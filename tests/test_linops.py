@@ -4,9 +4,9 @@ import pytest
 from cvpert import DiscreteMeasure, Jet, TestBasis, calibrate_nu
 from cvpert.errors import OutOfRange
 from cvpert.jets import DualJet
-from cvpert.linops import (GreensOperator, assemble_delta, delta_ell,
-                           delta_ell_breve, delta_zero,
-                           kernel_basis, mixed_directional)
+from cvpert.el import ell_on_support
+from cvpert.linops import (GreensOperator, assemble_delta, delta_ell, kernel_basis,
+                           mixed_directional)
 from cvpert.measure import push_forward
 
 
@@ -22,12 +22,12 @@ def random_jet(rng, n, m, scale=1.0):
 
 def test_delta_zero_matches_calibration(quartic_pair, quartic_base):
     nu = calibrate_nu(quartic_base, quartic_pair, tol=1e-8)
-    vals = delta_zero(quartic_base, quartic_pair, nu)
+    vals = ell_on_support(quartic_base, quartic_pair, nu)
     assert np.max(np.abs(vals)) <= 1e-12 * abs(nu)
 
 
 def test_delta_zero_origin(example52, dirac_origin_2d):
-    assert delta_zero(dirac_origin_2d, example52, 0.0)[0] == 0.0
+    assert ell_on_support(dirac_origin_2d, example52, 0.0)[0] == 0.0
 
 
 def test_delta_zero_two_point_hand_sum():
@@ -38,7 +38,7 @@ def test_delta_zero_two_point_hand_sum():
     x0, y0 = sp.symbols("x0 y0", real=True)
     lag = PolynomialLagrangian("q4", 1, (x0 - y0) ** 4, (x0,), (y0,))
     mu = DiscreteMeasure(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-    assert np.allclose(delta_zero(mu, lag, 0.0), [16.0, 16.0])
+    assert np.allclose(ell_on_support(mu, lag, 0.0), [16.0, 16.0])
 
 
 def test_delta_ell_first_order_critical(example52, dirac_origin_2d, rng):
@@ -89,7 +89,7 @@ def test_delta_ell_exponential_identity(example52_reg, generic_measure, rng):
     nu = 0.8
     mu = generic_measure
     w = random_jet(rng, 3, 2, scale=0.7)
-    parts = [delta_zero(mu, example52_reg, nu)]
+    parts = [ell_on_support(mu, example52_reg, nu)]
     for l in range(1, 5):
         parts.append(delta_ell(l, [w] * l, mu, example52_reg, nu))
 
@@ -114,7 +114,7 @@ def test_delta_ell_breve_coincides_for_vector_jets(example52, generic_measure, r
     # zero scalar components: both conventions are the same multilinear operator
     jets = [Jet(np.zeros(3), rng.normal(size=(3, 2))) for _ in range(2)]
     a = delta_ell(2, jets, generic_measure, example52, 0.0)
-    b = delta_ell_breve(2, jets, generic_measure, example52)
+    b = delta_ell(2, jets, generic_measure, example52, 0.0, convention="breve")
     assert np.allclose(a, b, atol=1e-13)
 
 
@@ -122,7 +122,7 @@ def test_delta_ell_breve_pure_scalar(example52, generic_measure):
     # constant scalar jet c: only the y-slot scalar acts, value c * integral of L
     c = 0.37
     jet = Jet(np.full(3, c), np.zeros((3, 2)))
-    vals = delta_ell_breve(1, [jet], generic_measure, example52)
+    vals = delta_ell(1, [jet], generic_measure, example52, 0.0, convention="breve")
     expected = c * np.array([
         sum(wj * example52(pi, pj) for pj, wj in zip(generic_measure.points,
                                                      generic_measure.weights))

@@ -12,7 +12,7 @@ from cvpert import DiscreteMeasure, Jet
 from cvpert.errors import OrderUnsupported
 from cvpert.expansion import compositions, error_term
 from cvpert.lagrangian import NumericLagrangian, PolynomialLagrangian, build_lagrangian
-from cvpert.linops import delta_ell, delta_ell_breve, delta_ell_dual, mixed_directional
+from cvpert.linops import delta_ell, delta_ell_dual, mixed_directional
 
 
 def enumerated_delta(order, jets, measure, lagrangian, nu, convention):
@@ -99,8 +99,7 @@ def test_polarized_delta_matches_enumeration(model, order):
         dual = delta_ell_dual(order, jets, mu, lag, nu, convention)
         assert_close(dual.value, ref_v)
         assert_close(dual.gradient, ref_g)
-        value = (delta_ell(order, jets, mu, lag, nu) if convention == "standard"
-                 else delta_ell_breve(order, jets, mu, lag))
+        value = delta_ell(order, jets, mu, lag, nu, convention)
         assert_close(value, ref_v)
 
 
@@ -122,7 +121,7 @@ def test_order_checks_value_and_gradient(model):
     try:
         lag.max_order = 3  # a value of Delta_3 needs order 3, its gradient order 4
         assert np.all(np.isfinite(delta_ell(3, jets, mu, lag, nu)))
-        assert np.all(delta_ell_breve(3, zeros, mu, lag) == 0.0)
+        assert np.all(delta_ell(3, zeros, mu, lag, nu, "breve") == 0.0)
         for args in (jets, zeros):
             with pytest.raises(OrderUnsupported):
                 delta_ell_dual(3, args, mu, lag, nu)
@@ -131,7 +130,7 @@ def test_order_checks_value_and_gradient(model):
             with pytest.raises(OrderUnsupported):
                 delta_ell(3, args, mu, lag, nu)
             with pytest.raises(OrderUnsupported):
-                delta_ell_breve(3, args, mu, lag)
+                delta_ell(3, args, mu, lag, nu, "breve")
     finally:
         lag.max_order = saved
 
