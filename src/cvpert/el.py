@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotCritical
+from .errors import NotCritical, ShapeError
 from .jets import DualJet, TestBasis, check_on_support, pairing
 from .lagrangian import LagrangianModel, pair_table
 from .measure import DiscreteMeasure
@@ -19,6 +19,8 @@ def _integrate(table, weights) -> np.ndarray:
     """sum_j weights_j table[i, j] for every row i, column by column in support
     order, so a row of the support table equals the single-point value; ell
     is additive in the measure only up to rounding."""
+    if table.shape[1] != len(weights):
+        raise ShapeError(f"{len(weights)} weights for a support of {table.shape[1]} points")
     total = np.zeros(len(table))
     for w, column in zip(weights, table.T):
         total += w * column

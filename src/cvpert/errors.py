@@ -21,7 +21,7 @@ class NotCritical(CvpError):
         self.deviation = deviation
 
 
-class ShapeError(CvpError):
+class ShapeError(CvpError, ValueError):
     """Mismatched array lengths or dimensions."""
 
 

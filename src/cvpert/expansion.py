@@ -28,7 +28,8 @@ from itertools import combinations
 import numpy as np
 
 from . import linops
-from .errors import ArgError, LedgerMissing, NotCritical, NotLinearized, OutOfRange
+from .errors import (ArgError, LedgerMissing, NotCritical, NotLinearized, OutOfRange,
+                     ShapeError)
 from .jets import DualJet, Jet, check_on_support
 from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, push_forward
@@ -55,9 +56,12 @@ def compositions(p: int, ell: int) -> list[tuple]:
 @dataclass
 class LedgerTerm:
     order: int
-    ell: int
     composition: tuple
     dual: DualJet
+
+    @property
+    def ell(self) -> int:
+        return len(self.composition)
 
     def to_json(self) -> dict:
         return {
@@ -102,7 +106,8 @@ class Inhomogeneity:
 
 @dataclass
 class PerturbationSeries:
-    """Ordered jets w^(1..P) over a base measure, plus the diagram ledger.
+    """Ordered jets w^(1..P) over a base measure, plus the diagram ledger;
+    the order P (``order``) is the number of jets.
 
     ``range_defects`` logs, per order, the relative norm of the error-term
     component outside range(Delta) that permissive mode projected away.
@@ -111,13 +116,16 @@ class PerturbationSeries:
     """
 
     base: DiscreteMeasure
-    order: int
     nu: float
     jets: list
     convention: str = "standard"
     range_defects: list = field(default_factory=list)
     ledger_source: tuple | None = field(default=None, repr=False)
     _ledger: DiagramLedger | None = field(default=None, init=False, repr=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.jets)
 
     @property
     def ledger(self) -> DiagramLedger | None:
@@ -136,7 +144,7 @@ class PerturbationSeries:
         w^(1..p-1), so this is the order-``order`` expansion, bit for bit."""
         if not 0 <= order <= self.order:
             raise ArgError(f"cut order {order} outside 0..{self.order}")
-        return replace(self, order=order, jets=self.jets[:order],
+        return replace(self, jets=self.jets[:order],
                        range_defects=self.range_defects[:order])
 
     def to_json(self) -> dict:
@@ -154,7 +162,9 @@ class PerturbationSeries:
     def from_json(cls, data) -> "PerturbationSeries":
         base = DiscreteMeasure.from_json(data["base"])
         jets = [Jet(np.array(j["c"]), np.array(j["F"])) for j in data["jets"]]
-        return cls(base, int(data["order"]), float(data["nu"]), jets,
+        if int(data["order"]) != len(jets):
+            raise ShapeError(f"order {data['order']} given with {len(jets)} jets")
+        return cls(base, float(data["nu"]), jets,
                    convention=data.get("convention", "standard"))
 
 
@@ -173,7 +183,7 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
     if p == 1:
         dual = linops.delta_zero_dual(measure, lagrangian, nu)
         if ledger is not None:
-            ledger.add(LedgerTerm(1, 0, (), dual))
+            ledger.add(LedgerTerm(1, (), dual))
         return dual
     if len(jets_so_far) < p - 1:
         raise ArgError(f"E^({p}) needs jets w^(1..{p - 1})")
@@ -185,7 +195,7 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
     total = DualJet.zero(measure.size, measure.dimension)
     for comp, dual in zip(comps, duals):
         total = total + dual
-        ledger.add(LedgerTerm(p, len(comp), comp, dual))
+        ledger.add(LedgerTerm(p, comp, dual))
     return total
 
 
@@ -232,7 +242,7 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
         correction, defect = _solve(greens, rhs, p)
         defects.append(defect)
         jets.append(v + correction)
-    return PerturbationSeries(measure, order, nu, jets, convention, range_defects=defects,
+    return PerturbationSeries(measure, nu, jets, convention, range_defects=defects,
                               ledger_source=(lagrangian, 1) if keep_ledger else None)
 
 
@@ -251,6 +261,8 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     (|Delta w1| <= TOL_RANK |Delta| max(|w1|, 1)); higher orders follow the
     plain recursion starting at p = 2 (Delta_0 and Delta_1[w1] both vanish).
     """
+    if order < 1:
+        raise ArgError(f"a family starts at w1: order {order} < 1")
     check_on_support([w1], measure.size, measure.dimension, "w1")
     d0 = linops.delta_zero_dual(measure, lagrangian, nu)
     if d0.norm() > TOL_CRITICAL:
@@ -268,7 +280,7 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
         w, defect = _solve(greens, E, p)
         jets.append(w)
         defects.append(defect)
-    return PerturbationSeries(measure, order, nu, jets, range_defects=defects,
+    return PerturbationSeries(measure, nu, jets, range_defects=defects,
                               ledger_source=(lagrangian, 2))
 
 

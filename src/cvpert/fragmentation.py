@@ -34,7 +34,7 @@ from . import linops
 from .errors import InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
 from .el import _integrate, ell_field
 from .fitting import loglog_slope
-from .jets import Jet, MultiJet
+from .jets import Jet, MultiJet, check_on_support
 from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, merge_close, pair_reader, push_forward
 
@@ -298,11 +298,15 @@ def perturbed_laplacian_linF(measure: DiscreteMeasure, lagrangian: LagrangianMod
 
     Rows are test directions, columns argument directions; the derivative of
     the subsystem-averaged EL data along the argument flow.  Defaults to the
-    orthonormal linearized-fluctuation basis of the base measure.
+    orthonormal linearized-fluctuation basis of the base measure.  Given
+    directions must fit the support and the ansatz's subsystem count.
     """
     if directions is None:
         cols = lin_fluct_columns(measure, lagrangian, ansatz.n_subsystems)
     else:
+        check_on_support(directions, measure.size, measure.dimension, "direction")
+        if any(d.n_subsystems != ansatz.n_subsystems for d in directions):
+            raise ShapeError(f"directions need {ansatz.n_subsystems} subsystems")
         cols = np.array([d.flatten() for d in directions]).T
     frag = fragment_measure(measure, ansatz, lam)
     return cols.T @ fragmented_jacobian(frag, lagrangian, nu) @ cols
@@ -314,15 +318,19 @@ def perturbed_laplacian_linF(measure: DiscreteMeasure, lagrangian: LagrangianMod
 
 @dataclass
 class Scenario:
-    """Bundle of a fragmentation study: base data plus the ansatz."""
+    """Bundle of a fragmentation study: base data plus the ansatz, which
+    fixes the number of subsystems (``n_subsystems``)."""
 
     name: str
     measure: DiscreteMeasure
     lagrangian: LagrangianModel
     nu: float
-    n_subsystems: int
     ansatz: FragmentationAnsatz
     lam_grid: np.ndarray = field(default_factory=lambda: np.geomspace(0.02, 0.1, 5))
+
+    @property
+    def n_subsystems(self) -> int:
+        return self.ansatz.n_subsystems
 
 
 def example52_scenario(f1: float = 1.0, w: float | None = None,
@@ -343,7 +351,7 @@ def example52_scenario(f1: float = 1.0, w: float | None = None,
                                  linf_fluct=linf)
     grid = np.geomspace(0.02, 0.1, 5) if lam_grid is None else np.asarray(lam_grid)
     name = "example52" + ("-regularized" if regularized else "")
-    return Scenario(name, measure, lag, 0.0, 2, ansatz, grid)
+    return Scenario(name, measure, lag, 0.0, ansatz, grid)
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 A jet assigns to every support point a scalar (weight change) and a vector
 (point displacement).  A dual jet assigns a scalar and a covector; the
-pairing is pointwise.  Flattened vectors use point-major layout: for point i
-the block [scalar, vector_1 .. vector_m].
+pairing is pointwise.  Both name their parts ``scalar`` and ``vector`` and
+share one implementation, which rejects non-finite entries and sums of
+another kind or shape.  Flattened vectors use point-major layout: for point
+i the block [scalar, vector_1 .. vector_m].
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from .errors import ShapeError
 
 
 @dataclass
-class Jet:
-    """Per-point pair (scalar a_i, vector u_i in R^m)."""
+class _PointPairs:
+    """Per-point pair (scalar s_i, vector v_i in R^m): what jets and dual jets share."""
 
     scalar: np.ndarray
     vector: np.ndarray
@@ -27,11 +29,12 @@ class Jet:
         self.vector = np.atleast_2d(np.asarray(self.vector, dtype=float))
         if len(self.scalar) != len(self.vector):
             raise ShapeError("scalar and vector parts must have equal length")
-        if not (np.all(np.isfinite(self.scalar)) and np.all(np.isfinite(self.vector))):
-            raise ShapeError("non-finite jet entries")
+        if (np.count_nonzero(np.isfinite(self.scalar)) < self.scalar.size  # cheaper than .all()
+                or np.count_nonzero(np.isfinite(self.vector)) < self.vector.size):
+            raise ShapeError(f"non-finite {type(self).__name__} entries")
 
     @classmethod
-    def zero(cls, n_points: int, dim: int) -> "Jet":
+    def zero(cls, n_points: int, dim: int):
         return cls(np.zeros(n_points), np.zeros((n_points, dim)))
 
     @property
@@ -46,73 +49,38 @@ class Jet:
         return np.hstack([self.scalar[:, None], self.vector]).ravel()
 
     @classmethod
-    def unflatten(cls, vec, dim: int) -> "Jet":
+    def unflatten(cls, vec, dim: int):
         arr = np.asarray(vec, dtype=float).reshape(-1, 1 + dim)
         return cls(arr[:, 0].copy(), arr[:, 1:].copy())
 
     def norm(self) -> float:
-        """Sup norm over the support (max of |a_i| and |u_i| entries)."""
-        if self.size == 0:
-            return 0.0
-        return float(max(np.max(np.abs(self.scalar)), np.max(np.abs(self.vector))))
+        """Sup norm over the support (max of |s_i| and |v_i| entries; 0 if empty)."""
+        return float(max(np.max(np.abs(self.scalar), initial=0.0),
+                         np.max(np.abs(self.vector), initial=0.0)))
 
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.scalar + other.scalar, self.vector + other.vector)
+    def _like(self, other):
+        if type(other) is not type(self) or other.vector.shape != self.vector.shape:
+            raise ShapeError(f"a {type(self).__name__} combined with another kind or shape")
+        return other
 
-    def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(self.scalar - other.scalar, self.vector - other.vector)
+    def __add__(self, other):
+        return type(self)(self.scalar + self._like(other).scalar, self.vector + other.vector)
 
-    def __mul__(self, factor: float) -> "Jet":
-        return Jet(self.scalar * factor, self.vector * factor)
+    def __sub__(self, other):
+        return type(self)(self.scalar - self._like(other).scalar, self.vector - other.vector)
+
+    def __mul__(self, factor: float):
+        return type(self)(self.scalar * factor, self.vector * factor)
 
     __rmul__ = __mul__
 
 
-@dataclass
-class DualJet:
+class Jet(_PointPairs):
+    """Per-point pair (scalar a_i, vector u_i): the variation of a weight and a point."""
+
+
+class DualJet(_PointPairs):
     """Per-point pair (scalar g_i, covector phi_i); pairs pointwise with jets."""
-
-    value: np.ndarray
-    gradient: np.ndarray
-
-    def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=float).ravel()
-        self.gradient = np.atleast_2d(np.asarray(self.gradient, dtype=float))
-        if len(self.value) != len(self.gradient):
-            raise ShapeError("value and gradient parts must have equal length")
-
-    @classmethod
-    def zero(cls, n_points: int, dim: int) -> "DualJet":
-        return cls(np.zeros(n_points), np.zeros((n_points, dim)))
-
-    @property
-    def size(self) -> int:
-        return len(self.value)
-
-    @property
-    def dimension(self) -> int:
-        return self.gradient.shape[1]
-
-    def flatten(self) -> np.ndarray:
-        return np.hstack([self.value[:, None], self.gradient]).ravel()
-
-    @classmethod
-    def unflatten(cls, vec, dim: int) -> "DualJet":
-        arr = np.asarray(vec, dtype=float).reshape(-1, 1 + dim)
-        return cls(arr[:, 0].copy(), arr[:, 1:].copy())
-
-    def norm(self) -> float:
-        if self.size == 0:
-            return 0.0
-        return float(max(np.max(np.abs(self.value)), np.max(np.abs(self.gradient))))
-
-    def __add__(self, other: "DualJet") -> "DualJet":
-        return DualJet(self.value + other.value, self.gradient + other.gradient)
-
-    def __mul__(self, factor: float) -> "DualJet":
-        return DualJet(self.value * factor, self.gradient * factor)
-
-    __rmul__ = __mul__
 
 
 def check_on_support(jets, n_points: int, dim: int, what: str = "jet") -> None:
@@ -120,14 +88,14 @@ def check_on_support(jets, n_points: int, dim: int, what: str = "jet") -> None:
     support of ``n_points`` points, with vectors of dimension ``dim``."""
     for w in jets:
         if w.size != n_points or w.dimension != dim:
-            raise ShapeError(f"{what} shapes do not match the support")
+            raise ShapeError(f"{what} shapes do not fit {n_points} points in dimension {dim}")
 
 
 def pairing(dual: DualJet, jet: Jet) -> np.ndarray:
     """Pointwise dual pairing g_i a_i + phi_i . u_i."""
-    if dual.size != jet.size or dual.gradient.shape != jet.vector.shape:
+    if dual.vector.shape != jet.vector.shape:
         raise ShapeError("dual jet and jet shapes do not match")
-    return dual.value * jet.scalar + np.einsum("ij,ij->i", dual.gradient, jet.vector)
+    return dual.scalar * jet.scalar + np.einsum("ij,ij->i", dual.vector, jet.vector)
 
 
 class TestBasis:
@@ -141,10 +109,7 @@ class TestBasis:
     def __init__(self, jets: list[Jet], full_space: bool = False):
         if not jets:
             raise ShapeError("test basis needs at least one jet")
-        n, m = jets[0].size, jets[0].dimension
-        for j in jets:
-            if j.size != n or j.dimension != m:
-                raise ShapeError("inconsistent jet shapes in test basis")
+        check_on_support(jets, jets[0].size, jets[0].dimension, "test basis")
         gram = np.array([[float(a.flatten() @ b.flatten()) for b in jets] for a in jets])
         if np.linalg.matrix_rank(gram, tol=1e-12 * max(1.0, np.max(np.abs(gram)))) < len(jets):
             raise ShapeError("test basis jets are linearly dependent")
@@ -181,10 +146,7 @@ class MultiJet:
     def __post_init__(self):
         if not self.jets:
             raise ShapeError("multi-jet needs at least one subsystem")
-        n, m = self.jets[0].size, self.jets[0].dimension
-        for j in self.jets:
-            if j.size != n or j.dimension != m:
-                raise ShapeError("inconsistent subsystem jet shapes")
+        check_on_support(self.jets, self.size, self.dimension, "subsystem jet")
 
     @property
     def n_subsystems(self) -> int:
@@ -214,6 +176,8 @@ class MultiJet:
         return max(j.norm() for j in self.jets)
 
     def __add__(self, other: "MultiJet") -> "MultiJet":
+        if other.n_subsystems != self.n_subsystems:
+            raise ShapeError("multi-jets of different subsystem counts")
         return MultiJet([a + b for a, b in zip(self.jets, other.jets)])
 
     def __mul__(self, factor: float) -> "MultiJet":

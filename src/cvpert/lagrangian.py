@@ -40,7 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgError, ConfigError, NumericalFailure, OrderUnsupported, UnknownModel
+from .errors import (ArgError, ConfigError, NumericalFailure, OrderUnsupported, ShapeError,
+                     UnknownModel)
 from .series import TruncatedSeries, basis_values, cauchy_matmul, lower_set
 
 
@@ -59,18 +60,23 @@ def _sympy():
     return sys.modules[__name__].sp
 
 
-def _as_multi_index(alpha, m) -> tuple:
-    alpha = tuple(int(k) for k in alpha)
-    if len(alpha) != m or any(k < 0 for k in alpha):
-        raise ValueError(f"bad multi-index {alpha} for dimension {m}")
-    return alpha
+def _multi_indices(lag, alpha, beta) -> tuple:
+    """(alpha, beta) as tuples, after checking that they are multi-indices of
+    the model's dimension whose total order the model provides."""
+    alpha, beta = (tuple(int(k) for k in a) for a in (alpha, beta))
+    if any(len(a) != lag.dim or any(k < 0 for k in a) for a in (alpha, beta)):
+        raise ShapeError(f"bad multi-indices {alpha}, {beta} for dimension {lag.dim}")
+    if sum(alpha) + sum(beta) > lag.max_order:
+        raise OrderUnsupported(f"{lag.name}: order {sum(alpha) + sum(beta)} exceeds "
+                               f"max_order {lag.max_order}")
+    return alpha, beta
 
 
-def _check_order(lag, alpha, beta):
-    total = sum(alpha) + sum(beta)
-    if total > lag.max_order:
-        raise OrderUnsupported(
-            f"{lag.name}: order {total} exceeds max_order {lag.max_order}")
+def check_points(lag, *points):
+    """ShapeError unless every point array has the model's dimension on axis 1."""
+    for P in points:
+        if P.ndim < 2 or P.shape[1] != lag.dim:
+            raise ShapeError(f"{lag.name}: points of shape {P.shape} for dimension {lag.dim}")
 
 
 class LagrangianModel:
@@ -258,9 +264,7 @@ class PolynomialLagrangian(LagrangianModel):
         return float(self._values()(*np.asarray(x, float), *np.asarray(y, float)))
 
     def partial(self, x, y, alpha, beta) -> float:
-        alpha = _as_multi_index(alpha, self.dim)
-        beta = _as_multi_index(beta, self.dim)
-        _check_order(self, alpha, beta)
+        alpha, beta = _multi_indices(self, alpha, beta)
         return float(self._table(np.asarray(x, float)[None], np.asarray(y, float)[None],
                                  alpha, beta)[0, 0])
 
@@ -281,9 +285,8 @@ def pair_table(lag, X, Y, alpha, beta, values=None) -> np.ndarray:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    alpha = _as_multi_index(alpha, lag.dim)
-    beta = _as_multi_index(beta, lag.dim)
-    _check_order(lag, alpha, beta)
+    check_points(lag, X, Y)
+    alpha, beta = _multi_indices(lag, alpha, beta)
     table = np.empty((len(X), len(Y)))
     if isinstance(lag, PolynomialLagrangian):
         with np.errstate(all="ignore"):
@@ -313,10 +316,9 @@ def pair_series(lag: PolynomialLagrangian, X, Y, alpha, beta) -> TruncatedSeries
     The model must take series."""
     if not takes_series(lag):
         raise ArgError(f"{lag.name}: truncated series need a polynomial model")
-    alpha = _as_multi_index(alpha, lag.dim)
-    beta = _as_multi_index(beta, lag.dim)
-    _check_order(lag, alpha, beta)
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    check_points(lag, X, Y)
+    alpha, beta = _multi_indices(lag, alpha, beta)
     with np.errstate(all="ignore"):
         VX = basis_values(lag.basis, X)
         VY = VX if Y is X else basis_values(lag.basis, Y)
@@ -374,9 +376,7 @@ class NumericLagrangian(LagrangianModel):
         return float(self._evaluator(np.asarray(x, float), np.asarray(y, float)))
 
     def partial(self, x, y, alpha, beta) -> float:
-        alpha = _as_multi_index(alpha, self.dim)
-        beta = _as_multi_index(beta, self.dim)
-        _check_order(self, alpha, beta)
+        alpha, beta = _multi_indices(self, alpha, beta)
         return float(numeric_partial(self._evaluator, x, y, alpha, beta))
 
 

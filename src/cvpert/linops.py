@@ -50,7 +50,7 @@ import numpy as np
 from .el import ell_field
 from .errors import NumericalFailure, OrderUnsupported, OutOfRange, ShapeError
 from .jets import DualJet, Jet, TestBasis, check_on_support
-from .lagrangian import LagrangianModel, takes_series
+from .lagrangian import LagrangianModel, check_points, takes_series
 from .measure import DiscreteMeasure
 from .series import TruncatedSeries, _cauchy, basis_values, cauchy_matmul
 
@@ -129,6 +129,7 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, gradient):
     with dx = x - x(0), from the measure's partial tables at lam = 0, with
     the mass folded into the dx_j^d factor the same way.
     """
+    check_points(lagrangian, x)
     n, m, K = x.shape
     zero = (0,) * m
     with np.errstate(all="ignore"):
@@ -175,8 +176,7 @@ def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient):
     _require_order(lagrangian, order + 1 if with_gradient else order, what)
     n, m = measure.size, measure.dimension
     total = np.zeros((n, 1 + m if with_gradient else 1))
-    norms = [max(np.max(np.abs(w.scalar), initial=0.0), np.max(np.abs(w.vector), initial=0.0))
-             for w in jets]
+    norms = [w.norm() for w in jets]
     if min(norms) == 0.0:
         return total
     units = [Jet(w.scalar / s, w.vector / s) for w, s in zip(jets, norms)]
@@ -238,20 +238,30 @@ class DeltaMatrix:
     """Weight-multiplied bilinear form of the linearized operator.
 
     ``matrix`` is square of size N(1+m), assembled against the full test
-    space.  A restricted test basis is kept with the form it was assembled
-    against (``testbasis``; None for the full space), and its rectangular
-    test-row form ``test_rows`` (rows grouped basis-jet major, point minor)
-    is computed on first read.  Its one decomposition (``decomposition``) is
-    cached on first read too, so the form is not to be changed afterwards.
+    space; N is the number of ``weights``, and the vector dimension m
+    (``dim``) follows from the two.  A restricted test basis is kept with
+    the form it was assembled against (``testbasis``; None for the full
+    space), and its rectangular test-row form ``test_rows`` (rows grouped
+    basis-jet major, point minor) is computed on first read.  Its one
+    decomposition (``decomposition``) is cached on first read too, so the
+    form is not to be changed afterwards.
     """
 
     matrix: np.ndarray
     nu: float
     weights: np.ndarray
-    dim: int
     convention: str = "standard"
     measure_fingerprint: str = ""
     testbasis: TestBasis | None = None
+
+    def __post_init__(self):
+        n, side = len(self.weights), self.matrix.shape[-1]
+        if self.matrix.shape != (side, side) or not n or side % n or side < 2 * n:
+            raise ShapeError(f"Delta of shape {self.matrix.shape} does not fit {n} points")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1] // len(self.weights) - 1
 
     @cached_property
     def test_rows(self) -> np.ndarray | None:
@@ -387,8 +397,8 @@ def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: fl
     W = np.repeat(measure.weights, 1 + m)
     B = W[:, None] * A
     restricted = testbasis if testbasis is not None and not testbasis.full_space else None
-    return DeltaMatrix(B, nu, measure.weights.copy(), m, convention,
-                       measure.fingerprint(), restricted)
+    return DeltaMatrix(B, nu, measure.weights.copy(), convention, measure.fingerprint(),
+                       restricted)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidMeasure, NumericalFailure, ShapeError
-from .lagrangian import pair_table, takes_series
+from .lagrangian import check_points, pair_table, takes_series
 from .series import basis_values
 
 TOL_POINT_MERGE = 1e-9
@@ -70,6 +70,7 @@ def pair_reader(lagrangian, points):
     first read.  A model that takes series evaluates its basis on the points
     once, on the first read of a partial of order >= 1, and gathers every
     such table from those values; order 0 comes from the factored form."""
+    check_points(lagrangian, points)
 
     @cache
     def values():

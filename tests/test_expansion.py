@@ -217,7 +217,7 @@ def test_jets_off_the_support_raise_shape_error(call):
     pytest.param(lambda delta, n, m: GreensOperator(delta).apply(
         DualJet(np.ones(n), np.ones((n, m)))), id="greens-apply"),
     pytest.param(lambda delta, n, m: reconstruct(PerturbationSeries(
-        _pair(), 1, delta.nu, [Jet(np.ones(n), np.ones((n, m)))]), 0.1), id="reconstruct"),
+        _pair(), delta.nu, [Jet(np.ones(n), np.ones((n, m)))]), 0.1), id="reconstruct"),
 ])
 def test_misfit_jets_on_a_delta_or_series_raise_shape_error(call, n, m):
     lag = build_lagrangian("pair_distance")
@@ -288,7 +288,7 @@ def test_reconstruct_pure_shift_matches_push_forward(quartic_base):
     series_like = expand.__wrapped__ if hasattr(expand, "__wrapped__") else None
     from cvpert.expansion import PerturbationSeries
 
-    series = PerturbationSeries(quartic_base, 1, 0.0, [shift])
+    series = PerturbationSeries(quartic_base, 0.0, [shift])
     out = reconstruct(series, 1.0)
     ref = push_forward(quartic_base, np.zeros(2), shift.vector)
     assert np.allclose(out.points, ref.points)
@@ -300,7 +300,7 @@ def test_reconstruct_example52_single_copy():
 
     base = DiscreteMeasure(np.zeros((1, 2)), np.ones(1))
     w = 1.0 / np.sqrt(2.0)
-    series = PerturbationSeries(base, 1, 0.0, [Jet(np.zeros(1), np.array([[w, 1.0]]))])
+    series = PerturbationSeries(base, 0.0, [Jet(np.zeros(1), np.array([[w, 1.0]]))])
     out = reconstruct(series, 0.1)
     assert np.allclose(out.points, [[0.0707107, 0.1]], atol=1e-6)
 
@@ -370,7 +370,7 @@ def test_residual_slope_finite_case(quartic_pair, quartic_base):
     from cvpert.expansion import PerturbationSeries
 
     nu = calibrate_nu(quartic_base, quartic_pair, tol=1e-8)
-    series = PerturbationSeries(quartic_base, 1, nu,
+    series = PerturbationSeries(quartic_base, nu,
                                 [Jet(np.zeros(2), np.array([[0.4], [0.1]]))])
     slope, _ = residual_slope(series, quartic_pair, nu, np.geomspace(1e-3, 1e-2, 5))
     assert slope == pytest.approx(1.0, abs=0.05)

@@ -300,7 +300,7 @@ def test_wellposedness_zero_ansatz_inconclusive():
     scen = example52_scenario()
     zero_ansatz = FragmentationAnsatz(np.array([1.0, 1.0]), 1.0, 1.0,
                                       scen.ansatz.mean_jet)
-    degenerate = Scenario("zero", scen.measure, scen.lagrangian, 0.0, 2,
+    degenerate = Scenario("zero", scen.measure, scen.lagrangian, 0.0,
                           zero_ansatz, scen.lam_grid)
     report = wellposedness_check(degenerate)
     assert report.verdict == "inconclusive"
@@ -316,7 +316,7 @@ def test_fragment_expand_zero_ansatz_on_critical(quartic_pair, quartic_base):
     # zero ansatz on a critical measure: nothing to correct, zero increments
     nu = calibrate_nu(quartic_base, quartic_pair, tol=1e-8)
     ansatz = FragmentationAnsatz(np.array([1.0]), 1.0, 1.0, Jet.zero(2, 1))
-    scen = Scenario("null", quartic_base, quartic_pair, nu, 1, ansatz)
+    scen = Scenario("null", quartic_base, quartic_pair, nu, ansatz)
     out = fragment_expand(scen, order=2, lam=0.05)
     assert out.series is not None
     for jet in out.series.jets:
@@ -328,7 +328,7 @@ def test_fragment_expand_single_subsystem_reduces(quartic_pair, quartic_base):
     nu = calibrate_nu(quartic_base, quartic_pair, tol=1e-8)
     mean = Jet(np.zeros(2), np.array([[0.31], [-0.12]]))
     ansatz = FragmentationAnsatz(np.array([1.0]), 1.0, 1.0, mean)
-    scen = Scenario("reduce", quartic_base, quartic_pair, nu, 1, ansatz)
+    scen = Scenario("reduce", quartic_base, quartic_pair, nu, ansatz)
     out = fragment_expand(scen, order=2, lam=0.05)
     from cvpert.expansion import expand
     from cvpert.measure import push_forward

@@ -36,7 +36,7 @@ def random_symmetric_delta(rng, n, m, kernel, tiny=None):
     if tiny is not None:
         lam[kernel] = tiny
     M = (q * lam) @ q.T
-    return DeltaMatrix((M + M.T) / 2.0, 0.0, rng.uniform(0.5, 1.5, n), m)
+    return DeltaMatrix((M + M.T) / 2.0, 0.0, rng.uniform(0.5, 1.5, n))
 
 
 def wide_support_delta():
@@ -151,5 +151,5 @@ def test_health_reads_the_decomposition(example52_reg, rng):
     check_health(GreensOperator(rows), rows.test_rows)
     tiny = GreensOperator(random_symmetric_delta(rng, 4, 1, 2, tiny=1e-10)).health()
     assert tiny["sigma_first_dropped"] == pytest.approx(1e-10, rel=1e-4)
-    empty = GreensOperator(DeltaMatrix(np.zeros((2, 2)), 0.0, np.ones(1), 1)).health()
+    empty = GreensOperator(DeltaMatrix(np.zeros((2, 2)), 0.0, np.ones(1))).health()
     assert empty["rank"] == 0 and empty["condition"] == math.inf

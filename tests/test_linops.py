@@ -208,10 +208,10 @@ def test_breve_matrix_matches_flow_derivative_off_critical(example52_reg, generi
 def test_kernel_basis_trivial_cases(rng):
     from cvpert.linops import DeltaMatrix
 
-    zero = DeltaMatrix(np.zeros((4, 4)), 0.0, np.ones(2), 1)
+    zero = DeltaMatrix(np.zeros((4, 4)), 0.0, np.ones(2))
     kb = kernel_basis(zero)
     assert len(kb) == 4
-    inv = DeltaMatrix(np.eye(4) + 0.1 * np.diag(rng.normal(size=4)), 0.0, np.ones(2), 1)
+    inv = DeltaMatrix(np.eye(4) + 0.1 * np.diag(rng.normal(size=4)), 0.0, np.ones(2))
     assert len(kernel_basis(inv)) == 0
 
 

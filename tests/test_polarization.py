@@ -97,8 +97,8 @@ def test_polarized_delta_matches_enumeration(model, order):
     for convention in ("standard", "breve"):
         ref_v, ref_g = enumerated_delta(order, jets, mu, lag, nu, convention)
         dual = delta_ell_dual(order, jets, mu, lag, nu, convention)
-        assert_close(dual.value, ref_v)
-        assert_close(dual.gradient, ref_g)
+        assert_close(dual.scalar, ref_v)
+        assert_close(dual.vector, ref_g)
         value = delta_ell(order, jets, mu, lag, nu, convention)
         assert_close(value, ref_v)
 
@@ -109,8 +109,8 @@ def test_disparate_jet_scales(model):
     for convention in ("standard", "breve"):
         ref_v, ref_g = enumerated_delta(3, jets, mu, lag, nu, convention)
         dual = delta_ell_dual(3, jets, mu, lag, nu, convention)
-        assert_close(dual.value, ref_v)
-        assert_close(dual.gradient, ref_g)
+        assert_close(dual.scalar, ref_v)
+        assert_close(dual.vector, ref_g)
 
 
 @pytest.mark.parametrize("model", ["example52_regularized", "numeric"])
@@ -158,7 +158,7 @@ def test_black_box_reads_each_partial_table_once(order):
     lag, mu, jets, nu = make_case("example52_regularized", order, seed=5)
     box = Counting(lag)
     dual = delta_ell_dual(order, jets, mu, box, nu)
-    assert_close(dual.value, delta_ell_dual(order, jets, mu, lag, nu).value)
+    assert_close(dual.scalar, delta_ell_dual(order, jets, mu, lag, nu).scalar)
     # one table of n^2 pairs per multi-index pair (alpha, beta), |alpha|+|beta| <= l+1
     indices = math.comb(2 * lag.dim + order + 1, order + 1)
     assert 0 < box.calls <= indices * mu.size ** 2
@@ -176,6 +176,6 @@ def test_black_box_error_term_reads_each_partial_once(p):
     for ell in range(2, p + 1):
         for comp in compositions(p, ell):
             term = delta_ell_dual(ell, [jets[q - 1] for q in comp], mu, Counting(lag), nu)
-            ref_value, ref_gradient = ref_value + term.value, ref_gradient + term.gradient
-    assert_close(dual.value, ref_value)
-    assert_close(dual.gradient, ref_gradient)
+            ref_value, ref_gradient = ref_value + term.scalar, ref_gradient + term.vector
+    assert_close(dual.scalar, ref_value)
+    assert_close(dual.vector, ref_gradient)

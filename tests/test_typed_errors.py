@@ -1,0 +1,147 @@
+"""Bad input raises a typed CvpError, never a bare numpy error, an
+AttributeError or a silent value.
+
+One row per bad input: the entry point, the input and the error class it
+must raise.  Every row runs with warnings turned into errors, so a call
+that computes on the bad input first (numpy's RuntimeWarning on a NaN)
+fails its row too.  No row draws random numbers.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from cvpert.el import calibrate_nu, ell, ell_field, ell_on_support, grad_ell, integrate_partial
+from cvpert.errors import ArgError, CvpError, ShapeError
+from cvpert.expansion import LedgerTerm, PerturbationSeries, expand, family_from_linearized
+from cvpert.fragmentation import Scenario, example52_scenario, perturbed_laplacian_linF
+from cvpert.jets import DualJet, Jet, MultiJet
+from cvpert.lagrangian import build_lagrangian, pair_series, pair_table
+from cvpert.linops import (DeltaMatrix, GreensOperator, assemble_delta, delta_ell_dual,
+                           delta_zero_dual, taylor_error_dual)
+from cvpert.measure import DiscreteMeasure
+
+PLANE = build_lagrangian("example52_regularized")  # a 2-D model
+LINE = build_lagrangian("quartic_pair")  # a 1-D model
+PAIR = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.5]]), np.ones(2))
+PAIR_1D = DiscreteMeasure(np.array([[0.0], [1.0]]), np.ones(2))
+PAIR_3D = DiscreteMeasure(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.2]]), np.ones(2))
+THREE = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, -0.4]])
+
+
+def pair_distance_delta():
+    """Delta of the 2-point ``pair_distance`` measure, on 1-D jets."""
+    lag = build_lagrangian("pair_distance")
+    return assemble_delta(PAIR_1D, lag, 2.0)
+
+
+def series_document(order):
+    """An order-2 series written to JSON, with its "order" set to ``order``."""
+    doc = PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2), Jet.zero(2, 2)]).to_json()
+    return {**doc, "order": order}
+
+
+def subsystem_direction(n_subsystems):
+    """An ``n_subsystems``-subsystem direction on the one-point example52 support."""
+    return MultiJet([Jet(np.zeros(1), np.array([[1.0, 0.0]]))] * n_subsystems)
+
+
+ROWS = [
+    # jets and dual jets: one implementation with one set of checks
+    ("DualJet/nan", lambda: DualJet([np.nan, 0.0], [[0.0], [0.0]]), ShapeError),
+    ("DualJet/inf", lambda: DualJet([0.0, 0.0], [[np.inf], [0.0]]), ShapeError),
+    ("DualJet*inf", lambda: DualJet(np.ones(2), np.ones((2, 1))) * np.inf, ShapeError),
+    ("GreensOperator.apply/strict-inf",
+     lambda: GreensOperator(pair_distance_delta(), strict=True).apply(
+         DualJet([np.inf, 0.0], [[0.0], [0.0]])), ShapeError),
+    ("Jet+Jet/size", lambda: Jet.zero(1, 2) + Jet(np.ones(2), np.ones((2, 2))), ShapeError),
+    ("Jet-Jet/dimension", lambda: Jet.zero(2, 1) - Jet.zero(2, 2), ShapeError),
+    ("DualJet+DualJet/size", lambda: DualJet.zero(1, 1) + DualJet.zero(2, 1), ShapeError),
+    ("Jet+DualJet", lambda: Jet.zero(2, 1) + DualJet.zero(2, 1), ShapeError),
+    ("DualJet+Jet", lambda: DualJet.zero(2, 1) + Jet.zero(2, 1), ShapeError),
+    ("MultiJet+MultiJet/subsystems", lambda: subsystem_direction(2) + subsystem_direction(3),
+     ShapeError),
+    # counts the data fix
+    ("PerturbationSeries.from_json/order", lambda: PerturbationSeries.from_json(
+        series_document(5)), ShapeError),
+    ("PerturbationSeries.from_json/order-text", lambda: PerturbationSeries.from_json(
+        series_document("3")), ShapeError),
+    ("family_from_linearized/order-0", lambda: family_from_linearized(
+        Jet.zero(2, 1), PAIR_1D, build_lagrangian("pair_distance"),
+        calibrate_nu(PAIR_1D, build_lagrangian("pair_distance")), 0), ArgError),
+    ("DeltaMatrix/side", lambda: DeltaMatrix(np.eye(5), 0.0, np.ones(2)), ShapeError),
+    ("DeltaMatrix/one-slot", lambda: DeltaMatrix(np.eye(2), 0.0, np.ones(2)), ShapeError),
+    ("DeltaMatrix/not-square", lambda: DeltaMatrix(np.ones((4, 6)), 0.0, np.ones(2)),
+     ShapeError),
+    # points of another dimension than the model's
+    ("pair_table/dimension", lambda: pair_table(PLANE, [[0.5]], [[0.1, 0.2]], (1, 0), (0, 0)),
+     ShapeError),
+    ("pair_table/multi-index", lambda: pair_table(PLANE, THREE, THREE, (1,), (0, 0)),
+     ShapeError),
+    ("pair_series/dimension", lambda: pair_series(PLANE, np.zeros((2, 1, 3)),
+                                                  np.zeros((2, 1, 3)), (0, 0), (0, 0)),
+     ShapeError),
+    ("grad_ell/short-point", lambda: grad_ell(PAIR, PLANE, [0.1]), ShapeError),
+    ("ell/long-point", lambda: ell(PAIR, PLANE, 0.0, [0.1, 0.2, 0.3]), ShapeError),
+    ("delta_zero_dual/1-D-measure", lambda: delta_zero_dual(PAIR_1D, PLANE, 0.0),
+     ShapeError),
+    ("assemble_delta/1-D-measure", lambda: assemble_delta(PAIR_1D, PLANE, 0.0), ShapeError),
+    ("ell_on_support/1-D-measure", lambda: ell_on_support(PAIR_1D, PLANE, 0.0), ShapeError),
+    ("expand/3-D-measure", lambda: expand(PAIR_3D, LINE, 0.0, 2), ShapeError),
+    ("taylor_error_dual/3-D-measure",
+     lambda: taylor_error_dual(2, [Jet.zero(2, 3)], PAIR_3D, LINE, 0.0), ShapeError),
+    ("delta_ell_dual/3-D-measure",
+     lambda: delta_ell_dual(1, [Jet(np.ones(2), np.ones((2, 3)))], PAIR_3D, LINE, 0.0),
+     ShapeError),
+    # weights of another length than the support
+    ("integrate_partial/weights",
+     lambda: integrate_partial(PLANE, THREE[:1], THREE, np.ones(2), (0, 0)), ShapeError),
+    ("ell_field/weights", lambda: ell_field(
+        PLANE, 0.0, np.ones(4), lambda a, b: pair_table(PLANE, THREE, THREE, a, b)),
+     ShapeError),
+    # fragmented directions
+    ("perturbed_laplacian_linF/subsystems", lambda: perturbed_laplacian_linF(
+        example52_scenario().measure, example52_scenario().lagrangian,
+        example52_scenario().ansatz, 0.05, directions=[subsystem_direction(3)]), ShapeError),
+    ("perturbed_laplacian_linF/points", lambda: perturbed_laplacian_linF(
+        example52_scenario().measure, example52_scenario().lagrangian,
+        example52_scenario().ansatz, 0.05,
+        directions=[MultiJet([Jet.zero(2, 2)] * 2)]), ShapeError),
+]
+
+
+@pytest.mark.parametrize("call,error", [pytest.param(call, error, id=name)
+                                        for name, call, error in ROWS])
+def test_bad_input_raises_typed_error(call, error):
+    assert issubclass(error, CvpError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
+
+def test_shape_error_is_a_value_error():
+    assert issubclass(ShapeError, ValueError)
+
+
+def test_counts_are_read_from_the_data():
+    # each count is derived, so it is no constructor argument and cannot
+    # disagree with the jets, ansatz, matrix or composition it counts
+    series = PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2)] * 3)
+    assert series.order == 3 and series.truncated(1).order == 1
+    assert series.to_json()["order"] == 3
+    scenario = example52_scenario()
+    assert scenario.n_subsystems == scenario.ansatz.n_subsystems == 2
+    delta = pair_distance_delta()
+    assert delta.dim == 1 and DeltaMatrix(np.eye(6), 0.0, np.ones(2)).dim == 2
+    assert LedgerTerm(3, (1, 2), DualJet.zero(2, 1)).ell == 2
+    with pytest.raises(TypeError):
+        PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2)], order=1)
+    with pytest.raises(TypeError):
+        Scenario("s", scenario.measure, scenario.lagrangian, 0.0, scenario.ansatz,
+                 n_subsystems=2)
+    with pytest.raises(TypeError):
+        DeltaMatrix(np.eye(4), 0.0, np.ones(2), dim=1)
+    with pytest.raises(TypeError):
+        LedgerTerm(3, (1, 2), DualJet.zero(2, 1), ell=2)
