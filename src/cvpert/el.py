@@ -3,9 +3,15 @@
 ell(x) = sum_j w_j L(x, y_j) - nu/2.  A measure is critical when ell and its
 gradient vanish on the support for all test jets.  nu is a fixed scenario
 parameter; it is calibrated once and never re-derived while perturbing.
+
+``ell_field`` is the one support sum of ell's x-derivatives up to order 2,
+read by Delta_0, the weak EL residuals, Delta's diagonal blocks and the
+fragmentation's ell-Hessians.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 import numpy as np
 
@@ -16,14 +22,14 @@ from .measure import DiscreteMeasure
 
 
 def _integrate(table, weights) -> np.ndarray:
-    """sum_j weights_j table[i, j] for every row i, column by column in support
-    order, so a row of the support table equals the single-point value; ell
-    is additive in the measure only up to rounding."""
-    if table.shape[1] != len(weights):
-        raise ShapeError(f"{len(weights)} weights for a support of {table.shape[1]} points")
-    total = np.zeros(len(table))
-    for w, column in zip(weights, table.T):
-        total += w * column
+    """sum_j weights_j table[..., j] over the trailing support axis, column by
+    column in support order, so a row of the support table equals the
+    single-point value; ell is additive in the measure only up to rounding."""
+    if table.shape[-1] != len(weights):
+        raise ShapeError(f"{len(weights)} weights for a support of {table.shape[-1]} points")
+    total = np.zeros(table.shape[:-1])
+    for j, w in enumerate(weights):
+        total += w * table[..., j]
     return total
 
 
@@ -32,15 +38,23 @@ def integrate_partial(lagrangian, X, points, weights, alpha) -> np.ndarray:
     return _integrate(pair_table(lagrangian, X, points, alpha, (0,) * lagrangian.dim), weights)
 
 
-def ell_field(lagrangian, nu, weights, table) -> tuple:
-    """ell and its x-gradient at every row X_i that ``table(alpha, beta)``
-    reads, the reader of d^alpha_x d^beta_y L(X_i, y_j) against a support
-    y_j with the given weights (coincident or massless points allowed)."""
-    zero = (0,) * lagrangian.dim
-    units = [tuple(e) for e in np.eye(lagrangian.dim, dtype=int).tolist()]
-    vals = _integrate(table(zero, zero), weights) - nu / 2.0
-    grads = np.stack([_integrate(table(e, zero), weights) for e in units], axis=-1)
-    return vals, grads
+def ell_field(lagrangian, nu, weights, table, order=1) -> tuple:
+    """ell and its x-derivatives up to ``order`` (0, 1 or 2): (ell,),
+    (ell, grad ell) or (ell, grad ell, Hess ell) at every row X_i that
+    ``table(alpha, beta)`` reads, the reader of d^alpha_x d^beta_y L(X_i, y_j)
+    against a support y_j with the given weights (coincident or massless
+    points allowed).  The tables d^alpha_x L, |alpha| <= order, are stacked
+    and summed over the support once (``_integrate``)."""
+    m = lagrangian.dim
+    zero = (0,) * m
+    units = [tuple(e) for e in np.eye(m, dtype=int).tolist()]
+    pairs = [(a, b) for a in range(m) for b in range(a, m)] if order == 2 else []
+    alphas = [zero] + units[:m * order] + [tuple(map(add, units[a], units[b])) for a, b in pairs]
+    sums = _integrate(np.array([table(alpha, zero) for alpha in alphas]), weights).T
+    hessian = np.zeros((m, m), dtype=int)
+    for k, (a, b) in enumerate(pairs, start=1 + m):
+        hessian[a, b] = hessian[b, a] = k
+    return (sums[:, 0] - nu / 2.0, sums[:, 1:1 + m], sums[:, hessian])[:order + 1]
 
 
 def ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float, x) -> float:
@@ -52,8 +66,7 @@ def ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float, x) -> 
 
 
 def ell_on_support(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float) -> np.ndarray:
-    zero = (0,) * measure.dimension
-    return _integrate(measure.pair_tables(lagrangian)(zero, zero), measure.weights) - nu / 2.0
+    return ell_field(lagrangian, nu, measure.weights, measure.pair_tables(lagrangian), 0)[0]
 
 
 def grad_ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, x) -> np.ndarray:

@@ -11,9 +11,11 @@ ansatz makes definite of a single order lambda^r after the microstructure
 rescaling of the vector components by lambda^q.
 
 Fragmented directions are flat columns in the layout of ``MultiJet.flatten``
-(subsystem major, then point-major blocks [scalar, vector]).  The lin-F
-basis is one array of orthonormal columns kron(pattern, slot), and the
-lambda^q rescaling is one diagonal on those columns.
+(subsystem major, then point-major blocks [scalar, vector]).  One ``eigh``
+of the ell-Hessians splits each point's slots into neutral ones (scalar and
+null eigendirections) and the others; the mean sector is kron(1/sqrt(L),
+slots), lin-F and complement are kron(zero-mean pattern, neutral or other
+slot), and the lambda^q rescaling is one diagonal on those columns.
 
 The expansion driver corrects the neutral directions through the perturbed
 form of the current configuration, one step per order taken whole or not
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops
-from .errors import InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
-from .el import _integrate, ell_field
+from .errors import ArgError, InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
+from .el import ell_field
 from .fitting import loglog_slope
 from .jets import Jet, MultiJet, check_on_support
 from .lagrangian import LagrangianModel
@@ -71,8 +73,8 @@ class FragmentationAnsatz:
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=float).ravel()
-        if np.any(self.f0 < 0):
-            raise ShapeError("subsystem weights must be non-negative")
+        if not np.all(np.isfinite(np.r_[self.f0, self.p, self.q])) or np.any(self.f0 < 0):
+            raise ShapeError("subsystem weights must be finite and non-negative, exponents finite")
         if abs(np.mean(self.f0) - 1.0) > 1e-14:
             raise ShapeError("weights must satisfy (1/L) sum f0 = 1")
         if min(self.p, self.q) != 1:
@@ -166,7 +168,9 @@ class FragmentedMeasure:
 
 def fragment_measure(measure: DiscreteMeasure, ansatz: FragmentationAnsatz,
                      lam: float) -> FragmentedMeasure:
-    """Apply the fragmentation ansatz at coupling lambda."""
+    """Apply the fragmentation ansatz at coupling lambda >= 0."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ArgError(f"coupling lambda must be finite and >= 0, got {lam}")
     jets = ansatz.order_one_jets(lam).jets
     with np.errstate(divide="ignore"):  # f0_a = 0: a massless subsystem
         log_w = np.log(ansatz.f0)[:, None] + np.array([j.scalar for j in jets])
@@ -190,16 +194,9 @@ class FluctuationForm:
 
 
 def assemble_delta_F(measure: DiscreteMeasure, lagrangian: LagrangianModel) -> FluctuationForm:
-    """Per-point Hessians of ell; the scalar components do not enter."""
-    n, m = measure.size, measure.dimension
-    units = np.eye(m, dtype=int)
-    table = measure.pair_tables(lagrangian)
-    hess = np.zeros((n, m, m))
-    for a in range(m):
-        for b in range(a, m):
-            hess[:, a, b] = hess[:, b, a] = _integrate(
-                table(tuple((units[a] + units[b]).tolist()), (0,) * m), measure.weights)
-    return FluctuationForm(hess)
+    """Per-point Hessians of ell (``ell_field``); the scalar components do not enter."""
+    return FluctuationForm(ell_field(lagrangian, 0.0, measure.weights,
+                                     measure.pair_tables(lagrangian), order=2)[2])
 
 
 def _zero_mean_patterns(L: int) -> np.ndarray:
@@ -213,23 +210,30 @@ def _zero_mean_patterns(L: int) -> np.ndarray:
     return np.array(rows) if rows else np.zeros((0, L))
 
 
-def lin_fluct_columns(measure: DiscreteMeasure, lagrangian: LagrangianModel,
-                      n_subsystems: int) -> np.ndarray:
-    """Orthonormal basis of the linearized-fluctuation space as flat columns.
-
-    Columns kron(pattern, slot): for each zero-mean subsystem pattern, the
-    free scalar slot of every point, then the per-point null directions of
-    the ell-Hessian (pattern major, point minor).
-    """
+def _slot_split(measure: DiscreteMeasure, lagrangian: LagrangianModel) -> tuple:
+    """Each point's slots as flat columns of the N(1+m) jet space, split by
+    one ``eigh`` of the ell-Hessians: (neutral, other).  Neutral are the
+    scalar slot of every point, then the per-point null eigendirections of
+    the Hessian (point major); other are the remaining eigendirections."""
     n, width = measure.size, 1 + measure.dimension
     hess = assemble_delta_F(measure, lagrangian).hessians
     evals, evecs = np.linalg.eigh(hess)
-    scale = max(float(np.max(np.abs(hess))), 1.0)
-    pts, ks = np.nonzero(np.abs(evals) <= linops.TOL_RANK * scale)
-    null = np.zeros((n, width, len(pts)))
-    null[pts, 1:, np.arange(len(pts))] = evecs[pts, :, ks]
-    slots = np.hstack([np.eye(n * width)[:, ::width], null.reshape(n * width, len(pts))])
-    return np.kron(_zero_mean_patterns(n_subsystems).T, slots)
+    null = np.abs(evals) <= linops.TOL_RANK * max(float(np.max(np.abs(hess))), 1.0)
+    split = []
+    for mask in (null, ~null):
+        pts, ks = np.nonzero(mask)
+        cols = np.zeros((n, width, len(pts)))
+        cols[pts, 1:, np.arange(len(pts))] = evecs[pts, :, ks]
+        split.append(cols.reshape(n * width, len(pts)))
+    return np.hstack([np.eye(n * width)[:, ::width], split[0]]), split[1]
+
+
+def lin_fluct_columns(measure: DiscreteMeasure, lagrangian: LagrangianModel,
+                      n_subsystems: int) -> np.ndarray:
+    """Orthonormal basis of the linearized-fluctuation space as flat columns
+    kron(pattern, slot): each zero-mean subsystem pattern with the neutral
+    slots of ``_slot_split`` (pattern major, slot minor)."""
+    return np.kron(_zero_mean_patterns(n_subsystems).T, _slot_split(measure, lagrangian)[0])
 
 
 def lin_fluct_basis(measure: DiscreteMeasure, lagrangian: LagrangianModel,
@@ -268,7 +272,7 @@ def fragmented_residual(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
     return (rw[:, None] * np.hstack([vals[:, None], grads])).ravel()
 
 
-def fragmented_jacobian(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
+def fragmented_jacobian(frag: FragmentedMeasure, lagrangian) -> np.ndarray:
     """Derivative of the row-weighted residual along subsystem jets.
 
     Columns follow the same subsystem-major jet layout; the derivative is
@@ -276,10 +280,10 @@ def fragmented_jacobian(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
     alternative formulation in which the scalar component acts only through
     the y slot, so the Lagrange multiplier drops out.  That is the breve
     assembly of the linearized operator on the flattened L*N support, with
-    the rows of point (a, i) reweighted by rho_i / L.
+    the rows of point (a, i) reweighted by rho_i / L; nu is not read.
     """
     points, weights, rw = _flat_support(frag)
-    blocks = linops._pointwise_blocks(weights, lagrangian, nu, "breve",
+    blocks = linops._pointwise_blocks(weights, lagrangian, 0.0, "breve",
                                       pair_reader(lagrangian, points))
     return np.repeat(rw, 1 + frag.base.dimension)[:, None] * blocks
 
@@ -291,15 +295,15 @@ def apply_increment(frag: FragmentedMeasure, mj: MultiJet) -> FragmentedMeasure:
 
 def perturbed_laplacian_linF(measure: DiscreteMeasure, lagrangian: LagrangianModel,
                              ansatz: FragmentationAnsatz, lam: float,
-                             directions: list | None = None,
-                             nu: float = 0.0) -> np.ndarray:
+                             directions: list | None = None) -> np.ndarray:
     """Bilinear form <u, Delta-tilde v> on fluctuation directions of the
     fragmented measure at coupling lambda.
 
     Rows are test directions, columns argument directions; the derivative of
-    the subsystem-averaged EL data along the argument flow.  Defaults to the
-    orthonormal linearized-fluctuation basis of the base measure.  Given
-    directions must fit the support and the ansatz's subsystem count.
+    the subsystem-averaged EL data along the argument flow (the breve
+    ``fragmented_jacobian``, which reads no nu).  Defaults to the orthonormal
+    linearized-fluctuation basis of the base measure (``lin_fluct_columns``).
+    Given directions must fit the support and the ansatz's subsystem count.
     """
     if directions is None:
         cols = lin_fluct_columns(measure, lagrangian, ansatz.n_subsystems)
@@ -309,7 +313,7 @@ def perturbed_laplacian_linF(measure: DiscreteMeasure, lagrangian: LagrangianMod
             raise ShapeError(f"directions need {ansatz.n_subsystems} subsystems")
         cols = np.array([d.flatten() for d in directions]).T
     frag = fragment_measure(measure, ansatz, lam)
-    return cols.T @ fragmented_jacobian(frag, lagrangian, nu) @ cols
+    return cols.T @ fragmented_jacobian(frag, lagrangian) @ cols
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +331,11 @@ class Scenario:
     nu: float
     ansatz: FragmentationAnsatz
     lam_grid: np.ndarray = field(default_factory=lambda: np.geomspace(0.02, 0.1, 5))
+
+    def __post_init__(self):
+        if not isinstance(self.ansatz, FragmentationAnsatz):
+            raise ArgError(f"ansatz is a {type(self.ansatz).__name__}, not a FragmentationAnsatz")
+        check_on_support([self.ansatz.mean_jet], *self.measure.points.shape, "ansatz")
 
     @property
     def n_subsystems(self) -> int:
@@ -397,7 +406,7 @@ def wellposedness_check(scenario: Scenario) -> WellPosednessReport:
     for lam in grid:
         cols = basis * _q_scaling(measure, L, lam, q)[:, None]
         frag = fragment_measure(measure, scenario.ansatz, lam)
-        M = cols.T @ fragmented_jacobian(frag, lagrangian, nu) @ cols
+        M = cols.T @ fragmented_jacobian(frag, lagrangian) @ cols
         s = np.linalg.svd(M, compute_uv=False)
         smin.append(s[-1])
         smax.append(s[0])
@@ -421,15 +430,14 @@ def wellposedness_check(scenario: Scenario) -> WellPosednessReport:
 
 
 def _sector_projectors(measure, lagrangian, L):
-    """Orthonormal column blocks for mean, complement, lin-F coordinates."""
-    width = 1 + measure.dimension
-    mean = np.kron(np.full((L, 1), 1.0 / math.sqrt(L)), np.eye(measure.size * width))
-    linf = lin_fluct_columns(measure, lagrangian, L)
-    taken = np.hstack([mean, linf])
-    proj = np.eye(len(taken)) - taken @ taken.T
-    u, s, _ = np.linalg.svd(proj)
-    compl = u[:, s > 0.5]
-    return mean, compl, linf
+    """Orthonormal column blocks for the mean, complement and lin-F
+    coordinates: kron(1/sqrt(L), identity), then each zero-mean pattern with
+    the other and the neutral slots of ``_slot_split``.  Together they span
+    the LN(1+m) jet space."""
+    patterns = _zero_mean_patterns(L).T
+    neutral, other = _slot_split(measure, lagrangian)
+    mean = np.kron(np.full((L, 1), 1.0 / math.sqrt(L)), np.eye(len(neutral)))
+    return mean, np.kron(patterns, other), np.kron(patterns, neutral)
 
 
 @dataclass
@@ -504,7 +512,7 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
     residual = fragmented_residual(frag, lagrangian, nu)
     history = [sector_norms(residual)]
     for _ in range(2, order + 1):  # a well-posed verdict implies a non-empty lin-F basis
-        A = linf_P.T @ fragmented_jacobian(frag, lagrangian, nu) @ linf_P
+        A = linf_P.T @ fragmented_jacobian(frag, lagrangian) @ linf_P
         step = -linf_P @ np.linalg.lstsq(A, linf_P.T @ residual, rcond=1e-12)[0]
         frag, residual, taken = damped(frag, residual, step, linf_P)
         if taken is not None:

@@ -341,30 +341,22 @@ class DeltaMatrix:
 def _pointwise_blocks(weights, lagrangian, nu, convention, table):
     """Unweighted pointwise row blocks of the linearized operator on a
     support with the given weights, from the pair tables of L and its
-    partials that ``table(alpha, beta)`` reads on that support."""
+    partials that ``table(alpha, beta)`` reads on that support; the
+    diagonal blocks add ell, grad ell and Hess ell (``ell_field``)."""
     n, m = len(weights), lagrangian.dim
-    units = [tuple(e) for e in np.eye(m, dtype=int).tolist()]
-    zero = (0,) * m
-    L = table(zero, zero)
-    D1 = np.stack([table(e, zero) for e in units], axis=-1)
-    D11 = np.empty((n, n, m, m))
-    for a in range(m):
-        for b in range(a, m):
-            D11[:, :, a, b] = D11[:, :, b, a] = table(tuple(map(add, units[a], units[b])), zero)
-    ells = L @ weights - nu / 2.0
-    gsum = np.einsum("j,ija->ia", weights, D1)
-    hsum = np.einsum("j,ijab->iab", weights, D11)
+    ells, grads, hessians = ell_field(lagrangian, nu, weights, table, order=2)
+    slots = [(0,) * m] + [tuple(e) for e in np.eye(m, dtype=int).tolist()]
     # A[i, s, j, t] = w_j d^s_x d^t_y L(x_i, x_j): row slot s at point i, column
     # slot t at point j, slot 0 the zero multi-index
     A = np.empty((n, 1 + m, n, 1 + m))
-    for (s, alpha), (t, beta) in product(enumerate([zero] + units), repeat=2):
+    for (s, alpha), (t, beta) in product(enumerate(slots), repeat=2):
         A[:, s, :, t] = weights * table(alpha, beta)
     i = np.arange(n)
     if convention == "standard":  # in breve the x-slot scalar of the argument does not act
         A[i, 0, i, 0] += ells
-        A[i, 1:, i, 0] += gsum
-    A[i, 0, i, 1:] += gsum
-    A[i, 1:, i, 1:] += hsum
+        A[i, 1:, i, 0] += grads
+    A[i, 0, i, 1:] += grads
+    A[i, 1:, i, 1:] += hessians
     return A.reshape(n * (1 + m), n * (1 + m))
 
 

@@ -39,3 +39,23 @@ def test_check_passes_on_saved_digests_and_names_each_difference(tool, tmp_path,
     out = capsys.readouterr().out.splitlines()
     assert out == ["missing: gone/file.csv", f"differs: {name}",
                    f"2 of 3 files differ from {saved}"]
+
+
+def test_against_prints_how_far_each_differing_file_moved(tool, tmp_path, capsys):
+    assert tool.main(["101", str(tmp_path / "a")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    saved = tmp_path / "saved.txt"
+    csv_digest, csv_name = lines[0].split()
+    # the saved run's CSV had one number larger by a factor 1 + 1e-9
+    saved.write_text("\n".join([f"{'0' * len(csv_digest)}  {csv_name}", lines[1]]) + "\n")
+    path = tmp_path / "a" / csv_name
+    header, first, *rest = path.read_text().splitlines()
+    cells = first.split(",")
+    cells[1] = repr(float(cells[1]) * (1 + 1e-9))
+    path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    assert tool.main(["101", str(tmp_path / "b"), "--check", str(saved),
+                      "--against", str(tmp_path / "a")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"differs: {csv_name}  largest relative difference 1e-09")
+    assert tool.largest_relative_difference([1.0, 2.0], [1.0]) == float("inf")
+    assert tool.largest_relative_difference([0.0, float("nan")], [0.0, float("nan")]) == 0.0

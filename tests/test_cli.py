@@ -62,6 +62,17 @@ def test_run_empty_stagelist_empty_report(tmp_path):
     assert report["passed"] is True
 
 
+def test_expectation_on_a_missing_path_fails_with_its_error(tmp_path):
+    config = {"schema_version": 1, "expectations": [
+        {"path": "stages.0.data.slope", "op": "ge", "value": 1.0},
+        {"path": "missing", "op": "true"}]}
+    report, code = run_config(config, out=str(tmp_path))
+    assert code == 1 and report["passed"] is False
+    assert report["expectations"] == [
+        {"path": "stages.0.data.slope", "ok": False, "error": "list index out of range"},
+        {"path": "missing", "ok": False, "error": "'missing'"}]
+
+
 def test_run_inline_expansion(tmp_path):
     t = 2.0 * math.sqrt(2.0)
     config = {

@@ -180,7 +180,7 @@ def test_block_structure_at_base(example52_reg):
     from cvpert.fragmentation import FragmentedMeasure
 
     frag = FragmentedMeasure(base, np.zeros((L, 2)), np.zeros((L, 2, 2)))
-    J = fragmented_jacobian(frag, example52_reg, nu)
+    J = fragmented_jacobian(frag, example52_reg)
     mean_P, compl_P, linf_P = _sector_projectors(base, example52_reg, L)
     norm = np.linalg.norm(J, 2)
     if linf_P.size:
@@ -195,7 +195,7 @@ def test_block_structure_mean_sector_matches_delta_bar(example52, dirac_origin_2
 
     L = 2
     frag = FragmentedMeasure(dirac_origin_2d, np.zeros((L, 1)), np.zeros((L, 1, 2)))
-    J = fragmented_jacobian(frag, example52, 0.0)
+    J = fragmented_jacobian(frag, example52)
     mean_P, _, _ = _sector_projectors(dirac_origin_2d, example52, L)
     mean_block = mean_P.T @ J @ mean_P
     bar = assemble_delta(dirac_origin_2d, example52, 0.0)
@@ -431,3 +431,47 @@ def test_assemble_delta_F_reads_the_measures_tables(monkeypatch):
     assert calls == []
     for (a, b), w in zip(pairs, want):
         assert np.array_equal(hess[:, a, b], w) and np.array_equal(hess[:, b, a], w)
+
+
+def one_subsystem_scenario(quartic_pair, quartic_base):
+    nu = calibrate_nu(quartic_base, quartic_pair, tol=1e-8)
+    mean = Jet(np.array([0.1, -0.1]), np.array([[0.2], [0.1]]))
+    ansatz = FragmentationAnsatz(np.array([1.0]), 1.0, 1.0, mean)
+    return Scenario("one", quartic_base, quartic_pair, nu, ansatz, np.geomspace(0.005, 0.04, 4))
+
+
+def test_single_subsystem_has_no_lin_fluct_space(quartic_pair, quartic_base):
+    report = wellposedness_check(one_subsystem_scenario(quartic_pair, quartic_base))
+    assert report.verdict == "inconclusive"
+    assert report.details == {"reason": "empty linearized-fluctuation space"}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fragment_expand_study_delegates_single_subsystem(quartic_pair, quartic_base, order):
+    # the rows read the plain expansion's weak EL residual as the mean sector
+    scen = one_subsystem_scenario(quartic_pair, quartic_base)
+    study = fragment_expand_study(scen, order)
+    assert study["report"] is None
+    assert [row["lambda"] for row in study["rows"]] == list(scen.lam_grid)
+    assert all(row["complement"] == row["lin_f"] == 0.0 for row in study["rows"])
+    assert study["slopes"]["mean"] == pytest.approx(order + 1, abs=0.1)
+
+
+def test_fragment_expand_defaults_to_the_grids_geometric_mean():
+    scen = example52_scenario(regularized=True, lam_grid=np.geomspace(0.03, 0.1, 4))
+    report = wellposedness_check(scen)
+    lam = math.sqrt(0.03 * 0.1)
+    default, given = fragment_expand(scen, 3, report=report), fragment_expand(scen, 3, lam, report)
+    assert default.lam == pytest.approx(lam, rel=1e-15)
+    assert np.array_equal(default.measure.positions(), given.measure.positions())
+    assert default.sector_residuals == given.sector_residuals
+
+
+def test_perturbed_laplacian_defaults_to_the_lin_fluct_basis():
+    scen = example52_scenario(regularized=True)
+    basis = lin_fluct_basis(scen.measure, scen.lagrangian, scen.n_subsystems)
+    default = perturbed_laplacian_linF(scen.measure, scen.lagrangian, scen.ansatz, 0.05)
+    given = perturbed_laplacian_linF(scen.measure, scen.lagrangian, scen.ansatz, 0.05,
+                                     directions=basis)
+    assert default.shape == (len(basis), len(basis))
+    np.testing.assert_allclose(default, given, rtol=1e-14, atol=1e-16 * np.max(np.abs(given)))

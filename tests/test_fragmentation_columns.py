@@ -1,8 +1,8 @@
 """Flat lin-F columns against the multi-jet loops they replaced.
 
 The oracles below build the same objects one direction at a time: the
-lin-F basis as multi-jets, the mean columns by index arithmetic, and the
-lambda^q rescaling per subsystem jet.
+lin-F basis and the complement as multi-jets, the mean columns by index
+arithmetic, and the lambda^q rescaling per subsystem jet.
 """
 
 import math
@@ -45,6 +45,25 @@ def oracle_lin_fluct_basis(measure, lagrangian, L):
     return basis
 
 
+def oracle_complement_columns(measure, lagrangian, L):
+    """Each zero-mean pattern with each eigendirection of each point's
+    ell-Hessian that is not null, one multi-jet at a time."""
+    n, m = measure.size, measure.dimension
+    dF = assemble_delta_F(measure, lagrangian)
+    scale = max(float(np.max(np.abs(dF.hessians))), 1.0)
+    cols = []
+    for chi in _zero_mean_patterns(L):
+        for i in range(n):
+            evals, evecs = np.linalg.eigh(dF.hessians[i])
+            for k in range(m):
+                if abs(evals[k]) > TOL_RANK * scale:
+                    jets = [Jet.zero(n, m) for _ in range(L)]
+                    for a in range(L):
+                        jets[a].vector[i] = chi[a] * evecs[:, k]
+                    cols.append(MultiJet(jets).flatten())
+    return np.array(cols).T.reshape(L * n * (1 + m), len(cols))
+
+
 def oracle_mean_columns(measure, L):
     n, width = measure.size, 1 + measure.dimension
     cols = []
@@ -71,7 +90,7 @@ def oracle_report(scenario):
     for lam in scenario.lam_grid:
         scaled = oracle_q_scaled(basis, scenario.ansatz.q, lam)
         M = perturbed_laplacian_linF(scenario.measure, scenario.lagrangian, scenario.ansatz,
-                                     lam, directions=scaled, nu=scenario.nu)
+                                     lam, directions=scaled)
         s = np.linalg.svd(M, compute_uv=False)
         smin.append(s[-1])
         smax.append(s[0])
@@ -129,6 +148,26 @@ def test_sector_projector_blocks_match_loops(name, L):
     want = oracle_lin_fluct_basis(measure, lagrangian, L)
     assert np.array_equal(linf, np.array([w.flatten() for w in want]).T)
     assert mean.shape[1] + compl.shape[1] + linf.shape[1] == mean.shape[0]
+
+
+@pytest.mark.parametrize("name,L", CASES)
+def test_complement_columns_match_loop(name, L):
+    measure, lagrangian = bases()[name]
+    _, compl, _ = _sector_projectors(measure, lagrangian, L)
+    assert np.array_equal(compl, oracle_complement_columns(measure, lagrangian, L))
+
+
+def test_sector_projectors_run_no_svd(monkeypatch):
+    # the complement comes from the Hessians' eigendecomposition, not from
+    # an SVD of a projector on the whole fragmented jet space
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for name, L in CASES:
+        measure, lagrangian = bases()[name]
+        blocks = np.hstack(_sector_projectors(measure, lagrangian, L))
+        assert np.allclose(blocks.T @ blocks, np.eye(len(blocks)), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("lam", [0.03, 0.1])

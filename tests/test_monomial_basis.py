@@ -13,7 +13,7 @@ from cvpert import lagrangian, linops, measure
 from cvpert.errors import ArgError, NumericalFailure
 from cvpert.lagrangian import TruncatedSeries, pair_series
 from cvpert.linops import assemble_delta, taylor_error_dual
-from cvpert.series import lower_set
+from cvpert.series import basis_values, lower_set
 
 MODELS = {"example52_regularized": lambda: build_lagrangian("example52_regularized"),
           "quartic_pair_dim5": lambda: build_lagrangian("quartic_pair", {"dim": 5})}
@@ -117,3 +117,14 @@ def test_one_basis_evaluation_per_point_set(name, basis_calls):
     jets = [Jet(0.3 * rng.normal(size=6), 0.3 * rng.normal(size=(6, m))) for _ in range(3)]
     taylor_error_dual(4, jets, mu, lag, 0.4)
     assert basis_calls == [(6, m, 5)]
+
+
+def test_constant_model_on_series_points():
+    # no coordinate occurs in the basis: its one value is the series 1
+    import sympy as sp
+
+    x0, y0 = sp.symbols("x0 y0", real=True)
+    lag = lagrangian.PolynomialLagrangian("constant", 1, sp.Integer(3) + 0 * x0, (x0,), (y0,))
+    X = np.random.default_rng(5).normal(size=(2, 1, 3))
+    assert np.array_equal(basis_values(lag.basis, X), [[[1.0, 0.0, 0.0]] * 2])
+    assert np.array_equal(pair_series(lag, X, X[:1], (0,), (0,)).coef, [[[3.0, 0.0, 0.0]]] * 2)

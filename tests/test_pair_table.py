@@ -101,7 +101,7 @@ def test_fragmented_jacobian_is_flow_derivative_of_residual(example52_reg, rng):
     base = DiscreteMeasure(rng.normal(size=(n, m)) * 0.5, rng.uniform(0.5, 1.5, n))
     frag = FragmentedMeasure(base, rng.uniform(-0.2, 0.2, (L, n)),
                              rng.uniform(-0.3, 0.3, (L, n, m)))
-    J = fragmented_jacobian(frag, example52_reg, 0.2)
+    J = fragmented_jacobian(frag, example52_reg)
     v = rng.normal(size=L * n * (1 + m))
     h = 1e-5
     up = fragmented_residual(apply_increment(frag, MultiJet.unflatten(h * v, L, m)),

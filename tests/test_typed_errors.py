@@ -12,15 +12,20 @@ import warnings
 import numpy as np
 import pytest
 
+from cvpert.cfs import CfsParams, local_correlation, swap_symmetric_pair, validate_cfs_point
 from cvpert.el import calibrate_nu, ell, ell_field, ell_on_support, grad_ell, integrate_partial
-from cvpert.errors import ArgError, CvpError, ShapeError
-from cvpert.expansion import LedgerTerm, PerturbationSeries, expand, family_from_linearized
-from cvpert.fragmentation import Scenario, example52_scenario, perturbed_laplacian_linF
-from cvpert.jets import DualJet, Jet, MultiJet
-from cvpert.lagrangian import build_lagrangian, pair_series, pair_table
-from cvpert.linops import (DeltaMatrix, GreensOperator, assemble_delta, delta_ell_dual,
-                           delta_zero_dual, taylor_error_dual)
-from cvpert.measure import DiscreteMeasure
+from cvpert.errors import ArgError, CvpError, NotCritical, OrderUnsupported, ShapeError
+from cvpert.expansion import (LedgerTerm, PerturbationSeries, error_term, expand,
+                              family_from_linearized, reconstruct)
+from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, FragmentedMeasure,
+                                  Scenario, example52_scenario, fragment_measure,
+                                  perturbed_laplacian_linF, wellposedness_check)
+from cvpert.jets import DualJet, Jet, MultiJet, TestBasis, pairing
+from cvpert.lagrangian import NumericLagrangian, build_lagrangian, pair_series, pair_table
+from cvpert.linops import (DeltaMatrix, GreensOperator, assemble_delta, delta_ell,
+                           delta_ell_dual, delta_zero_dual, taylor_error_dual)
+from cvpert.measure import DiscreteMeasure, push_forward
+from cvpert.mixing import MixingSystem, SubgroupSample, minimize_mixing, mixed_kernel
 
 PLANE = build_lagrangian("example52_regularized")  # a 2-D model
 LINE = build_lagrangian("quartic_pair")  # a 1-D model
@@ -28,6 +33,9 @@ PAIR = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.5]]), np.ones(2))
 PAIR_1D = DiscreteMeasure(np.array([[0.0], [1.0]]), np.ones(2))
 PAIR_3D = DiscreteMeasure(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.2]]), np.ones(2))
 THREE = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, -0.4]])
+CFS = CfsParams(2, 1, 1.0)
+FLAT = Jet(np.zeros(1), np.array([[0.0, 1.0]]))  # the example52 mean jet
+NUMERIC = NumericLagrangian("first-order", 2, lambda x, y: float(x @ y), max_order=1)
 
 
 def pair_distance_delta():
@@ -40,6 +48,11 @@ def series_document(order):
     """An order-2 series written to JSON, with its "order" set to ``order``."""
     doc = PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2), Jet.zero(2, 2)]).to_json()
     return {**doc, "order": order}
+
+
+def ansatz(f0=(1.0, 1.0), p=1.0, q=1.0, **fluct):
+    """An example52 ansatz on the one-point support with the given data."""
+    return FragmentationAnsatz(np.array(f0), p, q, FLAT, **fluct)
 
 
 def subsystem_direction(n_subsystems):
@@ -108,6 +121,70 @@ ROWS = [
         example52_scenario().measure, example52_scenario().lagrangian,
         example52_scenario().ansatz, 0.05,
         directions=[MultiJet([Jet.zero(2, 2)] * 2)]), ShapeError),
+    # fragmentation data: finite, non-negative couplings, an ansatz that fits
+    ("FragmentationAnsatz/nan-f0", lambda: ansatz(f0=(np.nan, 1.0)), ShapeError),
+    ("FragmentationAnsatz/inf-q", lambda: ansatz(q=np.inf), ShapeError),
+    ("FragmentationAnsatz/inf-p", lambda: ansatz(p=np.inf), ShapeError),
+    ("fragment_measure/negative-lambda", lambda: fragment_measure(
+        example52_scenario().measure, ansatz(q=1.5), -0.05), ArgError),
+    ("fragment_measure/nan-lambda", lambda: fragment_measure(
+        example52_scenario().measure, ansatz(), np.nan), ArgError),
+    ("Scenario/ansatz-not-an-ansatz", lambda: Scenario(
+        "s", PAIR, PLANE, 0.0, 2, example52_scenario().ansatz), ArgError),
+    ("Scenario/ansatz-off-support", lambda: Scenario(
+        "s", PAIR, PLANE, 0.0, example52_scenario().ansatz), ShapeError),
+    # one row per remaining typed raise
+    ("validate_cfs_point/shape", lambda: validate_cfs_point(np.eye(3), CFS), ShapeError),
+    ("validate_cfs_point/not-self-adjoint",
+     lambda: validate_cfs_point(np.array([[1.0, 1.0], [0.0, -1.0]]), CFS), ShapeError),
+    ("validate_cfs_point/trace", lambda: validate_cfs_point(np.diag([3.0, -1.0]), CFS),
+     ShapeError),
+    ("local_correlation/shape", lambda: local_correlation(np.ones((3, 2)), CFS), ShapeError),
+    ("swap_symmetric_pair/f", lambda: swap_symmetric_pair(CfsParams(4, 1, 1.0)), ShapeError),
+    ("error_term/order-0", lambda: error_term(0, [], PAIR, PLANE, 0.0), ArgError),
+    ("error_term/too-few-jets", lambda: error_term(3, [Jet.zero(2, 2)], PAIR, PLANE, 0.0),
+     ArgError),
+    ("family_from_linearized/not-critical",
+     lambda: family_from_linearized(Jet.zero(2, 2), PAIR, PLANE, 0.0, 2), NotCritical),
+    ("reconstruct/nan-lambda",
+     lambda: reconstruct(PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2)]), np.nan), ArgError),
+    ("delta_ell/jet-count", lambda: delta_ell(2, [Jet.zero(2, 2)], PAIR, PLANE, 0.0),
+     ShapeError),
+    ("delta_ell/order-0", lambda: delta_ell(0, [], PAIR, PLANE, 0.0), ShapeError),
+    ("assemble_delta/first-order-model", lambda: assemble_delta(PAIR, NUMERIC, 0.0),
+     OrderUnsupported),
+    ("DiscreteMeasure/no-coordinates", lambda: DiscreteMeasure(np.zeros((2, 0)), np.ones(2)),
+     ShapeError),
+    ("push_forward/shapes", lambda: push_forward(PAIR, np.zeros(3), np.zeros((2, 2))),
+     ShapeError),
+    ("Jet/unequal-parts", lambda: Jet(np.zeros(2), np.zeros((3, 1))), ShapeError),
+    ("pairing/shapes", lambda: pairing(DualJet.zero(2, 1), Jet.zero(2, 2)), ShapeError),
+    ("TestBasis/empty", lambda: TestBasis([]), ShapeError),
+    ("TestBasis/dependent", lambda: TestBasis([Jet(np.ones(2), np.zeros((2, 1)))] * 2),
+     ShapeError),
+    ("TestBasis/full-zero-scalar", lambda: TestBasis(
+        [Jet(np.array([1.0, 0.0]), np.zeros((2, 1)))], full_space=True), ShapeError),
+    ("MultiJet/empty", lambda: MultiJet([]), ShapeError),
+    ("FragmentationAnsatz/negative-f0", lambda: ansatz(f0=(-1.0, 3.0)), ShapeError),
+    ("FragmentationAnsatz/fluct-shape",
+     lambda: ansatz(compl_fluct=MultiJet([Jet.zero(2, 2)] * 2)), ShapeError),
+    ("FragmentationAnsatz/fluct-mean",
+     lambda: ansatz(linf_fluct=subsystem_direction(2)), ShapeError),
+    ("FragmentedMeasure/shapes",
+     lambda: FragmentedMeasure(PAIR, np.zeros((2, 2)), np.zeros((2, 3, 2))), ShapeError),
+    ("FluctuationForm.form/subsystems", lambda: FluctuationForm(np.zeros((1, 2, 2))).form(
+        subsystem_direction(2), subsystem_direction(3)), ShapeError),
+    ("wellposedness_check/short-grid",
+     lambda: wellposedness_check(example52_scenario(lam_grid=[0.05, 0.1])), ShapeError),
+    ("pair_series/numeric-model", lambda: pair_series(NUMERIC, np.zeros((2, 2, 2)),
+                                                      np.zeros((2, 2, 2)), (0, 0), (0, 0)),
+     ArgError),
+    ("SubgroupSample/shapes", lambda: SubgroupSample([np.zeros((2, 2)), np.zeros((3, 3))]),
+     ShapeError),
+    ("mixed_kernel/no-wave-evaluation",
+     lambda: mixed_kernel(MixingSystem([np.eye(2)]), 0, 0, 0, 0), ShapeError),
+    ("minimize_mixing/no-generators", lambda: minimize_mixing(2, SubgroupSample([])),
+     ShapeError),
 ]
 
 
