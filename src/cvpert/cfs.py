@@ -13,6 +13,12 @@ operator product xy; the 2n x 2n chain is better conditioned than the
 f x f product.  The kappa = 0 part is computed through the
 quarter-sum-of-squared-differences identity, which keeps it non-negative
 by construction.
+
+A chart around x = R(psi0) inverts the local correlation map R on an affine
+slice of spin maps through psi0.  Its default slice is read off the SVD of
+DR at psi0, so it is orthogonal to ker DR: the real scalings of psi0 and the
+spin-space symmetries psi0 -> A psi0 with A in u(n,n), which preserve
+psi* psi (those of u(2n) do not).
 """
 
 from __future__ import annotations
@@ -209,10 +215,12 @@ class CfsChart:
     """Chart around a point x = R(psi0): inverts R on the affine slice psi0 + E.
 
     The default slice is the orthogonal complement (trace pairing on real
-    and imaginary parts) of the kernel of DR at psi0: complex scalings of
-    psi0 and local unitary rotations A psi0.  The condition number of the
-    restricted differential is reported; a rank-deficient restriction
-    raises SingularChart.
+    and imaginary parts) of the kernel of DR at psi0, read off DR's SVD.
+    That kernel holds the real scalings of psi0 and the spin symmetries
+    A psi0 with A in u(n,n): psi* psi = psi^dagger S psi is invariant under
+    the unitaries of S, not under all of u(2n).  The condition number of the
+    restricted differential is reported; a rank-deficient restriction (of a
+    user-chosen ``basis``) raises SingularChart.
     """
 
     params: CfsParams
@@ -224,12 +232,11 @@ class CfsChart:
         self.psi0 = np.asarray(self.psi0, dtype=complex)
         if self.basis is None:
             self.basis = self._default_basis()
-        self._jac = self._differential_matrix()
-        s = np.linalg.svd(self._jac, compute_uv=False)
+        s = np.linalg.svd(self._differential_matrix(), compute_uv=False)
         if s[-1] <= TOL_CHART_RANK * s[0]:
             raise SingularChart("restricted differential is rank deficient",
                                 condition=float(s[0] / max(s[-1], 1e-300)))
-        object.__setattr__(self, "condition", float(s[0] / s[-1]))
+        self.condition = float(s[0] / s[-1])
 
     @property
     def dim(self) -> int:
@@ -239,31 +246,15 @@ class CfsChart:
     def _vec(mat) -> np.ndarray:
         return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
 
-    def _kernel_directions(self) -> list:
-        n2, f = self.psi0.shape
-        dirs = [self.psi0, 1j * self.psi0]
-        for a in range(n2):
-            dirs.append(1j * np.eye(n2)[:, [a]] @ np.eye(n2)[[a], :] @ self.psi0)
-            for b in range(a + 1, n2):
-                E_ab = np.zeros((n2, n2), dtype=complex)
-                E_ab[a, b] = 1.0
-                dirs.append((E_ab - E_ab.T) @ self.psi0)
-                dirs.append(1j * (E_ab + E_ab.T) @ self.psi0)
-        return dirs
-
     def _default_basis(self) -> list:
-        n2, f = self.psi0.shape
-        dim_real = 2 * n2 * f
-        K = np.array([self._vec(d) for d in self._kernel_directions()])
-        u, s, vt = np.linalg.svd(K, full_matrices=True)
-        rank = int(np.sum(s > 1e-12 * s[0]))
-        comp = vt[rank:]
-        basis = []
-        for row in comp:
-            re = row[:n2 * f].reshape(n2, f)
-            im = row[n2 * f:].reshape(n2, f)
-            basis.append(re + 1j * im)
-        return basis
+        """Right singular vectors of DR at psi0 (on every real unit direction
+        of psi) with singular values above TOL_CHART_RANK * sigma_max."""
+        size, shape = self.psi0.size, self.psi0.shape
+        units = [e.reshape(shape) for e in np.eye(size)]
+        jac = np.array([self._vec(self._dR(e)) for e in units + [1j * e for e in units]]).T
+        _, s, vt = np.linalg.svd(jac)
+        return [(v[:size] + 1j * v[size:]).reshape(shape)
+                for v in vt[:np.sum(s > TOL_CHART_RANK * s[0])]]
 
     def _dR(self, e: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
         """Derivative of R at psi (default psi0) along the (real) direction e."""

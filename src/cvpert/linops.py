@@ -251,7 +251,6 @@ class DeltaMatrix:
     nu: float
     weights: np.ndarray
     convention: str = "standard"
-    measure_fingerprint: str = ""
     testbasis: TestBasis | None = None
 
     def __post_init__(self):
@@ -321,7 +320,6 @@ class DeltaMatrix:
             "rows": [[float(v) for v in row] for row in self.matrix],
             "nu": float(self.nu),
             "convention": self.convention,
-            "measure_fingerprint": self.measure_fingerprint,
             "layout": "point-major: scalar then vector slots, rows weight-multiplied",
         }
 
@@ -389,8 +387,7 @@ def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: fl
     W = np.repeat(measure.weights, 1 + m)
     B = W[:, None] * A
     restricted = testbasis if testbasis is not None and not testbasis.full_space else None
-    return DeltaMatrix(B, nu, measure.weights.copy(), convention, measure.fingerprint(),
-                       restricted)
+    return DeltaMatrix(B, nu, measure.weights.copy(), convention, restricted)
 
 
 @dataclass

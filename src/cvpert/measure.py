@@ -8,7 +8,6 @@ a not~ c) into its lowest-index point, whatever the input order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import cache
@@ -133,12 +132,6 @@ class DiscreteMeasure:
     @property
     def total_volume(self) -> float:
         return float(np.sum(self.weights))
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.points).tobytes())
-        h.update(np.ascontiguousarray(self.weights).tobytes())
-        return h.hexdigest()[:16]
 
     def to_json(self) -> list:
         return [

@@ -259,6 +259,34 @@ def test_chart_rejects_scale_direction():
         CfsChart(params, psi0, basis=[psi0])
 
 
+@pytest.mark.parametrize("f,n", [(2, 1), (3, 1), (4, 2)])
+def test_chart_default_basis_spans_complement_of_ker_dR(f, n):
+    """The default slice is orthonormal in the real trace pairing and
+    orthogonal to ker DR, which is computed here from central differences
+    of the local correlation map along every real unit direction of psi
+    (psi* psi is invariant under u(n,n), not under all of u(2n))."""
+    params = CfsParams(f, n, 1.0)
+    psi0 = spin_map_from_point(reference_point(params), n)
+    chart = CfsChart(params, psi0)
+
+    def vec(mat):
+        return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
+
+    h = 1e-6
+    units = [e.reshape(psi0.shape) for e in np.eye(psi0.size)]
+    units += [1j * e for e in units]
+    jac = np.array([vec(local_correlation(psi0 + h * e, params)
+                        - local_correlation(psi0 - h * e, params)) / (2 * h)
+                    for e in units]).T
+    _, s, vt = np.linalg.svd(jac)
+    rank = int(np.sum(s > 1e-6 * s[0]))
+    kernel = vt[rank:]
+    basis = np.array([vec(e) for e in chart.basis])
+    assert chart.dim == rank
+    assert np.max(np.abs(basis @ basis.T - np.eye(chart.dim))) <= 1e-12
+    assert np.max(np.abs(kernel @ basis.T)) <= 1e-8
+
+
 def test_wave_evaluation_round_trip(rng):
     params = CfsParams(4, 2, 1.5)
     pts = [random_point(rng, params) for _ in range(3)]

@@ -46,20 +46,34 @@ def test_ell_two_point_hand_sum():
     assert ell(mu, lag, 0.0, np.array([0.5])) == pytest.approx(0.5, rel=1e-15)
 
 
-def test_ell_linearity_in_measure(example52, rng):
-    # fixed summation order: ell(rho1 + rho2) + nu/2 splits exactly
-    nu = 0.7
-    p1 = rng.normal(size=(2, 2))
-    p2 = rng.normal(size=(3, 2))
-    w1 = np.abs(rng.normal(size=2)) + 0.1
-    w2 = np.abs(rng.normal(size=3)) + 0.1
-    mu1 = DiscreteMeasure(p1, w1)
-    mu2 = DiscreteMeasure(p2, w2)
+def split_ell(lagrangian, p1, w1, p2, w2, nu, x):
+    """ell(rho1 + rho2) + nu/2 and the sum of the two parts' ell + nu/2."""
     combined = DiscreteMeasure(np.vstack([p1, p2]), np.hstack([w1, w2]))
-    x = rng.normal(size=2)
-    lhs = ell(combined, example52, nu, x) + nu / 2
-    rhs = (ell(mu1, example52, nu, x) + nu / 2) + (ell(mu2, example52, nu, x) + nu / 2)
+    lhs = ell(combined, lagrangian, nu, x) + nu / 2
+    rhs = ((ell(DiscreteMeasure(p1, w1), lagrangian, nu, x) + nu / 2)
+           + (ell(DiscreteMeasure(p2, w2), lagrangian, nu, x) + nu / 2))
+    return lhs, rhs
+
+
+def test_ell_linearity_in_measure(example52):
+    # on dyadic data (integer points, power-of-two weights and nu) every
+    # product and partial sum is exact, so ell(rho1 + rho2) + nu/2 splits exactly
+    p1 = np.array([[0.0, 1.0], [2.0, -1.0]])
+    p2 = np.array([[1.0, 1.0], [-1.0, 0.0], [3.0, 2.0]])
+    lhs, rhs = split_ell(example52, p1, np.array([0.5, 2.0]), p2,
+                         np.array([1.0, 0.25, 4.0]), 8.0, np.array([1.0, -2.0]))
     assert lhs == rhs
+    # on random data it splits up to the rounding of the support sums
+    rng = np.random.default_rng(52)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        p1, p2 = rng.normal(size=(2, 2)), rng.normal(size=(3, 2))
+        w1, w2 = np.abs(rng.normal(size=2)) + 0.1, np.abs(rng.normal(size=3)) + 0.1
+        x, nu = rng.normal(size=2), 0.7
+        lhs, rhs = split_ell(example52, p1, w1, p2, w2, nu, x)
+        terms = sum(abs(w * example52(x, y))
+                    for w, y in zip(np.hstack([w1, w2]), np.vstack([p1, p2])))
+        assert abs(lhs - rhs) <= 8 * eps * (terms + abs(nu))
 
 
 def test_calibrate_nu_example52_origin(example52, dirac_origin_2d):

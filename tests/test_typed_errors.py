@@ -7,14 +7,18 @@ that computes on the bad input first (numpy's RuntimeWarning on a NaN)
 fails its row too.  No row draws random numbers.
 """
 
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cvpert import errors
 from cvpert.cfs import CfsParams, local_correlation, swap_symmetric_pair, validate_cfs_point
 from cvpert.el import calibrate_nu, ell, ell_field, ell_on_support, grad_ell, integrate_partial
-from cvpert.errors import ArgError, CvpError, NotCritical, OrderUnsupported, ShapeError
+from cvpert.errors import (ArgError, CvpError, InconclusiveFit, NotCritical, OrderUnsupported,
+                           ShapeError, UnknownModel)
 from cvpert.expansion import (LedgerTerm, PerturbationSeries, error_term, expand,
                               family_from_linearized, reconstruct)
 from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, FragmentedMeasure,
@@ -176,6 +180,9 @@ ROWS = [
         subsystem_direction(2), subsystem_direction(3)), ShapeError),
     ("wellposedness_check/short-grid",
      lambda: wellposedness_check(example52_scenario(lam_grid=[0.05, 0.1])), ShapeError),
+    ("wellposedness_check/inconclusive-fit", lambda: wellposedness_check(example52_scenario(
+        regularized=True, lam_grid=np.geomspace(0.05, 2.0, 6))), InconclusiveFit),
+    ("build_lagrangian/unknown-name", lambda: build_lagrangian("nosuch"), UnknownModel),
     ("pair_series/numeric-model", lambda: pair_series(NUMERIC, np.zeros((2, 2, 2)),
                                                       np.zeros((2, 2, 2)), (0, 0), (0, 0)),
      ArgError),
@@ -196,6 +203,20 @@ def test_bad_input_raises_typed_error(call, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+def test_every_typed_raise_is_tested():
+    # each CvpError class that src/ raises has a row above or a
+    # pytest.raises somewhere under tests/
+    src = "".join(path.read_text() for path in Path(errors.__file__).parent.glob("*.py"))
+    raised = {name for name in re.findall(r"raise (\w+)\(", src)
+              if isinstance(getattr(errors, name, None), type)
+              and issubclass(getattr(errors, name), CvpError)}
+    tests = "".join(path.read_text() for path in Path(__file__).parent.rglob("*.py"))
+    in_rows = {error.__name__ for _, _, error in ROWS}
+    untested = {name for name in raised - in_rows
+                if not re.search(rf"pytest\.raises\((\w+\.)?{name}\b", tests)}
+    assert raised and not untested, sorted(untested)
 
 
 def test_shape_error_is_a_value_error():
