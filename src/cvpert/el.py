@@ -24,12 +24,13 @@ from .measure import DiscreteMeasure
 def _integrate(table, weights) -> np.ndarray:
     """sum_j weights_j table[..., j] over the trailing support axis, column by
     column in support order, so a row of the support table equals the
-    single-point value; ell is additive in the measure only up to rounding."""
-    if table.shape[-1] != len(weights):
-        raise ShapeError(f"{len(weights)} weights for a support of {table.shape[-1]} points")
+    single-point value; ell is additive in the measure only up to rounding.
+    Weights (..., N) of a stack weigh the tables (..., rows, N) start by start."""
+    if table.shape[-1] != weights.shape[-1]:
+        raise ShapeError(f"{weights.shape[-1]} weights for a support of {table.shape[-1]} points")
     total = np.zeros(table.shape[:-1])
-    for j, w in enumerate(weights):
-        total += w * table[..., j]
+    for j in range(weights.shape[-1]):
+        total += weights[..., j, None] * table[..., j]
     return total
 
 
@@ -43,18 +44,20 @@ def ell_field(lagrangian, nu, weights, table, order=1) -> tuple:
     (ell, grad ell) or (ell, grad ell, Hess ell) at every row X_i that
     ``table(alpha, beta)`` reads, the reader of d^alpha_x d^beta_y L(X_i, y_j)
     against a support y_j with the given weights (coincident or massless
-    points allowed).  The tables d^alpha_x L, |alpha| <= order, are stacked
-    and summed over the support once (``_integrate``)."""
+    points allowed), one field per start of a stack.  The tables d^alpha_x L,
+    |alpha| <= order, are stacked and summed over the support once
+    (``_integrate``)."""
     m = lagrangian.dim
     zero = (0,) * m
     units = [tuple(e) for e in np.eye(m, dtype=int).tolist()]
     pairs = [(a, b) for a in range(m) for b in range(a, m)] if order == 2 else []
     alphas = [zero] + units[:m * order] + [tuple(map(add, units[a], units[b])) for a, b in pairs]
-    sums = _integrate(np.array([table(alpha, zero) for alpha in alphas]), weights).T
+    sums = np.moveaxis(_integrate(np.array([table(alpha, zero) for alpha in alphas]), weights),
+                       0, -1)
     hessian = np.zeros((m, m), dtype=int)
     for k, (a, b) in enumerate(pairs, start=1 + m):
         hessian[a, b] = hessian[b, a] = k
-    return (sums[:, 0] - nu / 2.0, sums[:, 1:1 + m], sums[:, hessian])[:order + 1]
+    return (sums[..., 0] - nu / 2.0, sums[..., 1:1 + m], sums[..., hessian])[:order + 1]
 
 
 def ell(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float, x) -> float:

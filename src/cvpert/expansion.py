@@ -16,14 +16,19 @@ Evaluating the series at lambda pushes the base measure forward with the
 accumulated log-weight and shift fields; lambda itself is only the
 book-keeping parameter of the formal series.  Since w^(p) depends only on
 the lower orders, a series cut after order p is the order-p expansion, bit
-for bit; the order-scaling check expands once per lambda, to the highest
-order it fits, and reads every lower order from the cut series.
+for bit.  The order-scaling check stacks the starts of its whole lambda
+grid (``measure.SupportStack``, one stack per support size), expands the
+stack once, to the highest order it fits, and reads every lower order from
+the cut series; each start's rows are those of its own expansion, bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+
+import numbers
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .errors import (ArgError, LedgerMissing, NotCritical, NotLinearized, OutOfR
                      ShapeError)
 from .jets import DualJet, Jet, check_on_support
 from .lagrangian import LagrangianModel
-from .measure import DiscreteMeasure, push_forward
+from .measure import DiscreteMeasure, SupportStack, push_forward
 
 SLOPE_BAND = 0.2  # acceptance band on fitted exponents, next-order contamination
 TOL_CRITICAL = 1e-9  # |Delta_0| up to which a family's base counts as critical
@@ -212,7 +217,8 @@ def _solve(greens: linops.GreensOperator, rhs: DualJet, p: int) -> tuple:
 def _zero_jets(inhom: Inhomogeneity | None, order, measure) -> list:
     given = [] if inhom is None else list(inhom.jets[:order])
     check_on_support(given, measure.size, measure.dimension, "inhomogeneity")
-    return given + [Jet.zero(measure.size, measure.dimension)] * (order - len(given))
+    return given + [Jet(np.zeros(measure.weights.shape),
+                        np.zeros(measure.points.shape))] * (order - len(given))
 
 
 def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
@@ -228,7 +234,8 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
     solve keeps only that part, the gauge, whose one source is the
     inhomogeneity (a zero one gives the plain expansion, bit for bit).  In
     permissive mode the right-hand side's component outside range(Delta) is
-    projected away.
+    projected away.  A ``SupportStack`` (with no inhomogeneity) expands
+    every start at once, into jets and range defects with its leading axis.
     """
     delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention)
     vjets = _zero_jets(inhom, order, measure)
@@ -338,30 +345,48 @@ def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
     """Fitted decay exponents of the residual left after order-P corrections,
     for every P in ``orders``.
 
-    For each lambda the base is pushed along lambda * deviation and expanded
-    once, to the highest order, around that start.  For each P the series
-    cut after w^(P), which is the order-P expansion bit for bit, corrects
-    the start, and the corrected measure's weak EL residual is measured.  A
-    correct order-P scheme leaves a residual O(lambda^(P+1)).  Returns
-    {P: (slope, residual table of (lambda, residual) rows)}.
+    For each lambda the base is pushed along lambda * deviation, and the
+    starts of each support size (a merge in the push-forward shrinks one)
+    are stacked and expanded at once, to the highest order.  For each P the
+    series cut after w^(P), which is the order-P expansion bit for bit,
+    corrects every start, and the corrected measures' weak EL residuals are
+    measured, one stack per support size again.  A correct order-P scheme
+    leaves a residual O(lambda^(P+1)).  Returns {P: (slope, residual table
+    of (lambda, residual) rows)}, each row bit for bit that of the start's
+    own expansion.  An order that is no integer >= 0, or a grid that is not
+    at least 2 finite lambdas > 0, raises ArgError before any start is built.
     """
     from .fitting import loglog_slope
 
-    rows = {p: [] for p in orders}
-    if not rows:
+    check_on_support([deviation], base.size, base.dimension, "deviation")
+    cuts = list(dict.fromkeys(orders))
+    if not all(isinstance(p, numbers.Integral) and not isinstance(p, bool) and p >= 0
+               for p in cuts):
+        raise ArgError(f"orders must be integers >= 0, got {orders!r}")
+    grid = np.asarray(lam_grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ArgError(f"lambda grid must be at least 2 finite numbers > 0, got {lam_grid!r}")
+    if not cuts:
         return {}
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    for lam in lam_grid:
-        start = push_forward(base, lam * deviation.scalar, lam * deviation.vector)
-        series = expand(start, lagrangian, nu, max(rows), convention=convention,
+    starts = SupportStack(base.points[None], base.weights[None]).push(
+        grid[:, None] * deviation.scalar, grid[:, None, None] * deviation.vector)
+    residuals = np.empty((len(cuts), len(grid)))
+    for idx, stack in SupportStack.by_size(starts):
+        series = expand(stack, lagrangian, nu, max(cuts), convention=convention,
                         keep_ledger=False)
-        for p, residuals in rows.items():
-            corrected = reconstruct(series.truncated(p), 1.0)
-            residuals.append((float(lam),
-                              linops.delta_zero_dual(corrected, lagrangian, nu).norm()))
-    return {p: (loglog_slope(lam_grid, np.array([r[1] for r in residuals]),
-                             floor=RESIDUAL_FLOOR)[0], residuals)
-            for p, residuals in rows.items()}
+        # reconstruct(series.truncated(P), 1.0) for every P: the partial sums of the jets
+        log_w = np.cumsum([np.zeros(stack.weights.shape)] + [w.scalar for w in series.jets],
+                          axis=0)
+        shift = np.cumsum([np.zeros(stack.points.shape)] + [w.vector for w in series.jets],
+                          axis=0)
+        corrected = stack.push(log_w[cuts], shift[cuts])  # order-major, then start
+        rows = np.empty(len(corrected))
+        for cidx, cstack in SupportStack.by_size(corrected):
+            rows[cidx] = linops.delta_zero_dual(cstack, lagrangian, nu).norm()
+        residuals[:, idx] = rows.reshape(len(cuts), len(idx))
+    return {p: (loglog_slope(grid, row, floor=RESIDUAL_FLOOR)[0],
+                [(float(lam), float(r)) for lam, r in zip(grid, row)])
+            for p, row in zip(cuts, residuals)}
 
 
 def order_scaling_slope(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,

@@ -5,11 +5,13 @@ A jet assigns to every support point a scalar (weight change) and a vector
 pairing is pointwise.  Both name their parts ``scalar`` and ``vector`` and
 share one implementation, which rejects non-finite entries and sums of
 another kind or shape.  Flattened vectors use point-major layout: for point
-i the block [scalar, vector_1 .. vector_m].
+i the block [scalar, vector_1 .. vector_m].  The jets of a
+``measure.SupportStack`` carry its leading axis, with one norm per start.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +27,11 @@ class _PointPairs:
     vector: np.ndarray
 
     def __post_init__(self):
-        self.scalar = np.asarray(self.scalar, dtype=float).ravel()
         self.vector = np.atleast_2d(np.asarray(self.vector, dtype=float))
-        if len(self.scalar) != len(self.vector):
+        self.scalar = np.asarray(self.scalar, dtype=float)
+        if self.scalar.size != math.prod(self.vector.shape[:-1]):
             raise ShapeError("scalar and vector parts must have equal length")
+        self.scalar = self.scalar.reshape(self.vector.shape[:-1])
         if (np.count_nonzero(np.isfinite(self.scalar)) < self.scalar.size  # cheaper than .all()
                 or np.count_nonzero(np.isfinite(self.vector)) < self.vector.size):
             raise ShapeError(f"non-finite {type(self).__name__} entries")
@@ -39,24 +42,27 @@ class _PointPairs:
 
     @property
     def size(self) -> int:
-        return len(self.scalar)
+        return self.vector.shape[-2]
 
     @property
     def dimension(self) -> int:
-        return self.vector.shape[1]
+        return self.vector.shape[-1]
 
     def flatten(self) -> np.ndarray:
-        return np.hstack([self.scalar[:, None], self.vector]).ravel()
+        return np.concatenate([self.scalar[..., None], self.vector], axis=-1).reshape(
+            self.scalar.shape[:-1] + (-1,))
 
     @classmethod
     def unflatten(cls, vec, dim: int):
-        arr = np.asarray(vec, dtype=float).reshape(-1, 1 + dim)
-        return cls(arr[:, 0].copy(), arr[:, 1:].copy())
+        vec = np.asarray(vec, dtype=float)
+        arr = vec.reshape(vec.shape[:-1] + (-1, 1 + dim))
+        return cls(arr[..., 0].copy(), arr[..., 1:].copy())
 
-    def norm(self) -> float:
+    def norm(self):
         """Sup norm over the support (max of |s_i| and |v_i| entries; 0 if empty)."""
-        return float(max(np.max(np.abs(self.scalar), initial=0.0),
-                         np.max(np.abs(self.vector), initial=0.0)))
+        top = np.maximum(np.max(np.abs(self.scalar), axis=-1, initial=0.0),
+                         np.max(np.abs(self.vector), axis=(-2, -1), initial=0.0))
+        return float(top) if top.ndim == 0 else top
 
     def _like(self, other):
         if type(other) is not type(self) or other.vector.shape != self.vector.shape:

@@ -72,10 +72,12 @@ def _multi_indices(lag, alpha, beta) -> tuple:
     return alpha, beta
 
 
-def check_points(lag, *points):
-    """ShapeError unless every point array has the model's dimension on axis 1."""
+def check_points(lag, *points, series=False):
+    """ShapeError unless every point array (..., n, m), or (..., n, m, K) for
+    ``series``, has the model's dimension m."""
+    axis = -2 if series else -1
     for P in points:
-        if P.ndim < 2 or P.shape[1] != lag.dim:
+        if P.ndim < 1 - axis or P.shape[axis] != lag.dim:
             raise ShapeError(f"{lag.name}: points of shape {P.shape} for dimension {lag.dim}")
 
 
@@ -238,16 +240,16 @@ class PolynomialLagrangian(LagrangianModel):
         return found
 
     def gathered_sum(self, alpha, beta, VX, VY):
-        """(n, n', K) series of the partial at every pair of points whose basis
-        values are VX (U, n, K) and VY (U, n', K): the sum over its terms
-        c_t VX[ix_t, i] VY[iy_t, j], gathered from the values, never a dense
-        product with the basis.  The model must be a polynomial."""
+        """(..., n, n', K) series of the partial at every pair of points whose
+        basis values are VX (..., U, n, K) and VY (..., U, n', K): the sum over
+        its terms c_t VX[ix_t, i] VY[iy_t, j], gathered from the values, never
+        a dense product with the basis.  The model must be a polynomial."""
         ix, iy, coefs = self._partial(alpha, beta)
-        return cauchy_matmul(VX[ix] * coefs[:, None, None], VY[iy])
+        return cauchy_matmul(VX[..., ix, :, :] * coefs[:, None, None], VY[..., iy, :, :])
 
     def _table(self, X, Y, alpha, beta, values=None) -> np.ndarray:
-        """(n, n') table of the partial at the rows of X and Y; ``values`` are
-        their basis values (VX, VY) if the caller keeps them."""
+        """(..., n, n') table of the partial at the rows of X and Y; ``values``
+        are their basis values (VX, VY) if the caller keeps them."""
         order_zero = not any(alpha) and not any(beta)
         if self.is_polynomial and not order_zero:
             if values is None:
@@ -255,9 +257,9 @@ class PolynomialLagrangian(LagrangianModel):
                 values = VX, VX if Y is X else basis_values(self.basis, Y[..., None])
             return self.gathered_sum(alpha, beta, *values)[..., 0]
         fn = self._values() if order_zero else self._partial(alpha, beta)
-        table = np.empty((len(X), len(Y)))
-        table[...] = fn(*(X[:, None, k] for k in range(self.dim)),
-                        *(Y[None, :, k] for k in range(self.dim)))
+        table = np.empty(X.shape[:-1] + Y.shape[-2:-1])
+        table[...] = fn(*(X[..., :, None, k] for k in range(self.dim)),
+                        *(Y[..., None, :, k] for k in range(self.dim)))
         return table
 
     def __call__(self, x, y) -> float:
@@ -270,7 +272,8 @@ class PolynomialLagrangian(LagrangianModel):
 
 
 def pair_table(lag, X, Y, alpha, beta, values=None) -> np.ndarray:
-    """Table T[i, j] = d^alpha_x d^beta_y L(X[i], Y[j]) over all pairs of rows.
+    """Table T[i, j] = d^alpha_x d^beta_y L(X[i], Y[j]) over all pairs of rows;
+    X and Y may carry equal leading stack axes, one table per index.
 
     A polynomial model gathers a partial of order >= 1 from the basis values
     of X and Y (the K = 1 case of ``pair_series``); ``values`` are those
@@ -280,14 +283,16 @@ def pair_table(lag, X, Y, alpha, beta, values=None) -> np.ndarray:
     once on broadcast coordinates, from the factored form or the compiled
     code.  Any other model (finite differences, charted or duck-typed) loops
     over the pairs, calling L itself for order zero and ``partial``
-    otherwise; that loop is also the reference for the vectorized path.
-    Raises NumericalFailure on a non-finite entry.
+    otherwise, start by start; that loop is also the reference for the
+    vectorized path.  Raises NumericalFailure on a non-finite entry.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     check_points(lag, X, Y)
     alpha, beta = _multi_indices(lag, alpha, beta)
-    table = np.empty((len(X), len(Y)))
+    if X.ndim > 2 and not isinstance(lag, PolynomialLagrangian):
+        return np.array([pair_table(lag, x, y, alpha, beta) for x, y in zip(X, Y)])
+    table = np.empty(X.shape[:-1] + Y.shape[-2:-1])
     if isinstance(lag, PolynomialLagrangian):
         with np.errstate(all="ignore"):
             table[...] = lag._table(X, Y, alpha, beta, values)
@@ -296,9 +301,9 @@ def pair_table(lag, X, Y, alpha, beta, values=None) -> np.ndarray:
     else:
         table[...] = [[lag.partial(x, y, alpha, beta) for y in Y] for x in X]
     if not np.isfinite(table).all():
-        i, j = np.argwhere(~np.isfinite(table))[0]
+        *g, i, j = np.argwhere(~np.isfinite(table))[0]
         raise NumericalFailure(f"{lag.name}: partial {alpha}, {beta} not finite at pair",
-                               pair=(X[i], Y[j]))
+                               pair=(X[(*g, i)], Y[(*g, j)]))
     return table
 
 
@@ -317,7 +322,7 @@ def pair_series(lag: PolynomialLagrangian, X, Y, alpha, beta) -> TruncatedSeries
     if not takes_series(lag):
         raise ArgError(f"{lag.name}: truncated series need a polynomial model")
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    check_points(lag, X, Y)
+    check_points(lag, X, Y, series=True)
     alpha, beta = _multi_indices(lag, alpha, beta)
     with np.errstate(all="ignore"):
         VX = basis_values(lag.basis, X)

@@ -111,9 +111,9 @@ def _finite(top, lagrangian, what):
 
 def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, gradient):
     """Top lam-coefficient of the weak EL dual jet, as columns (value, x-gradient
-    if ``gradient``), along the curve with log-weights c (n, K) and points
-    x (n, m, K), lam-coefficients on the last axis, c(0) = 0 and x(0) the
-    support points:
+    if ``gradient``), along the curve with log-weights c (..., n, K) and points
+    x (..., n, m, K), lam-coefficients on the last axis, c(0) = 0 and x(0) the
+    support points of the measure, or of each start of a stack:
         value_i = e^{c_i} (sum_j w_j e^{c_j} L(x_i, x_j) - nu/2),
         gradient_i = e^{c_i} sum_j w_j e^{c_j} d_x L(x_i, x_j);
     breve drops the factor e^{c_i} and the nu-term.  The callers check that
@@ -129,25 +129,26 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, gradient):
     with dx = x - x(0), from the measure's partial tables at lam = 0, with
     the mass folded into the dx_j^d factor the same way.
     """
-    check_points(lagrangian, x)
-    n, m, K = x.shape
+    check_points(lagrangian, x, series=True)
+    m, K = x.shape[-2:]
     zero = (0,) * m
     with np.errstate(all="ignore"):
         growth = TruncatedSeries(c).exp()
-        mass = measure.weights[:, None] * growth.coef
+        mass = measure.weights[..., None] * growth.coef
         if takes_series(lagrangian):
             V = basis_values(lagrangian.basis, x)
             # contiguous, so that cauchy_matmul hands BLAS its usual layout
-            Vm = cauchy_matmul(np.ascontiguousarray(V.transpose(1, 0, 2)), mass[:, None])
+            Vm = cauchy_matmul(np.ascontiguousarray(V.swapaxes(-3, -2)), mass[..., None, :])
 
             def support_sum(alpha):
-                return lagrangian.gathered_sum(alpha, zero, V, Vm)[:, 0]
+                return lagrangian.gathered_sum(alpha, zero, V, Vm)[..., 0, :]
         else:
             lifts = [tuple(slots.count(s) for s in range(2 * m)) for k in range(K)
                      for slots in combinations_with_replacement(range(2 * m), k)]
             dx = x.copy()
             dx[..., 0] = 0.0
-            gs, ds = np.split(basis_values(np.vstack(np.hsplit(np.array(lifts), [m])), dx), 2)
+            gs, ds = np.split(np.moveaxis(basis_values(
+                np.vstack(np.hsplit(np.array(lifts), [m])), dx), -3, 0), 2)
             dms = _cauchy(ds, mass)
             table = measure.pair_tables(lagrangian)
 
@@ -159,7 +160,7 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, gradient):
         parts = [TruncatedSeries(support_sum(tuple(a))) for a in alphas]
         if convention == "standard":
             parts = [growth * (parts[0] - nu / 2.0)] + [growth * g for g in parts[1:]]
-    return np.stack([s.coef[:, -1] for s in parts], axis=-1)
+    return np.stack([s.coef[..., -1] for s in parts], axis=-1)
 
 
 def _polarized(order, jets, measure, lagrangian, nu, convention, with_gradient):
@@ -225,12 +226,12 @@ def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -
     _check_jets(p - 1, jets, measure)
     what = f"E^({p})"
     _require_order(lagrangian, p + 1, what)
-    n, m = measure.size, measure.dimension
-    c = np.stack([np.zeros(n)] + [w.scalar for w in jets] + [np.zeros(n)], axis=-1)
-    x = np.stack([measure.points] + [w.vector for w in jets] + [np.zeros((n, m))], axis=-1)
+    c0, x0 = np.zeros(measure.weights.shape), np.zeros(measure.points.shape)
+    c = np.stack([c0] + [w.scalar for w in jets] + [c0], axis=-1)
+    x = np.stack([measure.points] + [w.vector for w in jets] + [x0], axis=-1)
     top = _finite(_weak_el_coefficient(lagrangian, measure, nu, convention, c, x, True),
                   lagrangian, what)
-    return DualJet(top[:, 0], top[:, 1:])
+    return DualJet(top[..., 0], top[..., 1:])
 
 
 @dataclass
@@ -239,7 +240,9 @@ class DeltaMatrix:
 
     ``matrix`` is square of size N(1+m), assembled against the full test
     space; N is the number of ``weights``, and the vector dimension m
-    (``dim``) follows from the two.  A restricted test basis is kept with
+    (``dim``) follows from the two.  The forms of a stack of supports carry
+    its leading axis, (G, N(1+m), N(1+m)) and (G, N), and give one symmetry
+    defect, norm and rank per start.  A restricted test basis is kept with
     the form it was assembled against (``testbasis``; None for the full
     space), and its rectangular test-row form ``test_rows`` (rows grouped
     basis-jet major, point minor) is computed on first read.  Its one
@@ -254,13 +257,14 @@ class DeltaMatrix:
     testbasis: TestBasis | None = None
 
     def __post_init__(self):
-        n, side = len(self.weights), self.matrix.shape[-1]
-        if self.matrix.shape != (side, side) or not n or side % n or side < 2 * n:
+        n, side = self.weights.shape[-1], self.matrix.shape[-1]
+        if (self.matrix.shape != self.weights.shape[:-1] + (side, side) or not n or side % n
+                or side < 2 * n):
             raise ShapeError(f"Delta of shape {self.matrix.shape} does not fit {n} points")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[1] // len(self.weights) - 1
+        return self.matrix.shape[-1] // self.weights.shape[-1] - 1
 
     @cached_property
     def test_rows(self) -> np.ndarray | None:
@@ -271,20 +275,22 @@ class DeltaMatrix:
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
     def weight_vector(self) -> np.ndarray:
-        return np.repeat(self.weights, 1 + self.dim)
+        return np.repeat(self.weights, 1 + self.dim, axis=-1)
 
     def apply(self, jet: Jet) -> DualJet:
         """Pointwise dual jet of Delta applied to the jet (weights divided out)."""
-        check_on_support([jet], len(self.weights), self.dim)
-        out = self.matrix @ jet.flatten()
+        check_on_support([jet], self.weights.shape[-1], self.dim)
+        out = (self.matrix @ jet.flatten()[..., None])[..., 0]
         return DualJet.unflatten(out / self.weight_vector(), self.dim)
 
-    def symmetry_defect(self) -> float:
-        scale = max(1.0, float(np.max(np.abs(self.matrix))))
-        return float(np.max(np.abs(self.matrix - self.matrix.T))) / scale
+    def symmetry_defect(self):
+        """max |B - B^T| / max(1, max |B|): a float, or one per start."""
+        scale = np.maximum(1.0, np.max(np.abs(self.matrix), axis=(-2, -1)))
+        defect = np.max(np.abs(self.matrix - self.matrix.swapaxes(-1, -2)), axis=(-2, -1)) / scale
+        return float(defect) if defect.ndim == 0 else defect
 
     @cached_property
     def decomposition(self) -> tuple:
@@ -295,24 +301,35 @@ class DeltaMatrix:
         by ``eigh`` when its symmetry defect is at rounding level
         (TOL_SYMMETRIC): with the eigenpairs sorted by |lambda| descending,
         (V sign(lambda), |lambda|, V^T) is an SVD of it.  Any other Delta (a
-        non-symmetric L, breve, restricted test rows) takes the SVD.
+        non-symmetric L, breve, restricted test rows) takes the SVD.  A stack
+        chooses per start and decomposes the starts of each kind in one
+        call; if it has both kinds, its eigh starts' factors lose their
+        layout, and their solves may differ from solo ones by rounding.
         """
         rows = self.test_rows
-        if (rows is None and self.convention == "standard"
-                and self.symmetry_defect() <= TOL_SYMMETRIC):
-            lam, v = np.linalg.eigh(self.matrix)
-            order = np.argsort(-np.abs(lam), kind="stable")
-            lam, v = lam[order], v[:, order]
-            return v * np.where(lam < 0, -1.0, 1.0), np.abs(lam), v.T
-        return np.linalg.svd(self.matrix if rows is None else rows, full_matrices=False)
+        if rows is not None or self.convention != "standard":
+            return np.linalg.svd(self.matrix if rows is None else rows, full_matrices=False)
+        symmetric = np.asarray(self.symmetry_defect() <= TOL_SYMMETRIC)
+        if symmetric.all() or not symmetric.any():
+            return (_by_eigh if symmetric.all() else _by_svd)(self.matrix)
+        parts = [np.empty(self.matrix.shape), np.empty(self.matrix.shape[:-1]),
+                 np.empty(self.matrix.shape)]
+        for kind, decompose in ((symmetric, _by_eigh), (~symmetric, _by_svd)):
+            for part, value in zip(parts, decompose(self.matrix[kind])):
+                part[kind] = value
+        return tuple(parts)
 
-    def operator_norm(self) -> float:
+    def operator_norm(self):
+        """sigma_max: a float, or one per start."""
+        top = self.decomposition[1][..., 0]
+        return float(top) if top.ndim == 0 else top
+
+    def rank(self):
+        """Number of singular values above TOL_RANK * sigma_max: an int, or
+        one per start."""
         s = self.decomposition[1]
-        return float(s[0]) if len(s) else 0.0
-
-    def rank(self) -> int:
-        """Number of singular values above TOL_RANK * sigma_max."""
-        return int(np.sum(self.decomposition[1] > TOL_RANK * self.operator_norm()))
+        rank = np.sum(s > TOL_RANK * s[..., :1], axis=-1)
+        return int(rank) if rank.ndim == 0 else rank
 
     def to_json(self) -> dict:
         return {
@@ -336,26 +353,43 @@ class DeltaMatrix:
             writer.writerows(enumerate(s))
 
 
+def _by_eigh(M):
+    """(V sign(lambda), |lambda|, V^T) of symmetric M (..., s, s), the
+    eigenpairs sorted by |lambda| descending: an SVD of M."""
+    lam, v = np.linalg.eigh(M)
+    order = np.argsort(-np.abs(lam), axis=-1, kind="stable")
+    lam = np.take_along_axis(lam, order, -1)
+    # vt gathered by rows, C-contiguous with u its transpose: the solves' BLAS
+    # calls, and so their last bits, depend on that layout
+    rows = v.swapaxes(-1, -2).reshape((-1,) + v.shape[-2:])
+    vt = rows[np.arange(len(rows))[:, None], order.reshape(len(rows), -1)].reshape(v.shape)
+    return vt.swapaxes(-1, -2) * np.where(lam < 0, -1.0, 1.0)[..., None, :], np.abs(lam), vt
+
+
+def _by_svd(M):
+    return np.linalg.svd(M, full_matrices=False)
+
+
 def _pointwise_blocks(weights, lagrangian, nu, convention, table):
     """Unweighted pointwise row blocks of the linearized operator on a
-    support with the given weights, from the pair tables of L and its
-    partials that ``table(alpha, beta)`` reads on that support; the
+    support with the given weights (..., N), from the pair tables of L and
+    its partials that ``table(alpha, beta)`` reads on that support; the
     diagonal blocks add ell, grad ell and Hess ell (``ell_field``)."""
-    n, m = len(weights), lagrangian.dim
+    n, m = weights.shape[-1], lagrangian.dim
     ells, grads, hessians = ell_field(lagrangian, nu, weights, table, order=2)
     slots = [(0,) * m] + [tuple(e) for e in np.eye(m, dtype=int).tolist()]
     # A[i, s, j, t] = w_j d^s_x d^t_y L(x_i, x_j): row slot s at point i, column
     # slot t at point j, slot 0 the zero multi-index
-    A = np.empty((n, 1 + m, n, 1 + m))
+    A = np.empty(weights.shape[:-1] + (n, 1 + m, n, 1 + m))
     for (s, alpha), (t, beta) in product(enumerate(slots), repeat=2):
-        A[:, s, :, t] = weights * table(alpha, beta)
-    i = np.arange(n)
+        A[..., :, s, :, t] = weights[..., None, :] * table(alpha, beta)
+    diagonal = np.einsum("...iaib->...iab", A)  # a writeable view of the (i, i) blocks
     if convention == "standard":  # in breve the x-slot scalar of the argument does not act
-        A[i, 0, i, 0] += ells
-        A[i, 1:, i, 0] += grads
-    A[i, 0, i, 1:] += grads
-    A[i, 1:, i, 1:] += hessians
-    return A.reshape(n * (1 + m), n * (1 + m))
+        diagonal[..., 0, 0] += ells
+        diagonal[..., 1:, 0] += grads
+    diagonal[..., 0, 1:] += grads
+    diagonal[..., 1:, 1:] += hessians
+    return A.reshape(weights.shape[:-1] + (n * (1 + m), n * (1 + m)))
 
 
 def _test_rows(testbasis: TestBasis, M: np.ndarray, width: int) -> np.ndarray:
@@ -384,8 +418,8 @@ def assemble_delta(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: fl
     A = _pointwise_blocks(measure.weights, lagrangian, nu, convention,
                           measure.pair_tables(lagrangian))
     m = measure.dimension
-    W = np.repeat(measure.weights, 1 + m)
-    B = W[:, None] * A
+    W = np.repeat(measure.weights, 1 + m, axis=-1)
+    B = W[..., :, None] * A
     restricted = testbasis if testbasis is not None and not testbasis.full_space else None
     return DeltaMatrix(B, nu, measure.weights.copy(), convention, restricted)
 
@@ -438,12 +472,16 @@ class GreensOperator:
 
     delta: DeltaMatrix
     strict: bool = False
-    _svd: tuple = field(init=False, repr=False, default=None)
+    _parts: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         u, s, vt = self.delta.decomposition
-        rank = self.delta.rank()
-        self._svd = (u[:, :rank], s[:rank], vt[:rank])
+        rank = np.asarray(self.delta.rank())
+        # (starts, kept u, s, vt): the whole stack if its starts share a rank, else
+        # start by start; views keep each start's layout, so it solves as if alone
+        keys = ([(..., int(rank.flat[0]))] if np.all(rank == rank.flat[0])
+                else list(enumerate(rank.tolist())))
+        self._parts = [(k, u[k][..., :r], s[k][..., :r], vt[k][..., :r, :]) for k, r in keys]
 
     def health(self) -> dict:
         """Numerical health of the decomposition the solves use: rank,
@@ -451,7 +489,7 @@ class GreensOperator:
         (None if none was dropped), and the condition number
         sigma_max / smallest kept (inf at rank 0)."""
         s = self.delta.decomposition[1]
-        rank = len(self._svd[1])
+        rank = self.delta.rank()
         sigma_max = self.delta.operator_norm()
         kept = float(s[rank - 1]) if rank else 0.0
         return {"rank": rank, "sigma_max": sigma_max, "sigma_min_kept": kept,
@@ -465,15 +503,24 @@ class GreensOperator:
         return vec if basis is None else _test_rows(basis, vec, 1 + self.delta.dim)
 
     def apply(self, dual: DualJet):
-        """Solve Delta w = -dual (min-norm); returns (jet, out-of-range residual)."""
-        check_on_support([dual], len(self.delta.weights), self.delta.dim, "dual jet")
+        """Solve Delta w = -dual (min-norm); returns (jet, out-of-range residual),
+        one residual per start of a stack."""
+        check_on_support([dual], self.delta.weights.shape[-1], self.delta.dim, "dual jet")
         rhs = -self._rhs(dual)
-        u, s, vt = self._svd
-        proj = u @ (u.T @ rhs)
-        resid = float(np.linalg.norm(rhs - proj))
-        scale = float(np.linalg.norm(rhs))
-        rel = resid / scale if scale > 0 else 0.0
-        if self.strict and rel > TOL_SOLVE:
-            raise OutOfRange(rel)
-        w = vt.T @ ((u.T @ rhs) / s) if len(s) else np.zeros(self.delta.size)
-        return Jet.unflatten(w, self.delta.dim), rel
+        w = np.zeros(rhs.shape[:-1] + (self.delta.size,))
+        rel = np.zeros(rhs.shape[:-1])
+        for k, u, s, vt in self._parts:
+            b = rhs[k][..., None]
+            coef = u.swapaxes(-1, -2) @ b
+            resid, scale = _norm(b - u @ coef), _norm(b)
+            rel[k] = np.divide(resid, scale, out=np.zeros_like(scale), where=scale > 0)
+            if s.shape[-1]:
+                w[k] = (vt.swapaxes(-1, -2) @ (coef / s[..., None]))[..., 0]
+        if self.strict and np.any(rel > TOL_SOLVE):
+            raise OutOfRange(float(np.max(rel)))
+        return Jet.unflatten(w, self.delta.dim), float(rel) if rel.ndim == 0 else rel
+
+
+def _norm(b) -> np.ndarray:
+    """Norms of the columns b (..., s, 1), each one dot product as in np.linalg.norm."""
+    return np.sqrt(b.swapaxes(-1, -2) @ b)[..., 0, 0]

@@ -3,7 +3,8 @@
 Integrals against the measure are weighted sums over the support.  Points
 within ``TOL_POINT_MERGE`` (max norm, chart units) are close; a support has
 no close pair.  ``merge_close`` merges each chain of close points (a~b, b~c,
-a not~ c) into its lowest-index point, whatever the input order.
+a not~ c) into its lowest-index point, whatever the input order.  A
+``SupportStack`` holds measures of one support size on a leading axis.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ def close_pairs(points) -> np.ndarray:
     key, pos = pts[order, axis], np.arange(len(pts))
     width = np.searchsorted(key, key + 2 * TOL_POINT_MERGE, side="right") - pos
     found = [np.empty((0, 2), dtype=np.intp)]
+    if width.max() < 2:  # no window holds a second point
+        return found[0]
     for k in range(1, int(width.max())):  # candidates k places apart in sorted order
         s = pos[width > k]
         ij = np.sort(np.stack([order[s], order[s + k]], axis=1), axis=1)
@@ -49,7 +52,10 @@ def merge_close(points, weights) -> tuple:
     lowest-index point (coordinates kept, weights summed); the kept points
     stay in input order, so an input without close pairs comes back unchanged."""
     points = np.asarray(points, dtype=float)
-    i, j = close_pairs(points).T
+    pairs = close_pairs(points)
+    if not len(pairs):
+        return points, np.asarray(weights, dtype=float)
+    i, j = pairs.T
     label = np.arange(len(points))
     while True:  # min-label propagation with pointer jumping
         low = label.copy()
@@ -65,7 +71,8 @@ def merge_close(points, weights) -> tuple:
 
 def pair_reader(lagrangian, points):
     """Reader table(alpha, beta) of T[i, j] = d^alpha_x d^beta_y L(p_i, p_j)
-    over the rows p of ``points``, each table computed by ``pair_table`` on
+    over the rows p of ``points`` (..., n, m), one table per leading index,
+    each table computed by ``pair_table`` on
     first read.  A model that takes series evaluates its basis on the points
     once, on the first read of a partial of order >= 1, and gathers every
     such table from those values; order 0 comes from the factored form."""
@@ -86,8 +93,29 @@ def pair_reader(lagrangian, points):
     return table
 
 
+class _Support:
+    """Pair tables, size N and dimension m of ``points`` (..., N, m)."""
+
+    def pair_tables(self, lagrangian):
+        """Reader table(alpha, beta) of T[i, j] = d^alpha_x d^beta_y L(x_i, x_j)
+        on the support (``pair_reader``), one per model, kept with the
+        measure: a model without series reads each partial once, a
+        polynomial evaluates its basis on the support once."""
+        if lagrangian not in self._tables:
+            self._tables[lagrangian] = pair_reader(lagrangian, self.points)
+        return self._tables[lagrangian]
+
+    @property
+    def size(self) -> int:
+        return self.weights.shape[-1]
+
+    @property
+    def dimension(self) -> int:
+        return self.points.shape[-1]
+
+
 @dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_Support):
     """Positive measure with finite support: points (N, m) and weights (N,)."""
 
     points: np.ndarray
@@ -112,23 +140,6 @@ class DiscreteMeasure:
             raise InvalidMeasure(f"support points {i} and {j} coincide within tolerance")
         object.__setattr__(self, "_tables", {})
 
-    def pair_tables(self, lagrangian):
-        """Reader table(alpha, beta) of T[i, j] = d^alpha_x d^beta_y L(x_i, x_j)
-        on the support (``pair_reader``), one per model, kept with the
-        measure: a model without series reads each partial once, a
-        polynomial evaluates its basis on the support once."""
-        if lagrangian not in self._tables:
-            self._tables[lagrangian] = pair_reader(lagrangian, self.points)
-        return self._tables[lagrangian]
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
     @property
     def total_volume(self) -> float:
         return float(np.sum(self.weights))
@@ -148,24 +159,58 @@ class DiscreteMeasure:
         return cls(np.array(pts, dtype=float), np.array(wts, dtype=float))
 
 
+@dataclass(frozen=True)
+class SupportStack(_Support):
+    """G measures of one support size N on a leading axis, points (G, N, m)
+    and weights (G, N), each checked as a DiscreteMeasure.  The kernels that
+    take a measure take a stack too, with one result per start, bit for bit
+    as for the start alone."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tables", {})
+
+    @classmethod
+    def by_size(cls, measures) -> list:
+        """(indices, stack) of the measures of each support size, in order of
+        first appearance."""
+        groups: dict = {}
+        for k, mu in enumerate(measures):
+            groups.setdefault(mu.size, []).append(k)
+        return [(idx, cls(np.stack([measures[k].points for k in idx]),
+                          np.stack([measures[k].weights for k in idx])))
+                for idx in groups.values()]
+
+    def push(self, log_weight, shift) -> list:
+        """``push_forward`` of every start: one measure per index, in C order,
+        of the leading axes of log-weights (..., N) and shifts (..., N, m)."""
+        with np.errstate(over="raise"):
+            try:
+                factors = np.exp(log_weight)
+            except FloatingPointError as exc:
+                raise NumericalFailure("overflow in exp of log-weight field") from exc
+        new_pts = self.points + shift
+        new_wts = self.weights * factors
+        if not np.all(np.isfinite(new_pts)) or not np.all(np.isfinite(new_wts)):
+            raise NumericalFailure("non-finite push-forward result")
+        n, m = self.points.shape[-2:]
+        return [DiscreteMeasure(*merge_close(*start))
+                for start in zip(new_pts.reshape(-1, n, m), new_wts.reshape(-1, n))]
+
+
 def push_forward(measure: DiscreteMeasure, log_weight, shift) -> DiscreteMeasure:
     """Push the measure forward: new points x_i + shift_i, weights w_i * exp(c_i).
 
     Colliding points are merged by ``merge_close``: a chain of close points
     becomes its lowest-index point, whose coordinates are kept, with the summed
     weight.  A weight that underflows to 0 and merges with nothing is invalid.
+    The one-start case of ``SupportStack.push``.
     """
     log_weight = np.asarray(log_weight, dtype=float).ravel()
     shift = np.atleast_2d(np.asarray(shift, dtype=float))
     if len(log_weight) != measure.size or shift.shape != measure.points.shape:
         raise ShapeError("log_weight/shift shapes do not match the support")
-    with np.errstate(over="raise"):
-        try:
-            factors = np.exp(log_weight)
-        except FloatingPointError as exc:
-            raise NumericalFailure("overflow in exp of log-weight field") from exc
-    new_pts = measure.points + shift
-    new_wts = measure.weights * factors
-    if not np.all(np.isfinite(new_pts)) or not np.all(np.isfinite(new_wts)):
-        raise NumericalFailure("non-finite push-forward result")
-    return DiscreteMeasure(*merge_close(new_pts, new_wts))
+    return SupportStack(measure.points[None], measure.weights[None]).push(log_weight[None],
+                                                                      shift[None])[0]

@@ -177,7 +177,8 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
     instead of stepping on the rounding of the functional.  For the full
     unitary group the infimum L is reached (the identity restart starts on a
     minimizer already).  Returns (best value, best U, per-restart trace),
-    the values read by ``mixing_functional`` of the final stack.
+    the values L + ``gap_to_infimum`` of the final stack: the functional,
+    without the rounding of U's unitarity that can put it below L.
     """
     for name, value, least, error in (("L", L, 1, ShapeError), ("restarts", restarts, 1, ShapeError),
                                       ("iters", iters, 0, ArgError), ("seed", seed, 0, ArgError)):
@@ -218,7 +219,7 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
         step[live] = np.where(accept, np.minimum(step[live] * 1.2, 1.0), step[live] * 0.5)
         live = live[accept | (step[live] >= 1e-12)]
 
-    val = mixing_functional(U)
+    val = L + gap_to_infimum(U)
     best = int(np.argmin(val))
     return float(val[best]), U[best], val.tolist()
 

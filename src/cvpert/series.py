@@ -5,7 +5,8 @@ trailing axis of length K (Taylor propagation, Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 13); K = 1 is a plain number.  A
 monomial basis is a list of exponent vectors closed under lowering any
 exponent (``lower_set``); ``basis_values`` evaluates it once per point set,
-and ``cauchy_matmul`` contracts such values over their first axis.
+and ``cauchy_matmul`` contracts such values over their support axis; both
+take leading stack axes.
 """
 
 from __future__ import annotations
@@ -99,42 +100,44 @@ class TruncatedSeries:
 
 
 def basis_values(basis, X):
-    """(U, n, K) series prod_k X[:, k]^basis[u, k] at the points X (n, m, K),
-    lambda-coefficients on the last axis, for the exponent vectors basis
-    (U, m).  On plain coordinates (K = 1) each value is a product of
-    correctly rounded powers; on series, of Cauchy powers."""
-    (n, m, K), U = X.shape, len(basis)
+    """(..., U, n, K) series prod_k X[..., :, k]^basis[u, k] at the points X
+    (..., n, m, K), lambda-coefficients on the last axis, for the exponent
+    vectors basis (U, m).  On plain coordinates (K = 1) each value is a
+    product of correctly rounded powers; on series, of Cauchy powers."""
+    *lead, n, m, K = X.shape
     if K == 1:
-        return np.multiply.reduce(X[None, :, :, 0] ** basis[:, None, :], axis=-1)[..., None]
+        return np.multiply.reduce(X[..., None, :, :, 0] ** basis[:, None, :], axis=-1)[..., None]
     cols = np.flatnonzero(basis.any(axis=0))
     if not len(cols):
-        return np.broadcast_to(np.eye(1, K), (U, n, K))
-    # one table of the Cauchy powers of every coordinate that occurs
-    X = X[:, cols]
+        return np.broadcast_to(np.eye(1, K), (*lead, len(basis), n, K))
+    # one table of the Cauchy powers of every coordinate that occurs, coordinate first
+    X = np.moveaxis(X[..., cols, :], -2, 0)
     powers = np.zeros((int(basis.max()) + 1,) + X.shape)
     powers[0, ..., 0] = 1.0
     powers[1] = X
     for e in range(2, len(powers)):
         powers[e] = _cauchy(powers[e - 1], X)
-    factors = powers[basis[:, cols], :, np.arange(len(cols))]  # (U, cols, n, K)
+    factors = powers[basis[:, cols], np.arange(len(cols))]  # (U, cols, ..., n, K)
     out = factors[:, 0]
     for k in range(1, len(cols)):
         out = _cauchy(out, factors[:, k])
-    return out
+    return np.moveaxis(out, 0, -3)
 
 
 def cauchy_matmul(P, Q):
-    """(n, n', K) series sum_t P[t, i] Q[t, j] of P (T, n, K) and Q (T, n', K),
-    Cauchy products on the coefficient axis, as one matrix product
-    out[i, (j, k)] = sum_{t, a} P[t, i, a] Q[t, j, k - a]."""
-    (T, n, K), m = P.shape, Q.shape[1]
-    shifted = np.zeros((T, K, m, K))  # shifted[t, a, j, k] = Q[t, j, k - a], 0 for k < a
+    """(..., n, n', K) series sum_t P[..., t, i] Q[..., t, j] of P (..., T, n, K)
+    and Q (..., T, n', K), Cauchy products on the coefficient axis, as one
+    matrix product out[i, (j, k)] = sum_{t, a} P[t, i, a] Q[t, j, k - a]."""
+    *lead, T, n, K = P.shape
+    m = Q.shape[-2]
+    shifted = np.zeros((*lead, T, K, m, K))  # shifted[t, a, j, k] = Q[t, j, k - a], 0 for k < a
     for a in range(K):
-        shifted[:, a, :, a:] = Q[:, :, :K - a]
+        shifted[..., a, :, a:] = Q[..., :K - a]
     # P enters as a transposed (T K, n) array, the operand layout of the
     # other products here, so no further BLAS kernel is paged in
-    out = P.transpose(0, 2, 1).reshape(T * K, n).T @ shifted.reshape(T * K, m * K)
-    return out.reshape(n, m, K)
+    out = (P.swapaxes(-1, -2).reshape(*lead, T * K, n).swapaxes(-1, -2)
+           @ shifted.reshape(*lead, T * K, m * K))
+    return out.reshape(*lead, n, m, K)
 
 
 def _sorted_distinct(codes):

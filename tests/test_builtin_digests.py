@@ -56,6 +56,21 @@ def test_against_prints_how_far_each_differing_file_moved(tool, tmp_path, capsys
     assert tool.main(["101", str(tmp_path / "b"), "--check", str(saved),
                       "--against", str(tmp_path / "a")]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith(f"differs: {csv_name}  largest relative difference 1e-09")
-    assert tool.largest_relative_difference([1.0, 2.0], [1.0]) == float("inf")
-    assert tool.largest_relative_difference([0.0, float("nan")], [0.0, float("nan")]) == 0.0
+    assert out[0] == f"differs: {csv_name}  largest relative difference 1e-09 at row 1 column 1"
+
+
+def test_largest_move_has_an_absolute_floor_and_a_place(tool):
+    inf, nan = float("inf"), float("nan")
+    assert tool.largest_move([("a", 1.0), ("b", 2.0)], [("a", 1.0)]) == (inf, "number count")
+    assert tool.largest_move([("a", 0.0), ("b", nan)], [("a", 0.0), ("b", nan)]) == (0.0, "")
+    # a move to or from exactly 0 reads as its size against the floor, not as 1
+    assert tool.largest_move([("gap", 0.0), ("x", 3.0)], [("gap", 1e-31), ("x", 3.0 + 3e-9)]) \
+        == (pytest.approx(1e-9), "x")
+    assert tool.largest_move([("gap", 0.0)], [("gap", 2e-12)]) == (1.0, "gap")
+    assert tool.largest_move([("x", 1.0), ("y", 1.0)], [("x", 1.0), ("y", nan)]) == (inf, "y")
+
+
+def test_json_numbers_are_placed_by_key_path(tool, tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text('{"a": [1.5, {"b": 2}], "c": true, "d": "text"}')
+    assert tool.numbers(path) == [("a.0", 1.5), ("a.1.b", 2)]

@@ -62,20 +62,20 @@ def test_mixing_gap_to_infimum_is_nonnegative(L, seed, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["example52-expansion", "quartic-pair-expansion"])
-def test_expansion_scenario_expands_once_per_lambda(name, tmp_path, monkeypatch):
-    # orders [1, 2] on a grid of 5 lambdas: one order-2 expansion per lambda
-    orders = []
+def test_expansion_scenario_expands_its_grid_once(name, tmp_path, monkeypatch):
+    # orders [1, 2] on a grid of 5 lambdas: one order-2 expansion of the 5 starts
+    calls = []
     inner = expansion.expand_inhomogeneous
 
     def spy(*args, **kwargs):
-        orders.append(args[3])
+        calls.append((args[0].points.shape[0], args[3]))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(expansion, "expand_inhomogeneous", spy)
     _report, code = cli.run_config({"schema_version": 1, "scenario": name}, seed=101,
                                    out=str(tmp_path))
     assert code == 0
-    assert orders == [2] * 5
+    assert calls == [(5, 2)]
 
 
 def test_cfs_scalar_residual_reads_no_gradient(tmp_path, monkeypatch):

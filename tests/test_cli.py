@@ -547,17 +547,23 @@ def test_cli_negative_seed_exits_2_without_report(tmp_path):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def test_inline_mixing_draws_from_the_run_seed(tmp_path):
-    def trace(config, seed, name):
-        _, code = run_config({"schema_version": 1, **config}, seed=seed,
-                             out=str(tmp_path / name))
-        assert code == 0
-        return json.loads((tmp_path / name / "mixing_L3.json").read_text())["per_restart_trace"]
+def test_inline_mixing_draws_from_the_run_seed(tmp_path, monkeypatch):
+    # both stages hand minimize_mixing the run's seed, which draws the restarts' starts
+    from cvpert import mixing
 
+    seeds = []
+    inner = mixing.minimize_mixing
+    monkeypatch.setattr(mixing, "minimize_mixing",
+                        lambda L, **kw: seeds.append((L, kw["seed"])) or inner(L, **kw))
     inline = {"mixing": {"L": 3, "restarts": 4}}
     builtin = {"scenario": "mixing-L3", "scenario_config": {"restarts": 4}}
-    assert trace(inline, 5, "inline5") == trace(builtin, 5, "builtin5")
-    assert trace(inline, 5, "inline5") != trace(inline, 0, "inline0")
+    for k, (config, seed) in enumerate([(inline, 5), (builtin, 5), (inline, 0)]):
+        _, code = run_config({"schema_version": 1, **config}, seed=seed,
+                             out=str(tmp_path / str(k)))
+        assert code == 0
+    assert seeds == [(3, 5), (3, 5), (3, 0)]
+    starts = {seed: mixing._starting_points(3, None, 4, seed) for seed in (0, 5)}
+    assert not np.array_equal(starts[0][1:], starts[5][1:])
 
 
 def test_mixing_stage_records_the_seed_it_drew_from(tmp_path):

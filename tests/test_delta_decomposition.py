@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cvpert import DiscreteMeasure, TestBasis, build_lagrangian, calibrate_nu
-from cvpert.jets import Jet
-from cvpert.linops import TOL_RANK, GreensOperator, assemble_delta, kernel_basis
+from cvpert.jets import DualJet, Jet
+from cvpert.linops import TOL_RANK, DeltaMatrix, GreensOperator, assemble_delta, kernel_basis
 
 
 def wide_support_delta():
@@ -76,3 +76,37 @@ def test_wide_test_row_kernel_matches_the_full_svd(example52, example52_reg, dir
         assert got.shape == ref.shape
         assert np.max(np.abs(got @ got.T - np.eye(len(got)))) <= 1e-12
         assert np.max(np.abs(got.T @ got - ref.T @ ref)) <= 1e-12
+
+
+def test_a_stack_is_decomposed_and_solved_start_by_start(example52_reg, rng, monkeypatch):
+    # three starts of one size: a full-rank symmetric Delta, one with a
+    # zeroed row and column (rank one less) and a non-symmetric one; each
+    # kind takes one call and every start's factors are its own.  Starts of
+    # one kind solve as if alone, bit for bit, also when their ranks differ
+    full = assemble_delta(small_measure(rng), example52_reg, 0.2)
+    cut = full.matrix.copy()
+    cut[-1], cut[:, -1] = 0.0, 0.0
+    skew = full.matrix + 1e-6 * np.triu(np.ones_like(full.matrix))
+    alone = [DeltaMatrix(m, 0.2, full.weights) for m in (full.matrix, cut, skew)]
+
+    def stacked(deltas):
+        return DeltaMatrix(np.stack([d.matrix for d in deltas]), 0.2,
+                           np.stack([d.weights for d in deltas]))
+
+    mixed = stacked(alone)
+    calls = count_factorizations(monkeypatch)
+    GreensOperator(mixed)
+    assert sorted(calls) == ["eigh", "svd"]
+    monkeypatch.undo()
+    assert mixed.rank().tolist() == [d.rank() for d in alone] == [9, 8, 9]
+    for part, parts in zip(mixed.decomposition, zip(*(d.decomposition for d in alone))):
+        assert np.array_equal(part, np.stack(parts))
+    dual = DualJet(rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 2)))
+    for deltas in (alone[:2], alone[1:]):  # ranks 9 and 8 by eigh; then both kinds
+        jets, defects = GreensOperator(stacked(deltas)).apply(dual)
+        for g, d in enumerate(deltas):
+            jet, defect = GreensOperator(d).apply(DualJet(dual.scalar[g], dual.vector[g]))
+            if deltas[0] is alone[0]:
+                assert np.array_equal(jets.flatten()[g], jet.flatten())
+                assert defects[g] == defect
+            assert np.allclose(jets.flatten()[g], jet.flatten(), rtol=1e-12, atol=0.0)

@@ -469,6 +469,78 @@ def test_slopes_of_all_orders_equal_one_order_calls(name, tmp_path, monkeypatch)
     assert order_scaling_slopes(base, lag, nu, deviation, [], grid) == {}
 
 
+def per_start_rows(base, lag, nu, deviation, p, grid, convention="standard"):
+    """The order-p residual rows of a study, one expansion from scratch per start."""
+    rows = []
+    for lam in grid:
+        start = push_forward(base, lam * deviation.scalar, lam * deviation.vector)
+        series = expand(start, lag, nu, p, convention=convention, keep_ledger=False)
+        rows.append((float(lam), delta_zero_dual(reconstruct(series, 1.0), lag, nu).norm()))
+    return rows
+
+
+def record_stacks(monkeypatch):
+    """(the (G, N) weight shape of every expanded stack, the name of every
+    factorization call), as the calls come."""
+    shapes, calls = [], []
+    inner = expansion.expand_inhomogeneous
+    monkeypatch.setattr(expansion, "expand_inhomogeneous",
+                        lambda mu, *a, **k: shapes.append(mu.weights.shape) or inner(mu, *a, **k))
+    for name in ("eigh", "svd"):
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _n=name, _f=routine, **k: calls.append(_n) or _f(*a, **k))
+    return shapes, calls
+
+
+def test_a_merged_start_is_expanded_in_its_own_stack(quartic_pair, monkeypatch):
+    # at lambda = 0.04 point 0 lands exactly on point 1 and merges with it, so
+    # the 3-point starts and the 2-point one form two stacks, each decomposed
+    # in one call
+    base = DiscreteMeasure(np.array([[0.0], [0.04], [-1.0]]), np.array([1.0, 0.5, 2.0]))
+    deviation = Jet(np.array([0.3, -0.2, 0.1]), np.array([[1.0], [0.0], [0.0]]))
+    grid = [0.01, 0.02, 0.04]
+    shapes, calls = record_stacks(monkeypatch)
+    fits = order_scaling_slopes(base, quartic_pair, 0.3, deviation, [1, 2], grid)
+    monkeypatch.undo()
+    assert shapes == [(2, 3), (1, 2)]
+    assert calls == ["eigh", "eigh"]
+    assert push_forward(base, 0.04 * deviation.scalar, 0.04 * deviation.vector).size == 2
+    for p in (1, 2):
+        assert np.array_equal(fits[p][1],
+                              per_start_rows(base, quartic_pair, 0.3, deviation, p, grid))
+
+
+def test_breve_study_matches_per_start_expansions(quartic_pair, quartic_base, monkeypatch):
+    # breve Delta is not symmetric: the whole stack takes one SVD
+    nu = calibrate_nu(quartic_base, quartic_pair)
+    deviation = Jet(np.array([0.2, -0.1]), np.array([[0.3], [-0.1]]))
+    grid = [0.02, 0.04, 0.08]
+    shapes, calls = record_stacks(monkeypatch)
+    fits = order_scaling_slopes(quartic_base, quartic_pair, nu, deviation, [1, 2, 3], grid,
+                                convention="breve")
+    monkeypatch.undo()
+    assert shapes == [(3, 2)]
+    assert calls == ["svd"]
+    for p in (1, 2, 3):
+        assert np.array_equal(fits[p][1], per_start_rows(quartic_base, quartic_pair, nu,
+                                                         deviation, p, grid, "breve"))
+
+
+def test_black_box_study_matches_per_start_expansions(example52_reg):
+    # a duck-typed model takes the Taylor lift of its partial tables, read
+    # start by start
+    base = DiscreteMeasure(np.array([[0.52353851, 0.7775154], [-0.52353851, 0.7775154]]),
+                           np.ones(2))
+    deviation = Jet(np.array([0.1, -0.2]), np.array([[0.3, 0.1], [-0.2, 0.2]]))
+    box = CountingPartials(example52_reg)
+    grid = [0.02, 0.04, 0.08]
+    fits = order_scaling_slopes(base, box, 0.3, deviation, [1, 2], grid)
+    assert box.calls > 0
+    for p in (1, 2):
+        assert np.array_equal(fits[p][1], per_start_rows(base, box, 0.3, deviation, p, grid))
+
+
 def test_truncated_series_is_the_lower_order_expansion(example52_reg, rng):
     start = DiscreteMeasure(rng.normal(size=(3, 2)) * 0.4, rng.uniform(0.5, 1.5, 3))
     full = expand(start, example52_reg, 0.3, order=3)

@@ -20,7 +20,7 @@ from cvpert.el import calibrate_nu, ell, ell_field, ell_on_support, grad_ell, in
 from cvpert.errors import (ArgError, CvpError, InconclusiveFit, NotCritical, OrderUnsupported,
                            ShapeError, UnknownModel)
 from cvpert.expansion import (LedgerTerm, PerturbationSeries, error_term, expand,
-                              family_from_linearized, reconstruct)
+                              family_from_linearized, order_scaling_slopes, reconstruct)
 from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, FragmentedMeasure,
                                   Scenario, example52_scenario, fragment_measure,
                                   perturbed_laplacian_linF, wellposedness_check)
@@ -46,6 +46,11 @@ def pair_distance_delta():
     """Delta of the 2-point ``pair_distance`` measure, on 1-D jets."""
     lag = build_lagrangian("pair_distance")
     return assemble_delta(PAIR_1D, lag, 2.0)
+
+
+def study(orders, grid, deviation=Jet.zero(2, 1)):
+    """An order-scaling study of the 2-point 1-D measure."""
+    return order_scaling_slopes(PAIR_1D, LINE, 0.0, deviation, orders, grid)
 
 
 def series_document(order):
@@ -150,6 +155,14 @@ ROWS = [
      ArgError),
     ("family_from_linearized/not-critical",
      lambda: family_from_linearized(Jet.zero(2, 2), PAIR, PLANE, 0.0, 2), NotCritical),
+    ("order_scaling_slopes/one-lambda", lambda: study([1], [0.01]), ArgError),
+    ("order_scaling_slopes/zero-lambda", lambda: study([1], [0.0, 0.01]), ArgError),
+    ("order_scaling_slopes/nan-lambda", lambda: study([1], [np.nan, 0.01, 0.02]), ArgError),
+    ("order_scaling_slopes/2-D-grid", lambda: study([1], [[0.01, 0.02]]), ArgError),
+    ("order_scaling_slopes/fractional-order", lambda: study([2.5], [0.01, 0.02]), ArgError),
+    ("order_scaling_slopes/bool-order", lambda: study([True], [0.01, 0.02]), ArgError),
+    ("order_scaling_slopes/deviation-shape",
+     lambda: study([1], [0.01, 0.02], Jet.zero(3, 1)), ShapeError),
     ("reconstruct/nan-lambda",
      lambda: reconstruct(PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2)]), np.nan), ArgError),
     ("delta_ell/jet-count", lambda: delta_ell(2, [Jet.zero(2, 2)], PAIR, PLANE, 0.0),

@@ -14,9 +14,12 @@ are compared with it instead of printed: each file whose digest differs, or
 that only one side lists, is printed, and the exit status is 1 on any
 difference, 0 when every file matches.  With ``--against DIR``, the OUT
 directory of the run that printed FILE, each differing CSV or JSON file is
-also compared number by number with its copy in DIR, and the largest
-relative difference |a - b| / max(|a|, |b|) among its numbers is printed
-(inf when the two files hold different counts of numbers).
+also compared number by number with its copy in DIR.  The largest relative
+difference |a - b| / max(|a|, |b|, FLOOR) among its numbers is printed with
+its place: the row and column of a CSV cell, the key path of a JSON value.
+Below FLOOR in magnitude a number's move counts absolutely, so a move to or
+from exactly 0 reads as its size, not as 1.  A move to or from a non-finite
+number, or two files with different counts of numbers, read inf.
 """
 
 import argparse
@@ -31,6 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cvpert import cli, scenarios  # noqa: E402
 
+FLOOR = 1e-12  # magnitude below which a number's move counts absolutely
+
 
 def report_bytes(path: Path) -> bytes:
     report = json.loads(path.read_text())
@@ -40,36 +45,48 @@ def report_bytes(path: Path) -> bytes:
 
 
 def numbers(path: Path) -> list:
-    """Every number of a CSV or JSON output in file order (a report as
-    ``report_bytes`` reads it); non-numeric cells and values are skipped."""
+    """(place, number) for every number of a CSV or JSON output in file
+    order (a report as ``report_bytes`` reads it): "row R column C" of a
+    CSV cell, counted from 0 with the header, or the dotted key path of a
+    JSON value; non-numeric cells and values are skipped."""
     if path.suffix == ".csv":
         found = []
-        for row in csv.reader(path.read_text().splitlines()):
-            for cell in row:
+        for r, row in enumerate(csv.reader(path.read_text().splitlines())):
+            for c, cell in enumerate(row):
                 try:
-                    found.append(float(cell))
+                    found.append((f"row {r} column {c}", float(cell)))
                 except ValueError:
                     pass
         return found
 
-    def walk(value):
-        if isinstance(value, dict):
-            return [x for v in value.values() for x in walk(v)]
-        if isinstance(value, list):
-            return [x for v in value for x in walk(v)]
-        return [] if isinstance(value, bool) or not isinstance(value, (int, float)) else [value]
+    def walk(value, place):
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            return [x for k, v in items for x in walk(v, f"{place}.{k}" if place else str(k))]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return []
+        return [(place, value)]
 
     return walk(json.loads(report_bytes(path) if path.name == "report.json"
-                           else path.read_text()))
+                           else path.read_text()), "")
 
 
-def largest_relative_difference(a: list, b: list) -> float:
+def largest_move(a: list, b: list) -> tuple:
+    """(largest relative difference, its place) between two ``numbers``
+    lists: |x - y| / max(|x|, |y|, FLOOR), inf for a move to or from a
+    non-finite number; (inf, "number count") when the counts differ and
+    (0.0, "") when nothing moved."""
     if len(a) != len(b):
-        return math.inf
-    worst = 0.0
-    for x, y in zip(a, b):
-        if x != y and not (math.isnan(x) and math.isnan(y)):
-            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+        return math.inf, "number count"
+    worst = (0.0, "")
+    for (place, x), (_, y) in zip(a, b):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if math.isfinite(x) and math.isfinite(y):
+            move = abs(x - y) / max(abs(x), abs(y), FLOOR)
+        else:
+            move = math.inf
+        worst = max(worst, (move, place), key=lambda w: w[0])
     return worst
 
 
@@ -112,9 +129,9 @@ def main(argv) -> int:
         elif saved[name] != fresh[name]:
             moved = ""
             if args.against is not None and Path(name).suffix in (".csv", ".json"):
-                worst = largest_relative_difference(numbers(args.out / name),
-                                                    numbers(args.against / name))
-                moved = f"  largest relative difference {worst:.3g}"
+                worst, place = largest_move(numbers(args.out / name),
+                                            numbers(args.against / name))
+                moved = f"  largest relative difference {worst:.3g} at {place}"
             print(f"differs: {name}{moved}")
         else:
             continue
