@@ -38,7 +38,7 @@ from .el import ell_field
 from .fitting import loglog_slope
 from .jets import Jet, MultiJet, check_on_support
 from .lagrangian import LagrangianModel
-from .measure import DiscreteMeasure, merge_close, pair_reader, push_forward
+from .measure import DiscreteMeasure, pair_reader, push_forward
 
 RESIDUAL_FLOOR = 5e-15
 MAX_FIT_RESIDUAL = 0.1  # a worse log-log fit of the form's singular values is inconclusive
@@ -152,7 +152,7 @@ class FragmentedMeasure:
         points, weights = points[massive], weights[massive]
         if not np.all(np.isfinite(points)) or not np.all(np.isfinite(weights)):
             raise NumericalFailure("non-finite entries in fragmented measure data")
-        return DiscreteMeasure(*merge_close(points, weights))
+        return DiscreteMeasure.merged(points, weights)
 
     def support_table(self, lam: float | None = None) -> list:
         rows = []

@@ -134,11 +134,21 @@ class DiscreteMeasure(_Support):
             raise NumericalFailure("non-finite entries in measure data")
         if np.any(wts <= 0):
             raise InvalidMeasure("weights must be strictly positive")
-        pairs = close_pairs(pts)
+        pairs = () if getattr(self, "_merged", False) else close_pairs(pts)
         if len(pairs):
             i, j = pairs[0]
             raise InvalidMeasure(f"support points {i} and {j} coincide within tolerance")
         object.__setattr__(self, "_tables", {})
+
+    @classmethod
+    def merged(cls, points, weights) -> "DiscreteMeasure":
+        """The measure of ``merge_close(points, weights)``, built by the
+        constructor with every check but the close-pair search, which the
+        merge has made: its result has no close pair."""
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "_merged", True)
+        measure.__init__(*merge_close(points, weights))
+        return measure
 
     @property
     def total_volume(self) -> float:
@@ -196,7 +206,7 @@ class SupportStack(_Support):
         if not np.all(np.isfinite(new_pts)) or not np.all(np.isfinite(new_wts)):
             raise NumericalFailure("non-finite push-forward result")
         n, m = self.points.shape[-2:]
-        return [DiscreteMeasure(*merge_close(*start))
+        return [DiscreteMeasure.merged(*start)
                 for start in zip(new_pts.reshape(-1, n, m), new_wts.reshape(-1, n))]
 
 

@@ -63,10 +63,18 @@ def expm(A: np.ndarray) -> np.ndarray:
     return (V * np.exp(-1j * w)[..., None, :]) @ _adjoint(V)
 
 
-def haar_unitary(rng, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def _haar(rngs, n: int) -> np.ndarray:
+    """One Haar unitary (n, n) per random generator of ``rngs``, from one
+    batched QR of their Gaussian draws (each draws its real, then imaginary parts)."""
+    z = np.array([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for rng in rngs],
+                 dtype=complex).reshape(-1, n, n)
     q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(rng, n: int) -> np.ndarray:
+    return _haar([rng], n)[0]
 
 
 @dataclass
@@ -100,7 +108,10 @@ class SubgroupSample:
         return sum(c[:, None, None] * g for c, g in zip(np.asarray(coeffs).T, self.generators))
 
     def sample(self, rng, count: int | None = None) -> list:
-        count = count or self.budget
+        """``count`` (default ``budget``) elements exp(sum_g c_g X_g), each c drawn from rng."""
+        count = self.budget if count is None else count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ArgError(f"sample count must be an integer >= 0, got {count!r}")
         return list(expm(self._combine(rng.normal(size=(count, len(self.generators))))))
 
 
@@ -149,77 +160,90 @@ def gap_to_infimum(U: np.ndarray):
     return float(values) if U.ndim == 2 else values
 
 
-def _functional_gradient(U: np.ndarray) -> np.ndarray:
-    # Wirtinger gradient wrt conj(U): 2 |z_a|^2 z_a v^dagger
-    z = U @ np.ones(U.shape[-1], dtype=complex)
-    return np.repeat((2.0 * (np.abs(z) ** 2 * z))[..., None], U.shape[-1], axis=-1)
+def _tangent_units(L: int, subgroup: SubgroupSample | None) -> np.ndarray:
+    """Unit anti-Hermitian directions (K, L, L) of the descent: a subgroup's
+    normalized generators, or for the full group the orthonormal basis of
+    u(L) (Frobenius) i E_aa, (E_ab - E_ba) / sqrt 2, i (E_ab + E_ba) / sqrt 2."""
+    if subgroup is None:
+        E = np.eye(L * L).reshape(L * L, L, L)
+        a, b = np.divmod(np.arange(L * L), L)
+        gens = np.where((a < b)[:, None, None], E - E.swapaxes(1, 2), 1j * (E + E.swapaxes(1, 2)))
+    else:
+        gens = np.stack(subgroup.generators)
+    return gens / np.maximum(np.linalg.norm(gens, axis=(1, 2)), 1e-300)[:, None, None]
 
 
 def _starting_points(L: int, subgroup: SubgroupSample | None, restarts: int, seed: int):
     """Restart 0 is the identity, restart k > 0 a draw of default_rng(seed + k)."""
     rngs = [np.random.default_rng(seed + k) for k in range(1, restarts)]
     if subgroup is None:
-        return np.stack([np.eye(L, dtype=complex)] + [haar_unitary(rng, L) for rng in rngs])
+        return np.concatenate([np.eye(L, dtype=complex)[None], _haar(rngs, L)])
     n_gens = len(subgroup.generators)
     coeffs = np.array([np.zeros(n_gens)] + [rng.normal(size=n_gens) for rng in rngs])
     return expm(subgroup._combine(coeffs))
 
 
+# Relative singular-value cut of the Gauss-Newton pseudo-inverse.  A unitary
+# U keeps sum_a |(Uv)^a|^2 = L, so the rows of the Jacobian sum to zero and
+# its rank is at most L - 1: the last singular value is rounding, and
+# inverting it (numpy's default cut, 1e-15) throws steps off the minimizer.
+RCOND_GAUSS_NEWTON = 1e-10
+
+
 def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
                     restarts: int = 50, iters: int = 200, seed: int = 0):
-    """Retraction descent for the infimum of the mixing functional.
+    """Riemannian Gauss-Newton for the infimum of the mixing functional.
 
-    Anti-Hermitian gradient steps with exponential retraction and
-    backtracking; one deterministic seed per restart index.  All restarts
-    advance together as one (restarts, L, L) stack, each with its own step
-    size and stop rule.  A step is taken when it lowers ``gap_to_infimum``,
-    which has no rounding floor at the infimum, so a converged restart stops
-    instead of stepping on the rounding of the functional.  For the full
-    unitary group the infimum L is reached (the identity restart starts on a
-    minimizer already).  Returns (best value, best U, per-restart trace),
-    the values L + ``gap_to_infimum`` of the final stack: the functional,
-    without the rounding of U's unitarity that can put it below L.
+    The functional is L + sum_a r_a^2 with residuals r_a = |(Uv)^a|^2 - 1,
+    a least-squares problem on the group.  Each step moves U to
+    U exp(t sum_k c_k T_k) along the unit directions T_k of
+    ``_tangent_units``, with c = -pinv(J) r the min-norm Gauss-Newton
+    coefficients of the Jacobian J[a, k] = 2 Re(conj((Uv)^a) (U T_k v)^a).
+    The step t starts at 1, is reset to 1 when a candidate lowers
+    ``gap_to_infimum`` (which has no rounding floor at the infimum) and is
+    halved when it does not.  All restarts advance together as one
+    (restarts, L, L) stack, one deterministic seed per restart index; a
+    restart stops once L + gap reads L, so the identity restart of the full
+    group never steps.  Returns (best value, best U, per-restart trace), the
+    values L + ``gap_to_infimum`` of the final stack: the functional, without
+    the rounding of U's unitarity that can put it below L.
     """
     for name, value, least, error in (("L", L, 1, ShapeError), ("restarts", restarts, 1, ShapeError),
                                       ("iters", iters, 0, ArgError), ("seed", seed, 0, ArgError)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise error(f"{name} must be an integer >= {least}, got {value!r}")
-
-    if subgroup is None:
-        units = None
-    elif not subgroup.generators:
+    if subgroup is not None and not subgroup.generators:
         raise ShapeError("subgroup sample needs generators")
-    elif subgroup.generators[0].shape != (L, L):
+    if subgroup is not None and subgroup.generators[0].shape != (L, L):
         raise ShapeError(f"subgroup generators are {subgroup.generators[0].shape}, not ({L}, {L})")
-    else:
-        # restrict the descent to the subgroup tangent space
-        gens = np.stack(subgroup.generators)
-        units = gens / np.maximum(np.linalg.norm(gens, axis=(1, 2)), 1e-300)[:, None, None]
 
+    units = _tangent_units(L, subgroup)
+    v = np.ones(L, dtype=complex)
+    Tv = (units @ v).T  # column k is T_k v
     U = _starting_points(L, subgroup, restarts, seed)
     gap = gap_to_infimum(U)
-    step = np.full(restarts, 0.5)
-    live = np.arange(restarts)
+    step = np.ones(restarts)
+    live = np.flatnonzero(L + gap != L)
     for _ in range(iters):
-        K = _adjoint(U[live]) @ _functional_gradient(U[live])
-        K = (K - _adjoint(K)) / 2.0  # anti-Hermitian tangent coefficient
-        if units is not None:
-            coeffs = np.einsum("gij,rij->rg", units.conj(), K).real
-            K = np.einsum("rg,gij->rij", coeffs, units)
+        z = U[live] @ v
+        J = 2.0 * (z.conj()[:, :, None] * (U[live] @ Tv)).real
+        residual = np.abs(z) ** 2 - 1.0
+        coeffs = -(np.linalg.pinv(J, rcond=RCOND_GAUSS_NEWTON) @ residual[:, :, None])[:, :, 0]
+        K = np.einsum("rk,kij->rij", coeffs, units)
         moving = ~(np.max(np.abs(K), axis=(1, 2)) < 1e-12)
         live, K = live[moving], K[moving]
         if not live.size:
             break
-        cand = check_unitary(U[live] @ expm(-step[live, None, None] * K),
+        cand = check_unitary(U[live] @ expm(step[live, None, None] * K),
                              tol=TOL_FUNCTIONAL_UNITARY)
         cgap = gap_to_infimum(cand)
         accept = cgap < gap[live]
         won = live[accept]
         U[won], gap[won] = cand[accept], cgap[accept]
-        step[live] = np.where(accept, np.minimum(step[live] * 1.2, 1.0), step[live] * 0.5)
-        live = live[accept | (step[live] >= 1e-12)]
+        step[live] = np.where(accept, 1.0, step[live] * 0.5)
+        live = live[(accept | (step[live] >= 1e-12)) & (L + gap[live] != L)]
 
-    val = L + gap_to_infimum(U)
+    val = L + gap
     best = int(np.argmin(val))
     return float(val[best]), U[best], val.tolist()
 
@@ -258,8 +282,8 @@ def decompose_diagonal_orthogonal(U: np.ndarray, orbit_sample) -> DecompositionR
 
 def orbit_sample_from_generators(generators, rng, count: int = 64) -> list:
     """Sampled orbit {U v} of the subgroup through the reference vector."""
-    U = np.array(SubgroupSample(generators, budget=count).sample(rng, count))
-    return list(U @ np.ones(U.shape[-1], dtype=complex))
+    sample = SubgroupSample(generators, budget=count).sample(rng, count)
+    return list(np.array(sample) @ np.ones(len(generators[0]), dtype=complex)) if sample else []
 
 
 def counterexample_family(t: float) -> np.ndarray:

@@ -240,3 +240,28 @@ def test_non_finite_data_raises_numerical_failure(seed, m, bad):
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalFailure):
             FragmentedMeasure(mu, np.zeros((1, n)), (bad_pts - pts)[None]).as_measure()
+
+
+def test_push_searches_each_start_for_close_pairs_once(monkeypatch):
+    # merge_close's search is the only one: the merged support has no close
+    # pair, so the measure built from it is not searched again
+    from cvpert import measure
+
+    starts = [clustered(seed, 5, 2) for seed in (0, 1, 2)]
+    n = min(len(pts) for pts, _, _ in starts)
+    base = measure.SupportStack(np.zeros((3, n, 2)), np.stack([w[:n] for _, w, _ in starts]))
+    shift = np.stack([pts[:n] for pts, _, _ in starts])
+    log_w = np.zeros((3, n))
+    want = [DiscreteMeasure(*merge_close(s, w)) for s, w in zip(shift, base.weights)]
+    assert any(mu.size < n for mu in want)  # planted collisions are merged
+    calls = []
+    search = measure.close_pairs
+    monkeypatch.setattr(measure, "close_pairs", lambda pts: calls.append(1) or search(pts))
+    got = base.push(log_w, shift)
+    assert len(calls) == 3
+    for mu, ref in zip(got, want):
+        assert np.array_equal(mu.points, ref.points) and np.array_equal(mu.weights, ref.weights)
+    with pytest.raises(InvalidMeasure):  # an underflowed weight that merges with nothing
+        ref = want[0]
+        measure.SupportStack(ref.points[None], ref.weights[None]).push(
+            np.where(np.arange(ref.size) == 0, -1e4, 0.0), np.zeros_like(ref.points))

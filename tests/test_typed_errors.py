@@ -29,7 +29,8 @@ from cvpert.lagrangian import NumericLagrangian, build_lagrangian, pair_series, 
 from cvpert.linops import (DeltaMatrix, GreensOperator, assemble_delta, delta_ell,
                            delta_ell_dual, delta_zero_dual, taylor_error_dual)
 from cvpert.measure import DiscreteMeasure, push_forward
-from cvpert.mixing import MixingSystem, SubgroupSample, minimize_mixing, mixed_kernel
+from cvpert.mixing import (MixingSystem, SubgroupSample, minimize_mixing, mixed_kernel,
+                           orbit_sample_from_generators)
 
 PLANE = build_lagrangian("example52_regularized")  # a 2-D model
 LINE = build_lagrangian("quartic_pair")  # a 1-D model
@@ -205,6 +206,13 @@ ROWS = [
      lambda: mixed_kernel(MixingSystem([np.eye(2)]), 0, 0, 0, 0), ShapeError),
     ("minimize_mixing/no-generators", lambda: minimize_mixing(2, SubgroupSample([])),
      ShapeError),
+    ("SubgroupSample.sample/negative-count",
+     lambda: SubgroupSample([np.diag([1j, -1j])]).sample(np.random.default_rng(0), -1), ArgError),
+    ("SubgroupSample.sample/fractional-count",
+     lambda: SubgroupSample([np.diag([1j, -1j])]).sample(np.random.default_rng(0), 2.5), ArgError),
+    ("orbit_sample_from_generators/negative-count",
+     lambda: orbit_sample_from_generators([np.diag([1j, -1j])], np.random.default_rng(0), -3),
+     ArgError),
 ]
 
 
