@@ -44,12 +44,19 @@ TOL_CRITICAL = 1e-9  # |Delta_0| up to which a family's base counts as critical
 RESIDUAL_FLOOR = 1e-14
 
 
+def _check_order(order, least=0, what="order"):
+    """order, after checking that it is an integer >= least (a bool is none)."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < least:
+        raise ArgError(f"{what} must be an integer >= {least}, got {order!r}")
+    return order
+
+
 def compositions(p: int, ell: int) -> list[tuple]:
     """All ordered tuples (q_1..q_ell) of positive integers with sum p.
 
     Lexicographic order; the count is C(p-1, ell-1).
     """
-    if ell < 1 or ell > p:
+    if _check_order(ell, 1, "ell") > _check_order(p, 1, "p"):
         raise ArgError(f"need 1 <= ell <= p, got ell={ell}, p={p}")
     out = []
     for cuts in combinations(range(1, p), ell - 1):
@@ -147,7 +154,7 @@ class PerturbationSeries:
     def truncated(self, order: int) -> "PerturbationSeries":
         """The series cut after w^(order).  Each w^(p) depends only on
         w^(1..p-1), so this is the order-``order`` expansion, bit for bit."""
-        if not 0 <= order <= self.order:
+        if _check_order(order, what="cut order") > self.order:
             raise ArgError(f"cut order {order} outside 0..{self.order}")
         return replace(self, jets=self.jets[:order],
                        range_defects=self.range_defects[:order])
@@ -183,9 +190,7 @@ def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
     A call with a ledger instead sums the polarized Delta_l over the
     compositions of p (``linops.composition_duals``), recorded in the ledger.
     """
-    if p < 1:
-        raise ArgError("order must be >= 1")
-    if p == 1:
+    if _check_order(p, 1) == 1:
         dual = linops.delta_zero_dual(measure, lagrangian, nu)
         if ledger is not None:
             ledger.add(LedgerTerm(1, (), dual))
@@ -237,6 +242,7 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
     projected away.  A ``SupportStack`` (with no inhomogeneity) expands
     every start at once, into jets and range defects with its leading axis.
     """
+    _check_order(order)
     delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention)
     vjets = _zero_jets(inhom, order, measure)
     greens = linops.GreensOperator(delta, strict=strict)
@@ -268,8 +274,7 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     (|Delta w1| <= TOL_RANK |Delta| max(|w1|, 1)); higher orders follow the
     plain recursion starting at p = 2 (Delta_0 and Delta_1[w1] both vanish).
     """
-    if order < 1:
-        raise ArgError(f"a family starts at w1: order {order} < 1")
+    _check_order(order, 1, "a family's order")
     check_on_support([w1], measure.size, measure.dimension, "w1")
     d0 = linops.delta_zero_dual(measure, lagrangian, nu)
     if d0.norm() > TOL_CRITICAL:
@@ -293,8 +298,8 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
 
 def reconstruct(series: PerturbationSeries, lam: float) -> DiscreteMeasure:
     """Evaluate the series: push the base forward with the lambda-weighted jets."""
-    if not np.isfinite(lam):
-        raise ArgError("lambda must be finite")
+    if not isinstance(lam, numbers.Real) or not np.isfinite(lam):
+        raise ArgError(f"lambda must be a finite number, got {lam!r}")
     n, m = series.base.size, series.base.dimension
     check_on_support(series.jets, n, m, "series jet")
     if lam == 0.0 or not series.jets:
@@ -359,10 +364,7 @@ def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
     from .fitting import loglog_slope
 
     check_on_support([deviation], base.size, base.dimension, "deviation")
-    cuts = list(dict.fromkeys(orders))
-    if not all(isinstance(p, numbers.Integral) and not isinstance(p, bool) and p >= 0
-               for p in cuts):
-        raise ArgError(f"orders must be integers >= 0, got {orders!r}")
+    cuts = [_check_order(p, what="every order") for p in dict.fromkeys(orders)]
     grid = np.asarray(lam_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise ArgError(f"lambda grid must be at least 2 finite numbers > 0, got {lam_grid!r}")

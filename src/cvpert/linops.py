@@ -29,18 +29,19 @@ B[(i,s),(j,t)] = w_i * <unit jet (i,s), Delta unit jet (j,t)>(x_i)
 in point-major layout (scalar slot, then m vector slots), which is exactly
 the second variation of the action and therefore symmetric in the standard
 convention.  Each DeltaMatrix is decomposed once, on first use: by ``eigh``
-when that form is symmetric to rounding, by the thin SVD otherwise.  Its
-Green's operator (the min-norm pseudo-inverse with the sign convention
-Delta S v = -v), its kernel and its singular values all read that one
-decomposition, cut at TOL_RANK * sigma_max.  The solves are min-norm; a
-kernel part (the gauge) enters only through the expansion's inhomogeneity
-(``expansion.Inhomogeneity``).
+when that form is symmetric to rounding (for a stack, when every start
+is), by the thin SVD otherwise.  Its Green's operator (the min-norm
+pseudo-inverse with the sign convention Delta S v = -v), its kernel and its
+singular values all read that one decomposition, cut at TOL_RANK *
+sigma_max; a stack of any ranks is cut by one mask per start.  The solves
+are min-norm; a kernel part (the gauge) enters only through the
+expansion's inhomogeneity (``expansion.Inhomogeneity``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from operator import add
@@ -302,22 +303,14 @@ class DeltaMatrix:
         (TOL_SYMMETRIC): with the eigenpairs sorted by |lambda| descending,
         (V sign(lambda), |lambda|, V^T) is an SVD of it.  Any other Delta (a
         non-symmetric L, breve, restricted test rows) takes the SVD.  A stack
-        chooses per start and decomposes the starts of each kind in one
-        call; if it has both kinds, its eigh starts' factors lose their
-        layout, and their solves may differ from solo ones by rounding.
+        takes ``eigh`` only when every start is symmetric, and one SVD of
+        all its starts otherwise.
         """
         rows = self.test_rows
-        if rows is not None or self.convention != "standard":
-            return np.linalg.svd(self.matrix if rows is None else rows, full_matrices=False)
-        symmetric = np.asarray(self.symmetry_defect() <= TOL_SYMMETRIC)
-        if symmetric.all() or not symmetric.any():
-            return (_by_eigh if symmetric.all() else _by_svd)(self.matrix)
-        parts = [np.empty(self.matrix.shape), np.empty(self.matrix.shape[:-1]),
-                 np.empty(self.matrix.shape)]
-        for kind, decompose in ((symmetric, _by_eigh), (~symmetric, _by_svd)):
-            for part, value in zip(parts, decompose(self.matrix[kind])):
-                part[kind] = value
-        return tuple(parts)
+        if (rows is None and self.convention == "standard"
+                and np.all(self.symmetry_defect() <= TOL_SYMMETRIC)):
+            return _by_eigh(self.matrix)
+        return np.linalg.svd(self.matrix if rows is None else rows, full_matrices=False)
 
     def operator_norm(self):
         """sigma_max: a float, or one per start."""
@@ -359,15 +352,10 @@ def _by_eigh(M):
     lam, v = np.linalg.eigh(M)
     order = np.argsort(-np.abs(lam), axis=-1, kind="stable")
     lam = np.take_along_axis(lam, order, -1)
-    # vt gathered by rows, C-contiguous with u its transpose: the solves' BLAS
-    # calls, and so their last bits, depend on that layout
-    rows = v.swapaxes(-1, -2).reshape((-1,) + v.shape[-2:])
-    vt = rows[np.arange(len(rows))[:, None], order.reshape(len(rows), -1)].reshape(v.shape)
+    # vt must stay C-contiguous, with u its transpose: stacked and solo solves
+    # agree bit for bit only then, since their BLAS calls depend on the layout
+    vt = np.take_along_axis(v.swapaxes(-1, -2), order[..., None], -2)
     return vt.swapaxes(-1, -2) * np.where(lam < 0, -1.0, 1.0)[..., None, :], np.abs(lam), vt
-
-
-def _by_svd(M):
-    return np.linalg.svd(M, full_matrices=False)
 
 
 def _pointwise_blocks(weights, lagrangian, nu, convention, table):
@@ -467,21 +455,17 @@ class GreensOperator:
     component outside range(Delta), relative to TOL_SOLVE; otherwise that
     component is projected away and reported.  The solves use Delta's
     decomposition (``DeltaMatrix.decomposition``) with the singular values
-    up to TOL_RANK * sigma_max cut.
+    up to TOL_RANK * sigma_max cut, a stack of any ranks by one mask of the
+    kept values per start.
     """
 
     delta: DeltaMatrix
     strict: bool = False
-    _parts: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        u, s, vt = self.delta.decomposition
-        rank = np.asarray(self.delta.rank())
-        # (starts, kept u, s, vt): the whole stack if its starts share a rank, else
-        # start by start; views keep each start's layout, so it solves as if alone
-        keys = ([(..., int(rank.flat[0]))] if np.all(rank == rank.flat[0])
-                else list(enumerate(rank.tolist())))
-        self._parts = [(k, u[k][..., :r], s[k][..., :r], vt[k][..., :r, :]) for k, r in keys]
+        s = self.delta.decomposition[1]
+        # a column per start, True on the singular values the rank cut keeps
+        self._kept = (np.arange(s.shape[-1]) < np.asarray(self.delta.rank())[..., None])[..., None]
 
     def health(self) -> dict:
         """Numerical health of the decomposition the solves use: rank,
@@ -506,16 +490,13 @@ class GreensOperator:
         """Solve Delta w = -dual (min-norm); returns (jet, out-of-range residual),
         one residual per start of a stack."""
         check_on_support([dual], self.delta.weights.shape[-1], self.delta.dim, "dual jet")
-        rhs = -self._rhs(dual)
-        w = np.zeros(rhs.shape[:-1] + (self.delta.size,))
-        rel = np.zeros(rhs.shape[:-1])
-        for k, u, s, vt in self._parts:
-            b = rhs[k][..., None]
-            coef = u.swapaxes(-1, -2) @ b
-            resid, scale = _norm(b - u @ coef), _norm(b)
-            rel[k] = np.divide(resid, scale, out=np.zeros_like(scale), where=scale > 0)
-            if s.shape[-1]:
-                w[k] = (vt.swapaxes(-1, -2) @ (coef / s[..., None]))[..., 0]
+        u, s, vt = self.delta.decomposition
+        b = -self._rhs(dual)[..., None]
+        coef = np.where(self._kept, u.swapaxes(-1, -2) @ b, 0.0)
+        resid, scale = _norm(b - u @ coef), _norm(b)
+        rel = np.divide(resid, scale, out=np.zeros_like(scale), where=scale > 0)
+        w = (vt.swapaxes(-1, -2) @ np.divide(coef, s[..., None], out=np.zeros_like(coef),
+                                             where=self._kept))[..., 0]
         if self.strict and np.any(rel > TOL_SOLVE):
             raise OutOfRange(float(np.max(rel)))
         return Jet.unflatten(w, self.delta.dim), float(rel) if rel.ndim == 0 else rel

@@ -80,9 +80,9 @@ def test_wide_test_row_kernel_matches_the_full_svd(example52, example52_reg, dir
 
 def test_a_stack_is_decomposed_and_solved_start_by_start(example52_reg, rng, monkeypatch):
     # three starts of one size: a full-rank symmetric Delta, one with a
-    # zeroed row and column (rank one less) and a non-symmetric one; each
-    # kind takes one call and every start's factors are its own.  Starts of
-    # one kind solve as if alone, bit for bit, also when their ranks differ
+    # zeroed row and column (rank one less) and a non-symmetric one; a stack
+    # with a non-symmetric start takes one SVD of all its starts.  Symmetric
+    # starts solve as if alone, bit for bit, also when their ranks differ
     full = assemble_delta(small_measure(rng), example52_reg, 0.2)
     cut = full.matrix.copy()
     cut[-1], cut[:, -1] = 0.0, 0.0
@@ -96,13 +96,11 @@ def test_a_stack_is_decomposed_and_solved_start_by_start(example52_reg, rng, mon
     mixed = stacked(alone)
     calls = count_factorizations(monkeypatch)
     GreensOperator(mixed)
-    assert sorted(calls) == ["eigh", "svd"]
+    assert calls == ["svd"]
     monkeypatch.undo()
     assert mixed.rank().tolist() == [d.rank() for d in alone] == [9, 8, 9]
-    for part, parts in zip(mixed.decomposition, zip(*(d.decomposition for d in alone))):
-        assert np.array_equal(part, np.stack(parts))
     dual = DualJet(rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 2)))
-    for deltas in (alone[:2], alone[1:]):  # ranks 9 and 8 by eigh; then both kinds
+    for deltas in (alone[:2], alone[1:]):  # ranks 9 and 8 by eigh; then one SVD of both kinds
         jets, defects = GreensOperator(stacked(deltas)).apply(dual)
         for g, d in enumerate(deltas):
             jet, defect = GreensOperator(d).apply(DualJet(dual.scalar[g], dual.vector[g]))
@@ -110,3 +108,22 @@ def test_a_stack_is_decomposed_and_solved_start_by_start(example52_reg, rng, mon
                 assert np.array_equal(jets.flatten()[g], jet.flatten())
                 assert defects[g] == defect
             assert np.allclose(jets.flatten()[g], jet.flatten(), rtol=1e-12, atol=0.0)
+
+
+def test_a_rank_zero_start_solves_as_if_alone(example52_reg, rng):
+    # a zero Delta (rank 0) stacked with a full-rank one: the kept-value mask
+    # gives w = 0 and the whole right-hand side as defect for the zero start,
+    # and each start equals its solo solve bit for bit
+    full = assemble_delta(small_measure(rng), example52_reg, 0.2)
+    alone = [DeltaMatrix(np.zeros_like(full.matrix), 0.2, full.weights),
+             DeltaMatrix(full.matrix, 0.2, full.weights)]
+    stack = DeltaMatrix(np.stack([d.matrix for d in alone]), 0.2,
+                        np.stack([d.weights for d in alone]))
+    assert stack.rank().tolist() == [0, 9]
+    dual = DualJet(rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 2)))
+    jets, defects = GreensOperator(stack).apply(dual)
+    for g, d in enumerate(alone):
+        jet, defect = GreensOperator(d).apply(DualJet(dual.scalar[g], dual.vector[g]))
+        assert np.array_equal(jets.flatten()[g], jet.flatten())
+        assert defects[g] == defect
+    assert not np.any(jets.flatten()[0]) and defects[0] == 1.0

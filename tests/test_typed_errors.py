@@ -19,8 +19,9 @@ from cvpert.cfs import CfsParams, local_correlation, swap_symmetric_pair, valida
 from cvpert.el import calibrate_nu, ell, ell_field, ell_on_support, grad_ell, integrate_partial
 from cvpert.errors import (ArgError, CvpError, InconclusiveFit, NotCritical, OrderUnsupported,
                            ShapeError, UnknownModel)
-from cvpert.expansion import (LedgerTerm, PerturbationSeries, error_term, expand,
-                              family_from_linearized, order_scaling_slopes, reconstruct)
+from cvpert.expansion import (LedgerTerm, PerturbationSeries, compositions, error_term, expand,
+                              expand_inhomogeneous, family_from_linearized,
+                              order_scaling_slopes, reconstruct)
 from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, FragmentedMeasure,
                                   Scenario, example52_scenario, fragment_measure,
                                   perturbed_laplacian_linF, wellposedness_check)
@@ -166,6 +167,20 @@ ROWS = [
      lambda: study([1], [0.01, 0.02], Jet.zero(3, 1)), ShapeError),
     ("reconstruct/nan-lambda",
      lambda: reconstruct(PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2)]), np.nan), ArgError),
+    ("reconstruct/text-lambda",
+     lambda: reconstruct(PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2)]), "0.1"), ArgError),
+    # orders: integers, never a float or a bool, and none below the least
+    ("expand/negative-order", lambda: expand(PAIR, PLANE, 0.0, -1), ArgError),
+    ("expand/bool-order", lambda: expand(PAIR, PLANE, 0.0, True), ArgError),
+    ("expand/float-order", lambda: expand(PAIR, PLANE, 0.0, 2.0), ArgError),
+    ("expand_inhomogeneous/fractional-order",
+     lambda: expand_inhomogeneous(PAIR, PLANE, 0.0, 2.5), ArgError),
+    ("family_from_linearized/fractional-order", lambda: family_from_linearized(
+        Jet.zero(2, 1), PAIR_1D, build_lagrangian("pair_distance"),
+        calibrate_nu(PAIR_1D, build_lagrangian("pair_distance")), 2.5), ArgError),
+    ("PerturbationSeries.truncated/fractional-order",
+     lambda: PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2)] * 2).truncated(1.5), ArgError),
+    ("compositions/float-p", lambda: compositions(3.0, 2), ArgError),
     ("delta_ell/jet-count", lambda: delta_ell(2, [Jet.zero(2, 2)], PAIR, PLANE, 0.0),
      ShapeError),
     ("delta_ell/order-0", lambda: delta_ell(0, [], PAIR, PLANE, 0.0), ShapeError),
