@@ -23,6 +23,7 @@ psi* psi (those of u(2n) do not).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,13 +70,24 @@ class CfsParams:
         return self.spin_dim
 
 
+@contextmanager
+def _overflow_fails(what: str):
+    """Turn an overflow in the block (or the decorated call) into NumericalFailure."""
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except (FloatingPointError, OverflowError) as exc:  # numpy's, Python's float **
+            raise NumericalFailure(f"overflow in {what}") from exc
+
+
 def signature_matrix(n: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(n), -np.ones(n)])).astype(complex)
 
 
 def spin_adjoint(psi: np.ndarray, n: int) -> np.ndarray:
-    """psi* = psi^dagger S: maps the signed spin space back to C^f."""
-    return psi.conj().T @ signature_matrix(n)
+    """psi* = psi^dagger S: maps the signed spin space back to C^f (of each
+    map of a stack (..., 2n, f))."""
+    return np.swapaxes(psi.conj(), -1, -2) @ signature_matrix(n)
 
 
 def validate_cfs_point(x: np.ndarray, params: CfsParams) -> np.ndarray:
@@ -151,6 +163,7 @@ def _quarter_sum(mods: np.ndarray, n: int) -> float:
     return float(sum((a - b) ** 2 for a in mods for b in mods)) / (4.0 * n)
 
 
+@_overflow_fails("the spectral weights")
 def spectral_weights(x: np.ndarray, y: np.ndarray, n: int):
     """Eigenvalues of the closed chain and the two spectral weights.
 
@@ -164,6 +177,7 @@ def spectral_weights(x: np.ndarray, y: np.ndarray, n: int):
     return eigs, float(np.sum(mods)), float(np.sum(mods ** 2))
 
 
+@_overflow_fails("the causal Lagrangian")
 def causal_lagrangian(x: np.ndarray, y: np.ndarray, params: CfsParams):
     """L_kappa(x, y) and the causal class of the pair.
 
@@ -179,6 +193,7 @@ def causal_lagrangian(x: np.ndarray, y: np.ndarray, params: CfsParams):
     return value, cls
 
 
+@_overflow_fails("the causal action")
 def causal_action(points, weights, params: CfsParams):
     """Double weighted sums: (action of the kappa = 0 part, boundedness T)."""
     S = 0.0
@@ -193,6 +208,7 @@ def causal_action(points, weights, params: CfsParams):
     return S, T
 
 
+@_overflow_fails("the local correlation map")
 def local_correlation(psi: np.ndarray, params: CfsParams) -> np.ndarray:
     """R(psi) = c psi* psi / tr(psi* psi), trace exactly the trace constant."""
     psi = np.asarray(psi, dtype=complex)
@@ -232,7 +248,7 @@ class CfsChart:
         self.psi0 = np.asarray(self.psi0, dtype=complex)
         if self.basis is None:
             self.basis = self._default_basis()
-        s = np.linalg.svd(self._differential_matrix(), compute_uv=False)
+        s = np.linalg.svd(self._vec(self._dR(np.array(self.basis))).T, compute_uv=False)
         if s[-1] <= TOL_CHART_RANK * s[0]:
             raise SingularChart("restricted differential is rank deficient",
                                 condition=float(s[0] / max(s[-1], 1e-300)))
@@ -244,32 +260,31 @@ class CfsChart:
 
     @staticmethod
     def _vec(mat) -> np.ndarray:
-        return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
+        """Real and imaginary parts of a matrix, or of each of a stack, as one row."""
+        flat = mat.reshape(mat.shape[:-2] + (-1,))
+        return np.concatenate([flat.real, flat.imag], axis=-1)
 
     def _default_basis(self) -> list:
         """Right singular vectors of DR at psi0 (on every real unit direction
         of psi) with singular values above TOL_CHART_RANK * sigma_max."""
         size, shape = self.psi0.size, self.psi0.shape
-        units = [e.reshape(shape) for e in np.eye(size)]
-        jac = np.array([self._vec(self._dR(e)) for e in units + [1j * e for e in units]]).T
-        _, s, vt = np.linalg.svd(jac)
+        units = np.eye(size).reshape((size,) + shape)
+        _, s, vt = np.linalg.svd(self._vec(self._dR(np.concatenate([units, 1j * units]))).T)
         return [(v[:size] + 1j * v[size:]).reshape(shape)
                 for v in vt[:np.sum(s > TOL_CHART_RANK * s[0])]]
 
+    @_overflow_fails("the chart's differential")
     def _dR(self, e: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
-        """Derivative of R at psi (default psi0) along the (real) direction e."""
+        """Derivative of R at psi (default psi0) along each real direction of
+        the stack e (k, 2n, f): the k matrices (k, f, f)."""
         psi = self.psi0 if psi is None else psi
         n = self.params.n
         M = spin_adjoint(psi, n) @ psi
         t = np.trace(M).real
         dM = spin_adjoint(e, n) @ psi + spin_adjoint(psi, n) @ e
-        dt = np.trace(dM).real
+        dt = np.trace(dM, axis1=-2, axis2=-1).real
         c = self.params.trace_constant
-        return (c / t) * dM - (c * dt / t ** 2) * M
-
-    def _differential_matrix(self, psi: np.ndarray | None = None) -> np.ndarray:
-        cols = [self._vec(self._dR(e, psi)) for e in self.basis]
-        return np.array(cols).T
+        return (c / t) * dM - (c * dt / t ** 2)[:, None, None] * M
 
     def _spin_map(self, coords) -> np.ndarray:
         return self.psi0 + sum(z * e for z, e in zip(coords, self.basis))
@@ -292,7 +307,8 @@ class CfsChart:
         for _ in range(COORDS_MAX_ITERS):
             psi = self._spin_map(z)
             resid = self._vec(local_correlation(psi, self.params)) - target
-            dz = np.linalg.lstsq(self._differential_matrix(psi), -resid, rcond=None)[0]
+            jac = self._vec(self._dR(np.array(self.basis), psi)).T
+            dz = np.linalg.lstsq(jac, -resid, rcond=None)[0]
             z = z + dz
             if np.linalg.norm(dz) <= COORDS_STEP_TOL * max(1.0, np.linalg.norm(z)):
                 break
@@ -365,8 +381,7 @@ def swap_symmetric_pair(params: CfsParams, b: float = 0.25):
     c = params.trace_constant
     x1 = np.diag([c + b, -b]).astype(complex)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    x2 = flip @ x1 @ flip
-    return x1, x2
+    return validate_cfs_point(x1, params), validate_cfs_point(flip @ x1 @ flip, params)
 
 
 def point_to_json(x: np.ndarray) -> list:

@@ -13,7 +13,8 @@ and the ledger read the partial tables the base measure keeps, so a model
 without series reads each partial once per support.
 
 Evaluating the series at lambda pushes the base measure forward with the
-accumulated log-weight and shift fields; lambda itself is only the
+accumulated log-weight and shift fields (``PerturbationSeries.partial_sums``,
+one per cut of the series); lambda itself is only the
 book-keeping parameter of the formal series.  Since w^(p) depends only on
 the lower orders, a series cut after order p is the order-p expansion, bit
 for bit.  The order-scaling check stacks the starts of its whole lambda
@@ -159,6 +160,15 @@ class PerturbationSeries:
         return replace(self, jets=self.jets[:order],
                        range_defects=self.range_defects[:order])
 
+    def partial_sums(self, lam: float) -> tuple:
+        """Log-weight and shift fields sum_{p <= P} lambda^p w^(p) for every
+        cut P = 0..order, stacked along a new leading axis."""
+        scalars, vectors = [np.zeros(self.base.weights.shape)], [np.zeros(self.base.points.shape)]
+        for p, w in enumerate(self.jets, start=1):
+            scalars.append(lam ** p * w.scalar)
+            vectors.append(lam ** p * w.vector)
+        return np.cumsum(scalars, axis=0), np.cumsum(vectors, axis=0)
+
     def to_json(self) -> dict:
         return {
             "order": self.order,
@@ -275,6 +285,7 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     plain recursion starting at p = 2 (Delta_0 and Delta_1[w1] both vanish).
     """
     _check_order(order, 1, "a family's order")
+    linops._one_start(measure.weights, "family_from_linearized")
     check_on_support([w1], measure.size, measure.dimension, "w1")
     d0 = linops.delta_zero_dual(measure, lagrangian, nu)
     if d0.norm() > TOL_CRITICAL:
@@ -304,12 +315,8 @@ def reconstruct(series: PerturbationSeries, lam: float) -> DiscreteMeasure:
     check_on_support(series.jets, n, m, "series jet")
     if lam == 0.0 or not series.jets:
         return series.base
-    log_w = np.zeros(n)
-    shift = np.zeros((n, m))
-    for p, jet in enumerate(series.jets, start=1):
-        log_w += lam ** p * jet.scalar
-        shift += lam ** p * jet.vector
-    return push_forward(series.base, log_w, shift)
+    log_w, shift = series.partial_sums(lam)
+    return push_forward(series.base, log_w[-1], shift[-1])
 
 
 def residual_slope(series: PerturbationSeries, lagrangian, nu, lam_grid) -> tuple:
@@ -376,11 +383,7 @@ def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
     for idx, stack in SupportStack.by_size(starts):
         series = expand(stack, lagrangian, nu, max(cuts), convention=convention,
                         keep_ledger=False)
-        # reconstruct(series.truncated(P), 1.0) for every P: the partial sums of the jets
-        log_w = np.cumsum([np.zeros(stack.weights.shape)] + [w.scalar for w in series.jets],
-                          axis=0)
-        shift = np.cumsum([np.zeros(stack.points.shape)] + [w.vector for w in series.jets],
-                          axis=0)
+        log_w, shift = series.partial_sums(1.0)  # reconstruct(series.truncated(P), 1.0)
         corrected = stack.push(log_w[cuts], shift[cuts])  # order-major, then start
         rows = np.empty(len(corrected))
         for cidx, cstack in SupportStack.by_size(corrected):

@@ -98,17 +98,6 @@ class FragmentationAnsatz:
     def n_subsystems(self) -> int:
         return len(self.f0)
 
-    def order_one_jets(self, lam: float) -> MultiJet:
-        """lambda^p (mean + complement) + lambda^q lin-F, per subsystem."""
-        L = self.n_subsystems
-        out = []
-        for a in range(L):
-            scal = lam ** self.p * (self.mean_jet.scalar + self.compl_fluct.jets[a].scalar)
-            vec = (lam ** self.p * (self.mean_jet.vector + self.compl_fluct.jets[a].vector)
-                   + lam ** self.q * self.linf_fluct.jets[a].vector)
-            out.append(Jet(scal, vec))
-        return MultiJet(out)
-
 
 @dataclass
 class FragmentedMeasure:
@@ -168,13 +157,18 @@ class FragmentedMeasure:
 
 def fragment_measure(measure: DiscreteMeasure, ansatz: FragmentationAnsatz,
                      lam: float) -> FragmentedMeasure:
-    """Apply the fragmentation ansatz at coupling lambda >= 0."""
+    """Apply the fragmentation ansatz at coupling lambda >= 0: subsystem a
+    carries the order-one jet lambda^p (mean + complement_a) + lambda^q
+    lin-F_a, whose scalar part adds to log f0_a."""
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ArgError(f"coupling lambda must be finite and >= 0, got {lam}")
-    jets = ansatz.order_one_jets(lam).jets
+    mean, compl, linf = ansatz.mean_jet, ansatz.compl_fluct.jets, ansatz.linf_fluct.jets
+    scalars = lam ** ansatz.p * (mean.scalar + [j.scalar for j in compl])
     with np.errstate(divide="ignore"):  # f0_a = 0: a massless subsystem
-        log_w = np.log(ansatz.f0)[:, None] + np.array([j.scalar for j in jets])
-    return FragmentedMeasure(measure, log_w, np.array([j.vector for j in jets]))
+        log_w = np.log(ansatz.f0)[:, None] + scalars
+    shifts = (lam ** ansatz.p * (mean.vector + [j.vector for j in compl])
+              + lam ** ansatz.q * np.array([j.vector for j in linf]))
+    return FragmentedMeasure(measure, log_w, shifts)
 
 
 @dataclass
@@ -470,8 +464,8 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
     if L == 1:
         from . import expansion
 
-        jets = scenario.ansatz.order_one_jets(lam)
-        start = push_forward(measure, jets.jets[0].scalar, jets.jets[0].vector)
+        frag = fragment_measure(measure, scenario.ansatz, lam)  # log f0 = 0 for f0 = [1.0]
+        start = push_forward(measure, frag.log_weights[0], frag.shifts[0])
         series = expansion.expand(start, lagrangian, nu, order)
         corrected = expansion.reconstruct(series, 1.0)
         final = FragmentedMeasure(corrected, np.zeros((1, corrected.size)),

@@ -128,16 +128,9 @@ class TestBasis:
 
     @classmethod
     def full(cls, n_points: int, dim: int) -> "TestBasis":
-        jets = []
-        for i in range(n_points):
-            a = np.zeros(n_points)
-            a[i] = 1.0
-            jets.append(Jet(a, np.zeros((n_points, dim))))
-            for k in range(dim):
-                u = np.zeros((n_points, dim))
-                u[i, k] = 1.0
-                jets.append(Jet(np.zeros(n_points), u))
-        return cls(jets, full_space=True)
+        """The unit jets, in the point-major order of ``flatten``."""
+        return cls([Jet.unflatten(row, dim) for row in np.eye(n_points * (1 + dim))],
+                   full_space=True)
 
     def __len__(self) -> int:
         return len(self.jets)

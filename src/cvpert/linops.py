@@ -235,6 +235,13 @@ def taylor_error_dual(p, jets, measure, lagrangian, nu, convention="standard") -
     return DualJet(top[..., 0], top[..., 1:])
 
 
+def _one_start(weights: np.ndarray, reader: str) -> None:
+    """ShapeError naming ``reader`` unless the weights (..., N) are of one
+    support, not of a stack of starts."""
+    if weights.ndim != 1:
+        raise ShapeError(f"{reader} reads one support, not a stack of shape {weights.shape[:-1]}")
+
+
 @dataclass
 class DeltaMatrix:
     """Weight-multiplied bilinear form of the linearized operator.
@@ -325,6 +332,7 @@ class DeltaMatrix:
         return int(rank) if rank.ndim == 0 else rank
 
     def to_json(self) -> dict:
+        _one_start(self.weights, "DeltaMatrix.to_json")
         return {
             "shape": list(self.matrix.shape),
             "rows": [[float(v) for v in row] for row in self.matrix],
@@ -334,6 +342,7 @@ class DeltaMatrix:
         }
 
     def singular_value_report(self) -> list:
+        _one_start(self.weights, "DeltaMatrix.singular_value_report")
         return [float(v) for v in self.decomposition[1]]
 
     def singular_values_csv(self, path):
@@ -436,6 +445,7 @@ def kernel_basis(delta: DeltaMatrix) -> KernelBasis:
     """Orthonormal kernel basis from Delta's decomposition: the right singular
     vectors cut at TOL_RANK * sigma_max and, for a wide test-row form, the
     orthonormal complement of the row space of vt."""
+    _one_start(delta.weights, "kernel_basis")
     _, s, vt = delta.decomposition
     null = vt[delta.rank():]
     if len(vt) < delta.size:
@@ -472,6 +482,7 @@ class GreensOperator:
         sigma_max, the smallest kept and the first dropped singular value
         (None if none was dropped), and the condition number
         sigma_max / smallest kept (inf at rank 0)."""
+        _one_start(self.delta.weights, "GreensOperator.health")
         s = self.delta.decomposition[1]
         rank = self.delta.rank()
         sigma_max = self.delta.operator_norm()

@@ -66,7 +66,10 @@ def _array(value, what, ndim=None) -> np.ndarray:
 
 
 def _number(config, key, default, what) -> float:
-    return float(_array(config.get(key, default), f"{what}: {key}", 0))
+    value = float(_array(config.get(key, default), f"{what}: {key}", 0))
+    if not math.isfinite(value):
+        raise ConfigError(f"{what}: {key} must be a finite number, got {value!r}")
+    return value
 
 
 def _is_integer(value, least) -> bool:
@@ -202,7 +205,7 @@ def run_cfs_two_point(config, outdir: Path):
     mu = DiscreteMeasure(np.vstack([z1, z2]), np.ones(2))
     nu = calibrate_nu(mu, lag, tol=1e-8)
     scalar_res = residual_norm(mu, lag, nu,
-                               TestBasis([Jet(np.ones(2), np.zeros((2, 3)))]))
+                               TestBasis([Jet(np.ones(2), np.zeros((2, mu.dimension)))]))
     sys_file = outdir / "cfs_system.json"
     _write_json(sys_file, system_to_json(params, [x1, x2], [1.0, 1.0]))
     return "cfs-two-point", {"nu": nu, "chart_condition": chart.condition,

@@ -407,3 +407,18 @@ def test_point_json_round_trip(rng):
     x = random_point(rng, params)
     back = point_from_json(point_to_json(x))
     assert np.max(np.abs(back - x)) == 0.0
+
+
+@pytest.mark.parametrize("f,n", [(2, 1), (4, 2)])
+def test_dR_of_a_stack_is_each_directions_own_derivative(f, n, rng):
+    # reference: DR along one direction e at psi, written out per direction
+    params = CfsParams(f, n, 1.3)
+    chart = CfsChart(params, spin_map_from_point(random_point(rng, params), n))
+    psi = chart.psi0 + 0.1 * chart.basis[0]
+    directions = np.array(chart.basis + [1j * e for e in chart.basis])
+    c = params.trace_constant
+    M = spin_adjoint(psi, n) @ psi
+    t = np.trace(M).real
+    for e, got in zip(directions, chart._dR(directions, psi)):
+        dM = spin_adjoint(e, n) @ psi + spin_adjoint(psi, n) @ e
+        assert np.array_equal(got, (c / t) * dM - (c * np.trace(dM).real / t ** 2) * M)

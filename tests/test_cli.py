@@ -375,9 +375,27 @@ _T = 2.0 * math.sqrt(2.0)
      "ShapeError: restarts must be an integer >= 1"),
     ({"scenario": "mixing-L2", "scenario_config": {"restarts": 2.7}},
      "ShapeError: restarts must be an integer >= 1"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"trace_constant": float("inf")}},
+     "ConfigError: cfs-two-point: trace_constant must be a finite number"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"b": float("nan")}},
+     "ConfigError: cfs-two-point: b must be a finite number"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"b": float("inf")}},
+     "ConfigError: cfs-two-point: b must be a finite number"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"trace_constant": 1e308}},
+     "ShapeError: signature (1, 0) differs from (1, 1)"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"trace_constant": 1e100}},
+     "ShapeError: signature (1, 0) differs from (1, 1)"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"trace_constant": 1e20}},
+     "ShapeError: signature (1, 0) differs from (1, 1)"),
+    ({"scenario": "cfs-two-point", "scenario_config": {"b": 0.0}},
+     "ShapeError: signature (1, 0) differs from (1, 1)"),
+    ({"measure": {"points": [[_T], [-_T]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": "quartic_pair"}, "nu": float("inf")},
+     "ConfigError: setup: nu must be a finite number"),
 ], ids=["lambda-text", "lambda-bool", "b-text", "kappa-list", "trace-constant-null",
         "deviation-c-text", "deviation-F-ragged", "points-ragged", "restarts-text",
-        "restarts-float"])
+        "restarts-float", "trace-constant-inf", "b-nan", "b-inf", "trace-constant-1e308",
+        "trace-constant-1e100", "trace-constant-1e20", "b-zero", "nu-inf"])
 def test_run_reports_non_numeric_config_values(tmp_path, config, error):
     report, code = run_config({"schema_version": 1, **config}, out=str(tmp_path))
     assert code == 1

@@ -591,3 +591,22 @@ def test_black_box_series_reads_each_partial_once(example52_reg):
     ledger = series.ledger
     assert box.calls == 0
     assert sorted(ledger.terms) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3, -0.07])
+def test_partial_sums_are_the_running_sums_of_the_weighted_jets(rng, lam):
+    # reference: sum_{p <= P} lam^p w^(p), accumulated one order at a time
+    base = DiscreteMeasure(rng.normal(size=(3, 2)), rng.uniform(0.5, 1.5, 3))
+    jets = [Jet(rng.normal(size=3), rng.normal(size=(3, 2))) for _ in range(4)]
+    series = PerturbationSeries(base, 0.0, jets)
+    log_w, shift = series.partial_sums(lam)
+    assert log_w.shape == (5, 3) and shift.shape == (5, 3, 2)
+    want_w, want_x = np.zeros(3), np.zeros((3, 2))
+    assert np.array_equal(log_w[0], want_w) and np.array_equal(shift[0], want_x)
+    for p, jet in enumerate(jets, start=1):
+        want_w = want_w + lam ** p * jet.scalar
+        want_x = want_x + lam ** p * jet.vector
+        assert np.array_equal(log_w[p], want_w) and np.array_equal(shift[p], want_x)
+    got = reconstruct(series, lam)
+    want = push_forward(base, want_w, want_x)
+    assert np.array_equal(got.points, want.points) and np.array_equal(got.weights, want.weights)

@@ -475,3 +475,23 @@ def test_perturbed_laplacian_defaults_to_the_lin_fluct_basis():
                                      directions=basis)
     assert default.shape == (len(basis), len(basis))
     np.testing.assert_allclose(default, given, rtol=1e-14, atol=1e-16 * np.max(np.abs(given)))
+
+
+def test_fragment_measure_pushes_each_subsystem_by_its_order_one_jet(rng):
+    # reference: subsystem a's jet lam^p (mean + compl_a) + lam^q linf_a, one at a time
+    n, L, lam, p, q = 3, 3, 0.07, 1.0, 1.5
+    base = DiscreteMeasure(rng.normal(size=(n, 2)), np.ones(n))
+    mean = Jet(rng.normal(size=n), rng.normal(size=(n, 2)))
+
+    def fluctuation():
+        vectors = rng.normal(size=(L, n, 2))
+        return MultiJet([Jet(np.zeros(n), v) for v in vectors - vectors.mean(axis=0)])
+
+    compl, linf = fluctuation(), fluctuation()
+    f0 = np.array([0.5, 1.0, 1.5])
+    frag = fragment_measure(base, FragmentationAnsatz(f0, p, q, mean, compl, linf), lam)
+    for a in range(L):
+        scal = lam ** p * (mean.scalar + compl.jets[a].scalar)
+        vec = lam ** p * (mean.vector + compl.jets[a].vector) + lam ** q * linf.jets[a].vector
+        assert np.array_equal(frag.log_weights[a], np.log(f0[a]) + scal)
+        assert np.array_equal(frag.shifts[a], vec)

@@ -14,7 +14,7 @@ import sympy as sp
 
 import cvpert
 from cvpert import build_lagrangian
-from cvpert.lagrangian import TruncatedSeries, pair_series, pair_table
+from cvpert.lagrangian import PolynomialLagrangian, TruncatedSeries, pair_series, pair_table
 
 
 # -- the factored formulas the built-in models were once written in ----------
@@ -144,3 +144,12 @@ def test_builtin_partials_compile_nothing(name, params, compiles):
         pair_table(lag, np.stack([x, y]), np.stack([y, x]), alpha, beta)
         pair_series(lag, series, series, alpha, beta)
     assert compiles == []
+
+
+def test_formula_subtracted_from_a_number_expands_to_its_polynomial():
+    # the number on the left of "-" makes the expansion's reflected subtraction run
+    lag = PolynomialLagrangian.from_formula("bump", 1, lambda x0, y0: 1 - (x0 - y0) ** 2)
+    x0, y0 = sp.symbols("x0 y0", real=True)
+    want = {row: float(c) for row, c in sp.Poly(1 - (x0 - y0) ** 2, x0, y0).terms()}
+    got = {tuple(row): c for row, c in zip(lag._exponents.tolist(), lag._coefs.tolist())}
+    assert got == want

@@ -7,6 +7,7 @@ that computes on the bad input first (numpy's RuntimeWarning on a NaN)
 fails its row too.  No row draws random numbers.
 """
 
+import os
 import re
 import warnings
 from pathlib import Path
@@ -15,10 +16,12 @@ import numpy as np
 import pytest
 
 from cvpert import errors
-from cvpert.cfs import CfsParams, local_correlation, swap_symmetric_pair, validate_cfs_point
+from cvpert.cfs import (CfsChart, CfsParams, causal_action, causal_lagrangian,
+                        local_correlation, reference_point, spectral_weights,
+                        spin_map_from_point, swap_symmetric_pair, validate_cfs_point)
 from cvpert.el import calibrate_nu, ell, ell_field, ell_on_support, grad_ell, integrate_partial
-from cvpert.errors import (ArgError, CvpError, InconclusiveFit, NotCritical, OrderUnsupported,
-                           ShapeError, UnknownModel)
+from cvpert.errors import (ArgError, CvpError, InconclusiveFit, NotCritical, NumericalFailure,
+                           OrderUnsupported, ShapeError, UnknownModel)
 from cvpert.expansion import (LedgerTerm, PerturbationSeries, compositions, error_term, expand,
                               expand_inhomogeneous, family_from_linearized,
                               order_scaling_slopes, reconstruct)
@@ -28,8 +31,8 @@ from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, Fragment
 from cvpert.jets import DualJet, Jet, MultiJet, TestBasis, pairing
 from cvpert.lagrangian import NumericLagrangian, build_lagrangian, pair_series, pair_table
 from cvpert.linops import (DeltaMatrix, GreensOperator, assemble_delta, delta_ell,
-                           delta_ell_dual, delta_zero_dual, taylor_error_dual)
-from cvpert.measure import DiscreteMeasure, push_forward
+                           delta_ell_dual, delta_zero_dual, kernel_basis, taylor_error_dual)
+from cvpert.measure import DiscreteMeasure, SupportStack, push_forward
 from cvpert.mixing import (MixingSystem, SubgroupSample, minimize_mixing, mixed_kernel,
                            orbit_sample_from_generators)
 
@@ -53,6 +56,11 @@ def pair_distance_delta():
 def study(orders, grid, deviation=Jet.zero(2, 1)):
     """An order-scaling study of the 2-point 1-D measure."""
     return order_scaling_slopes(PAIR_1D, LINE, 0.0, deviation, orders, grid)
+
+
+def delta_stack():
+    """A stack of two 1-D Deltas on two points."""
+    return DeltaMatrix(np.stack([np.eye(4), 2 * np.eye(4)]), 0.0, np.ones((2, 2)))
 
 
 def series_document(order):
@@ -144,6 +152,31 @@ ROWS = [
         "s", PAIR, PLANE, 0.0, 2, example52_scenario().ansatz), ArgError),
     ("Scenario/ansatz-off-support", lambda: Scenario(
         "s", PAIR, PLANE, 0.0, example52_scenario().ansatz), ShapeError),
+    # readers of one Delta or one measure, given a stack of starts
+    ("GreensOperator.health/stack", lambda: GreensOperator(delta_stack()).health(), ShapeError),
+    ("DeltaMatrix.singular_value_report/stack",
+     lambda: delta_stack().singular_value_report(), ShapeError),
+    ("DeltaMatrix.singular_values_csv/stack",
+     lambda: delta_stack().singular_values_csv(os.devnull), ShapeError),
+    ("DeltaMatrix.to_json/stack", lambda: delta_stack().to_json(), ShapeError),
+    ("kernel_basis/stack", lambda: kernel_basis(delta_stack()), ShapeError),
+    ("family_from_linearized/stack", lambda: family_from_linearized(
+        Jet.zero(2, 1), SupportStack(np.stack([PAIR_1D.points] * 2), np.ones((2, 2))),
+        build_lagrangian("pair_distance"),
+        calibrate_nu(PAIR_1D, build_lagrangian("pair_distance")), 2), ShapeError),
+    # overflow in the causal fermion system's chart and pair evaluation
+    ("local_correlation/overflow",
+     lambda: local_correlation(np.diag([1e200, 1e200]), CFS), NumericalFailure),
+    ("CfsChart/overflow", lambda: CfsChart(CfsParams(2, 1, 1e308), spin_map_from_point(
+        reference_point(CfsParams(2, 1, 1e308)), 1)), NumericalFailure),
+    ("spectral_weights/overflow", lambda: spectral_weights(  # |xy|^2 = 1e400
+        np.diag([1e200, -1.0]), np.diag([-1.0, 1e200]), 1), NumericalFailure),
+    ("causal_lagrangian/overflow", lambda: causal_lagrangian(  # |xy| fits, (2 |xy|)^2 does not
+        np.diag([8e153, -1.0]), np.diag([-1.0, 8e153]), CfsParams(2, 1, 1.0, 1.0)),
+     NumericalFailure),
+    ("causal_action/overflow", lambda: causal_action(
+        [np.diag([8e153, -1.0]), np.diag([-1.0, 8e153])], [1.0, 1.0], CFS), NumericalFailure),
+    ("swap_symmetric_pair/zero-b", lambda: swap_symmetric_pair(CFS, b=0.0), ShapeError),
     # one row per remaining typed raise
     ("validate_cfs_point/shape", lambda: validate_cfs_point(np.eye(3), CFS), ShapeError),
     ("validate_cfs_point/not-self-adjoint",
