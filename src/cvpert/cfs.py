@@ -236,7 +236,7 @@ class CfsChart:
     A psi0 with A in u(n,n): psi* psi = psi^dagger S psi is invariant under
     the unitaries of S, not under all of u(2n).  The condition number of the
     restricted differential is reported; a rank-deficient restriction (of a
-    user-chosen ``basis``) raises SingularChart.
+    user-chosen ``basis``) raises SingularChart, an empty one ShapeError.
     """
 
     params: CfsParams
@@ -248,6 +248,8 @@ class CfsChart:
         self.psi0 = np.asarray(self.psi0, dtype=complex)
         if self.basis is None:
             self.basis = self._default_basis()
+        if not len(self.basis):
+            raise ShapeError("chart basis needs at least one direction")
         s = np.linalg.svd(self._vec(self._dR(np.array(self.basis))).T, compute_uv=False)
         if s[-1] <= TOL_CHART_RANK * s[0]:
             raise SingularChart("restricted differential is rank deficient",

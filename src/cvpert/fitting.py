@@ -14,7 +14,8 @@ def loglog_slope(xs, ys, floor: float = 0.0):
 
     Values at or below ``floor`` are dropped; if fewer than two points
     survive the fit degenerates and (inf, 0.0) is returned as the sentinel
-    for "residuals at machine zero".  Returns (slope, max abs log residual).
+    for "residuals at machine zero".  Survivors at fewer than two distinct x
+    values fix no slope (DegenerateFit).  Returns (slope, max abs log residual).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -23,6 +24,8 @@ def loglog_slope(xs, ys, floor: float = 0.0):
     keep = ys > floor
     if np.count_nonzero(keep) < 2:
         return math.inf, 0.0
+    if np.all(xs[keep] == xs[keep][0]):
+        raise DegenerateFit(f"log-log fit needs two distinct x values, got {xs[keep].tolist()}")
     lx, ly = np.log(xs[keep]), np.log(ys[keep])
     coeffs = np.polyfit(lx, ly, 1)
     fit = np.polyval(coeffs, lx)
@@ -30,7 +33,8 @@ def loglog_slope(xs, ys, floor: float = 0.0):
 
 
 def strict_loglog_slope(xs, ys):
-    """Slope fit for tabulated data: needs >= 4 positive rows, else DegenerateFit.
+    """Slope fit for tabulated data: needs >= 4 positive rows at two distinct
+    x values at least, else DegenerateFit.
 
     Returns (slope, r_squared); a constant y column gives exactly (0.0, 1.0).
     """
@@ -40,6 +44,8 @@ def strict_loglog_slope(xs, ys):
         raise DegenerateFit("need at least 4 rows of equal length")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise DegenerateFit("log-log fit needs positive values")
+    if np.all(xs == xs[0]):
+        raise DegenerateFit(f"log-log fit needs two distinct x values, got {xs.tolist()}")
     if np.allclose(ys, ys[0]):
         return 0.0, 1.0
     lx, ly = np.log(xs), np.log(ys)

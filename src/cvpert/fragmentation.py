@@ -17,6 +17,11 @@ null eigendirections) and the others; the mean sector is kron(1/sqrt(L),
 slots), lin-F and complement are kron(zero-mean pattern, neutral or other
 slot), and the lambda^q rescaling is one diagonal on those columns.
 
+The weak EL residual and its flow Jacobian of a fragmented configuration
+are read from its flattened L*N support by one helper, which takes a
+leading stack axis: the well-posedness check stacks the supports of its
+whole lambda grid and reads them in one pass.
+
 The expansion driver corrects the neutral directions through the perturbed
 form of the current configuration, one step per order taken whole or not
 at all, and reports the mean, complement and lin-F residuals after each
@@ -255,15 +260,32 @@ def _flat_support(frag: FragmentedMeasure) -> tuple:
     return points, frag.weights().reshape(L * n), np.tile(frag.base.weights, L) / L
 
 
+def _weak_el(lagrangian, points, weights, rw, nu=None, jacobian=False) -> tuple:
+    """Row-weighted weak EL data of flattened supports: points (..., K, m),
+    weights (..., K), row weights rw (..., K), all read through one pair
+    reader.  Returns (residual, Jacobian): the residual (..., K(1+m)) for a
+    given nu (else None), slots (value, gradient) per point, and with
+    ``jacobian`` its derivative along the flow, the breve blocks (...,
+    K(1+m), K(1+m)) with the rows of each point reweighted (else None)."""
+    table = pair_reader(lagrangian, points)
+    residual = J = None
+    if nu is not None:
+        vals, grads = ell_field(lagrangian, nu, weights, table)
+        data = np.concatenate([vals[..., None], grads], axis=-1)
+        residual = (rw[..., None] * data).reshape(vals.shape[:-1] + (-1,))
+    if jacobian:
+        blocks = linops._pointwise_blocks(weights, lagrangian, 0.0, "breve", table)
+        J = np.repeat(rw, 1 + points.shape[-1], axis=-1)[..., :, None] * blocks
+    return residual, J
+
+
 def fragmented_residual(frag: FragmentedMeasure, lagrangian, nu) -> np.ndarray:
     """Row-weighted weak EL data per subsystem point.
 
     Layout: subsystem major, point minor, slots (value, gradient); each
     block carries the test weight rho_i / L of the subsystem average.
     """
-    points, weights, rw = _flat_support(frag)
-    vals, grads = ell_field(lagrangian, nu, weights, pair_reader(lagrangian, points))
-    return (rw[:, None] * np.hstack([vals[:, None], grads])).ravel()
+    return _weak_el(lagrangian, *_flat_support(frag), nu=nu)[0]
 
 
 def fragmented_jacobian(frag: FragmentedMeasure, lagrangian) -> np.ndarray:
@@ -276,10 +298,7 @@ def fragmented_jacobian(frag: FragmentedMeasure, lagrangian) -> np.ndarray:
     assembly of the linearized operator on the flattened L*N support, with
     the rows of point (a, i) reweighted by rho_i / L; nu is not read.
     """
-    points, weights, rw = _flat_support(frag)
-    blocks = linops._pointwise_blocks(weights, lagrangian, 0.0, "breve",
-                                      pair_reader(lagrangian, points))
-    return np.repeat(rw, 1 + frag.base.dimension)[:, None] * blocks
+    return _weak_el(lagrangian, *_flat_support(frag), jacobian=True)[1]
 
 
 def apply_increment(frag: FragmentedMeasure, mj: MultiJet) -> FragmentedMeasure:
@@ -384,27 +403,34 @@ def wellposedness_check(scenario: Scenario) -> WellPosednessReport:
 
     Vector components of test and argument directions are rescaled by
     lambda^q (differentiating the microstructure costs a factor lambda^-q).
-    Both come from one fragmented measure per lambda of ``scenario.lam_grid``.
+    The grid is one stacked pass: one fragmented measure per lambda of
+    ``scenario.lam_grid``, whose flattened supports are stacked and read
+    through one pair reader by one Jacobian and one residual, then one
+    batched form and one SVD over the stack.  A grid that is not 1-D with at
+    least 4 points raises ShapeError, a lambda that is not finite and > 0
+    (the log-log fits need lambda > 0) ArgError, both before any assembly.
     Well-posed needs r > q and error exponent >= r + 1 - 0.2.
     """
     grid = np.asarray(scenario.lam_grid, dtype=float)
-    if len(grid) < 4:
-        raise ShapeError("need a geometric grid with at least 4 points")
+    if grid.ndim != 1 or len(grid) < 4:
+        raise ShapeError(f"need a geometric grid with at least 4 points, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid) & (grid > 0.0)):
+        raise ArgError(f"coupling lambdas must be finite and > 0, got {grid.tolist()}")
     measure, lagrangian, nu = scenario.measure, scenario.lagrangian, scenario.nu
     L, q = scenario.n_subsystems, scenario.ansatz.q
     basis = lin_fluct_columns(measure, lagrangian, L)
     if not basis.size:
         return WellPosednessReport(math.nan, 0.0, math.inf, "inconclusive", q,
                                    {"reason": "empty linearized-fluctuation space"})
-    smin, smax, errs = [], [], []
-    for lam in grid:
-        cols = basis * _q_scaling(measure, L, lam, q)[:, None]
-        frag = fragment_measure(measure, scenario.ansatz, lam)
-        M = cols.T @ fragmented_jacobian(frag, lagrangian) @ cols
-        s = np.linalg.svd(M, compute_uv=False)
-        smin.append(s[-1])
-        smax.append(s[0])
-        errs.append(float(np.max(np.abs(cols.T @ fragmented_residual(frag, lagrangian, nu)))))
+    points, weights, rw = zip(*(_flat_support(fragment_measure(measure, scenario.ansatz, lam))
+                                for lam in grid))
+    residual, J = _weak_el(lagrangian, np.stack(points), np.stack(weights), rw[0], nu,
+                           jacobian=True)
+    cols = basis * np.array([_q_scaling(measure, L, lam, q) for lam in grid])[:, :, None]
+    colsT = np.swapaxes(cols, -1, -2)
+    s = np.linalg.svd(colsT @ J @ cols, compute_uv=False)
+    smin, smax = list(s[:, -1]), list(s[:, 0])
+    errs = [float(e) for e in np.max(np.abs(colsT @ residual[..., None]), axis=(-2, -1))]
     r_min, fit_min = loglog_slope(grid, np.array(smin), floor=RESIDUAL_FLOOR)
     r_max, fit_max = loglog_slope(grid, np.array(smax), floor=RESIDUAL_FLOOR)
     err_exp, _ = loglog_slope(grid, np.array(errs), floor=RESIDUAL_FLOOR)

@@ -116,7 +116,8 @@ class TestBasis:
         if not jets:
             raise ShapeError("test basis needs at least one jet")
         check_on_support(jets, jets[0].size, jets[0].dimension, "test basis")
-        gram = np.array([[float(a.flatten() @ b.flatten()) for b in jets] for a in jets])
+        flat = np.array([jet.flatten() for jet in jets])
+        gram = flat @ flat.T
         if np.linalg.matrix_rank(gram, tol=1e-12 * max(1.0, np.max(np.abs(gram)))) < len(jets):
             raise ShapeError("test basis jets are linearly dependent")
         if full_space:

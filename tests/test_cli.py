@@ -303,6 +303,18 @@ def test_run_reports_bad_scenario_lambda_grid(tmp_path, scenario, grid):
     assert report["stages"][-1]["error"].startswith(f"ConfigError: {scenario}: lambda_grid must be")
 
 
+@pytest.mark.parametrize("scenario", ["example52-expansion", "quartic-pair-expansion"])
+def test_run_reports_repeated_lambda_grid(tmp_path, scenario):
+    # three equal lambdas fix no log-log slope
+    config = {"schema_version": 1, "scenario": scenario,
+              "scenario_config": {"lambda_grid": [0.05, 0.05, 0.05]}}
+    report, code = run_config(config, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["stages"][-1]["error"].startswith(
+        "DegenerateFit: log-log fit needs two distinct x values")
+
+
 def _inline_expansion(grid):
     t = 2.0 * math.sqrt(2.0)
     return {"schema_version": 1,

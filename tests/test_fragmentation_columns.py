@@ -20,6 +20,7 @@ from cvpert.fragmentation import (RESIDUAL_FLOOR, FluctuationForm, _sector_proje
                                   lin_fluct_columns, perturbed_laplacian_linF,
                                   wellposedness_check)
 from cvpert.lagrangian import PolynomialLagrangian
+from cvpert.errors import ArgError, ShapeError
 from cvpert.linops import TOL_RANK
 
 
@@ -206,6 +207,87 @@ def test_wellposedness_fragments_once_per_lambda(monkeypatch):
     scen = example52_scenario()
     wellposedness_check(scen)
     assert calls == list(scen.lam_grid)
+
+
+GRIDS = [{}, {"f1": 1.5}, {"regularized": True},
+         {"regularized": True, "lam_grid": np.geomspace(0.03, 0.1, 4)},
+         {"f1": 1.3, "w": 0.4, "lam_grid": np.geomspace(0.02, 0.1, 9)}]
+
+
+def per_lambda_values(scenario):
+    """sigma_min, sigma_max and EL errors one lambda at a time: the form of
+    ``perturbed_laplacian_linF`` on the lambda^q-scaled lin-F columns, the
+    errors from ``fragmented_residual`` of that lambda's fragmented measure."""
+    measure, lag, L = scenario.measure, scenario.lagrangian, scenario.n_subsystems
+    basis = lin_fluct_columns(measure, lag, L)
+    smin, smax, errs = [], [], []
+    for lam in scenario.lam_grid:
+        cols = basis * fragmentation._q_scaling(measure, L, lam, scenario.ansatz.q)[:, None]
+        directions = [MultiJet.unflatten(c, L, measure.dimension) for c in cols.T]
+        M = perturbed_laplacian_linF(measure, lag, scenario.ansatz, lam, directions)
+        s = np.linalg.svd(M, compute_uv=False)
+        smin.append(s[-1])
+        smax.append(s[0])
+        res = fragmented_residual(fragment_measure(measure, scenario.ansatz, lam), lag,
+                                  scenario.nu)
+        errs.append(float(np.max(np.abs(cols.T @ res))))
+    return smin, smax, errs
+
+
+@pytest.mark.parametrize("kwargs", GRIDS)
+def test_stacked_wellposedness_is_the_per_lambda_path_bit_for_bit(kwargs):
+    scen = example52_scenario(**kwargs)
+    got = wellposedness_check(scen).details
+    for key, want in zip(("sigma_min", "sigma_max", "errors"), per_lambda_values(scen)):
+        assert np.array_equal(got[key], want), key
+
+
+def test_wellposedness_reads_one_reader_one_form_one_svd(monkeypatch):
+    calls = {"pair_reader": 0, "_pointwise_blocks": 0, "ell_field": 0, "svd": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    scen = example52_scenario()
+    basis = lin_fluct_columns(scen.measure, scen.lagrangian, scen.n_subsystems)
+    monkeypatch.setattr(fragmentation, "lin_fluct_columns", lambda *args: basis)
+    counting(fragmentation, "pair_reader")
+    counting(fragmentation, "ell_field")
+    counting(fragmentation.linops, "_pointwise_blocks")
+    counting(np.linalg, "svd")
+    wellposedness_check(scen)
+    assert calls == {"pair_reader": 1, "_pointwise_blocks": 1, "ell_field": 1, "svd": 1}
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("assembled before the grid was checked")
+
+
+@pytest.mark.parametrize("grid,error,match", [
+    ([np.nan, 0.03, 0.05, 0.1], ArgError, "finite"),
+    ([0.02, 0.03, np.nan, 0.1], ArgError, "finite"),
+    ([0.02, 0.03, 0.05, np.nan], ArgError, "finite"),
+    ([0.02, 0.03, 0.05, np.inf], ArgError, "finite"),
+    ([0.02, -0.03, 0.05, 0.1], ArgError, "> 0"),
+    ([0.0, 0.03, 0.05, 0.1], ArgError, "> 0"),
+    ([[0.02, 0.03], [0.05, 0.1]], ShapeError, r"\(2, 2\)"),
+    ([[0.02, 0.03, 0.05, 0.1]], ShapeError, r"\(1, 4\)"),
+    ([0.05, 0.1], ShapeError, r"at least 4 points, got shape \(2,\)"),
+], ids=["nan-first", "nan-inside", "nan-last", "inf", "negative", "zero", "2x2", "1x4",
+        "short"])
+def test_wellposedness_checks_the_grid_before_any_assembly(monkeypatch, grid, error, match):
+    scen = example52_scenario(lam_grid=grid)
+    for name in ("lin_fluct_columns", "fragment_measure", "_weak_el"):
+        monkeypatch.setattr(fragmentation, name, refuse)
+    monkeypatch.setattr(fragmentation.linops, "_pointwise_blocks", refuse)
+    with pytest.raises(error, match=match):
+        wellposedness_check(scen)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])

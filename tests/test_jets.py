@@ -36,3 +36,33 @@ def test_full_basis_is_the_identity_in_flatten_order(n, m):
 
 def test_basis_length_counts_its_jets():
     assert len(TestBasis([Jet(np.ones(2), np.zeros((2, 1)))])) == 1
+
+
+
+def pairwise_gram(jets):
+    """The Gram matrix one pair of flattened jets at a time."""
+    return np.array([[float(a.flatten() @ b.flatten()) for b in jets] for a in jets])
+
+
+def checked_gram(monkeypatch, jets):
+    """The Gram matrix whose rank ``TestBasis`` checks."""
+    seen = []
+    matrix_rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda gram, **kw: seen.append(gram) or matrix_rank(gram, **kw))
+    TestBasis(jets)
+    return seen[0]
+
+
+def test_full_basis_gram_is_the_pairwise_gram(monkeypatch):
+    jets = TestBasis.full(6, 2).jets
+    assert np.array_equal(checked_gram(monkeypatch, jets), pairwise_gram(jets))
+
+
+def test_basis_gram_is_the_pairwise_gram_to_rounding(monkeypatch, rng):
+    # one product of the stacked jets sums each entry in another order than
+    # the pairwise dot products: equal to rounding of a length-9 sum
+    jets = [Jet(rng.normal(size=3), rng.normal(size=(3, 2))) for _ in range(5)]
+    want = pairwise_gram(jets)
+    np.testing.assert_allclose(checked_gram(monkeypatch, jets), want, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(want)))

@@ -20,11 +20,12 @@ from cvpert.cfs import (CfsChart, CfsParams, causal_action, causal_lagrangian,
                         local_correlation, reference_point, spectral_weights,
                         spin_map_from_point, swap_symmetric_pair, validate_cfs_point)
 from cvpert.el import calibrate_nu, ell, ell_field, ell_on_support, grad_ell, integrate_partial
-from cvpert.errors import (ArgError, CvpError, InconclusiveFit, NotCritical, NumericalFailure,
-                           OrderUnsupported, ShapeError, UnknownModel)
+from cvpert.errors import (ArgError, CvpError, DegenerateFit, InconclusiveFit, NotCritical,
+                           NumericalFailure, OrderUnsupported, ShapeError, UnknownModel)
 from cvpert.expansion import (LedgerTerm, PerturbationSeries, compositions, error_term, expand,
                               expand_inhomogeneous, family_from_linearized,
                               order_scaling_slopes, reconstruct)
+from cvpert.fitting import loglog_slope, strict_loglog_slope
 from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, FragmentedMeasure,
                                   Scenario, example52_scenario, fragment_measure,
                                   perturbed_laplacian_linF, wellposedness_check)
@@ -242,6 +243,16 @@ ROWS = [
         subsystem_direction(2), subsystem_direction(3)), ShapeError),
     ("wellposedness_check/short-grid",
      lambda: wellposedness_check(example52_scenario(lam_grid=[0.05, 0.1])), ShapeError),
+    ("wellposedness_check/repeated-lambda",
+     lambda: wellposedness_check(example52_scenario(lam_grid=[0.1] * 4)), DegenerateFit),
+    ("loglog_slope/repeated-x", lambda: loglog_slope([0.05] * 3, [1.0, 2.0, 3.0]),
+     DegenerateFit),
+    ("loglog_slope/repeated-kept-x",
+     lambda: loglog_slope([0.05, 0.05, 0.1], [1.0, 2.0, 0.0]), DegenerateFit),
+    ("strict_loglog_slope/repeated-x",
+     lambda: strict_loglog_slope([0.1] * 4, [1.0, 2.0, 3.0, 4.0]), DegenerateFit),
+    ("CfsChart/empty-basis", lambda: CfsChart(
+        CFS, spin_map_from_point(reference_point(CFS), 1), basis=[]), ShapeError),
     ("wellposedness_check/inconclusive-fit", lambda: wellposedness_check(example52_scenario(
         regularized=True, lam_grid=np.geomspace(0.05, 2.0, 6))), InconclusiveFit),
     ("build_lagrangian/unknown-name", lambda: build_lagrangian("nosuch"), UnknownModel),
