@@ -23,6 +23,7 @@ psi* psi (those of u(2n) do not).
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -54,12 +55,16 @@ class CfsParams:
     kappa: float = 0.0
 
     def __post_init__(self):
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
+                   for d in (self.hilbert_dim, self.spin_dim)):
+            raise ShapeError(f"dimensions must be integers, got {self.hilbert_dim!r}, "
+                             f"{self.spin_dim!r}")
         if self.hilbert_dim < 2 * self.spin_dim:
             raise ShapeError("need hilbert_dim >= 2 * spin_dim")
-        if self.trace_constant <= 0:
-            raise ShapeError("trace constant must be positive")
-        if self.kappa < 0:
-            raise ShapeError("kappa must be non-negative")
+        if not self.trace_constant > 0:  # a NaN fails too
+            raise ShapeError(f"trace constant must be positive, got {self.trace_constant!r}")
+        if not self.kappa >= 0:
+            raise ShapeError(f"kappa must be non-negative, got {self.kappa!r}")
 
     @property
     def f(self) -> int:
@@ -391,7 +396,10 @@ def point_to_json(x: np.ndarray) -> list:
 
 
 def point_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in data])
+    except (TypeError, ValueError) as err:
+        raise ShapeError(f"a point is a square of [re, im] pairs: {err}") from None
 
 
 def system_to_json(params: CfsParams, points, weights) -> dict:

@@ -12,6 +12,10 @@ diagrams, so the exported document is a forest).  Delta, Delta_0, every E^(p)
 and the ledger read the partial tables the base measure keeps, so a model
 without series reads each partial once per support.
 
+One order recursion (``_recursion``) solves for every jet: the expansion
+and its inhomogeneous form run it from no jets, a family from the jets
+[w1] of a linearized solution.
+
 Evaluating the series at lambda pushes the base measure forward with the
 accumulated log-weight and shift fields (``PerturbationSeries.partial_sums``,
 one per cut of the series); lambda itself is only the
@@ -34,8 +38,8 @@ import numbers
 import numpy as np
 
 from . import linops
-from .errors import (ArgError, LedgerMissing, NotCritical, NotLinearized, OutOfRange,
-                     ShapeError)
+from .errors import (ArgError, LedgerMissing, NotCritical, NotLinearized, NumericalFailure,
+                     OutOfRange, ShapeError)
 from .jets import DualJet, Jet, check_on_support
 from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, SupportStack, push_forward
@@ -162,12 +166,17 @@ class PerturbationSeries:
 
     def partial_sums(self, lam: float) -> tuple:
         """Log-weight and shift fields sum_{p <= P} lambda^p w^(p) for every
-        cut P = 0..order, stacked along a new leading axis."""
+        cut P = 0..order, stacked along a new leading axis; NumericalFailure
+        when a term overflows."""
         scalars, vectors = [np.zeros(self.base.weights.shape)], [np.zeros(self.base.points.shape)]
-        for p, w in enumerate(self.jets, start=1):
-            scalars.append(lam ** p * w.scalar)
-            vectors.append(lam ** p * w.vector)
-        return np.cumsum(scalars, axis=0), np.cumsum(vectors, axis=0)
+        with np.errstate(over="raise"):
+            try:
+                for p, w in enumerate(self.jets, start=1):
+                    scalars.append(lam ** p * w.scalar)
+                    vectors.append(lam ** p * w.vector)
+                return np.cumsum(scalars, axis=0), np.cumsum(vectors, axis=0)
+            except (FloatingPointError, OverflowError) as exc:  # numpy's, Python's float **
+                raise NumericalFailure(f"overflow in the partial sums at lambda {lam}") from exc
 
     def to_json(self) -> dict:
         return {
@@ -182,12 +191,16 @@ class PerturbationSeries:
 
     @classmethod
     def from_json(cls, data) -> "PerturbationSeries":
-        base = DiscreteMeasure.from_json(data["base"])
-        jets = [Jet(np.array(j["c"]), np.array(j["F"])) for j in data["jets"]]
-        if int(data["order"]) != len(jets):
-            raise ShapeError(f"order {data['order']} given with {len(jets)} jets")
-        return cls(base, float(data["nu"]), jets,
-                   convention=data.get("convention", "standard"))
+        try:
+            order, nu = data["order"], float(data["nu"])
+            base = DiscreteMeasure.from_json(data["base"])
+            jets = [Jet(np.array(j["c"]), np.array(j["F"])) for j in data["jets"]]
+        except (KeyError, TypeError) as err:
+            raise ShapeError(f"a series document needs order, nu, base and jets {{c, F}}: "
+                             f"{err!r}") from None
+        if int(order) != len(jets):
+            raise ShapeError(f"order {order} given with {len(jets)} jets")
+        return cls(base, nu, jets, convention=data.get("convention", "standard"))
 
 
 def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
@@ -236,6 +249,20 @@ def _zero_jets(inhom: Inhomogeneity | None, order, measure) -> list:
                         np.zeros(measure.points.shape))] * (order - len(given))
 
 
+def _recursion(jets: list, defects: list, vjets: list, measure, lagrangian, nu,
+               delta: linops.DeltaMatrix, greens: linops.GreensOperator,
+               convention: str = "standard") -> tuple:
+    """Extend the jets w^(1..k) and their range defects, in place, to the
+    orders k+1..len(vjets): w^(p) = v^(p) + S (E^(p) + Delta v^(p))."""
+    for p in range(len(jets) + 1, len(vjets) + 1):
+        E = error_term(p, jets, measure, lagrangian, nu, convention)
+        v = vjets[p - 1]
+        correction, defect = _solve(greens, E + delta.apply(v), p)
+        defects.append(defect)
+        jets.append(v + correction)
+    return jets, defects
+
+
 def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
                          nu: float, order: int,
                          inhom: Inhomogeneity | None = None,
@@ -256,15 +283,7 @@ def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
     delta = linops.assemble_delta(measure, lagrangian, nu, convention=convention)
     vjets = _zero_jets(inhom, order, measure)
     greens = linops.GreensOperator(delta, strict=strict)
-    jets: list[Jet] = []
-    defects: list[float] = []
-    for p in range(1, order + 1):
-        E = error_term(p, jets, measure, lagrangian, nu, convention)
-        v = vjets[p - 1]
-        rhs = E + delta.apply(v)
-        correction, defect = _solve(greens, rhs, p)
-        defects.append(defect)
-        jets.append(v + correction)
+    jets, defects = _recursion([], [], vjets, measure, lagrangian, nu, delta, greens, convention)
     return PerturbationSeries(measure, nu, jets, convention, range_defects=defects,
                               ledger_source=(lagrangian, 1) if keep_ledger else None)
 
@@ -282,7 +301,8 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
 
     Requires a critical base (|Delta_0| <= TOL_CRITICAL) and w1 in ker Delta
     (|Delta w1| <= TOL_RANK |Delta| max(|w1|, 1)); higher orders follow the
-    plain recursion starting at p = 2 (Delta_0 and Delta_1[w1] both vanish).
+    recursion of ``expand_inhomogeneous`` from the jets [w1] with a zero
+    inhomogeneity, starting at p = 2 (Delta_0 and Delta_1[w1] both vanish).
     """
     _check_order(order, 1, "a family's order")
     linops._one_start(measure.weights, "family_from_linearized")
@@ -297,12 +317,8 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
     if dw1.norm() > linops.TOL_RANK * max(scale, 1.0):
         raise NotLinearized(
             f"|Delta w1| = {dw1.norm():.3e} exceeds {linops.TOL_RANK:.1e} * {scale:.3e}")
-    jets, defects = [w1], [0.0]
-    for p in range(2, order + 1):
-        E = error_term(p, jets, measure, lagrangian, nu)
-        w, defect = _solve(greens, E, p)
-        jets.append(w)
-        defects.append(defect)
+    jets, defects = _recursion([w1], [0.0], _zero_jets(None, order, measure), measure,
+                               lagrangian, nu, delta, greens)
     return PerturbationSeries(measure, nu, jets, range_defects=defects,
                               ledger_source=(lagrangian, 2))
 
@@ -324,11 +340,14 @@ def residual_slope(series: PerturbationSeries, lagrangian, nu, lam_grid) -> tupl
     the full test space (the norm of Delta_0 on the reconstructed support).
 
     Returns (slope, max log-fit residual); (inf, 0.0) when the residuals
-    sit below the degeneracy floor (exactly critical series).
+    sit below the degeneracy floor (exactly critical series).  A grid
+    without two distinct lambdas raises DegenerateFit before any
+    reconstruction.
     """
-    from .fitting import loglog_slope
+    from .fitting import check_distinct, loglog_slope
 
     lam_grid = np.asarray(lam_grid, dtype=float)
+    check_distinct(lam_grid)
     vals = [linops.delta_zero_dual(reconstruct(series, lam), lagrangian, nu).norm()
             for lam in lam_grid]
     return loglog_slope(lam_grid, np.array(vals), floor=RESIDUAL_FLOOR)
@@ -366,15 +385,17 @@ def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
     leaves a residual O(lambda^(P+1)).  Returns {P: (slope, residual table
     of (lambda, residual) rows)}, each row bit for bit that of the start's
     own expansion.  An order that is no integer >= 0, or a grid that is not
-    at least 2 finite lambdas > 0, raises ArgError before any start is built.
+    at least 2 finite lambdas > 0, raises ArgError, and a grid without two
+    distinct lambdas DegenerateFit, before any start is built.
     """
-    from .fitting import loglog_slope
+    from .fitting import check_distinct, loglog_slope
 
     check_on_support([deviation], base.size, base.dimension, "deviation")
     cuts = [_check_order(p, what="every order") for p in dict.fromkeys(orders)]
     grid = np.asarray(lam_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise ArgError(f"lambda grid must be at least 2 finite numbers > 0, got {lam_grid!r}")
+    check_distinct(grid)
     if not cuts:
         return {}
     starts = SupportStack(base.points[None], base.weights[None]).push(

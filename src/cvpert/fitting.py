@@ -9,8 +9,17 @@ import numpy as np
 from .errors import DegenerateFit
 
 
+def check_distinct(xs):
+    """DegenerateFit unless the 1-D xs hold two distinct values: a fit over
+    one x fixes no slope."""
+    xs = np.asarray(xs, dtype=float)
+    if len(xs) == 0 or np.all(xs == xs[0]):
+        raise DegenerateFit(f"log-log fit needs two distinct x values, got {xs.tolist()}")
+
+
 def loglog_slope(xs, ys, floor: float = 0.0):
-    """Least-squares slope of log y against log x, for finite x > 0 (else DegenerateFit).
+    """Least-squares slope of log y against log x, for finite x > 0 and
+    finite y, one y per x (else DegenerateFit).
 
     Values at or below ``floor`` are dropped; if fewer than two points
     survive the fit degenerates and (inf, 0.0) is returned as the sentinel
@@ -19,13 +28,16 @@ def loglog_slope(xs, ys, floor: float = 0.0):
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape:
+        raise DegenerateFit(f"log-log fit needs one y per x, got shapes {xs.shape}, {ys.shape}")
     if not np.all(np.isfinite(xs) & (xs > 0)):
         raise DegenerateFit("log-log fit needs finite positive x values")
+    if not np.all(np.isfinite(ys)):
+        raise DegenerateFit(f"log-log fit needs finite y values, got {ys.tolist()}")
     keep = ys > floor
     if np.count_nonzero(keep) < 2:
         return math.inf, 0.0
-    if np.all(xs[keep] == xs[keep][0]):
-        raise DegenerateFit(f"log-log fit needs two distinct x values, got {xs[keep].tolist()}")
+    check_distinct(xs[keep])
     lx, ly = np.log(xs[keep]), np.log(ys[keep])
     coeffs = np.polyfit(lx, ly, 1)
     fit = np.polyval(coeffs, lx)
@@ -33,8 +45,8 @@ def loglog_slope(xs, ys, floor: float = 0.0):
 
 
 def strict_loglog_slope(xs, ys):
-    """Slope fit for tabulated data: needs >= 4 positive rows at two distinct
-    x values at least, else DegenerateFit.
+    """Slope fit for tabulated data: needs >= 4 finite positive rows at two
+    distinct x values at least, else DegenerateFit.
 
     Returns (slope, r_squared); a constant y column gives exactly (0.0, 1.0).
     """
@@ -42,10 +54,11 @@ def strict_loglog_slope(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if len(xs) < 4 or len(xs) != len(ys):
         raise DegenerateFit("need at least 4 rows of equal length")
+    if not np.all(np.isfinite(xs) & np.isfinite(ys)):
+        raise DegenerateFit("log-log fit needs finite values")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise DegenerateFit("log-log fit needs positive values")
-    if np.all(xs == xs[0]):
-        raise DegenerateFit(f"log-log fit needs two distinct x values, got {xs.tolist()}")
+    check_distinct(xs)
     if np.allclose(ys, ys[0]):
         return 0.0, 1.0
     lx, ly = np.log(xs), np.log(ys)

@@ -24,10 +24,11 @@ whole lambda grid and reads them in one pass.
 
 The expansion driver corrects the neutral directions through the perturbed
 form of the current configuration, one step per order taken whole or not
-at all, and reports the mean, complement and lin-F residuals after each
-sweep.  The mean and complement are not corrected yet: their exact
-order-by-order solve through the operator of the configuration, and the
-exact combinatorial bookkeeping of the fragmented higher orders, are open.
+at all by one acceptance test in the sweep, and reports the mean,
+complement and lin-F residuals after each sweep.  The mean and complement
+are not corrected yet: their exact order-by-order solve through the
+operator of the configuration, and the exact combinatorial bookkeeping of
+the fragmented higher orders, are open.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linops
+from . import expansion, linops
 from .errors import ArgError, InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
 from .el import ell_field
-from .fitting import loglog_slope
+from .fitting import check_distinct, loglog_slope
 from .jets import Jet, MultiJet, check_on_support
 from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, pair_reader, push_forward
@@ -78,6 +79,8 @@ class FragmentationAnsatz:
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=float).ravel()
+        if not self.f0.size:
+            raise ShapeError("need the weight of at least one subsystem")
         if not np.all(np.isfinite(np.r_[self.f0, self.p, self.q])) or np.any(self.f0 < 0):
             raise ShapeError("subsystem weights must be finite and non-negative, exponents finite")
         if abs(np.mean(self.f0) - 1.0) > 1e-14:
@@ -147,17 +150,6 @@ class FragmentedMeasure:
         if not np.all(np.isfinite(points)) or not np.all(np.isfinite(weights)):
             raise NumericalFailure("non-finite entries in fragmented measure data")
         return DiscreteMeasure.merged(points, weights)
-
-    def support_table(self, lam: float | None = None) -> list:
-        rows = []
-        pos, wts = self.positions(), self.weights()
-        for a in range(self.n_subsystems):
-            for i in range(self.base.size):
-                rows.append({"subsystem": a + 1,
-                             "point": [float(c) for c in pos[a, i]],
-                             "weight": float(wts[a, i]),
-                             "lambda": lam})
-        return rows
 
 
 def fragment_measure(measure: DiscreteMeasure, ansatz: FragmentationAnsatz,
@@ -371,9 +363,9 @@ def example52_scenario(f1: float = 1.0, w: float | None = None,
                      Jet(np.zeros(1), np.array([[-w, 0.0]]))])
     ansatz = FragmentationAnsatz(np.array([f1, 2.0 - f1]), 1.0, 1.0, mean_jet,
                                  linf_fluct=linf)
-    grid = np.geomspace(0.02, 0.1, 5) if lam_grid is None else np.asarray(lam_grid)
     name = "example52" + ("-regularized" if regularized else "")
-    return Scenario(name, measure, lag, 0.0, ansatz, grid)
+    grid = {} if lam_grid is None else {"lam_grid": np.asarray(lam_grid)}
+    return Scenario(name, measure, lag, 0.0, ansatz, **grid)
 
 
 @dataclass
@@ -408,14 +400,16 @@ def wellposedness_check(scenario: Scenario) -> WellPosednessReport:
     through one pair reader by one Jacobian and one residual, then one
     batched form and one SVD over the stack.  A grid that is not 1-D with at
     least 4 points raises ShapeError, a lambda that is not finite and > 0
-    (the log-log fits need lambda > 0) ArgError, both before any assembly.
-    Well-posed needs r > q and error exponent >= r + 1 - 0.2.
+    (the log-log fits need lambda > 0) ArgError, and a grid without two
+    distinct lambdas DegenerateFit, all before any assembly.
+    Well-posed needs r > q and error exponent >= r + 1 - ``expansion.SLOPE_BAND``.
     """
     grid = np.asarray(scenario.lam_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 4:
         raise ShapeError(f"need a geometric grid with at least 4 points, got shape {grid.shape}")
     if not np.all(np.isfinite(grid) & (grid > 0.0)):
         raise ArgError(f"coupling lambdas must be finite and > 0, got {grid.tolist()}")
+    check_distinct(grid)
     measure, lagrangian, nu = scenario.measure, scenario.lagrangian, scenario.nu
     L, q = scenario.n_subsystems, scenario.ansatz.q
     basis = lin_fluct_columns(measure, lagrangian, L)
@@ -442,7 +436,7 @@ def wellposedness_check(scenario: Scenario) -> WellPosednessReport:
             f"log-log fit residual {max(fit_min, fit_max):.3f} exceeds {MAX_FIT_RESIDUAL}")
     uniform = abs(r_min - r_max) <= 0.5
     r = r_min
-    ok = uniform and r > q and err_exp >= r + 1.0 - 0.2
+    ok = uniform and r > q and err_exp >= r + 1.0 - expansion.SLOPE_BAND
     verdict = "well-posed" if ok else "ill-posed"
     details = {"sigma_min": smin, "sigma_max": smax, "errors": errs,
                "r_from_sigma_max": r_max, "uniform_order": uniform}
@@ -481,15 +475,14 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
     not at all, and the mean, complement and lin-F residuals are recorded.
     The mean and complement residuals are reported but not corrected.  For
     a single subsystem this reduces to the plain expansion, to which the
-    call is delegated.
+    call is delegated.  An order that is no integer >= 0 raises ArgError.
     """
+    expansion._check_order(order)
     if lam is None:
         lam = float(np.sqrt(scenario.lam_grid[0] * scenario.lam_grid[-1]))
     L = scenario.n_subsystems
     measure, lagrangian, nu = scenario.measure, scenario.lagrangian, scenario.nu
     if L == 1:
-        from . import expansion
-
         frag = fragment_measure(measure, scenario.ansatz, lam)  # log f0 = 0 for f0 = [1.0]
         start = push_forward(measure, frag.log_weights[0], frag.shifts[0])
         series = expansion.expand(start, lagrangian, nu, order)
@@ -503,7 +496,6 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
     if report.verdict != "well-posed":
         raise NotWellPosed(f"fragmentation verdict: {report.verdict}")
 
-    m = measure.dimension
     mean_P, compl_P, linf_P = _sector_projectors(measure, lagrangian, L)
     linf_q = linf_P * _q_scaling(measure, L, lam, scenario.ansatz.q)[:, None]
     frag = fragment_measure(measure, scenario.ansatz, lam)
@@ -512,38 +504,33 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
         sup = lambda P: float(np.max(np.abs(P.T @ res_vec))) if P.size else 0.0
         return {"mean": sup(mean_P), "complement": sup(compl_P), "lin_f": sup(linf_q)}
 
-    def damped(frag_in, res_in, step_vec, sector: np.ndarray):
-        """Take the whole step only if it clearly reduces its own sector residual.
-
-        The sector operators of a fragmented configuration are graded in
-        lambda; an undamped solve can leave the microstructure scale along
-        nearly-neutral directions.  The step is accepted only when it improves
-        the targeted sector substantially without inflating the rest;
-        otherwise none of it is taken, and a later order tries again."""
-        own = lambda r: np.linalg.norm(sector.T @ r) if sector.size else 0.0
-        mj = MultiJet.unflatten(step_vec, L, m)
-        cand = apply_increment(frag_in, mj)
-        res = fragmented_residual(cand, lagrangian, nu)
-        if own(res) < 0.5 * own(res_in) and np.linalg.norm(res) <= 2.0 * np.linalg.norm(res_in):
-            return cand, res, mj
-        return frag_in, res_in, None
-
     increments = []
     residual = fragmented_residual(frag, lagrangian, nu)
     history = [sector_norms(residual)]
     for _ in range(2, order + 1):  # a well-posed verdict implies a non-empty lin-F basis
         A = linf_P.T @ fragmented_jacobian(frag, lagrangian) @ linf_P
         step = -linf_P @ np.linalg.lstsq(A, linf_P.T @ residual, rcond=1e-12)[0]
-        frag, residual, taken = damped(frag, residual, step, linf_P)
-        if taken is not None:
-            increments.append(taken)
+        # The step is taken whole only if it clearly reduces the lin-F residual
+        # without inflating the rest, else none of it is, and a later order
+        # tries again: the sector operators are graded in lambda, and an
+        # undamped solve can leave the microstructure scale along
+        # nearly-neutral directions.
+        mj = MultiJet.unflatten(step, L, measure.dimension)
+        cand = apply_increment(frag, mj)
+        res = fragmented_residual(cand, lagrangian, nu)
+        if (np.linalg.norm(linf_P.T @ res) < 0.5 * np.linalg.norm(linf_P.T @ residual)
+                and np.linalg.norm(res) <= 2.0 * np.linalg.norm(residual)):
+            frag, residual = cand, res
+            increments.append(mj)
         history.append(sector_norms(residual))
     return FragmentedExpansion(scenario, lam, order, frag, increments, history)
 
 
 def fragment_expand_study(scenario: Scenario, order: int) -> dict:
     """Per-sector residual decay exponents of the order-P sweeps over
-    ``scenario.lam_grid``."""
+    ``scenario.lam_grid``; an order that is no integer >= 0 raises ArgError
+    before any sweep."""
+    expansion._check_order(order)
     grid = np.asarray(scenario.lam_grid, dtype=float)
     report = wellposedness_check(scenario) if scenario.n_subsystems > 1 else None
     rows = []

@@ -55,6 +55,9 @@ class _PointPairs:
     @classmethod
     def unflatten(cls, vec, dim: int):
         vec = np.asarray(vec, dtype=float)
+        if vec.ndim == 0 or vec.shape[-1] % (1 + dim):
+            raise ShapeError(f"a flat vector of shape {vec.shape} is no whole number of "
+                             f"{1 + dim}-slot points")
         arr = vec.reshape(vec.shape[:-1] + (-1, 1 + dim))
         return cls(arr[..., 0].copy(), arr[..., 1:].copy())
 
@@ -169,7 +172,11 @@ class MultiJet:
 
     @classmethod
     def unflatten(cls, vec, n_subsystems: int, dim: int) -> "MultiJet":
-        parts = np.split(np.asarray(vec, dtype=float), n_subsystems)
+        vec = np.asarray(vec, dtype=float)
+        if vec.ndim != 1 or len(vec) % n_subsystems:
+            raise ShapeError(f"a flat vector of shape {vec.shape} splits into no "
+                             f"{n_subsystems} equal subsystems")
+        parts = np.split(vec, n_subsystems)
         return cls([Jet.unflatten(p, dim) for p in parts])
 
     def norm(self) -> float:

@@ -164,9 +164,13 @@ class DiscreteMeasure(_Support):
     def from_json(cls, data) -> "DiscreteMeasure":
         if isinstance(data, str):
             data = json.loads(data)
-        pts = [entry["point"] for entry in data]
-        wts = [entry["weight"] for entry in data]
-        return cls(np.array(pts, dtype=float), np.array(wts, dtype=float))
+        try:
+            pts = np.array([entry["point"] for entry in data], dtype=float)
+            wts = np.array([entry["weight"] for entry in data], dtype=float)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ShapeError(f"a measure document is a list of {{point, weight}} entries: "
+                             f"{err!r}") from None
+        return cls(pts, wts)
 
 
 @dataclass(frozen=True)

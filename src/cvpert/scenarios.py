@@ -142,9 +142,10 @@ def run_example52_fragmentation(config, outdir: Path):
     wp_file = outdir / "wellposedness.json"
     _write_json(wp_file, report.to_json())
     support = outdir / "fragmented_support.csv"
+    pos, wts = frag.positions(), frag.weights()
     _write_csv(support, ["subsystem", "x1", "x2", "weight", "lambda"],
-               [(r["subsystem"], r["point"][0], r["point"][1], r["weight"], lam)
-                for r in frag.support_table(lam)])
+               [(a + 1, float(pos[a, i, 0]), float(pos[a, i, 1]), float(wts[a, i]), lam)
+                for a in range(frag.n_subsystems) for i in range(frag.base.size)])
 
     data = {
         "lambda": lam,

@@ -210,7 +210,12 @@ def test_run_inline_expansion_range_defects(tmp_path):
     (["1,0", "2,0", "3,0", "4,0"], "x", "positive values"),
     (["1,2", "2,4", "3,6", "4,8"], "lam", "no column 'lam'"),
     (["1,2", "2,oops", "3,6", "4,8"], "x", "could not convert"),
-], ids=["three-rows", "empty", "zero-column", "unknown-column", "non-numeric"])
+    (["1,2", "2,nan", "3,6", "4,8"], "x", "finite"),
+    (["1,2", "2,inf", "3,6", "4,8"], "x", "finite"),
+    (["1,2", "nan,4", "3,6", "4,8"], "x", "finite"),
+    (["1,2", "inf,4", "3,6", "4,8"], "x", "finite"),
+], ids=["three-rows", "empty", "zero-column", "unknown-column", "non-numeric", "nan-y", "inf-y",
+        "nan-x", "inf-x"])
 def test_cli_slope_bad_table_exits_2(tmp_path, capsys, rows, column, message):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(["x,y"] + rows) + "\n")

@@ -17,7 +17,7 @@ import pytest
 
 from cvpert import errors
 from cvpert.cfs import (CfsChart, CfsParams, causal_action, causal_lagrangian,
-                        local_correlation, reference_point, spectral_weights,
+                        local_correlation, point_from_json, reference_point, spectral_weights,
                         spin_map_from_point, swap_symmetric_pair, validate_cfs_point)
 from cvpert.el import calibrate_nu, ell, ell_field, ell_on_support, grad_ell, integrate_partial
 from cvpert.errors import (ArgError, CvpError, DegenerateFit, InconclusiveFit, NotCritical,
@@ -27,7 +27,8 @@ from cvpert.expansion import (LedgerTerm, PerturbationSeries, compositions, erro
                               order_scaling_slopes, reconstruct)
 from cvpert.fitting import loglog_slope, strict_loglog_slope
 from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, FragmentedMeasure,
-                                  Scenario, example52_scenario, fragment_measure,
+                                  Scenario, example52_scenario, fragment_expand,
+                                  fragment_expand_study, fragment_measure,
                                   perturbed_laplacian_linF, wellposedness_check)
 from cvpert.jets import DualJet, Jet, MultiJet, TestBasis, pairing
 from cvpert.lagrangian import NumericLagrangian, build_lagrangian, pair_series, pair_table
@@ -272,6 +273,44 @@ ROWS = [
     ("orbit_sample_from_generators/negative-count",
      lambda: orbit_sample_from_generators([np.diag([1j, -1j])], np.random.default_rng(0), -3),
      ArgError),
+    # fits: finite values, one y per x
+    ("loglog_slope/nan-y", lambda: loglog_slope([1.0, 2.0, 3.0], [1.0, np.nan, 2.0]),
+     DegenerateFit),
+    ("loglog_slope/inf-y", lambda: loglog_slope([1.0, 2.0, 3.0], [1.0, np.inf, 2.0]),
+     DegenerateFit),
+    ("loglog_slope/lengths", lambda: loglog_slope([1.0, 2.0, 3.0], [1.0, 2.0]), DegenerateFit),
+    ("strict_loglog_slope/nan-y",
+     lambda: strict_loglog_slope([1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 2.0, 3.0]), DegenerateFit),
+    ("strict_loglog_slope/inf-y",
+     lambda: strict_loglog_slope([1.0, 2.0, 3.0, 4.0], [1.0, np.inf, 2.0, 3.0]), DegenerateFit),
+    ("strict_loglog_slope/nan-x",
+     lambda: strict_loglog_slope([1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]), DegenerateFit),
+    ("strict_loglog_slope/inf-x",
+     lambda: strict_loglog_slope([1.0, np.inf, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]), DegenerateFit),
+    # the remaining edges
+    ("reconstruct/overflowing-lambda",  # lambda^2 overflows a float
+     lambda: reconstruct(PerturbationSeries(PAIR, 0.0, [Jet.zero(2, 2)] * 2), 1e200),
+     NumericalFailure),
+    ("fragment_expand/fractional-order", lambda: fragment_expand(example52_scenario(), 1.5),
+     ArgError),
+    ("fragment_expand/negative-order", lambda: fragment_expand(example52_scenario(), -1),
+     ArgError),
+    ("fragment_expand_study/text-order",
+     lambda: fragment_expand_study(example52_scenario(), "x"), ArgError),
+    ("DiscreteMeasure.from_json/missing-key",
+     lambda: DiscreteMeasure.from_json([{"point": [0.0, 0.0]}]), ShapeError),
+    ("DiscreteMeasure.from_json/ragged-points", lambda: DiscreteMeasure.from_json(
+        [{"point": [0.0, 0.0], "weight": 1.0}, {"point": [1.0], "weight": 1.0}]), ShapeError),
+    ("PerturbationSeries.from_json/missing-keys",
+     lambda: PerturbationSeries.from_json({"order": 1}), ShapeError),
+    ("point_from_json/not-pairs", lambda: point_from_json([[1, 2]]), ShapeError),
+    ("Jet.unflatten/length", lambda: Jet.unflatten(np.zeros(5), 1), ShapeError),
+    ("MultiJet.unflatten/length", lambda: MultiJet.unflatten(np.zeros(5), 2, 1), ShapeError),
+    ("MultiJet.unflatten/slots", lambda: MultiJet.unflatten(np.zeros(8), 2, 2), ShapeError),
+    ("FragmentationAnsatz/empty-f0", lambda: ansatz(f0=()), ShapeError),
+    ("CfsParams/nan-trace-constant", lambda: CfsParams(2, 1, np.nan), ShapeError),
+    ("CfsParams/nan-kappa", lambda: CfsParams(2, 1, 1.0, np.nan), ShapeError),
+    ("CfsParams/fractional-dimension", lambda: CfsParams(2.5, 1, 1.0), ShapeError),
 ]
 
 
