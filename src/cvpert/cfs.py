@@ -23,15 +23,14 @@ psi* psi (those of u(2n) do not).
 
 from __future__ import annotations
 
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NumericalFailure, ShapeError, SingularChart,
-                     VanishingLocalTrace)
-from .lagrangian import NumericLagrangian, _dim_param, _real_param
+from .errors import (ConfigError, NumericalFailure, ShapeError, SingularChart,
+                     VanishingLocalTrace, finite_real, integer)
+from .lagrangian import NumericLagrangian
 
 TOL_EIG_REL = 1e-10
 TOL_HERM = 1e-12  # relative self-adjointness defect of a valid point
@@ -55,15 +54,11 @@ class CfsParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
-                   for d in (self.hilbert_dim, self.spin_dim)):
-            raise ShapeError(f"dimensions must be integers, got {self.hilbert_dim!r}, "
-                             f"{self.spin_dim!r}")
-        if self.hilbert_dim < 2 * self.spin_dim:
-            raise ShapeError("need hilbert_dim >= 2 * spin_dim")
-        if not self.trace_constant > 0:  # a NaN fails too
-            raise ShapeError(f"trace constant must be positive, got {self.trace_constant!r}")
-        if not self.kappa >= 0:
+        n = integer(self.spin_dim, 1, "spin_dim", ShapeError)
+        integer(self.hilbert_dim, 2 * n, "hilbert_dim", ShapeError)
+        if finite_real(self.trace_constant, "trace_constant", ShapeError) <= 0:
+            raise ShapeError(f"trace_constant must be positive, got {self.trace_constant!r}")
+        if finite_real(self.kappa, "kappa", ShapeError) < 0:
             raise ShapeError(f"kappa must be non-negative, got {self.kappa!r}")
 
     @property
@@ -301,26 +296,33 @@ class CfsChart:
         return local_correlation(self._spin_map(np.asarray(coords, dtype=float)), self.params)
 
     def coords(self, y: np.ndarray) -> np.ndarray:
-        """Inverse chart map by Gauss-Newton on the matrix residual.
+        """Inverse chart map by damped Gauss-Newton on the matrix residual.
 
         Each step solves J dz = -(R(psi(z)) - y) in least squares, with J the
-        exact differential of R at psi(z), from z = 0.  The iteration stops
-        once a step is at rounding level, or after COORDS_MAX_ITERS steps; a
-        residual above COORDS_TOL (relative to |y|) raises SingularChart.
+        exact differential of R at psi(z), from z = 0.  The step is halved
+        until the residual falls or lands within COORDS_TOL, as far from
+        psi0 a whole step overshoots.  The iteration stops once a step is at
+        rounding level, or after COORDS_MAX_ITERS steps; a residual above
+        COORDS_TOL (relative to |y|) raises SingularChart.
         """
-        y = np.asarray(y, dtype=complex)
+        target = self._vec(np.asarray(y, dtype=complex))
+        tol = COORDS_TOL * max(1.0, np.linalg.norm(target))
         z = np.zeros(self.dim)
-        target = self._vec(y)
+        resid = self._vec(self.point(z)) - target
         for _ in range(COORDS_MAX_ITERS):
-            psi = self._spin_map(z)
-            resid = self._vec(local_correlation(psi, self.params)) - target
-            jac = self._vec(self._dR(np.array(self.basis), psi)).T
+            jac = self._vec(self._dR(np.array(self.basis), self._spin_map(z))).T
             dz = np.linalg.lstsq(jac, -resid, rcond=None)[0]
-            z = z + dz
-            if np.linalg.norm(dz) <= COORDS_STEP_TOL * max(1.0, np.linalg.norm(z)):
+            while True:  # a NaN step counts as small, and fails the residual test below
+                cand = self._vec(self.point(z + dz)) - target
+                small = not np.linalg.norm(dz) > COORDS_STEP_TOL * max(1.0, np.linalg.norm(z + dz))
+                if small or np.linalg.norm(cand) < max(tol, np.linalg.norm(resid)):
+                    break
+                dz = dz / 2
+            z, resid = z + dz, cand
+            if small:
                 break
-        res = np.linalg.norm(self._vec(self.point(z)) - target)
-        if res > COORDS_TOL * max(1.0, np.linalg.norm(target)):
+        res = np.linalg.norm(resid)
+        if not res <= tol:
             raise SingularChart(f"chart inversion did not converge, residual {res:.3e}",
                                 condition=self.condition)
         return z
@@ -346,9 +348,11 @@ def perturb_wave_evaluation(weo: WaveEvaluation, deltas, weights):
 def build_cfs_lagrangian(params: dict) -> NumericLagrangian:
     """Registry bridge: the causal Lagrangian in the chart of a reference
     system, with finite-difference derivatives only."""
-    p = CfsParams(_dim_param(params, "hilbert_dim", 2), _dim_param(params, "spin_dim", 1),
-                  _real_param(params, "trace_constant", 1.0), _real_param(params, "kappa", 0.0))
-    max_order = _dim_param(params, "max_order", 3)
+    p = CfsParams(integer(params.get("hilbert_dim", 2), 1, "hilbert_dim", ConfigError),
+                  integer(params.get("spin_dim", 1), 1, "spin_dim", ConfigError),
+                  finite_real(params.get("trace_constant", 1.0), "trace_constant", ConfigError),
+                  finite_real(params.get("kappa", 0.0), "kappa", ConfigError))
+    max_order = integer(params.get("max_order", 3), 1, "max_order", ConfigError)
     chart = params.get("chart")
     if chart is None:
         x_ref = reference_point(p)

@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios
-from .errors import ConfigError, CvpError, ShapeError
-from .fitting import strict_loglog_slope
+from .errors import ConfigError, CvpError, ShapeError, integer
+from .fitting import lambda_grid, strict_loglog_slope
 
 SCHEMA_VERSION = 1
 
@@ -50,7 +50,7 @@ def validate_config(config: dict):
     version = config["schema_version"]
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"config: schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    scenarios._integer(config, "seed", 0, "config", 0)
+    integer(config.get("seed", 0), 0, "config: seed", ConfigError)
     for key, kind, name in (("out", str, "a string"), ("strict", bool, "a boolean")):
         if key in config and not isinstance(config[key], kind):
             raise ConfigError(f"config: {key} must be {name}, got {config[key]!r}")
@@ -141,12 +141,14 @@ def _run_inline(config: dict, seed: int, outdir: Path):
     if "expansion" in config:
         econf = scenarios._object(config["expansion"], "expansion",
                                   ("order", "convention", "lambda_grid", "deviation"))
-        order = scenarios._integer(econf, "order", 2, "expansion", 0)
+        order = integer(econf.get("order", 2), 0, "expansion: order", ConfigError)
         convention = econf.get("convention", "standard")
         if convention not in ("standard", "breve"):
             raise ConfigError(f"expansion: convention must be 'standard' or 'breve', "
                               f"got {convention!r}")
-        grid = scenarios._lambda_grid(econf, "expansion")
+        grid = lambda_grid(scenarios._array(econf.get("lambda_grid", scenarios.LAMBDA_GRID),
+                                            "expansion: lambda_grid", 1),
+                           2, "expansion", ConfigError)
         if "deviation" in econf:
             parts = {k: scenarios._array(v, f"deviation.{k}") for k, v in
                      scenarios._object(econf["deviation"], "deviation", ("c", "F")).items()}
@@ -168,7 +170,7 @@ def _run_inline(config: dict, seed: int, outdir: Path):
         yield "expansion", data, [path]
     if "mixing" in config:
         mcfg = scenarios._object(config["mixing"], "mixing", ("L", "restarts"))
-        yield scenarios._run_mixing(scenarios._integer(mcfg, "L", 2, "mixing", 2),
+        yield scenarios._run_mixing(integer(mcfg.get("L", 2), 2, "mixing: L", ConfigError),
                                     dict(mcfg, seed=seed), outdir)
 
 

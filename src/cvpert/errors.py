@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two scalar input checks
+every layer shares: each takes the class to raise from its caller
+(``ConfigError`` for configs, ``ArgError`` or ``ShapeError`` for the API)."""
+
+import math
+import numbers
 
 
 class CvpError(Exception):
@@ -98,3 +103,18 @@ class UnknownModel(ConfigError, KeyError):
     """No Lagrangian model is registered under the configured name."""
 
     __str__ = Exception.__str__  # the message as given, not KeyError's repr of it
+
+
+def integer(value, least, what, error):
+    """value as an int; ``error`` unless it is an integer >= least: a
+    ``numbers.Integral`` that is not a bool (2.0 and True are none)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def finite_real(value, what, error):
+    """value as a float; ``error`` unless it is a finite real number (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return float(value)

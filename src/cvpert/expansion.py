@@ -33,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
-import numbers
-
 import numpy as np
 
 from . import linops
-from .errors import (ArgError, LedgerMissing, NotCritical, NotLinearized, NumericalFailure,
-                     OutOfRange, ShapeError)
+from .errors import (ArgError, DegenerateFit, LedgerMissing, NotCritical, NotLinearized,
+                     NumericalFailure, OutOfRange, ShapeError, finite_real, integer)
+from .fitting import lambda_grid, loglog_slope
 from .jets import DualJet, Jet, check_on_support
 from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, SupportStack, push_forward
@@ -50,10 +49,7 @@ RESIDUAL_FLOOR = 1e-14
 
 
 def _check_order(order, least=0, what="order"):
-    """order, after checking that it is an integer >= least (a bool is none)."""
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < least:
-        raise ArgError(f"{what} must be an integer >= {least}, got {order!r}")
-    return order
+    return integer(order, least, what, ArgError)  # every order of the API raises ArgError
 
 
 def compositions(p: int, ell: int) -> list[tuple]:
@@ -325,8 +321,7 @@ def family_from_linearized(w1: Jet, measure, lagrangian, nu, order,
 
 def reconstruct(series: PerturbationSeries, lam: float) -> DiscreteMeasure:
     """Evaluate the series: push the base forward with the lambda-weighted jets."""
-    if not isinstance(lam, numbers.Real) or not np.isfinite(lam):
-        raise ArgError(f"lambda must be a finite number, got {lam!r}")
+    finite_real(lam, "lambda", ArgError)
     n, m = series.base.size, series.base.dimension
     check_on_support(series.jets, n, m, "series jet")
     if lam == 0.0 or not series.jets:
@@ -340,14 +335,11 @@ def residual_slope(series: PerturbationSeries, lagrangian, nu, lam_grid) -> tupl
     the full test space (the norm of Delta_0 on the reconstructed support).
 
     Returns (slope, max log-fit residual); (inf, 0.0) when the residuals
-    sit below the degeneracy floor (exactly critical series).  A grid
-    without two distinct lambdas raises DegenerateFit before any
-    reconstruction.
+    sit below the degeneracy floor (exactly critical series).  A grid that
+    is not at least 2 finite lambdas > 0, two of them distinct, raises
+    DegenerateFit before any reconstruction.
     """
-    from .fitting import check_distinct, loglog_slope
-
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    check_distinct(lam_grid)
+    lam_grid = lambda_grid(lam_grid, 2, "residual_slope", DegenerateFit)
     vals = [linops.delta_zero_dual(reconstruct(series, lam), lagrangian, nu).norm()
             for lam in lam_grid]
     return loglog_slope(lam_grid, np.array(vals), floor=RESIDUAL_FLOOR)
@@ -388,14 +380,9 @@ def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
     at least 2 finite lambdas > 0, raises ArgError, and a grid without two
     distinct lambdas DegenerateFit, before any start is built.
     """
-    from .fitting import check_distinct, loglog_slope
-
     check_on_support([deviation], base.size, base.dimension, "deviation")
     cuts = [_check_order(p, what="every order") for p in dict.fromkeys(orders)]
-    grid = np.asarray(lam_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ArgError(f"lambda grid must be at least 2 finite numbers > 0, got {lam_grid!r}")
-    check_distinct(grid)
+    grid = lambda_grid(lam_grid, 2, "order_scaling_slopes", ArgError)
     if not cuts:
         return {}
     starts = SupportStack(base.points[None], base.weights[None]).push(

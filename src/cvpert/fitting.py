@@ -17,6 +17,23 @@ def check_distinct(xs):
         raise DegenerateFit(f"log-log fit needs two distinct x values, got {xs.tolist()}")
 
 
+def lambda_grid(grid, least, what, error, shape_error=None) -> np.ndarray:
+    """grid as a float array, checked before any work on it: ``error``
+    unless it is 1-D with at least ``least`` finite lambdas > 0 (the log-log
+    fits need lambda > 0), ``shape_error`` for the shape instead if given,
+    and DegenerateFit unless two lambdas differ (``check_distinct``)."""
+    grid = np.asarray(grid, dtype=float)
+    short = grid.ndim != 1 or len(grid) < least
+    if short and shape_error is not None:
+        raise shape_error(f"{what}: lambda_grid must be 1-D with at least {least} points, "
+                          f"got shape {grid.shape}")
+    if short or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise error(f"{what}: lambda_grid must be at least {least} finite numbers > 0, "
+                    f"got {grid.tolist()!r}")
+    check_distinct(grid)
+    return grid
+
+
 def loglog_slope(xs, ys, floor: float = 0.0):
     """Least-squares slope of log y against log x, for finite x > 0 and
     finite y, one y per x (else DegenerateFit).

@@ -39,9 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expansion, linops
-from .errors import ArgError, InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError
+from .errors import (ArgError, InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError,
+                     finite_real)
 from .el import ell_field
-from .fitting import check_distinct, loglog_slope
+from .fitting import lambda_grid, loglog_slope
 from .jets import Jet, MultiJet, check_on_support
 from .lagrangian import LagrangianModel
 from .measure import DiscreteMeasure, pair_reader, push_forward
@@ -157,8 +158,8 @@ def fragment_measure(measure: DiscreteMeasure, ansatz: FragmentationAnsatz,
     """Apply the fragmentation ansatz at coupling lambda >= 0: subsystem a
     carries the order-one jet lambda^p (mean + complement_a) + lambda^q
     lin-F_a, whose scalar part adds to log f0_a."""
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ArgError(f"coupling lambda must be finite and >= 0, got {lam}")
+    if finite_real(lam, "coupling lambda", ArgError) < 0.0:
+        raise ArgError(f"coupling lambda must be >= 0, got {lam}")
     mean, compl, linf = ansatz.mean_jet, ansatz.compl_fluct.jets, ansatz.linf_fluct.jets
     scalars = lam ** ansatz.p * (mean.scalar + [j.scalar for j in compl])
     with np.errstate(divide="ignore"):  # f0_a = 0: a massless subsystem
@@ -404,12 +405,7 @@ def wellposedness_check(scenario: Scenario) -> WellPosednessReport:
     distinct lambdas DegenerateFit, all before any assembly.
     Well-posed needs r > q and error exponent >= r + 1 - ``expansion.SLOPE_BAND``.
     """
-    grid = np.asarray(scenario.lam_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 4:
-        raise ShapeError(f"need a geometric grid with at least 4 points, got shape {grid.shape}")
-    if not np.all(np.isfinite(grid) & (grid > 0.0)):
-        raise ArgError(f"coupling lambdas must be finite and > 0, got {grid.tolist()}")
-    check_distinct(grid)
+    grid = lambda_grid(scenario.lam_grid, 4, "wellposedness_check", ArgError, ShapeError)
     measure, lagrangian, nu = scenario.measure, scenario.lagrangian, scenario.nu
     L, q = scenario.n_subsystems, scenario.ansatz.q
     basis = lin_fluct_columns(measure, lagrangian, L)

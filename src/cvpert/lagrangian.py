@@ -34,14 +34,13 @@ higher operators are never differentiated.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (ArgError, ConfigError, NumericalFailure, OrderUnsupported, ShapeError,
-                     UnknownModel)
+                     UnknownModel, finite_real, integer)
 from .series import TruncatedSeries, basis_values, cauchy_matmul, lower_set
 
 
@@ -436,21 +435,6 @@ class _Expansion:
 # -- built-in polynomial models, each written once in factored form: on arrays
 # the formula gives the values, on ``_Expansion`` variables the monomial table
 
-def _dim_param(params, key="dim", default=1) -> int:
-    value = params.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < 1):
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def _real_param(params, key, default) -> float:
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _example52(x0, x1, y0, y1):
     return (x0 - y0) ** 4 - (x0 - y0) ** 2 * (x1 + y1) ** 2 + (x1 - y1) ** 2
 
@@ -471,8 +455,8 @@ def _build_example52_regularized(params):
 def _build_quartic_pair(params):
     # sum_k c(x_k) + c(y_k) + (x_k - y_k)^4, with the sextic double well
     # c(t) = t^2 (t^2 - s^2)^2 >= 0
-    dim = _dim_param(params)
-    s = _real_param(params, "well_scale", 4.0)
+    dim = integer(params.get("dim", 1), 1, "dim", ConfigError)
+    s = finite_real(params.get("well_scale", 4.0), "well_scale", ConfigError)
     s2 = s ** 2
 
     def value(*coords):
@@ -487,7 +471,7 @@ def _build_quartic_pair(params):
 
 def _build_pair_distance(params):
     # ((x-y)^2 - d^2)^2 in 1-D: translation invariant, preferred pair distance d
-    d = _real_param(params, "distance", 1.0)
+    d = finite_real(params.get("distance", 1.0), "distance", ConfigError)
     d2 = d ** 2
     return PolynomialLagrangian.from_formula("pair_distance", 1,
                                              lambda x0, y0: ((x0 - y0) ** 2 - d2) ** 2,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgError, NotOnMinimalStratum, NotUnitary, ShapeError
+from .errors import ArgError, NotOnMinimalStratum, NotUnitary, ShapeError, integer
 
 TOL_UNITARY = 1e-10
 TOL_FUNCTIONAL_UNITARY = 1e-8  # unitarity defect accepted by mixing_functional
@@ -109,9 +109,7 @@ class SubgroupSample:
 
     def sample(self, rng, count: int | None = None) -> list:
         """``count`` (default ``budget``) elements exp(sum_g c_g X_g), each c drawn from rng."""
-        count = self.budget if count is None else count
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-            raise ArgError(f"sample count must be an integer >= 0, got {count!r}")
+        count = integer(self.budget if count is None else count, 0, "sample count", ArgError)
         return list(expm(self._combine(rng.normal(size=(count, len(self.generators))))))
 
 
@@ -208,10 +206,10 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
     values L + ``gap_to_infimum`` of the final stack: the functional, without
     the rounding of U's unitarity that can put it below L.
     """
-    for name, value, least, error in (("L", L, 1, ShapeError), ("restarts", restarts, 1, ShapeError),
-                                      ("iters", iters, 0, ArgError), ("seed", seed, 0, ArgError)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    integer(L, 1, "L", ShapeError)
+    integer(restarts, 1, "restarts", ShapeError)
+    integer(iters, 0, "iters", ArgError)
+    integer(seed, 0, "seed", ArgError)
     if subgroup is not None and not subgroup.generators:
         raise ShapeError("subgroup sample needs generators")
     if subgroup is not None and subgroup.generators[0].shape != (L, L):

@@ -22,10 +22,13 @@ from . import expansion, fragmentation, mixing
 from .cfs import (CfsChart, CfsParams, spin_map_from_point, swap_symmetric_pair,
                   system_to_json)
 from .el import calibrate_nu, integrate_partial, residual_norm
-from .errors import ConfigError
+from .errors import ConfigError, finite_real, integer
+from .fitting import lambda_grid
 from .jets import Jet, TestBasis
 from .lagrangian import build_lagrangian
 from .measure import DiscreteMeasure
+
+LAMBDA_GRID = np.geomspace(0.01, 0.1, 5)  # an order-scaling study's default lambda_grid
 
 
 def _write_csv(path: Path, header, rows):
@@ -66,33 +69,9 @@ def _array(value, what, ndim=None) -> np.ndarray:
 
 
 def _number(config, key, default, what) -> float:
-    value = float(_array(config.get(key, default), f"{what}: {key}", 0))
-    if not math.isfinite(value):
-        raise ConfigError(f"{what}: {key} must be a finite number, got {value!r}")
-    return value
-
-
-def _is_integer(value, least) -> bool:
-    """An int >= least; a bool or a float such as 2.0 is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _integer(config, key, default, what, least) -> int:
-    value = config.get(key, default)
-    if not _is_integer(value, least):
-        raise ConfigError(f"{what}: {key} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _lambda_grid(config, what) -> np.ndarray:
-    """config["lambda_grid"] (5 geometric points on [0.01, 0.1] if absent):
-    at least 2 finite numbers > 0, the least a log-log slope fit needs."""
-    grid = _array(config.get("lambda_grid", np.geomspace(0.01, 0.1, 5)), f"{what}: lambda_grid",
-                  ndim=1)
-    if len(grid) < 2 or not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ConfigError(f"{what}: lambda_grid must be at least 2 finite numbers > 0, "
-                          f"got {grid.tolist()!r}")
-    return grid
+    """config[key] (``default`` if absent); ConfigError unless a finite number."""
+    what = f"{what}: {key}"
+    return finite_real(float(_array(config.get(key, default), what, 0)), what, ConfigError)
 
 
 def regularized_two_point_base():
@@ -165,9 +144,11 @@ def _run_expansion(name, make_base, model, deviation, config, outdir: Path):
     lag = build_lagrangian(model)
     nu = calibrate_nu(base, lag)
     orders = config.get("orders", [1, 2])
-    if not isinstance(orders, list) or not all(_is_integer(o, 0) for o in orders):
+    if not isinstance(orders, list):
         raise ConfigError(f"{name}: orders must be a list of integers >= 0, got {orders!r}")
-    grid = _lambda_grid(config, name)
+    orders = [integer(order, 0, f"{name}: orders", ConfigError) for order in orders]
+    grid = lambda_grid(_array(config.get("lambda_grid", LAMBDA_GRID), f"{name}: lambda_grid", 1),
+                       2, name, ConfigError)
     fits = expansion.order_scaling_slopes(base, lag, nu, deviation, orders, grid)
     rows = []
     slopes = {}
@@ -183,7 +164,7 @@ def _run_expansion(name, make_base, model, deviation, config, outdir: Path):
 
 def _run_mixing(L, config, outdir: Path):
     restarts = config.get("restarts", 50)
-    seed = _integer(config, "seed", 0, f"mixing-L{L}", 0)
+    seed = integer(config.get("seed", 0), 0, f"mixing-L{L}: seed", ConfigError)
     val, U, trace = mixing.minimize_mixing(L, restarts=restarts, seed=seed)
     out_file = outdir / f"mixing_L{L}.json"
     _write_json(out_file, mixing.results_to_json(L, val, U, restarts, trace))

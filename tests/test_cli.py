@@ -239,6 +239,7 @@ def test_strict_slope_constant_column_after_checks():
     ({"name": "nosuch"}, "UnknownModel: unknown Lagrangian model 'nosuch'"),
     ({"name": "quartic_pair", "params": {"dim": 0}}, "ConfigError: dim must be an integer >= 1"),
     ({"name": "quartic_pair", "params": {"dim": 1.5}}, "ConfigError: dim must be an integer >= 1"),
+    ({"name": "quartic_pair", "params": {"dim": 2.0}}, "ConfigError: dim must be an integer >= 1"),
     ({"name": "quartic_pair", "params": {"well_scale": "abc"}},
      "ConfigError: well_scale must be a finite number"),
     ({"name": "pair_distance", "params": {"distance": float("inf")}},
@@ -249,7 +250,7 @@ def test_strict_slope_constant_column_after_checks():
     ({"name": "cfs", "params": {"kappa": "abc"}}, "ConfigError: kappa must be a finite number"),
     ({"name": "quartic_pair", "params": {"well_scal": 3}},
      "ConfigError: quartic_pair reads no parameters ['well_scal']"),
-], ids=["unknown-name", "dim-0", "dim-1.5", "well-scale-text", "distance-inf",
+], ids=["unknown-name", "dim-0", "dim-1.5", "dim-2.0", "well-scale-text", "distance-inf",
         "hilbert-dim-text", "max-order-1.7", "kappa-text", "unknown-param"])
 def test_cli_run_reports_bad_model_config(tmp_path, capsys, model, error):
     config = {"schema_version": 1, "measure": {"points": [[1.0], [-1.0]], "weights": [1.0, 1.0]},
@@ -418,6 +419,17 @@ def test_run_reports_non_numeric_config_values(tmp_path, config, error):
     assert code == 1
     assert report["status"] == "error"
     assert report["stages"][-1]["error"].startswith(error)
+
+
+@pytest.mark.parametrize("scenario_config", [{"trace_constant": 10.0}, {"trace_constant": 1e4},
+                                             {"b": 1e-5}],
+                         ids=["trace-constant-10", "trace-constant-1e4", "b-1e-5"])
+def test_cfs_two_point_chart_inverts_far_from_its_centre(tmp_path, scenario_config):
+    # a whole Gauss-Newton step from the chart's centre overshoots these points
+    report, _code = run_config({"schema_version": 1, "scenario": "cfs-two-point",
+                                "scenario_config": scenario_config}, out=str(tmp_path))
+    assert report["status"] == "ok"
+    assert report["stages"][-1]["status"] == "ok"
 
 
 @pytest.mark.parametrize("config", [[], {}, {"schema_version": True}, {"schema_version": "1"},

@@ -1,0 +1,91 @@
+"""The shared input checks: ``errors.integer``, ``errors.finite_real`` and
+``fitting.lambda_grid`` raise the class their caller passes (a config
+reader ConfigError, the API ArgError or ShapeError), on every bad input.
+
+The checks raise ``error(...)``, not a named class, so these tests stand in
+for the rows ``test_typed_errors`` keeps for each named raise."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cvpert.errors import (ArgError, ConfigError, DegenerateFit, ShapeError, finite_real,
+                           integer)
+from cvpert.fitting import lambda_grid
+
+BAD_INTEGERS = pytest.mark.parametrize("value", [
+    True, 2.0, math.nan, math.inf, 0, [[2, 3], [4, 5]], [2, 2], "2", None,
+], ids=["bool", "integral-float", "nan", "inf", "below-least", "2-D-grid", "repeated-grid",
+        "text", "none"])
+BAD_REALS = pytest.mark.parametrize("value", [
+    True, math.nan, math.inf, -math.inf, [[0.1, 0.2], [0.3, 0.4]], [0.1, 0.1], "0.1", None,
+], ids=["bool", "nan", "inf", "minus-inf", "2-D-grid", "repeated-grid", "text", "none"])
+API_AND_CONFIG = pytest.mark.parametrize("error", [ArgError, ShapeError, ConfigError])
+
+
+@API_AND_CONFIG
+@BAD_INTEGERS
+def test_integer_raises_the_callers_class(error, value):
+    with pytest.raises(error, match=r"^n must be an integer >= 1, got "):
+        integer(value, 1, "n", error)  # least 1: True == 1 passes on the bound alone
+
+
+@pytest.mark.parametrize("value", [1, 7, np.int64(3)])
+def test_integer_returns_an_int(value):
+    out = integer(value, 1, "n", ArgError)
+    assert out == value and type(out) is int
+
+
+@API_AND_CONFIG
+@BAD_REALS
+def test_finite_real_raises_the_callers_class(error, value):
+    with pytest.raises(error, match=r"^x must be a finite number, got "):
+        finite_real(value, "x", error)
+
+
+@pytest.mark.parametrize("value", [2.0, 2, -1e300, np.float32(0.5)],
+                         ids=["integral-float", "int", "large-negative", "float32"])
+def test_finite_real_returns_a_float(value):
+    out = finite_real(value, "x", ArgError)
+    assert out == value and type(out) is float
+
+
+GRID_ERRORS = pytest.mark.parametrize("error", [ArgError, ConfigError, DegenerateFit])
+SHAPE_ERRORS = pytest.mark.parametrize("shape_error", [None, ShapeError])
+VALUE_MESSAGE = r"^study: lambda_grid must be at least 3 finite numbers > 0, got "
+
+
+@GRID_ERRORS
+@SHAPE_ERRORS
+@pytest.mark.parametrize("grid", [True, [0.1, 0.2], [[0.1, 0.2, 0.3]], [[0.1], [0.2], [0.3]]],
+                         ids=["bool", "below-least", "2-D-row", "2-D-column"])
+def test_lambda_grid_rejects_a_shape_with_the_shape_class_if_given(error, shape_error, grid):
+    if shape_error is None:
+        with pytest.raises(error, match=VALUE_MESSAGE):
+            lambda_grid(grid, 3, "study", error)
+    else:
+        with pytest.raises(shape_error, match=r"^study: lambda_grid must be 1-D with at least "
+                                              r"3 points, got shape \("):
+            lambda_grid(grid, 3, "study", error, shape_error)
+
+
+@GRID_ERRORS
+@SHAPE_ERRORS
+@pytest.mark.parametrize("grid", [[0.1, math.nan, 0.3], [0.1, 0.2, math.inf], [0.0, 0.1, 0.2],
+                                  [0.1, -0.2, 0.3]], ids=["nan", "inf", "zero", "negative"])
+def test_lambda_grid_rejects_a_value_with_the_callers_class(error, shape_error, grid):
+    with pytest.raises(error, match=VALUE_MESSAGE):
+        lambda_grid(grid, 3, "study", error, shape_error)
+
+
+@GRID_ERRORS
+@SHAPE_ERRORS
+def test_lambda_grid_rejects_a_repeated_grid_as_a_degenerate_fit(error, shape_error):
+    with pytest.raises(DegenerateFit, match="two distinct x values"):
+        lambda_grid([0.1, 0.1, 0.1], 3, "study", error, shape_error)
+
+
+def test_lambda_grid_returns_a_float_array():
+    grid = lambda_grid([1, 2.0, 0.5, 0.5], 3, "study", ArgError)
+    assert grid.dtype == float and grid.tolist() == [1.0, 2.0, 0.5, 0.5]

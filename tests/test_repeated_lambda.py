@@ -1,5 +1,7 @@
 """A lambda grid without two distinct values fixes no log-log slope: every
-grid reader raises the fit's DegenerateFit before it assembles anything."""
+grid reader raises the fit's DegenerateFit before it assembles anything.
+``residual_slope`` raises it for a lambda <= 0 too, before any
+reconstruction."""
 
 import numpy as np
 import pytest
@@ -39,6 +41,15 @@ def test_residual_slope_rejects_repeated_lambda_first(monkeypatch, grid):
     monkeypatch.setattr(expansion, "reconstruct", refuse)
     monkeypatch.setattr(expansion.linops, "delta_zero_dual", refuse)
     with pytest.raises(DegenerateFit, match=MESSAGE):
+        residual_slope(series, LINE, 0.0, grid)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.1, 0.2], [0.1, -0.1]], ids=["zero", "negative"])
+def test_residual_slope_rejects_non_positive_lambda_first(monkeypatch, grid):
+    series = PerturbationSeries(PAIR_1D, 0.0, [Jet.zero(2, 1)])
+    monkeypatch.setattr(expansion, "reconstruct", refuse)
+    monkeypatch.setattr(expansion.linops, "delta_zero_dual", refuse)
+    with pytest.raises(DegenerateFit, match="finite numbers > 0"):
         residual_slope(series, LINE, 0.0, grid)
 
 

@@ -311,6 +311,10 @@ ROWS = [
     ("CfsParams/nan-trace-constant", lambda: CfsParams(2, 1, np.nan), ShapeError),
     ("CfsParams/nan-kappa", lambda: CfsParams(2, 1, 1.0, np.nan), ShapeError),
     ("CfsParams/fractional-dimension", lambda: CfsParams(2.5, 1, 1.0), ShapeError),
+    ("CfsParams/spin-dim-0", lambda: CfsParams(2, 0, 1.0), ShapeError),
+    ("CfsParams/hilbert-dim-0", lambda: CfsParams(0, 0, 1.0), ShapeError),
+    ("CfsParams/inf-trace-constant", lambda: CfsParams(2, 1, np.inf), ShapeError),
+    ("CfsParams/inf-kappa", lambda: CfsParams(2, 1, 1.0, np.inf), ShapeError),
 ]
 
 
