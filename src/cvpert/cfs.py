@@ -23,13 +23,12 @@ psi* psi (those of u(2n) do not).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigError, NumericalFailure, ShapeError, SingularChart,
-                     VanishingLocalTrace, finite_real, integer)
+                     VanishingLocalTrace, finite_real, integer, overflow_fails)
 from .lagrangian import NumericLagrangian
 
 TOL_EIG_REL = 1e-10
@@ -68,16 +67,6 @@ class CfsParams:
     @property
     def n(self) -> int:
         return self.spin_dim
-
-
-@contextmanager
-def _overflow_fails(what: str):
-    """Turn an overflow in the block (or the decorated call) into NumericalFailure."""
-    with np.errstate(over="raise"):
-        try:
-            yield
-        except (FloatingPointError, OverflowError) as exc:  # numpy's, Python's float **
-            raise NumericalFailure(f"overflow in {what}") from exc
 
 
 def signature_matrix(n: int) -> np.ndarray:
@@ -163,7 +152,7 @@ def _quarter_sum(mods: np.ndarray, n: int) -> float:
     return float(sum((a - b) ** 2 for a in mods for b in mods)) / (4.0 * n)
 
 
-@_overflow_fails("the spectral weights")
+@overflow_fails("the spectral weights")
 def spectral_weights(x: np.ndarray, y: np.ndarray, n: int):
     """Eigenvalues of the closed chain and the two spectral weights.
 
@@ -177,7 +166,7 @@ def spectral_weights(x: np.ndarray, y: np.ndarray, n: int):
     return eigs, float(np.sum(mods)), float(np.sum(mods ** 2))
 
 
-@_overflow_fails("the causal Lagrangian")
+@overflow_fails("the causal Lagrangian")
 def causal_lagrangian(x: np.ndarray, y: np.ndarray, params: CfsParams):
     """L_kappa(x, y) and the causal class of the pair.
 
@@ -193,7 +182,7 @@ def causal_lagrangian(x: np.ndarray, y: np.ndarray, params: CfsParams):
     return value, cls
 
 
-@_overflow_fails("the causal action")
+@overflow_fails("the causal action")
 def causal_action(points, weights, params: CfsParams):
     """Double weighted sums: (action of the kappa = 0 part, boundedness T)."""
     S = 0.0
@@ -208,7 +197,7 @@ def causal_action(points, weights, params: CfsParams):
     return S, T
 
 
-@_overflow_fails("the local correlation map")
+@overflow_fails("the local correlation map")
 def local_correlation(psi: np.ndarray, params: CfsParams) -> np.ndarray:
     """R(psi) = c psi* psi / tr(psi* psi), trace exactly the trace constant."""
     psi = np.asarray(psi, dtype=complex)
@@ -275,7 +264,7 @@ class CfsChart:
         return [(v[:size] + 1j * v[size:]).reshape(shape)
                 for v in vt[:np.sum(s > TOL_CHART_RANK * s[0])]]
 
-    @_overflow_fails("the chart's differential")
+    @overflow_fails("the chart's differential")
     def _dR(self, e: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
         """Derivative of R at psi (default psi0) along each real direction of
         the stack e (k, 2n, f): the k matrices (k, f, f)."""
@@ -358,11 +347,7 @@ def build_cfs_lagrangian(params: dict) -> NumericLagrangian:
         x_ref = reference_point(p)
         chart = CfsChart(p, spin_map_from_point(x_ref, p.n))
     evaluator = lambda za, zb: causal_lagrangian(chart.point(za), chart.point(zb), p)[0]
-    lag = NumericLagrangian("cfs", chart.dim, evaluator,
-                            max_order=max_order,
-                            params={"hilbert_dim": p.f, "spin_dim": p.n,
-                                    "trace_constant": p.trace_constant,
-                                    "kappa": p.kappa})
+    lag = NumericLagrangian("cfs", chart.dim, evaluator, max_order=max_order)
     lag.chart = chart
     lag.cfs_params = p
     return lag

@@ -99,7 +99,7 @@ def evaluate_expectations(report: dict, expectations) -> list:
         try:
             actual = _lookup(report, exp["path"])
             ok = OPS[exp["op"]](actual, exp)
-        except (KeyError, IndexError, TypeError, ValueError) as err:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
             results.append({"path": exp["path"], "ok": False, "error": str(err)})
             continue
         results.append({"path": exp["path"], "ok": bool(ok), "actual": actual})
@@ -169,9 +169,9 @@ def _run_inline(config: dict, seed: int, outdir: Path):
                     "range_defects": list(series.range_defects)}
         yield "expansion", data, [path]
     if "mixing" in config:
-        mcfg = scenarios._object(config["mixing"], "mixing", ("L", "restarts"))
-        yield scenarios._run_mixing(integer(mcfg.get("L", 2), 2, "mixing: L", ConfigError),
-                                    dict(mcfg, seed=seed), outdir)
+        mcfg = dict(scenarios._object(config["mixing"], "mixing", ("L", "restarts")), seed=seed)
+        L = integer(mcfg.pop("L", 2), 2, "mixing: L", ConfigError)
+        yield scenarios._run_mixing(L, mcfg, outdir)
 
 
 def run_config(config: dict, seed: int | None = None, out: str | None = None,

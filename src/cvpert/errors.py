@@ -1,9 +1,13 @@
-"""Exception types shared across the package, and the two scalar input checks
-every layer shares: each takes the class to raise from its caller
-(``ConfigError`` for configs, ``ArgError`` or ``ShapeError`` for the API)."""
+"""Exception types shared across the package, the two scalar input checks
+every layer shares, each taking the class to raise from its caller
+(``ConfigError`` for configs, ``ArgError`` or ``ShapeError`` for the API),
+and the one overflow guard."""
 
 import math
 import numbers
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class CvpError(Exception):
@@ -114,7 +118,22 @@ def integer(value, least, what, error):
 
 
 def finite_real(value, what, error):
-    """value as a float; ``error`` unless it is a finite real number (a bool is none)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """value as a float; ``error`` unless it is a finite real number (a bool is
+    none, nor is an integer too large for a float)."""
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
         raise error(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+@contextmanager
+def overflow_fails(what: str):
+    """Turn an overflow in the block (or the decorated call) into NumericalFailure."""
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except (FloatingPointError, OverflowError) as exc:  # numpy's, Python's float **
+            raise NumericalFailure(f"overflow in {what}") from exc

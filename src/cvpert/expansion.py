@@ -37,7 +37,7 @@ import numpy as np
 
 from . import linops
 from .errors import (ArgError, DegenerateFit, LedgerMissing, NotCritical, NotLinearized,
-                     NumericalFailure, OutOfRange, ShapeError, finite_real, integer)
+                     OutOfRange, ShapeError, finite_real, integer, overflow_fails)
 from .fitting import lambda_grid, loglog_slope
 from .jets import DualJet, Jet, check_on_support
 from .lagrangian import LagrangianModel
@@ -165,14 +165,11 @@ class PerturbationSeries:
         cut P = 0..order, stacked along a new leading axis; NumericalFailure
         when a term overflows."""
         scalars, vectors = [np.zeros(self.base.weights.shape)], [np.zeros(self.base.points.shape)]
-        with np.errstate(over="raise"):
-            try:
-                for p, w in enumerate(self.jets, start=1):
-                    scalars.append(lam ** p * w.scalar)
-                    vectors.append(lam ** p * w.vector)
-                return np.cumsum(scalars, axis=0), np.cumsum(vectors, axis=0)
-            except (FloatingPointError, OverflowError) as exc:  # numpy's, Python's float **
-                raise NumericalFailure(f"overflow in the partial sums at lambda {lam}") from exc
+        with overflow_fails(f"the partial sums at lambda {lam}"):
+            for p, w in enumerate(self.jets, start=1):
+                scalars.append(lam ** p * w.scalar)
+                vectors.append(lam ** p * w.vector)
+            return np.cumsum(scalars, axis=0), np.cumsum(vectors, axis=0)
 
     def to_json(self) -> dict:
         return {

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import expansion, linops
 from .errors import (ArgError, InconclusiveFit, NotWellPosed, NumericalFailure, ShapeError,
-                     finite_real)
+                     finite_real, overflow_fails)
 from .el import ell_field
 from .fitting import lambda_grid, loglog_slope
 from .jets import Jet, MultiJet, check_on_support
@@ -161,11 +161,12 @@ def fragment_measure(measure: DiscreteMeasure, ansatz: FragmentationAnsatz,
     if finite_real(lam, "coupling lambda", ArgError) < 0.0:
         raise ArgError(f"coupling lambda must be >= 0, got {lam}")
     mean, compl, linf = ansatz.mean_jet, ansatz.compl_fluct.jets, ansatz.linf_fluct.jets
-    scalars = lam ** ansatz.p * (mean.scalar + [j.scalar for j in compl])
-    with np.errstate(divide="ignore"):  # f0_a = 0: a massless subsystem
-        log_w = np.log(ansatz.f0)[:, None] + scalars
-    shifts = (lam ** ansatz.p * (mean.vector + [j.vector for j in compl])
-              + lam ** ansatz.q * np.array([j.vector for j in linf]))
+    with overflow_fails(f"the fragmentation at lambda {lam}"):
+        scalars = lam ** ansatz.p * (mean.scalar + [j.scalar for j in compl])
+        with np.errstate(divide="ignore"):  # f0_a = 0: a massless subsystem
+            log_w = np.log(ansatz.f0)[:, None] + scalars
+        shifts = (lam ** ansatz.p * (mean.vector + [j.vector for j in compl])
+                  + lam ** ansatz.q * np.array([j.vector for j in linf]))
     return FragmentedMeasure(measure, log_w, shifts)
 
 
@@ -527,7 +528,7 @@ def fragment_expand_study(scenario: Scenario, order: int) -> dict:
     ``scenario.lam_grid``; an order that is no integer >= 0 raises ArgError
     before any sweep."""
     expansion._check_order(order)
-    grid = np.asarray(scenario.lam_grid, dtype=float)
+    grid = lambda_grid(scenario.lam_grid, 2, "fragment_expand_study", ArgError)
     report = wellposedness_check(scenario) if scenario.n_subsystems > 1 else None
     rows = []
     for lam in grid:

@@ -15,8 +15,7 @@ Three backends are supplied:
   polynomial models build their tables in numpy; a user's sympy
   polynomial is converted once;
 * any other sympy expression, whose partials are differentiated and
-  lambdified, each compiled once per process per expression among the
-  ``COMPILED_PARTIALS`` most recently used;
+  lambdified, each compiled once per model;
 * central finite differences with one Richardson step, used as the
   cross-validation oracle and as the only backend for charted models whose
   evaluator is a black box.
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,12 +81,10 @@ def check_points(lag, *points, series=False):
 class LagrangianModel:
     """Symmetric two-point function with derivatives up to ``max_order``."""
 
-    def __init__(self, name: str, dim: int, max_order: int = 8,
-                 params: dict | None = None, nonnegative: bool = False):
+    def __init__(self, name: str, dim: int, max_order: int = 8, nonnegative: bool = False):
         self.name = name
         self.dim = dim
         self.max_order = max_order
-        self.params = dict(params or {})
         self.nonnegative = nonnegative
 
     def __call__(self, x, y) -> float:
@@ -99,22 +95,8 @@ class LagrangianModel:
         raise NotImplementedError
 
 
-# Compiled expressions kept across model instances, about 20 kB each; older
-# entries are dropped past the bound.  Only the partials of non-polynomial
-# expressions and the values of user expressions are compiled: the
-# benchmark workloads leave 0 entries.
-COMPILED_PARTIALS = 256
-
-
-@lru_cache(maxsize=COMPILED_PARTIALS)
 def _compiled_partial(expr, xs, ys, alpha, beta):
-    """d^alpha_x d^beta_y expr, differentiated and lambdified over (xs, ys).
-
-    Memoized on the expression itself: sympy expressions hash and compare
-    structurally, so a model rebuilt with the same expression in the same
-    process reuses the compiled code and other expressions or symbols
-    compile their own.
-    """
+    """d^alpha_x d^beta_y expr, differentiated and lambdified over (xs, ys)."""
     sympy = _sympy()
     e = expr
     for sym, k in zip(xs + ys, alpha + beta):
@@ -156,8 +138,8 @@ class PolynomialLagrangian(LagrangianModel):
     and the model cannot take truncated series.
     """
 
-    def __init__(self, name, dim, expr, xs, ys, max_order=8, params=None, nonnegative=False):
-        super().__init__(name, dim, max_order, params, nonnegative)
+    def __init__(self, name, dim, expr, xs, ys, max_order=8, nonnegative=False):
+        super().__init__(name, dim, max_order, nonnegative)
         self._symbolic = (expr, tuple(xs), tuple(ys))
         self._value_fn = None  # compiled on first use
         self._cache = {}
@@ -168,13 +150,13 @@ class PolynomialLagrangian(LagrangianModel):
             self._set_table(exponents, [float(c) for _, c in terms])
 
     @classmethod
-    def from_formula(cls, name, dim, value, max_order=8, params=None, nonnegative=False):
+    def from_formula(cls, name, dim, value, nonnegative=False):
         """L given by ``value(x0, .., x{m-1}, y0, .., y{m-1})``, a formula in
         +, -, * and integer powers evaluated elementwise on broadcast
         coordinates.  Its monomial table is the same formula run on the
         coordinate monomials; no sympy is involved."""
         lag = cls.__new__(cls)
-        LagrangianModel.__init__(lag, name, dim, max_order, params, nonnegative)
+        LagrangianModel.__init__(lag, name, dim, nonnegative=nonnegative)
         lag._symbolic = None  # written from the table on first use
         lag._value_fn = value
         lag._cache = {}
@@ -372,8 +354,8 @@ def numeric_partial(fn, x, y, alpha, beta):
 class NumericLagrangian(LagrangianModel):
     """Wraps a black-box symmetric evaluator; all partials by finite differences."""
 
-    def __init__(self, name, dim, evaluator, max_order=4, params=None):
-        super().__init__(name, dim, max_order, params)
+    def __init__(self, name, dim, evaluator, max_order=4):
+        super().__init__(name, dim, max_order)
         self._evaluator = evaluator
 
     def __call__(self, x, y) -> float:
@@ -464,9 +446,7 @@ def _build_quartic_pair(params):
         return sum([t ** 2 * (t ** 2 - s2) ** 2 for t in coords]
                    + [(x[k] - y[k]) ** 4 for k in range(dim)])
 
-    return PolynomialLagrangian.from_formula("quartic_pair", dim, value,
-                                             params={"dim": dim, "well_scale": s},
-                                             nonnegative=True)
+    return PolynomialLagrangian.from_formula("quartic_pair", dim, value, nonnegative=True)
 
 
 def _build_pair_distance(params):
@@ -475,7 +455,7 @@ def _build_pair_distance(params):
     d2 = d ** 2
     return PolynomialLagrangian.from_formula("pair_distance", 1,
                                              lambda x0, y0: ((x0 - y0) ** 2 - d2) ** 2,
-                                             params={"distance": d}, nonnegative=True)
+                                             nonnegative=True)
 
 
 def _build_cfs(params):

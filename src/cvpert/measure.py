@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvalidMeasure, NumericalFailure, ShapeError
+from .errors import InvalidMeasure, NumericalFailure, ShapeError, overflow_fails
 from .lagrangian import check_points, pair_table, takes_series
 from .series import basis_values
 
@@ -200,11 +200,8 @@ class SupportStack(_Support):
     def push(self, log_weight, shift) -> list:
         """``push_forward`` of every start: one measure per index, in C order,
         of the leading axes of log-weights (..., N) and shifts (..., N, m)."""
-        with np.errstate(over="raise"):
-            try:
-                factors = np.exp(log_weight)
-            except FloatingPointError as exc:
-                raise NumericalFailure("overflow in exp of log-weight field") from exc
+        with overflow_fails("exp of log-weight field"):
+            factors = np.exp(log_weight)
         new_pts = self.points + shift
         new_wts = self.weights * factors
         if not np.all(np.isfinite(new_pts)) or not np.all(np.isfinite(new_wts)):

@@ -2,9 +2,10 @@
 
 Each runner takes its scenario config and the output directory and returns
 one stage as (name, data, files written); ``cli.run_config`` turns it into
-the stage record of the report.  The mixing stages, the only random draw,
-read the run's seed from ``config["seed"]``.  Plot output is data-only CSV
-for external tooling.
+the stage record of the report.  An unknown config key is a ConfigError;
+each runner takes the run's seed, ``config["seed"]``, which only the mixing
+stages, the only random draw, read.  Plot output is data-only CSV for
+external tooling.
 """
 
 from __future__ import annotations
@@ -65,7 +66,10 @@ def _array(value, what, ndim=None) -> np.ndarray:
                              for v in arr.flat):
         kind = "a number" if ndim == 0 else "a regular array of numbers"
         raise ConfigError(f"{what} must be {kind}{f' ({ndim}-D)' if ndim else ''}, got {value!r}")
-    return arr.astype(float)
+    try:
+        return arr.astype(float)
+    except OverflowError:  # an integer too large for a float
+        raise ConfigError(f"{what} must be finite, got a number too large for a float") from None
 
 
 def _number(config, key, default, what) -> float:
@@ -97,6 +101,7 @@ def quartic_two_point_base():
 
 
 def run_example52_fragmentation(config, outdir: Path):
+    _object(config, "example52-fragmentation", ("lambda", "seed"))
     lam = _number(config, "lambda", 0.1, "example52-fragmentation")
     scen = fragmentation.example52_scenario()
     frag = fragmentation.fragment_measure(scen.measure, scen.ansatz, lam)
@@ -140,6 +145,7 @@ def run_example52_fragmentation(config, outdir: Path):
 def _run_expansion(name, make_base, model, deviation, config, outdir: Path):
     """Order-scaling study of ``model`` around the critical ``make_base()``
     along ``deviation``, written as stage ``name``."""
+    _object(config, name, ("orders", "lambda_grid", "seed"))
     base = make_base()  # a measure per run: its pair tables must not outlive it
     lag = build_lagrangian(model)
     nu = calibrate_nu(base, lag)
@@ -163,6 +169,7 @@ def _run_expansion(name, make_base, model, deviation, config, outdir: Path):
 
 
 def _run_mixing(L, config, outdir: Path):
+    _object(config, f"mixing-L{L}", ("restarts", "seed"))
     restarts = config.get("restarts", 50)
     seed = integer(config.get("seed", 0), 0, f"mixing-L{L}: seed", ConfigError)
     val, U, trace = mixing.minimize_mixing(L, restarts=restarts, seed=seed)
@@ -174,6 +181,7 @@ def _run_mixing(L, config, outdir: Path):
 
 
 def run_cfs_two_point(config, outdir: Path):
+    _object(config, "cfs-two-point", ("trace_constant", "kappa", "b", "seed"))
     params = CfsParams(2, 1, _number(config, "trace_constant", 1.0, "cfs-two-point"),
                        _number(config, "kappa", 0.1, "cfs-two-point"))
     x1, x2 = swap_symmetric_pair(params, b=_number(config, "b", 0.25, "cfs-two-point"))

@@ -73,6 +73,15 @@ def test_expectation_on_a_missing_path_fails_with_its_error(tmp_path):
         {"path": "missing", "ok": False, "error": "'missing'"}]
 
 
+def test_expectation_on_an_integer_too_large_for_a_float_fails_with_its_error(tmp_path):
+    config = {"schema_version": 1, "expectations": [
+        {"path": "schema_version", "op": "le", "value": 10 ** 400}]}
+    report, code = run_config(config, out=str(tmp_path))
+    assert code == 1 and report["passed"] is False
+    assert report["expectations"] == [
+        {"path": "schema_version", "ok": False, "error": "int too large to convert to float"}]
+
+
 def test_run_inline_expansion(tmp_path):
     t = 2.0 * math.sqrt(2.0)
     config = {
@@ -244,6 +253,8 @@ def test_strict_slope_constant_column_after_checks():
      "ConfigError: well_scale must be a finite number"),
     ({"name": "pair_distance", "params": {"distance": float("inf")}},
      "ConfigError: distance must be a finite number"),
+    ({"name": "pair_distance", "params": {"distance": 10 ** 400}},  # no float holds it
+     "ConfigError: distance must be a finite number"),
     ({"name": "cfs", "params": {"hilbert_dim": "abc"}},
      "ConfigError: hilbert_dim must be an integer >= 1"),
     ({"name": "cfs", "params": {"max_order": 1.7}}, "ConfigError: max_order must be an integer >= 1"),
@@ -251,7 +262,8 @@ def test_strict_slope_constant_column_after_checks():
     ({"name": "quartic_pair", "params": {"well_scal": 3}},
      "ConfigError: quartic_pair reads no parameters ['well_scal']"),
 ], ids=["unknown-name", "dim-0", "dim-1.5", "dim-2.0", "well-scale-text", "distance-inf",
-        "hilbert-dim-text", "max-order-1.7", "kappa-text", "unknown-param"])
+        "distance-huge-int", "hilbert-dim-text", "max-order-1.7", "kappa-text",
+        "unknown-param"])
 def test_cli_run_reports_bad_model_config(tmp_path, capsys, model, error):
     config = {"schema_version": 1, "measure": {"points": [[1.0], [-1.0]], "weights": [1.0, 1.0]},
               "lagrangian": model}
@@ -410,10 +422,20 @@ _T = 2.0 * math.sqrt(2.0)
     ({"measure": {"points": [[_T], [-_T]], "weights": [1.0, 1.0]},
       "lagrangian": {"name": "quartic_pair"}, "nu": float("inf")},
      "ConfigError: setup: nu must be a finite number"),
+    # JSON integer literals that no float holds
+    ({"scenario": "cfs-two-point", "scenario_config": {"b": 10 ** 400}},
+     "ConfigError: cfs-two-point: b must be finite"),
+    ({"measure": {"points": [[10 ** 400], [-_T]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": "quartic_pair"}}, "ConfigError: measure.points must be finite"),
+    ({"measure": {"points": [[_T], [-_T]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": "quartic_pair"},
+      "expansion": {"order": 1, "lambda_grid": [10 ** 400, 0.1]}},
+     "ConfigError: expansion: lambda_grid must be finite"),
 ], ids=["lambda-text", "lambda-bool", "b-text", "kappa-list", "trace-constant-null",
         "deviation-c-text", "deviation-F-ragged", "points-ragged", "restarts-text",
         "restarts-float", "trace-constant-inf", "b-nan", "b-inf", "trace-constant-1e308",
-        "trace-constant-1e100", "trace-constant-1e20", "b-zero", "nu-inf"])
+        "trace-constant-1e100", "trace-constant-1e20", "b-zero", "nu-inf", "b-huge-int",
+        "point-huge-int", "lambda-grid-huge-int"])
 def test_run_reports_non_numeric_config_values(tmp_path, config, error):
     report, code = run_config({"schema_version": 1, **config}, out=str(tmp_path))
     assert code == 1
@@ -542,6 +564,20 @@ def test_stage_value_the_old_schema_rejected_ends_in_error_report(tmp_path, conf
     assert report["status"] == "error" and report["passed"] is False
     assert report["stages"][-1]["error"].startswith(error)
     assert json.loads((tmp_path / "report.json").read_text())["status"] == "error"
+
+
+@pytest.mark.parametrize("scenario, scenario_config", [
+    ("mixing-L2", {"restart": 5}), ("example52-expansion", {"order": [3]}),
+    ("cfs-two-point", {"kapa": 0.5}), ("example52-fragmentation", {"lam": 0.5}),
+], ids=["mixing", "expansion", "cfs", "fragmentation"])
+def test_scenario_rejects_an_unknown_config_key(tmp_path, scenario, scenario_config):
+    # a typo must not run the defaults and pass
+    report, code = run_config({"schema_version": 1, "scenario": scenario,
+                               "scenario_config": scenario_config}, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error" and report["passed"] is False
+    assert report["stages"][-1]["error"] == (
+        f"ConfigError: {scenario}: missing keys [], unknown keys {list(scenario_config)}")
 
 
 @pytest.mark.parametrize("seed", ["abc", 2.7, True, -1])

@@ -20,7 +20,9 @@ BAD_INTEGERS = pytest.mark.parametrize("value", [
         "text", "none"])
 BAD_REALS = pytest.mark.parametrize("value", [
     True, math.nan, math.inf, -math.inf, [[0.1, 0.2], [0.3, 0.4]], [0.1, 0.1], "0.1", None,
-], ids=["bool", "nan", "inf", "minus-inf", "2-D-grid", "repeated-grid", "text", "none"])
+    10 ** 400,  # a JSON integer literal that no float holds
+], ids=["bool", "nan", "inf", "minus-inf", "2-D-grid", "repeated-grid", "text", "none",
+        "huge-int"])
 API_AND_CONFIG = pytest.mark.parametrize("error", [ArgError, ShapeError, ConfigError])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from cvpert import build_lagrangian, lagrangian
+from cvpert import build_lagrangian
 from cvpert.errors import OrderUnsupported
 from cvpert.lagrangian import NumericLagrangian, PolynomialLagrangian, numeric_partial
 
@@ -157,8 +157,9 @@ def test_partials_are_not_shared_across_models(compiles):
         for build in builds:
             lag = build()
             assert partial_values(lag, 3) == pytest.approx(sympy_values(lag, 3), rel=1e-12)
-    # the rebuilds found their own compiled code, not another model's
-    assert compiles == []
+    # the builtin rebuilds compile nothing; the user model compiles only its
+    # own expression, its values, never another model's code
+    assert compiles == [lag.expr]
 
 
 def test_fresh_model_cache_holds_only_its_own_partials(compiles):
@@ -171,16 +172,14 @@ def test_fresh_model_cache_holds_only_its_own_partials(compiles):
     assert compiles == []
 
 
-def test_compiled_partial_memo_is_bounded(compiles):
-    # a parameter sweep adds partials past the bound; the memo drops the
-    # oldest, and a live model keeps the partials it already compiled
+def test_live_model_keeps_its_compiled_partials(compiles):
+    # a non-polynomial model compiles a partial on first use and reuses it
     x0, y0 = sp.symbols("x0 y0", real=True)
     x, y = np.array([0.5]), np.array([-0.25])
-    first = PolynomialLagrangian("sweep", 1, x0 * y0, (x0,), (y0,))
-    assert first.partial(x, y, (1,), (1,)) == 1.0
-    for k in range(lagrangian.COMPILED_PARTIALS + 1):
-        PolynomialLagrangian("sweep", 1, x0 * y0 + k, (x0,), (y0,)).partial(x, y, (0,), (0,))
-    assert lagrangian._compiled_partial.cache_info().currsize <= lagrangian.COMPILED_PARTIALS
+    lag = PolynomialLagrangian("live", 1, sp.exp(x0 * y0), (x0,), (y0,))
+    first = lag.partial(x, y, (1,), (1,))
+    assert first == pytest.approx((1.0 + x[0] * y[0]) * np.exp(x[0] * y[0]), rel=1e-14)
+    assert len(compiles) == 1
     compiles.clear()
-    assert first.partial(x, y, (1,), (1,)) == 1.0
+    assert lag.partial(x, y, (1,), (1,)) == first
     assert compiles == []

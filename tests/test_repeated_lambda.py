@@ -1,15 +1,17 @@
 """A lambda grid without two distinct values fixes no log-log slope: every
 grid reader raises the fit's DegenerateFit before it assembles anything.
 ``residual_slope`` raises it for a lambda <= 0 too, before any
-reconstruction."""
+reconstruction, and ``fragment_expand_study`` raises ArgError for a lambda
+<= 0 or a grid that is not 1-D before any sweep."""
 
 import numpy as np
 import pytest
 
 from cvpert import expansion, fragmentation
-from cvpert.errors import DegenerateFit
+from cvpert.errors import ArgError, DegenerateFit
 from cvpert.expansion import PerturbationSeries, order_scaling_slopes, residual_slope
-from cvpert.fragmentation import example52_scenario, wellposedness_check
+from cvpert.fragmentation import (FragmentationAnsatz, Scenario, example52_scenario,
+                                  fragment_expand_study, wellposedness_check)
 from cvpert.jets import Jet
 from cvpert.lagrangian import build_lagrangian
 from cvpert.measure import DiscreteMeasure
@@ -61,6 +63,23 @@ def test_wellposedness_rejects_repeated_lambda_first(monkeypatch, grid):
     monkeypatch.setattr(fragmentation.linops, "_pointwise_blocks", refuse)
     with pytest.raises(DegenerateFit, match=MESSAGE):
         wellposedness_check(scen)
+
+
+@pytest.mark.parametrize("grid, error, message", [
+    ([0.0, 0.05, 0.1], ArgError, "finite numbers > 0"),
+    ([0.1, -0.1, 0.2], ArgError, "finite numbers > 0"),
+    ([[0.1, 0.2]], ArgError, "finite numbers > 0"),
+    ([0.05] * 3, DegenerateFit, MESSAGE),
+], ids=["zero", "negative", "2-D", "repeated"])
+def test_fragment_expand_study_rejects_a_bad_grid_first(monkeypatch, quartic_pair, quartic_base,
+                                                        grid, error, message):
+    # one subsystem: no well-posedness check reads the grid first
+    mean = Jet(np.array([0.1, -0.1]), np.array([[0.2], [0.1]]))
+    scen = Scenario("one", quartic_base, quartic_pair, 0.0,
+                    FragmentationAnsatz(np.array([1.0]), 1.0, 1.0, mean), grid)
+    monkeypatch.setattr(fragmentation, "fragment_expand", refuse)
+    with pytest.raises(error, match=message):
+        fragment_expand_study(scen, 1)
 
 
 def test_two_distinct_lambdas_still_fit():

@@ -150,6 +150,8 @@ ROWS = [
         example52_scenario().measure, ansatz(q=1.5), -0.05), ArgError),
     ("fragment_measure/nan-lambda", lambda: fragment_measure(
         example52_scenario().measure, ansatz(), np.nan), ArgError),
+    ("fragment_measure/overflow", lambda: fragment_measure(
+        example52_scenario().measure, ansatz(q=3), 1e120), NumericalFailure),
     ("Scenario/ansatz-not-an-ansatz", lambda: Scenario(
         "s", PAIR, PLANE, 0.0, 2, example52_scenario().ansatz), ArgError),
     ("Scenario/ansatz-off-support", lambda: Scenario(
