@@ -11,7 +11,9 @@ Three backends are supplied:
   with its coefficients.  The basis is evaluated once per point set,
   V = basis_values(U, X) on plain or on truncated-series coordinates
   (``series``), and each table over all pairs of points is the gathered
-  sum (V[ix] c)^T V[iy], never a dense product with U.  The built-in
+  sum (V[ix] c)^T V[iy], never a dense product with U; the partials of a
+  list that share a term count are gathered by one contraction
+  (``gathered_sums``), and a partial without terms is zero.  The built-in
   polynomial models build their tables in numpy; a user's sympy
   polynomial is converted once;
 * any other sympy expression, whose partials are differentiated and
@@ -60,8 +62,8 @@ def _sympy():
 def _multi_indices(lag, alpha, beta) -> tuple:
     """(alpha, beta) as tuples, after checking that they are multi-indices of
     the model's dimension whose total order the model provides."""
-    alpha, beta = (tuple(int(k) for k in a) for a in (alpha, beta))
-    if any(len(a) != lag.dim or any(k < 0 for k in a) for a in (alpha, beta)):
+    alpha, beta = tuple(map(int, alpha)), tuple(map(int, beta))
+    if len(alpha) != lag.dim or len(beta) != lag.dim or min(alpha + beta, default=0) < 0:
         raise ShapeError(f"bad multi-indices {alpha}, {beta} for dimension {lag.dim}")
     if sum(alpha) + sum(beta) > lag.max_order:
         raise OrderUnsupported(f"{lag.name}: order {sum(alpha) + sum(beta)} exceeds "
@@ -133,7 +135,9 @@ class PolynomialLagrangian(LagrangianModel):
     falling-factorial coefficients, held as the rows of its x and y
     monomials in ``basis`` (U x m: every exponent vector below a term's x or
     y exponents, sorted by mixed-radix code) and built once per partial into
-    ``_cache``.  A non-polynomial expression compiles each partial through
+    ``_cache``; the terms of a list of partials, grouped by term count for
+    ``gathered_sums``, are built once per list into ``_batches``.  A
+    non-polynomial expression compiles each partial through
     ``_compiled_partial`` into ``_cache``; ``is_polynomial`` is then False
     and the model cannot take truncated series.
     """
@@ -142,7 +146,7 @@ class PolynomialLagrangian(LagrangianModel):
         super().__init__(name, dim, max_order, nonnegative)
         self._symbolic = (expr, tuple(xs), tuple(ys))
         self._value_fn = None  # compiled on first use
-        self._cache = {}
+        self._cache, self._batches = {}, {}
         self.is_polynomial = bool(expr.is_polynomial(*xs, *ys))
         if self.is_polynomial:
             terms = _sympy().Poly(expr, *xs, *ys).terms()
@@ -159,7 +163,7 @@ class PolynomialLagrangian(LagrangianModel):
         LagrangianModel.__init__(lag, name, dim, nonnegative=nonnegative)
         lag._symbolic = None  # written from the table on first use
         lag._value_fn = value
-        lag._cache = {}
+        lag._cache, lag._batches = {}, {}
         lag.is_polynomial = True
         expansion = value(*_Expansion.variables(2 * dim))
         lag._set_table(expansion.exponents, expansion.coefs)
@@ -201,91 +205,146 @@ class PolynomialLagrangian(LagrangianModel):
         return self._value_fn
 
     def _partial(self, alpha, beta):
-        """The partial's terms (ix, iy, c) for a polynomial, the rows of its x
-        and y monomials in ``basis`` and its coefficients, its compiled code
-        otherwise; built once per instance."""
+        """The partial's terms (ix, iy, c) for a polynomial (``_shift``), its
+        compiled code otherwise; built once per instance into ``_cache``."""
         key = (alpha, beta)
-        found = self._cache.get(key)
-        if found is None:
+        if key not in self._cache:
             if self.is_polynomial:
-                shift = np.array(alpha + beta)
-                keep = np.all(self._exponents >= shift, axis=1)
-                rows = self._exponents[keep]
-                coefs = self._coefs[keep] * np.prod(self._falling[rows, shift], axis=1)
-                codes = (rows - shift).reshape(-1, 2, self.dim) @ self._place
-                ix, iy = np.searchsorted(self._codes, codes.T)
-                found = (ix, iy, coefs)
+                self._shift([key])
             else:
-                found = _compiled_partial(*self._symbols(), alpha, beta)
-            self._cache[key] = found
+                self._cache[key] = _compiled_partial(*self._symbols(), alpha, beta)
+        return self._cache[key]
+
+    def _shift(self, partials) -> None:
+        """Build the terms (ix, iy, c) of each partial (alpha, beta) of the
+        polynomial into ``_cache``: the rows of its x and y monomials in
+        ``basis`` and its coefficients, from the table shifted by (alpha,
+        beta) for all the partials at once."""
+        shift = np.array([alpha + beta for alpha, beta in partials])
+        lowered = self._exponents - shift[:, None]  # (partial, term, slot)
+        keep = (lowered >= 0).all(axis=2)
+        k, t = keep.nonzero()  # the kept terms, partial by partial
+        rows = self._exponents[t]
+        coefs = self._coefs[t] * self._falling[rows, shift[k]].prod(axis=1)
+        ix, iy = self._codes.searchsorted((lowered[k, t].reshape(-1, 2, self.dim)
+                                           @ self._place).T)
+        ends = keep.sum(axis=1).cumsum().tolist()
+        for key, start, end in zip(partials, [0] + ends, ends):
+            self._cache[key] = (ix[start:end], iy[start:end], coefs[start:end])
+
+    def _groups(self, partials) -> list:
+        """(rows, ix, iy, coefs) for each term count T of the polynomial's
+        partials: the positions in ``partials`` of those with T terms and
+        their terms (``_shift``) stacked, each (G, T); partials without
+        terms are in no group.  Built once per tuple of partials."""
+        found = self._batches.get(partials)
+        if found is None:
+            new = [p for p in dict.fromkeys(partials) if p not in self._cache]
+            if new:
+                self._shift(new)
+            terms = [self._cache[p] for p in partials]
+            counts = [len(coefs) for _, _, coefs in terms]
+            found = []
+            for count in sorted(set(counts) - {0}):
+                rows = [k for k, c in enumerate(counts) if c == count]
+                found.append((rows, *map(np.array, zip(*(terms[k] for k in rows)))))
+            self._batches[partials] = found
         return found
 
-    def gathered_sum(self, alpha, beta, VX, VY):
-        """(..., n, n', K) series of the partial at every pair of points whose
-        basis values are VX (..., U, n, K) and VY (..., U, n', K): the sum over
-        its terms c_t VX[ix_t, i] VY[iy_t, j], gathered from the values, never
-        a dense product with the basis.  The model must be a polynomial."""
-        ix, iy, coefs = self._partial(alpha, beta)
-        return cauchy_matmul(VX[..., ix, :, :] * coefs[:, None, None], VY[..., iy, :, :])
+    def gathered_sums(self, partials, VX, VY) -> list:
+        """The (..., n, n', K) series of each partial (alpha, beta) at every
+        pair of points whose basis values are VX (..., U, n, K) and VY (..., U,
+        n', K): the sum over its terms c_t VX[ix_t, i] VY[iy_t, j], gathered
+        from the values, never a dense product with the basis.  The partials
+        with one term count share one ``cauchy_matmul`` on a partial axis; the
+        partials without terms share one zero array, with no product.  The
+        model must be a polynomial."""
+        zero = np.zeros(VX.shape[:-3] + (VX.shape[-2], VY.shape[-2], VX.shape[-1]))
+        sums = [zero] * len(partials)
+        for rows, ix, iy, coefs in self._groups(tuple(partials)):
+            group = cauchy_matmul(VX[..., ix, :, :] * coefs[..., None, None], VY[..., iy, :, :])
+            for g, k in enumerate(rows):
+                sums[k] = group[..., g, :, :, :]
+        return sums
 
-    def _table(self, X, Y, alpha, beta, values=None) -> np.ndarray:
-        """(..., n, n') table of the partial at the rows of X and Y; ``values``
-        are their basis values (VX, VY) if the caller keeps them."""
-        order_zero = not any(alpha) and not any(beta)
-        if self.is_polynomial and not order_zero:
+    def _tables(self, X, Y, partials, values=None) -> np.ndarray:
+        """(P, ..., n, n') tables of the P partials at the rows of X and Y.  A
+        polynomial gathers those of order >= 1 in one ``gathered_sums`` from
+        the basis values (VX, VY) of X and Y, ``values`` if the caller keeps
+        them; values (order 0) come from the factored form, and the partials
+        of a non-polynomial expression from their compiled code."""
+        gathered = [self.is_polynomial and any(map(any, p)) for p in partials]
+        if any(gathered):
             if values is None:
                 VX = basis_values(self.basis, X[..., None])
                 values = VX, VX if Y is X else basis_values(self.basis, Y[..., None])
-            return self.gathered_sum(alpha, beta, *values)[..., 0]
-        fn = self._values() if order_zero else self._partial(alpha, beta)
-        table = np.empty(X.shape[:-1] + Y.shape[-2:-1])
-        table[...] = fn(*(X[..., :, None, k] for k in range(self.dim)),
-                        *(Y[..., None, :, k] for k in range(self.dim)))
-        return table
+            sums = iter(self.gathered_sums([p for p, g in zip(partials, gathered) if g],
+                                           *values))
+        tables = np.empty((len(partials),) + X.shape[:-1] + Y.shape[-2:-1])
+        for table, (alpha, beta), g in zip(tables, partials, gathered):
+            if g:
+                table[...] = next(sums)[..., 0]
+            else:
+                fn = self._partial(alpha, beta) if any(alpha) or any(beta) else self._values()
+                table[...] = fn(*(X[..., :, None, k] for k in range(self.dim)),
+                                *(Y[..., None, :, k] for k in range(self.dim)))
+        return tables
 
     def __call__(self, x, y) -> float:
         return float(self._values()(*np.asarray(x, float), *np.asarray(y, float)))
 
     def partial(self, x, y, alpha, beta) -> float:
         alpha, beta = _multi_indices(self, alpha, beta)
-        return float(self._table(np.asarray(x, float)[None], np.asarray(y, float)[None],
-                                 alpha, beta)[0, 0])
+        return float(self._tables(np.asarray(x, float)[None], np.asarray(y, float)[None],
+                                  [(alpha, beta)])[0, 0, 0])
 
 
-def pair_table(lag, X, Y, alpha, beta, values=None) -> np.ndarray:
-    """Table T[i, j] = d^alpha_x d^beta_y L(X[i], Y[j]) over all pairs of rows;
-    X and Y may carry equal leading stack axes, one table per index.
+def pair_tables(lag, X, Y, partials, values=None) -> np.ndarray:
+    """Tables T[k, i, j] = d^alpha_x d^beta_y L(X[i], Y[j]) of the partials
+    (alpha, beta) over all pairs of rows, stacked on a leading axis in the
+    order given; X and Y may carry equal leading stack axes, one table per
+    partial and index.
 
-    A polynomial model gathers a partial of order >= 1 from the basis values
-    of X and Y (the K = 1 case of ``pair_series``); ``values`` are those
-    values (VX, VY) when the caller keeps them, as a measure's tables do
+    A polynomial model gathers its partials of order >= 1 together from the
+    basis values of X and Y (``PolynomialLagrangian.gathered_sums``, the
+    K = 1 case of ``pair_series``); ``values`` are those values (VX, VY)
+    when the caller keeps them, as a measure's tables do
     (``measure.pair_reader``), and they are evaluated here otherwise.
     Values, and the partials of a non-polynomial expression, are evaluated
-    once on broadcast coordinates, from the factored form or the compiled
-    code.  Any other model (finite differences, charted or duck-typed) loops
-    over the pairs, calling L itself for order zero and ``partial``
-    otherwise, start by start; that loop is also the reference for the
-    vectorized path.  Raises NumericalFailure on a non-finite entry.
+    once per partial on broadcast coordinates, from the factored form or the
+    compiled code.  Any other model (finite differences, charted or
+    duck-typed) loops over the pairs, calling L itself for order zero and
+    ``partial`` otherwise, start by start; that loop is also the reference
+    for the vectorized path.  Raises NumericalFailure on a non-finite entry.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     check_points(lag, X, Y)
-    alpha, beta = _multi_indices(lag, alpha, beta)
+    partials = [_multi_indices(lag, alpha, beta) for alpha, beta in partials]
     if X.ndim > 2 and not isinstance(lag, PolynomialLagrangian):
-        return np.array([pair_table(lag, x, y, alpha, beta) for x, y in zip(X, Y)])
-    table = np.empty(X.shape[:-1] + Y.shape[-2:-1])
+        return np.stack([pair_tables(lag, x, y, partials) for x, y in zip(X, Y)], axis=1)
     if isinstance(lag, PolynomialLagrangian):
         with np.errstate(all="ignore"):
-            table[...] = lag._table(X, Y, alpha, beta, values)
-    elif not any(alpha) and not any(beta):
-        table[...] = [[lag(x, y) for y in Y] for x in X]
+            tables = lag._tables(X, Y, partials, values)
     else:
-        table[...] = [[lag.partial(x, y, alpha, beta) for y in Y] for x in X]
-    if not np.isfinite(table).all():
-        *g, i, j = np.argwhere(~np.isfinite(table))[0]
+        tables = np.empty((len(partials),) + X.shape[:-1] + Y.shape[-2:-1])
+        for table, (alpha, beta) in zip(tables, partials):
+            if not any(alpha) and not any(beta):
+                table[...] = [[lag(x, y) for y in Y] for x in X]
+            else:
+                table[...] = [[lag.partial(x, y, alpha, beta) for y in Y] for x in X]
+    if not np.isfinite(tables).all():
+        k, *g, i, j = np.argwhere(~np.isfinite(tables))[0]
+        alpha, beta = partials[k]
         raise NumericalFailure(f"{lag.name}: partial {alpha}, {beta} not finite at pair",
                                pair=(X[(*g, i)], Y[(*g, j)]))
-    return table
+    return tables
+
+
+def pair_table(lag, X, Y, alpha, beta, values=None) -> np.ndarray:
+    """Table T[i, j] = d^alpha_x d^beta_y L(X[i], Y[j]): the one-partial case
+    of ``pair_tables``."""
+    return pair_tables(lag, X, Y, [(alpha, beta)], values)[0]
 
 
 def takes_series(lag) -> bool:
@@ -308,7 +367,7 @@ def pair_series(lag: PolynomialLagrangian, X, Y, alpha, beta) -> TruncatedSeries
     with np.errstate(all="ignore"):
         VX = basis_values(lag.basis, X)
         VY = VX if Y is X else basis_values(lag.basis, Y)
-        return TruncatedSeries(lag.gathered_sum(alpha, beta, VX, VY))
+        return TruncatedSeries(lag.gathered_sums([(alpha, beta)], VX, VY)[0])
 
 
 def fd_step(total_order: int) -> float:

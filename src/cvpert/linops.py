@@ -15,7 +15,8 @@ subsets of its arguments (Griewank, Utke and Walther, Math. Comp. 69
 curve once and folds the mass into the y side before the sum over the
 support; any other model gets the exact Taylor lift of the curve from its
 partial tables at lambda = 0, the measure's own
-(``DiscreteMeasure.pair_tables``).
+(``DiscreteMeasure.pair_tables``).  ``assemble_delta`` reads all (1+m)^2
+slot-block tables of Delta in one read of that reader.
 The composition sum of polarized Delta_l only fills the diagram ledger.
 
 Two conventions are supported.  "standard" carries the scalar component on
@@ -124,7 +125,8 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, gradient):
     V = basis_values(x), and folds the mass m_j = w_j e^{c_j} in on the y
     side first, Vm[u] = sum_j V[u, j] m_j, so each support sum
         sum_j d^alpha_x L(x_i, x_j) m_j = sum_t c_t V[ix_t, i] Vm[iy_t]
-    is K matrix products over the n points, with no (n, n, K) table.  Any
+    is K matrix products over the n points, with no (n, n, K) table, and
+    the value and gradient sums are gathered in one ``gathered_sums``.  Any
     other model gets the exact Taylor lift
         sum_{|g|+|d|<K} d^{alpha+g}_x d^d_y L(x_i(0), x_j(0)) dx_i^g dx_j^d / (g! d!)
     with dx = x - x(0), from the measure's partial tables at lam = 0, with
@@ -141,8 +143,9 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, gradient):
             # contiguous, so that cauchy_matmul hands BLAS its usual layout
             Vm = cauchy_matmul(np.ascontiguousarray(V.swapaxes(-3, -2)), mass[..., None, :])
 
-            def support_sum(alpha):
-                return lagrangian.gathered_sum(alpha, zero, V, Vm)[..., 0, :]
+            def support_sums(alphas):
+                return [s[..., 0, :] for s in lagrangian.gathered_sums([(a, zero) for a in alphas],
+                                                                       V, Vm)]
         else:
             lifts = [tuple(slots.count(s) for s in range(2 * m)) for k in range(K)
                      for slots in combinations_with_replacement(range(2 * m), k)]
@@ -153,12 +156,12 @@ def _weak_el_coefficient(lagrangian, measure, nu, convention, c, x, gradient):
             dms = _cauchy(ds, mass)
             table = measure.pair_tables(lagrangian)
 
-            def support_sum(alpha):
-                return sum(_cauchy(g, table(tuple(map(add, alpha, idx[:m])), idx[m:]) @ dm)
-                           / math.prod(map(math.factorial, idx))
-                           for idx, g, dm in zip(lifts, gs, dms))
-        alphas = [zero] + (np.eye(m, dtype=int).tolist() if gradient else [])
-        parts = [TruncatedSeries(support_sum(tuple(a))) for a in alphas]
+            def support_sums(alphas):
+                return [sum(_cauchy(g, table(tuple(map(add, alpha, idx[:m])), idx[m:]) @ dm)
+                            / math.prod(map(math.factorial, idx))
+                            for idx, g, dm in zip(lifts, gs, dms)) for alpha in alphas]
+        alphas = [zero] + ([tuple(e) for e in np.eye(m, dtype=int).tolist()] if gradient else [])
+        parts = [TruncatedSeries(s) for s in support_sums(alphas)]
         if convention == "standard":
             parts = [growth * (parts[0] - nu / 2.0)] + [growth * g for g in parts[1:]]
     return np.stack([s.coef[..., -1] for s in parts], axis=-1)
@@ -370,16 +373,18 @@ def _by_eigh(M):
 def _pointwise_blocks(weights, lagrangian, nu, convention, table):
     """Unweighted pointwise row blocks of the linearized operator on a
     support with the given weights (..., N), from the pair tables of L and
-    its partials that ``table(alpha, beta)`` reads on that support; the
-    diagonal blocks add ell, grad ell and Hess ell (``ell_field``)."""
+    its partials that the reader ``table`` reads on that support, all
+    (1+m)^2 slot blocks in one read (``table.tables``); the diagonal blocks
+    add ell, grad ell and Hess ell (``ell_field``)."""
     n, m = weights.shape[-1], lagrangian.dim
     ells, grads, hessians = ell_field(lagrangian, nu, weights, table, order=2)
     slots = [(0,) * m] + [tuple(e) for e in np.eye(m, dtype=int).tolist()]
     # A[i, s, j, t] = w_j d^s_x d^t_y L(x_i, x_j): row slot s at point i, column
     # slot t at point j, slot 0 the zero multi-index
+    T = np.array(table.tables(list(product(slots, repeat=2))))  # (s t, ..., i, j)
     A = np.empty(weights.shape[:-1] + (n, 1 + m, n, 1 + m))
-    for (s, alpha), (t, beta) in product(enumerate(slots), repeat=2):
-        A[..., :, s, :, t] = weights[..., None, :] * table(alpha, beta)
+    np.multiply(weights[..., None, None, :, None],
+                np.moveaxis(T.reshape((1 + m, 1 + m) + T.shape[1:]), (0, 1), (-3, -1)), out=A)
     diagonal = np.einsum("...iaib->...iab", A)  # a writeable view of the (i, i) blocks
     if convention == "standard":  # in breve the x-slot scalar of the argument does not act
         diagonal[..., 0, 0] += ells

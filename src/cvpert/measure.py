@@ -3,8 +3,11 @@
 Integrals against the measure are weighted sums over the support.  Points
 within ``TOL_POINT_MERGE`` (max norm, chart units) are close; a support has
 no close pair.  ``merge_close`` merges each chain of close points (a~b, b~c,
-a not~ c) into its lowest-index point, whatever the input order.  A
-``SupportStack`` holds measures of one support size on a leading axis.
+a not~ c) into its lowest-index point, whatever the input order; the
+search for close pairs sorts by a projection on a fixed generic direction
+(``close_pairs``).  A ``SupportStack`` holds measures of one support size
+on a leading axis.  A pair reader (``pair_reader``) reads the pair tables of
+a model and its partials on a support, a list of partials at a time.
 """
 
 from __future__ import annotations
@@ -16,25 +19,47 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidMeasure, NumericalFailure, ShapeError, overflow_fails
-from .lagrangian import check_points, pair_table, takes_series
+from .lagrangian import check_points, pair_table, pair_tables, takes_series
 from .series import basis_values
 
 TOL_POINT_MERGE = 1e-9
+_EPS = float(np.finfo(float).eps)
+
+
+@cache
+def _sort_direction(m: int) -> np.ndarray:
+    """The square roots of the first m primes: linearly independent over the
+    rationals, so distinct points of a lattice in any m coordinates project
+    to distinct keys."""
+    primes: list = []
+    k = 2
+    while len(primes) < m:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return np.sqrt(primes)
 
 
 def close_pairs(points) -> np.ndarray:
     """Lexicographically sorted index pairs (i, j), i < j, of close points.
 
-    Sorts along the widest axis; ``searchsorted`` finds each window (2 * tol
-    wide, so rounding never drops a pair), then candidates are checked on all axes.
+    Sorts by the projection key p . u on a fixed generic direction u
+    (``_sort_direction``), so a lattice support, whose coordinates each
+    take few values, still spreads out; ``searchsorted`` finds each window,
+    then candidates are checked on all axes.  Close points have keys at most
+    tol |u|_1 apart; the window is twice that, plus a bound on the rounding
+    of the keys, so no close pair is dropped at any coordinate size.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         return np.empty((0, 2), dtype=np.intp)
-    axis = np.argmax(np.ptp(pts, axis=0))
-    order = np.argsort(pts[:, axis], kind="stable")
-    key, pos = pts[order, axis], np.arange(len(pts))
-    width = np.searchsorted(key, key + 2 * TOL_POINT_MERGE, side="right") - pos
+    u = _sort_direction(pts.shape[1])
+    keys = pts @ u
+    order = np.argsort(keys, kind="stable")
+    key, pos = keys[order], np.arange(len(pts))
+    # a key's rounding is below (m + 1) eps |p| . u <= (m + 1) eps max|p| |u|_1
+    reach = u.sum() * (2 * TOL_POINT_MERGE + 4 * (len(u) + 1) * _EPS * np.abs(pts).max())
+    width = np.searchsorted(key, key + reach, side="right") - pos
     found = [np.empty((0, 2), dtype=np.intp)]
     if width.max() < 2:  # no window holds a second point
         return found[0]
@@ -72,11 +97,16 @@ def merge_close(points, weights) -> tuple:
 def pair_reader(lagrangian, points):
     """Reader table(alpha, beta) of T[i, j] = d^alpha_x d^beta_y L(p_i, p_j)
     over the rows p of ``points`` (..., n, m), one table per leading index,
-    each table computed by ``pair_table`` on
-    first read.  A model that takes series evaluates its basis on the points
-    once, on the first read of a partial of order >= 1, and gathers every
-    such table from those values; order 0 comes from the factored form."""
+    each table computed on first read.  ``table.tables(partials)`` reads a
+    list of partials (alpha, beta) at once, one table per partial in the
+    order given; a single read is its one-partial case.  A model that takes
+    series evaluates its basis on the points once, on the first read of a
+    partial of order >= 1, and gathers all such partials of one read
+    together from those values (``pair_tables``); values, and the partials
+    of any other model, come from ``pair_table`` one partial at a time."""
     check_points(lagrangian, points)
+    read = {}
+    series = takes_series(lagrangian)
 
     @cache
     def values():
@@ -84,12 +114,25 @@ def pair_reader(lagrangian, points):
             V = basis_values(lagrangian.basis, points[..., None])
         return V, V
 
-    @cache
-    def table(alpha, beta):
-        gathered = takes_series(lagrangian) and (any(alpha) or any(beta))
-        return pair_table(lagrangian, points, points, alpha, beta,
-                          values() if gathered else None)
+    def tables(partials) -> list:
+        gathered = []
+        for p in dict.fromkeys(partials):
+            if p in read:
+                continue
+            if series and any(map(any, p)):
+                gathered.append(p)
+            else:
+                read[p] = pair_table(lagrangian, points, points, *p)
+        if gathered:
+            read.update(zip(gathered, pair_tables(lagrangian, points, points, gathered,
+                                                  values())))
+        return [read[p] for p in partials]
 
+    def table(alpha, beta):
+        key = alpha, beta
+        return read[key] if key in read else tables([key])[0]
+
+    table.tables = tables
     return table
 
 
@@ -99,8 +142,8 @@ class _Support:
     def pair_tables(self, lagrangian):
         """Reader table(alpha, beta) of T[i, j] = d^alpha_x d^beta_y L(x_i, x_j)
         on the support (``pair_reader``), one per model, kept with the
-        measure: a model without series reads each partial once, a
-        polynomial evaluates its basis on the support once."""
+        measure: each partial is read once, and a polynomial evaluates its
+        basis on the support once."""
         if lagrangian not in self._tables:
             self._tables[lagrangian] = pair_reader(lagrangian, self.points)
         return self._tables[lagrangian]

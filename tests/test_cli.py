@@ -683,3 +683,20 @@ def test_cli_unreadable_config_or_output_exits_2(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("restarts", [10 ** 400, 10_001], ids=["10**400", "bound+1"])
+def test_restarts_above_the_bound_end_in_error_report(tmp_path, monkeypatch, restarts):
+    from cvpert import mixing
+
+    def refuse(*args):
+        raise AssertionError("starting points drawn for an out-of-range restart count")
+
+    monkeypatch.setattr(mixing, "_starting_points", refuse)
+    assert restarts > mixing.MAX_RESTARTS
+    report, code = run_config({"schema_version": 1, "scenario": "mixing-L2",
+                               "scenario_config": {"restarts": restarts}}, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["stages"][-1]["error"] == (
+        f"ShapeError: restarts must be at most {mixing.MAX_RESTARTS}")

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +112,49 @@ def test_close_pairs_match_brute_force(rng):
             pts = pts + rng.choice([0.0, 0.6 * TOL, 1.5 * TOL], size=(n, m))
             pts = np.vstack([pts, np.zeros(m), np.eye(m)[-1] * TOL])  # exactly tol apart
             assert [tuple(p) for p in close_pairs(pts)] == brute_close_pairs(pts)
+
+
+def lattice_and_far_supports():
+    """Supports whose coordinates each take few values (lattices), random
+    and clustered ones, and clusters at |x| ~ 1e6, where a chart unit holds
+    few ulps of tol."""
+    rng = np.random.default_rng(17)
+    far = 1e6 * rng.choice([-1.0, 1.0], (8, 3)) * rng.uniform(0.5, 1.0, (8, 3))
+    return {
+        "hypercube": 2.0 * np.sqrt(2.0) * np.array(list(product([-1.0, 1.0], repeat=5))),
+        "grid": np.array(list(product(range(10), repeat=2)), dtype=float),
+        "random": rng.normal(size=(32, 5)),
+        "planted": clustered(3, 12, 3)[0],
+        "far": far[rng.integers(0, 8, 40)] + rng.choice([0.0, 0.6 * TOL, 1.5 * TOL], (40, 3)),
+        "far-lattice": 1e6 + 0.7 * TOL * np.array(list(product(range(6), repeat=2)), dtype=float),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(lattice_and_far_supports()))
+def test_close_pairs_match_brute_force_on_lattices_and_far_points(name):
+    pts = lattice_and_far_supports()[name]
+    want = brute_close_pairs(pts)
+    assert [tuple(p) for p in close_pairs(pts)] == want
+    assert bool(want) == (name in ("planted", "far", "far-lattice"))
+
+
+def test_close_pairs_keep_pairs_whose_rounded_keys_lie_beyond_tol():
+    # at |x| ~ 3e6 a coordinate's ulp is tol / 2: pairs a few ulps apart are
+    # close, and the rounding of their sort keys can put those keys further
+    # apart than tol |u|_1; the 20 such pairs of widest key gap are kept
+    from cvpert.measure import _sort_direction
+
+    rng = np.random.default_rng(23)
+    u = _sort_direction(3)
+    p = 4e6 * rng.uniform(0.5, 1.0, (20000, 3))
+    q = p + rng.integers(-2, 3, p.shape) * np.spacing(p)
+    gap = np.abs(p @ u - q @ u)
+    widest = np.argsort(gap)[-20:]
+    assert gap[widest[0]] > TOL * np.sum(u)
+    pts = np.vstack([p[widest], q[widest]])
+    want = brute_close_pairs(pts)
+    assert len(want) == 20
+    assert [tuple(pair) for pair in close_pairs(pts)] == want
 
 
 def test_points_exactly_tol_apart_coincide():
