@@ -21,19 +21,13 @@ from .lagrangian import LagrangianModel, pair_table
 from .measure import DiscreteMeasure
 
 
-def _check_support(table, weights) -> None:
-    """ShapeError unless the weights (..., N) weigh the trailing support axis
-    of the table."""
-    if table.shape[-1] != weights.shape[-1]:
-        raise ShapeError(f"{weights.shape[-1]} weights for a support of {table.shape[-1]} points")
-
-
 def _integrate(table, weights) -> np.ndarray:
     """sum_j weights_j table[..., j] over the trailing support axis, column by
     column in support order, so a row of the support table equals the
     single-point value; ell is additive in the measure only up to rounding.
     Weights (..., N) of a stack weigh the tables (..., rows, N) start by start."""
-    _check_support(table, weights)
+    if table.shape[-1] != weights.shape[-1]:
+        raise ShapeError(f"{weights.shape[-1]} weights for a support of {table.shape[-1]} points")
     total = np.zeros(table.shape[:-1])
     for j in range(weights.shape[-1]):
         total += weights[..., j, None] * table[..., j]
@@ -50,20 +44,18 @@ def ell_field(lagrangian, nu, weights, table, order=1) -> tuple:
     (ell, grad ell) or (ell, grad ell, Hess ell) at every row X_i that
     ``table(alpha, beta)`` reads, the reader of d^alpha_x d^beta_y L(X_i, y_j)
     against a support y_j with the given weights (coincident or massless
-    points allowed), one field per start of a stack.  The value table is read
-    first, and checked against the weights; the tables d^alpha_x L,
-    1 <= |alpha| <= order, follow in one read (``table.tables``), and all
-    are stacked and summed over the support once (``_integrate``)."""
+    points allowed), one field per start of a stack.  The tables d^alpha_x L,
+    |alpha| <= order, are read together (``table.tables``; a reader without
+    it, any callable, one by one), stacked and summed over the support once
+    (``_integrate``)."""
     m = lagrangian.dim
     zero = (0,) * m
     units = [tuple(e) for e in np.eye(m, dtype=int).tolist()]
     pairs = [(a, b) for a in range(m) for b in range(a, m)] if order == 2 else []
-    alphas = units[:m * order] + [tuple(map(add, units[a], units[b])) for a, b in pairs]
-    stack = [table(zero, zero)]
-    _check_support(stack[0], weights)
-    if alphas:
-        stack += table.tables([(alpha, zero) for alpha in alphas])
-    sums = np.moveaxis(_integrate(np.array(stack), weights), 0, -1)
+    alphas = [zero] + units[:m * order] + [tuple(map(add, units[a], units[b])) for a, b in pairs]
+    read = getattr(table, "tables", None) or (lambda partials: [table(*p) for p in partials])
+    sums = np.moveaxis(_integrate(np.array(read([(alpha, zero) for alpha in alphas])), weights),
+                       0, -1)
     hessian = np.zeros((m, m), dtype=int)
     for k, (a, b) in enumerate(pairs, start=1 + m):
         hessian[a, b] = hessian[b, a] = k

@@ -205,43 +205,38 @@ class PolynomialLagrangian(LagrangianModel):
         return self._value_fn
 
     def _partial(self, alpha, beta):
-        """The partial's terms (ix, iy, c) for a polynomial (``_shift``), its
-        compiled code otherwise; built once per instance into ``_cache``."""
+        """The partial's terms (ix, iy, c) for a polynomial (``_terms``), its
+        compiled code otherwise; built once per instance."""
         key = (alpha, beta)
         if key not in self._cache:
-            if self.is_polynomial:
-                self._shift([key])
-            else:
-                self._cache[key] = _compiled_partial(*self._symbols(), alpha, beta)
+            self._cache[key] = (self._terms([key])[0] if self.is_polynomial
+                                else _compiled_partial(*self._symbols(), alpha, beta))
         return self._cache[key]
 
-    def _shift(self, partials) -> None:
-        """Build the terms (ix, iy, c) of each partial (alpha, beta) of the
-        polynomial into ``_cache``: the rows of its x and y monomials in
-        ``basis`` and its coefficients, from the table shifted by (alpha,
-        beta) for all the partials at once."""
+    def _terms(self, partials) -> list:
+        """The terms (ix, iy, c) of each partial (alpha, beta) of the
+        polynomial, the rows of its x and y monomials in ``basis`` and its
+        coefficients, from the table shifted by all the partials at once."""
         shift = np.array([alpha + beta for alpha, beta in partials])
         lowered = self._exponents - shift[:, None]  # (partial, term, slot)
-        keep = (lowered >= 0).all(axis=2)
-        k, t = keep.nonzero()  # the kept terms, partial by partial
-        rows = self._exponents[t]
-        coefs = self._coefs[t] * self._falling[rows, shift[k]].prod(axis=1)
+        k, t = (lowered.min(axis=2) >= 0).nonzero()  # the kept terms, partial by partial
+        coefs = self._coefs[t] * self._falling[self._exponents[t], shift[k]].prod(axis=1)
         ix, iy = self._codes.searchsorted((lowered[k, t].reshape(-1, 2, self.dim)
                                            @ self._place).T)
-        ends = keep.sum(axis=1).cumsum().tolist()
-        for key, start, end in zip(partials, [0] + ends, ends):
-            self._cache[key] = (ix[start:end], iy[start:end], coefs[start:end])
+        bounds = k.searchsorted(np.arange(len(partials) + 1)).tolist()
+        return [(ix[a:b], iy[a:b], coefs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def _groups(self, partials) -> list:
         """(rows, ix, iy, coefs) for each term count T of the polynomial's
         partials: the positions in ``partials`` of those with T terms and
-        their terms (``_shift``) stacked, each (G, T); partials without
-        terms are in no group.  Built once per tuple of partials."""
+        their terms stacked, each (G, T); partials without terms are in no
+        group.  Built once per tuple of partials, the terms of its partials
+        new to ``_cache`` by one ``_terms``."""
         found = self._batches.get(partials)
         if found is None:
-            new = [p for p in dict.fromkeys(partials) if p not in self._cache]
+            new = [p for p in partials if p not in self._cache]
             if new:
-                self._shift(new)
+                self._cache.update(zip(new, self._terms(new)))
             terms = [self._cache[p] for p in partials]
             counts = [len(coefs) for _, _, coefs in terms]
             found = []
@@ -270,16 +265,18 @@ class PolynomialLagrangian(LagrangianModel):
     def _tables(self, X, Y, partials, values=None) -> np.ndarray:
         """(P, ..., n, n') tables of the P partials at the rows of X and Y.  A
         polynomial gathers those of order >= 1 in one ``gathered_sums`` from
-        the basis values (VX, VY) of X and Y, ``values`` if the caller keeps
-        them; values (order 0) come from the factored form, and the partials
-        of a non-polynomial expression from their compiled code."""
+        the basis values (VX, VY) of X and Y, those that ``values()`` returns
+        if the caller keeps them; values (order 0) come from the factored
+        form, and the partials of a non-polynomial expression from their
+        compiled code."""
         gathered = [self.is_polynomial and any(map(any, p)) for p in partials]
         if any(gathered):
             if values is None:
                 VX = basis_values(self.basis, X[..., None])
-                values = VX, VX if Y is X else basis_values(self.basis, Y[..., None])
-            sums = iter(self.gathered_sums([p for p, g in zip(partials, gathered) if g],
-                                           *values))
+                VXY = VX, VX if Y is X else basis_values(self.basis, Y[..., None])
+            else:
+                VXY = values()
+            sums = iter(self.gathered_sums([p for p, g in zip(partials, gathered) if g], *VXY))
         tables = np.empty((len(partials),) + X.shape[:-1] + Y.shape[-2:-1])
         for table, (alpha, beta), g in zip(tables, partials, gathered):
             if g:
@@ -307,9 +304,10 @@ def pair_tables(lag, X, Y, partials, values=None) -> np.ndarray:
 
     A polynomial model gathers its partials of order >= 1 together from the
     basis values of X and Y (``PolynomialLagrangian.gathered_sums``, the
-    K = 1 case of ``pair_series``); ``values`` are those values (VX, VY)
-    when the caller keeps them, as a measure's tables do
-    (``measure.pair_reader``), and they are evaluated here otherwise.
+    K = 1 case of ``pair_series``); ``values``, when the caller keeps those
+    values as a measure's tables do (``measure.pair_reader``), returns them
+    (VX, VY) and is called only if a partial is gathered; they are evaluated
+    here otherwise.
     Values, and the partials of a non-polynomial expression, are evaluated
     once per partial on broadcast coordinates, from the factored form or the
     compiled code.  Any other model (finite differences, charted or

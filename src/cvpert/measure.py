@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidMeasure, NumericalFailure, ShapeError, overflow_fails
-from .lagrangian import check_points, pair_table, pair_tables, takes_series
+from .lagrangian import check_points, pair_table, pair_tables
 from .series import basis_values
 
 TOL_POINT_MERGE = 1e-9
@@ -54,7 +54,7 @@ def close_pairs(points) -> np.ndarray:
     if len(pts) < 2:
         return np.empty((0, 2), dtype=np.intp)
     u = _sort_direction(pts.shape[1])
-    keys = pts @ u
+    keys = (pts * u).sum(axis=1)
     order = np.argsort(keys, kind="stable")
     key, pos = keys[order], np.arange(len(pts))
     # a key's rounding is below (m + 1) eps |p| . u <= (m + 1) eps max|p| |u|_1
@@ -97,16 +97,15 @@ def merge_close(points, weights) -> tuple:
 def pair_reader(lagrangian, points):
     """Reader table(alpha, beta) of T[i, j] = d^alpha_x d^beta_y L(p_i, p_j)
     over the rows p of ``points`` (..., n, m), one table per leading index,
-    each table computed on first read.  ``table.tables(partials)`` reads a
-    list of partials (alpha, beta) at once, one table per partial in the
-    order given; a single read is its one-partial case.  A model that takes
-    series evaluates its basis on the points once, on the first read of a
-    partial of order >= 1, and gathers all such partials of one read
-    together from those values (``pair_tables``); values, and the partials
-    of any other model, come from ``pair_table`` one partial at a time."""
+    each table computed on first read, by ``pair_table``.
+    ``table.tables(partials)`` reads a list of partials (alpha, beta), one
+    table per partial in the order given, all new ones in one
+    ``pair_tables``.  A model that takes series evaluates its basis on the
+    points once, on the first read of a partial of order >= 1, and gathers
+    the partials of each read from those values; order 0 comes from the
+    factored form."""
     check_points(lagrangian, points)
     read = {}
-    series = takes_series(lagrangian)
 
     @cache
     def values():
@@ -115,22 +114,16 @@ def pair_reader(lagrangian, points):
         return V, V
 
     def tables(partials) -> list:
-        gathered = []
-        for p in dict.fromkeys(partials):
-            if p in read:
-                continue
-            if series and any(map(any, p)):
-                gathered.append(p)
-            else:
-                read[p] = pair_table(lagrangian, points, points, *p)
-        if gathered:
-            read.update(zip(gathered, pair_tables(lagrangian, points, points, gathered,
-                                                  values())))
+        new = [p for p in partials if p not in read]
+        if new:
+            read.update(zip(new, pair_tables(lagrangian, points, points, new, values)))
         return [read[p] for p in partials]
 
     def table(alpha, beta):
         key = alpha, beta
-        return read[key] if key in read else tables([key])[0]
+        if key not in read:
+            read[key] = pair_table(lagrangian, points, points, alpha, beta, values)
+        return read[key]
 
     table.tables = tables
     return table
