@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios
-from .errors import ConfigError, CvpError, ShapeError, integer
+from .errors import ConfigError, CvpError, ShapeError, integer, shown
 from .fitting import lambda_grid, strict_loglog_slope
 
 SCHEMA_VERSION = 1
@@ -49,11 +49,11 @@ def validate_config(config: dict):
     scenarios._object(config, "config", CONFIG_KEYS, required=("schema_version",))
     version = config["schema_version"]
     if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise ConfigError(f"config: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        raise ConfigError(f"config: schema_version must be {SCHEMA_VERSION}, got {shown(version)}")
     integer(config.get("seed", 0), 0, "config: seed", ConfigError)
     for key, kind, name in (("out", str, "a string"), ("strict", bool, "a boolean")):
         if key in config and not isinstance(config[key], kind):
-            raise ConfigError(f"config: {key} must be {name}, got {config[key]!r}")
+            raise ConfigError(f"config: {key} must be {name}, got {shown(config[key])}")
     # a config with no stages at all is legal: it yields an empty report
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package, the two scalar input checks
 every layer shares, each taking the class to raise from its caller
 (``ConfigError`` for configs, ``ArgError`` or ``ShapeError`` for the API),
-and the one overflow guard."""
+the one way a rejected value is shown (``shown``), and the one overflow
+guard."""
 
 import math
 import numbers
@@ -113,7 +114,7 @@ def integer(value, least, what, error):
     """value as an int; ``error`` unless it is an integer >= least: a
     ``numbers.Integral`` that is not a bool (2.0 and True are none)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+        raise error(f"{what} must be an integer >= {least}, got {shown(value)}")
     return int(value)
 
 
@@ -125,8 +126,19 @@ def finite_real(value, what, error):
     except OverflowError:
         ok = False
     if not ok:
-        raise error(f"{what} must be a finite number, got {value!r}")
+        raise error(f"{what} must be a finite number, got {shown(value)}")
     return float(value)
+
+
+def shown(value) -> str:
+    """repr(value), or the digit count of an int too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} integer of about {int(math.log10(abs(value))) + 1} digits"
+        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 @contextmanager

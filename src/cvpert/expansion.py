@@ -22,7 +22,7 @@ one per cut of the series); lambda itself is only the
 book-keeping parameter of the formal series.  Since w^(p) depends only on
 the lower orders, a series cut after order p is the order-p expansion, bit
 for bit.  The order-scaling check stacks the starts of its whole lambda
-grid (``measure.SupportStack``, one stack per support size), expands the
+grid (``measure.SupportStack.push``, one stack per support size), expands the
 stack once, to the highest order it fits, and reads every lower order from
 the cut series; each start's rows are those of its own expansion, bit for
 bit.
@@ -59,11 +59,8 @@ def compositions(p: int, ell: int) -> list[tuple]:
     """
     if _check_order(ell, 1, "ell") > _check_order(p, 1, "p"):
         raise ArgError(f"need 1 <= ell <= p, got ell={ell}, p={p}")
-    out = []
-    for cuts in combinations(range(1, p), ell - 1):
-        bounds = (0,) + cuts + (p,)
-        out.append(tuple(bounds[k + 1] - bounds[k] for k in range(ell)))
-    return out
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (p,)))
+            for cuts in combinations(range(1, p), ell - 1)]
 
 
 @dataclass
@@ -77,11 +74,7 @@ class LedgerTerm:
         return len(self.composition)
 
     def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "composition": list(self.composition),
-            "norm": self.dual.norm(),
-        }
+        return {"ell": self.ell, "composition": list(self.composition), "norm": self.dual.norm()}
 
 
 @dataclass
@@ -94,16 +87,10 @@ class DiagramLedger:
         self.terms.setdefault(term.order, []).append(term)
 
     def order_sum(self, p: int, n_points: int, dim: int) -> DualJet:
-        total = DualJet.zero(n_points, dim)
-        for term in self.terms.get(p, []):
-            total = total + term.dual
-        return total
+        return sum((term.dual for term in self.terms.get(p, [])), DualJet.zero(n_points, dim))
 
     def to_json(self) -> dict:
-        return {
-            str(p): [t.to_json() for t in terms]
-            for p, terms in sorted(self.terms.items())
-        }
+        return {str(p): [t.to_json() for t in terms] for p, terms in sorted(self.terms.items())}
 
 
 @dataclass
@@ -172,15 +159,10 @@ class PerturbationSeries:
             return np.cumsum(scalars, axis=0), np.cumsum(vectors, axis=0)
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "nu": float(self.nu),
-            "convention": self.convention,
-            "base": self.base.to_json(),
-            "jets": [{"c": [float(v) for v in j.scalar],
-                      "F": [[float(v) for v in row] for row in j.vector]}
-                     for j in self.jets],
-        }
+        return {"order": self.order, "nu": float(self.nu), "convention": self.convention,
+                "base": self.base.to_json(),
+                "jets": [{"c": [float(v) for v in j.scalar],
+                          "F": [[float(v) for v in row] for row in j.vector]} for j in self.jets]}
 
     @classmethod
     def from_json(cls, data) -> "PerturbationSeries":
@@ -196,9 +178,8 @@ class PerturbationSeries:
         return cls(base, nu, jets, convention=data.get("convention", "standard"))
 
 
-def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure,
-               lagrangian: LagrangianModel, nu: float,
-               convention: str = "standard",
+def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure, lagrangian: LagrangianModel,
+               nu: float, convention: str = "standard",
                ledger: DiagramLedger | None = None) -> DualJet:
     """E^(p) as a dual jet, from the jets w^(1..p-1).
 
@@ -256,11 +237,9 @@ def _recursion(jets: list, defects: list, vjets: list, measure, lagrangian, nu,
     return jets, defects
 
 
-def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel,
-                         nu: float, order: int,
-                         inhom: Inhomogeneity | None = None,
-                         convention: str = "standard",
-                         strict: bool = False,
+def expand_inhomogeneous(measure: DiscreteMeasure, lagrangian: LagrangianModel, nu: float,
+                         order: int, inhom: Inhomogeneity | None = None,
+                         convention: str = "standard", strict: bool = False,
                          keep_ledger: bool = True) -> PerturbationSeries:
     """Iterative solve w^(p) = v^(p) + S^(p) (E^(p) + Delta v^(p)).
 
@@ -353,10 +332,7 @@ def export_diagrams(series: PerturbationSeries) -> dict:
             forest.append({"p": 1, "source": "Delta_0",
                            "norm": terms[0].dual.norm() if terms else 0.0})
         else:
-            forest.append({
-                "p": p,
-                "children": [t.to_json() for t in terms],
-            })
+            forest.append({"p": p, "children": [t.to_json() for t in terms]})
     return {"tree_diagrams_only": True, "orders": forest}
 
 
@@ -365,12 +341,13 @@ def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
     """Fitted decay exponents of the residual left after order-P corrections,
     for every P in ``orders``.
 
-    For each lambda the base is pushed along lambda * deviation, and the
-    starts of each support size (a merge in the push-forward shrinks one)
-    are stacked and expanded at once, to the highest order.  For each P the
-    series cut after w^(P), which is the order-P expansion bit for bit,
-    corrects every start, and the corrected measures' weak EL residuals are
-    measured, one stack per support size again.  A correct order-P scheme
+    For each lambda the base is pushed along lambda * deviation; the push
+    (``SupportStack.push``) returns the starts stacked by support size (a
+    merge in the push-forward shrinks one), and each stack is expanded at
+    once, to the highest order.  For each P the series cut after w^(P),
+    which is the order-P expansion bit for bit, corrects every start, and
+    the corrected starts' weak EL residuals are measured on the stacks that
+    the second push returns.  A correct order-P scheme
     leaves a residual O(lambda^(P+1)).  Returns {P: (slope, residual table
     of (lambda, residual) rows)}, each row bit for bit that of the start's
     own expansion.  An order that is no integer >= 0, or a grid that is not
@@ -382,18 +359,16 @@ def order_scaling_slopes(base: DiscreteMeasure, lagrangian, nu, deviation: Jet,
     grid = lambda_grid(lam_grid, 2, "order_scaling_slopes", ArgError)
     if not cuts:
         return {}
-    starts = SupportStack(base.points[None], base.weights[None]).push(
-        grid[:, None] * deviation.scalar, grid[:, None, None] * deviation.vector)
     residuals = np.empty((len(cuts), len(grid)))
-    for idx, stack in SupportStack.by_size(starts):
+    for idx, stack in SupportStack(base.points[None], base.weights[None]).push(
+            grid[:, None] * deviation.scalar, grid[:, None, None] * deviation.vector):
         series = expand(stack, lagrangian, nu, max(cuts), convention=convention,
                         keep_ledger=False)
         log_w, shift = series.partial_sums(1.0)  # reconstruct(series.truncated(P), 1.0)
-        corrected = stack.push(log_w[cuts], shift[cuts])  # order-major, then start
-        rows = np.empty(len(corrected))
-        for cidx, cstack in SupportStack.by_size(corrected):
-            rows[cidx] = linops.delta_zero_dual(cstack, lagrangian, nu).norm()
-        residuals[:, idx] = rows.reshape(len(cuts), len(idx))
+        rows = np.empty((len(cuts), len(idx)))  # order-major, then start
+        for cidx, cstack in stack.push(log_w[cuts], shift[cuts]):
+            rows.flat[cidx] = linops.delta_zero_dual(cstack, lagrangian, nu).norm()
+        residuals[:, idx] = rows
     return {p: (loglog_slope(grid, row, floor=RESIDUAL_FLOOR)[0],
                 [(float(lam), float(r)) for lam, r in zip(grid, row)])
             for p, row in zip(cuts, residuals)}

@@ -108,12 +108,13 @@ def _compiled_partial(expr, xs, ys, alpha, beta):
 
 
 def _combined(exponents, coefs):
-    """The table with equal monomials summed and zero terms dropped."""
-    rows, inverse = np.unique(np.asarray(exponents, dtype=int), axis=0, return_inverse=True)
-    sums = np.zeros(len(rows))
-    np.add.at(sums, inverse.reshape(-1), np.asarray(coefs, dtype=float))
-    keep = sums != 0.0
-    return rows[keep], sums[keep]
+    """The table with equal monomials summed in input order, zero terms dropped."""
+    exponents, sums = np.asarray(exponents, dtype=int), {}
+    for row, c in zip(map(tuple, exponents.tolist()), np.asarray(coefs, dtype=float).tolist()):
+        sums[row] = sums.get(row, 0.0) + c
+    rows = sorted(row for row, c in sums.items() if c != 0.0)
+    return (np.array(rows, dtype=int).reshape(len(rows), exponents.shape[1]),
+            np.array([sums[row] for row in rows], dtype=float))
 
 
 def _falling_factorials(top):

@@ -6,8 +6,10 @@ no close pair.  ``merge_close`` merges each chain of close points (a~b, b~c,
 a not~ c) into its lowest-index point, whatever the input order; the
 search for close pairs sorts by a projection on a fixed generic direction
 (``close_pairs``).  A ``SupportStack`` holds measures of one support size
-on a leading axis.  A pair reader (``pair_reader``) reads the pair tables of
-a model and its partials on a support, a list of partials at a time.
+on a leading axis; ``push`` returns its pushed starts stacked by size and
+merges only those whose keys fail the search's first test.  A pair reader
+(``pair_reader``) reads the pair tables of a model and its partials on a
+support, a list of partials at a time.
 """
 
 from __future__ import annotations
@@ -40,25 +42,30 @@ def _sort_direction(m: int) -> np.ndarray:
     return np.sqrt(primes)
 
 
+def _keys(points) -> tuple:
+    """Keys p . u (..., n) of points (..., n, m) on the direction u, and the
+    reach (...) that holds the keys of close points: twice tol |u|_1, plus a
+    bound on their rounding, (m + 1) eps |p| . u <= (m + 1) eps max|p| |u|_1."""
+    u = _sort_direction(points.shape[-1])
+    rounding = 4 * (len(u) + 1) * _EPS * np.abs(points).max(axis=(-2, -1))
+    return (points * u).sum(axis=-1), u.sum() * (2 * TOL_POINT_MERGE + rounding)
+
+
 def close_pairs(points) -> np.ndarray:
     """Lexicographically sorted index pairs (i, j), i < j, of close points.
 
-    Sorts by the projection key p . u on a fixed generic direction u
-    (``_sort_direction``), so a lattice support, whose coordinates each
-    take few values, still spreads out; ``searchsorted`` finds each window,
-    then candidates are checked on all axes.  Close points have keys at most
-    tol |u|_1 apart; the window is twice that, plus a bound on the rounding
-    of the keys, so no close pair is dropped at any coordinate size.
+    Sorts by the projection keys on a fixed generic direction (``_keys``),
+    so a lattice support, whose coordinates each take few values, still
+    spreads out; ``searchsorted`` finds each window of one reach, then
+    candidates are checked on all axes, so no close pair is dropped at any
+    coordinate size.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         return np.empty((0, 2), dtype=np.intp)
-    u = _sort_direction(pts.shape[1])
-    keys = (pts * u).sum(axis=1)
+    keys, reach = _keys(pts)
     order = np.argsort(keys, kind="stable")
     key, pos = keys[order], np.arange(len(pts))
-    # a key's rounding is below (m + 1) eps |p| . u <= (m + 1) eps max|p| |u|_1
-    reach = u.sum() * (2 * TOL_POINT_MERGE + 4 * (len(u) + 1) * _EPS * np.abs(pts).max())
     width = np.searchsorted(key, key + reach, side="right") - pos
     found = [np.empty((0, 2), dtype=np.intp)]
     if width.max() < 2:  # no window holds a second point
@@ -191,10 +198,8 @@ class DiscreteMeasure(_Support):
         return float(np.sum(self.weights))
 
     def to_json(self) -> list:
-        return [
-            {"point": [float(c) for c in p], "weight": float(w)}
-            for p, w in zip(self.points, self.weights)
-        ]
+        return [{"point": [float(c) for c in p], "weight": float(w)}
+                for p, w in zip(self.points, self.weights)]
 
     @classmethod
     def from_json(cls, data) -> "DiscreteMeasure":
@@ -212,9 +217,9 @@ class DiscreteMeasure(_Support):
 @dataclass(frozen=True)
 class SupportStack(_Support):
     """G measures of one support size N on a leading axis, points (G, N, m)
-    and weights (G, N), each checked as a DiscreteMeasure.  The kernels that
-    take a measure take a stack too, with one result per start, bit for bit
-    as for the start alone."""
+    and weights (G, N), each start the data of a DiscreteMeasure.  The
+    kernels that take a measure take a stack too, with one result per start,
+    bit for bit as for the start alone."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -222,29 +227,40 @@ class SupportStack(_Support):
     def __post_init__(self):
         object.__setattr__(self, "_tables", {})
 
-    @classmethod
-    def by_size(cls, measures) -> list:
-        """(indices, stack) of the measures of each support size, in order of
-        first appearance."""
-        groups: dict = {}
-        for k, mu in enumerate(measures):
-            groups.setdefault(mu.size, []).append(k)
-        return [(idx, cls(np.stack([measures[k].points for k in idx]),
-                          np.stack([measures[k].weights for k in idx])))
-                for idx in groups.values()]
-
     def push(self, log_weight, shift) -> list:
-        """``push_forward`` of every start: one measure per index, in C order,
-        of the leading axes of log-weights (..., N) and shifts (..., N, m)."""
-        with overflow_fails("exp of log-weight field"):
-            factors = np.exp(log_weight)
-        new_pts = self.points + shift
-        new_wts = self.weights * factors
-        if not np.all(np.isfinite(new_pts)) or not np.all(np.isfinite(new_wts)):
-            raise NumericalFailure("non-finite push-forward result")
-        n, m = self.points.shape[-2:]
-        return [DiscreteMeasure.merged(*start)
-                for start in zip(new_pts.reshape(-1, n, m), new_wts.reshape(-1, n))]
+        """``push_forward`` of every start as (indices, stack) per support size,
+        in order of first appearance, the indices in C order of the leading
+        axes of log-weights (..., N) and shifts (..., N, m).  Only a start
+        with two sorted keys within its reach (``close_pairs``' own test) is
+        merged by ``DiscreteMeasure.merged``; the others keep their rows."""
+        pts, wts = _pushed(self.points, self.weights, log_weight, shift)
+        n = pts.shape[-2]
+        pts, wts = pts.reshape(-1, *pts.shape[-2:]), wts.reshape(-1, n)
+        keys, reach = _keys(pts)
+        # sorted as close_pairs sorts: a first quicksort maps 0.2 MB more of numpy's code
+        keys = np.take_along_axis(keys, np.argsort(keys, kind="stable"), -1)
+        flagged = np.any(keys[:, 1:] <= keys[:, :-1] + reach[:, None], axis=-1)
+        if np.any(wts[~flagged] <= 0):
+            raise InvalidMeasure("weights must be strictly positive")
+        merged = {g: DiscreteMeasure.merged(pts[g], wts[g]) for g in flagged.nonzero()[0].tolist()}
+        size = np.array([merged[g].size if g in merged else n for g in range(len(pts))])
+        groups = []
+        for s in dict.fromkeys(size.tolist()):
+            idx = np.flatnonzero(size == s)
+            rows = (pts[idx], wts[idx]) if s == n else map(np.stack, zip(*(
+                (merged[g].points, merged[g].weights) for g in idx)))  # the merged starts' rows
+            groups.append((idx, SupportStack(*rows)))
+        return groups
+
+
+def _pushed(points, weights, log_weight, shift) -> tuple:
+    """(points + shift, weights * exp(log_weight)), checked finite."""
+    with overflow_fails("exp of log-weight field"):
+        factors = np.exp(log_weight)
+    pushed = points + shift, weights * factors
+    if not all(np.all(np.isfinite(a)) for a in pushed):
+        raise NumericalFailure("non-finite push-forward result")
+    return pushed
 
 
 def push_forward(measure: DiscreteMeasure, log_weight, shift) -> DiscreteMeasure:
@@ -253,11 +269,9 @@ def push_forward(measure: DiscreteMeasure, log_weight, shift) -> DiscreteMeasure
     Colliding points are merged by ``merge_close``: a chain of close points
     becomes its lowest-index point, whose coordinates are kept, with the summed
     weight.  A weight that underflows to 0 and merges with nothing is invalid.
-    The one-start case of ``SupportStack.push``.
     """
     log_weight = np.asarray(log_weight, dtype=float).ravel()
     shift = np.atleast_2d(np.asarray(shift, dtype=float))
     if len(log_weight) != measure.size or shift.shape != measure.points.shape:
         raise ShapeError("log_weight/shift shapes do not match the support")
-    return SupportStack(measure.points[None], measure.weights[None]).push(log_weight[None],
-                                                                      shift[None])[0]
+    return DiscreteMeasure.merged(*_pushed(measure.points, measure.weights, log_weight, shift))

@@ -23,7 +23,7 @@ from . import expansion, fragmentation, mixing
 from .cfs import (CfsChart, CfsParams, spin_map_from_point, swap_symmetric_pair,
                   system_to_json)
 from .el import calibrate_nu, integrate_partial, residual_norm
-from .errors import ConfigError, finite_real, integer
+from .errors import ConfigError, finite_real, integer, shown
 from .fitting import lambda_grid
 from .jets import Jet, TestBasis
 from .lagrangian import build_lagrangian
@@ -49,7 +49,7 @@ def _object(value, what, keys=None, required=()) -> dict:
     """value itself; ConfigError unless it is an object that holds every
     ``required`` key and, if ``keys`` is given, no key outside it."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be an object, got {value!r}")
+        raise ConfigError(f"{what} must be an object, got {shown(value)}")
     missing = [k for k in required if k not in value]
     unknown = [k for k in value if keys is not None and k not in keys]
     if missing or unknown:
@@ -62,10 +62,11 @@ def _array(value, what, ndim=None) -> np.ndarray:
     numbers with ``ndim`` axes if given (0: a number), else at least one."""
     arr = np.array(value, dtype=object)  # a ragged nesting keeps lists as entries
     shaped = arr.ndim == ndim if ndim is not None else arr.ndim > 0
-    if not shaped or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                             for v in arr.flat):
+    if not shaped or not all(issubclass(t, numbers.Real) and not issubclass(t, bool)
+                             for t in set(map(type, arr.flat))):
         kind = "a number" if ndim == 0 else "a regular array of numbers"
-        raise ConfigError(f"{what} must be {kind}{f' ({ndim}-D)' if ndim else ''}, got {value!r}")
+        raise ConfigError(f"{what} must be {kind}{f' ({ndim}-D)' if ndim else ''}, "
+                          f"got {shown(value)}")
     try:
         return arr.astype(float)
     except OverflowError:  # an integer too large for a float
@@ -151,17 +152,13 @@ def _run_expansion(name, make_base, model, deviation, config, outdir: Path):
     nu = calibrate_nu(base, lag)
     orders = config.get("orders", [1, 2])
     if not isinstance(orders, list):
-        raise ConfigError(f"{name}: orders must be a list of integers >= 0, got {orders!r}")
+        raise ConfigError(f"{name}: orders must be a list of integers >= 0, got {shown(orders)}")
     orders = [integer(order, 0, f"{name}: orders", ConfigError) for order in orders]
     grid = lambda_grid(_array(config.get("lambda_grid", LAMBDA_GRID), f"{name}: lambda_grid", 1),
                        2, name, ConfigError)
     fits = expansion.order_scaling_slopes(base, lag, nu, deviation, orders, grid)
-    rows = []
-    slopes = {}
-    for order in orders:
-        slope, table = fits[order]
-        slopes[str(order)] = slope
-        rows.extend((lam, res, order) for lam, res in table)
+    slopes = {str(order): fits[order][0] for order in orders}
+    rows = [(lam, res, order) for order in orders for lam, res in fits[order][1]]
     res_file = outdir / f"{name}_residuals.csv"
     _write_csv(res_file, ["lambda", "residual", "order"], rows)
     min_expected = {str(o): o + 1 - expansion.SLOPE_BAND for o in orders}

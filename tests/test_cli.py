@@ -700,3 +700,44 @@ def test_restarts_above_the_bound_end_in_error_report(tmp_path, monkeypatch, res
     assert report["status"] == "error"
     assert report["stages"][-1]["error"] == (
         f"ShapeError: restarts must be at most {mixing.MAX_RESTARTS}")
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"scenario": "mixing-L2", "scenario_config": {"restarts": -10 ** 5000}},
+     "ShapeError: restarts must be an integer >= 1, got a negative integer of about 5001 digits"),
+    ({"measure": {"points": [[1.0], [-1.0]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": "pair_distance", "params": {"distance": 10 ** 5000}}},
+     "ConfigError: distance must be a finite number, got an integer of about 5001 digits"),
+    ({"scenario": "mixing-L2", "scenario_config": 10 ** 5000},
+     "ConfigError: scenario_config must be an object, got an integer of about 5001 digits"),
+    ({"scenario": "example52-expansion", "scenario_config": {"orders": 10 ** 5000}},
+     "ConfigError: example52-expansion: orders must be a list of integers >= 0, "
+     "got an integer of about 5001 digits"),
+    ({"measure": {"points": [[1.0], [-1.0]], "weights": [True, 10 ** 5000]},
+      "lagrangian": {"name": "pair_distance"}},
+     "ConfigError: measure.weights must be a regular array of numbers (1-D), "
+     "got a list holding an integer too long to print"),
+], ids=["restarts", "distance", "scenario-config", "orders", "weights"])
+def test_integers_too_long_to_print_end_in_error_report(tmp_path, monkeypatch, config, error):
+    from cvpert import mixing
+
+    def refuse(*args):
+        raise AssertionError("starting points drawn for a rejected restart count")
+
+    monkeypatch.setattr(mixing, "_starting_points", refuse)
+    report, code = run_config({"schema_version": 1, **config}, out=str(tmp_path))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["stages"][-1]["error"] == error
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"schema_version": 10 ** 5000},
+     "config: schema_version must be 1, got an integer of about 5001 digits"),
+    ({"schema_version": 1, "out": -10 ** 5000},
+     "config: out must be a string, got a negative integer of about 5001 digits"),
+], ids=["schema-version", "out"])
+def test_config_check_names_an_int_too_long_to_print_by_its_digit_count(config, message):
+    with pytest.raises(ConfigError) as info:
+        validate_config(config)
+    assert str(info.value) == message

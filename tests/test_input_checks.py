@@ -12,6 +12,7 @@ import pytest
 
 from cvpert.errors import (ArgError, ConfigError, DegenerateFit, ShapeError, finite_real,
                            integer)
+from cvpert import scenarios
 from cvpert.fitting import lambda_grid
 
 BAD_INTEGERS = pytest.mark.parametrize("value", [
@@ -91,3 +92,40 @@ def test_lambda_grid_rejects_a_repeated_grid_as_a_degenerate_fit(error, shape_er
 def test_lambda_grid_returns_a_float_array():
     grid = lambda_grid([1, 2.0, 0.5, 0.5], 3, "study", ArgError)
     assert grid.dtype == float and grid.tolist() == [1.0, 2.0, 0.5, 0.5]
+
+
+TOO_LONG_TO_PRINT = 10 ** 5000  # past Python's limit on printing an int in decimal
+
+
+@API_AND_CONFIG
+def test_integer_names_an_int_too_long_to_print_by_its_digit_count(error):
+    with pytest.raises(error, match=r"^restarts must be an integer >= 1, "
+                                    r"got a negative integer of about 5001 digits$"):
+        integer(-TOO_LONG_TO_PRINT, 1, "restarts", error)
+
+
+@API_AND_CONFIG
+@pytest.mark.parametrize("value, shown", [(TOO_LONG_TO_PRINT, "an integer"),
+                                          (-TOO_LONG_TO_PRINT, "a negative integer")],
+                         ids=["positive", "negative"])
+def test_finite_real_names_an_int_too_long_to_print_by_its_digit_count(error, value, shown):
+    with pytest.raises(error, match=rf"^distance must be a finite number, "
+                                    rf"got {shown} of about 5001 digits$"):
+        finite_real(value, "distance", error)
+
+
+@pytest.mark.parametrize("value, ndim", [([1, 2.5, np.float64(3.0)], 1),
+                                         ([[1, 2.0], [np.float64(3.0), np.int64(4)]], 2),
+                                         (np.float64(0.5), 0)],
+                         ids=["int-float-float64", "2-D-mixed", "float64-number"])
+def test_config_array_takes_ints_floats_and_numpy_numbers(value, ndim):
+    out = scenarios._array(value, "x", ndim)
+    assert out.dtype == float and np.array_equal(out, np.array(value, dtype=float))
+
+
+@pytest.mark.parametrize("value", [[1, 2.0, True], [[1, 2.0], [np.float64(3.0), False]],
+                                   [np.bool_(True), 1.0], [True, TOO_LONG_TO_PRINT]],
+                         ids=["bool", "2-D-bool", "numpy-bool", "bool-and-huge-int"])
+def test_config_array_rejects_a_bool_entry(value):
+    with pytest.raises(ConfigError, match=r"^x must be a regular array of numbers, got "):
+        scenarios._array(value, "x")

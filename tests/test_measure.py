@@ -14,7 +14,7 @@ import cvpert
 from cvpert import DiscreteMeasure, push_forward
 from cvpert.errors import InvalidMeasure, NumericalFailure, ShapeError
 from cvpert.fragmentation import FragmentedMeasure
-from cvpert.measure import TOL_POINT_MERGE, close_pairs, merge_close
+from cvpert.measure import TOL_POINT_MERGE, SupportStack, close_pairs, merge_close
 
 TOL = TOL_POINT_MERGE
 
@@ -300,7 +300,10 @@ def test_push_searches_each_start_for_close_pairs_once(monkeypatch):
     calls = []
     search = measure.close_pairs
     monkeypatch.setattr(measure, "close_pairs", lambda pts: calls.append(1) or search(pts))
-    got = base.push(log_w, shift)
+    got = [None] * len(shift)
+    for idx, stack in base.push(log_w, shift):  # the groups, flattened by index
+        for k, pts, wts in zip(idx, stack.points, stack.weights):
+            got[k] = measure.SupportStack(pts, wts)
     assert len(calls) == 3
     for mu, ref in zip(got, want):
         assert np.array_equal(mu.points, ref.points) and np.array_equal(mu.weights, ref.weights)
@@ -308,3 +311,106 @@ def test_push_searches_each_start_for_close_pairs_once(monkeypatch):
         ref = want[0]
         measure.SupportStack(ref.points[None], ref.weights[None]).push(
             np.where(np.arange(ref.size) == 0, -1e4, 0.0), np.zeros_like(ref.points))
+
+
+def six_starts(n=8, m=2):
+    """Shifts (2, 3, n, m) of six starts on a base at the origin: clean ones
+    (random points far apart) and starts of planted clusters whose merges
+    leave different sizes."""
+    rng = np.random.default_rng(41)
+    clean = lambda: rng.uniform(-5.0, 5.0, (n, m))
+    planted = lambda seed: clustered(seed, 5, m)[0][:n]
+    return np.stack([clean(), planted(0), clean(), planted(1), planted(2), planted(5)]).reshape(
+        2, 3, n, m)
+
+
+def test_push_groups_each_start_by_size_as_merged_alone():
+    shift = six_starts()
+    n, m = shift.shape[-2:]
+    rng = np.random.default_rng(43)
+    log_w = rng.uniform(-0.5, 0.5, shift.shape[:-1])
+    base = SupportStack(np.zeros((1, n, m)), rng.uniform(0.5, 2.0, (1, n)))
+    wts = (base.weights * np.exp(log_w)).reshape(-1, n)
+    want = [DiscreteMeasure.merged(p, w) for p, w in zip(shift.reshape(-1, n, m), wts)]
+    sizes = [mu.size for mu in want]
+    order = list(dict.fromkeys(sizes))
+    assert order[0] == n and len(order) >= 3  # clean first, then two merged sizes
+    groups = base.push(log_w, shift)
+    assert [stack.size for _, stack in groups] == order
+    for (idx, stack), size in zip(groups, order):
+        assert idx.tolist() == [k for k, s in enumerate(sizes) if s == size]  # C order
+        assert stack.points.shape == (len(idx), size, m)
+        for k, pts, w in zip(idx, stack.points, stack.weights):
+            assert np.array_equal(pts, want[k].points) and np.array_equal(w, want[k].weights)
+
+
+def searched_starts(monkeypatch):
+    """The supports ``close_pairs`` is called on, recorded."""
+    from cvpert import measure
+
+    searched, search = [], measure.close_pairs
+    monkeypatch.setattr(measure, "close_pairs",
+                        lambda pts: searched.append(np.array(pts)) or search(pts))
+    return searched
+
+
+def ulp_pairs():
+    """Pairs a few ulps apart at |x| ~ 3e6, whose rounded keys lie further
+    apart than tol |u|_1 (see the close_pairs test above)."""
+    from cvpert.measure import _sort_direction
+
+    rng = np.random.default_rng(23)
+    p = 4e6 * rng.uniform(0.5, 1.0, (20000, 3))
+    q = p + rng.integers(-2, 3, p.shape) * np.spacing(p)
+    u = _sort_direction(3)
+    widest = np.argsort(np.abs(p @ u - q @ u))[-20:]
+    return np.vstack([p[widest], q[widest]])
+
+
+@pytest.mark.parametrize("name", sorted(lattice_and_far_supports()) + ["ulp-pairs"])
+def test_push_screen_flags_every_start_with_a_close_pair(name, monkeypatch):
+    pts = ulp_pairs() if name == "ulp-pairs" else lattice_and_far_supports()[name]
+    planted = pts.copy()  # a pair tol apart on every axis, the widest key gap of a close pair
+    planted[-1] = planted[0] + TOL
+    over = np.abs(planted[-1] - planted[0]) > TOL  # rounded past tol: one ulp back
+    planted[-1, over] = np.nextafter(planted[-1, over], planted[0, over])
+    rng = np.random.default_rng(7)
+    starts = np.stack([pts, pts[rng.permutation(len(pts))], planted, pts[::-1]])
+    searched = searched_starts(monkeypatch)
+    base = SupportStack(np.zeros_like(starts), np.ones(starts.shape[:2]))
+    groups = base.push(np.zeros(starts.shape[:2]), starts)
+    assert brute_close_pairs(planted)
+    for k, start in enumerate(starts):
+        if brute_close_pairs(start):
+            assert any(np.array_equal(s, start) for s in searched), k
+    found = {k: (p, w) for idx, stack in groups
+             for k, p, w in zip(idx.tolist(), stack.points, stack.weights)}
+    for k, start in enumerate(starts):
+        want = merge_close(start, np.ones(len(start)))
+        assert np.array_equal(found[k][0], want[0]) and np.array_equal(found[k][1], want[1])
+
+
+def test_push_searches_only_the_flagged_starts(monkeypatch):
+    shift = six_starts()
+    n, m = shift.shape[-2:]
+    base = SupportStack(np.zeros((1, n, m)), np.ones((1, n)))
+    searched = searched_starts(monkeypatch)
+    base.push(np.zeros(shift.shape[:-1]), shift)
+    assert len(searched) == 4  # the four starts of planted clusters
+    clean = shift.reshape(-1, n, m)[[0, 2]]
+    searched.clear()
+    (idx, stack), = base.push(np.zeros((2, n)), clean)
+    assert searched == [] and idx.tolist() == [0, 1]
+    assert np.array_equal(stack.points, clean) and np.array_equal(stack.weights, np.ones((2, n)))
+
+
+def test_underflowed_weight_of_an_unsearched_start_is_invalid(monkeypatch):
+    shift = six_starts()[0, [0, 2]]  # two clean starts
+    n, m = shift.shape[-2:]
+    base = SupportStack(np.zeros((1, n, m)), np.ones((1, n)))
+    searched = searched_starts(monkeypatch)
+    log_w = np.zeros((2, n))
+    log_w[1, 3] = -1e4  # exp underflows to 0
+    with pytest.raises(InvalidMeasure, match="weights must be strictly positive"):
+        base.push(log_w, shift)
+    assert searched == []

@@ -153,3 +153,44 @@ def test_formula_subtracted_from_a_number_expands_to_its_polynomial():
     want = {row: float(c) for row, c in sp.Poly(1 - (x0 - y0) ** 2, x0, y0).terms()}
     got = {tuple(row): c for row, c in zip(lag._exponents.tolist(), lag._coefs.tolist())}
     assert got == want
+
+
+def unique_reference(exponents, coefs):
+    """The table combined by ``np.unique`` over rows and ``np.add.at``."""
+    rows, inverse = np.unique(np.asarray(exponents, dtype=int), axis=0, return_inverse=True)
+    sums = np.zeros(len(rows))
+    np.add.at(sums, inverse.reshape(-1), np.asarray(coefs, dtype=float))
+    keep = sums != 0.0
+    return rows[keep], sums[keep]
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["quartic_pair_dim5"])
+def test_builtin_table_sums_like_np_unique(case):
+    from cvpert.lagrangian import _Expansion
+
+    name, params, _ = CASES.get(case, ("quartic_pair", {"dim": 5}, None))
+    lag = build_lagrangian(name, params)
+    raw = lag._value_fn(*_Expansion.variables(2 * lag.dim))
+    assert len(raw.coefs) > len(lag._coefs)  # equal monomials were summed
+    rows, sums = unique_reference(raw.exponents, raw.coefs)
+    assert np.array_equal(lag._exponents, rows) and lag._exponents.dtype == rows.dtype
+    assert np.array_equal(lag._coefs, sums)
+
+
+def test_table_of_cancelling_sympy_terms_sums_like_np_unique():
+    from cvpert.lagrangian import _combined
+
+    x0, x1, y0, y1 = sp.symbols("x0 x1 y0 y1", real=True)
+    first = sp.Poly((x0 - y0) ** 3 + sp.Rational(1, 10) * x1 * y1, x0, x1, y0, y1).terms()
+    second = sp.Poly(-(x0 - y0) ** 3 + sp.Rational(2, 10) * x1 * y1 - x0 ** 2,
+                     x0, x1, y0, y1).terms()
+    third = sp.Poly(sp.Rational(3, 10) * x1 * y1 + x0 ** 2, x0, x1, y0, y1).terms()
+    terms = first + second + third  # x1 y1 sums 0.1 + 0.2 + 0.3 in input order; the rest cancel
+    exponents = np.array([e for e, _ in terms], dtype=int)
+    coefs = [float(c) for _, c in terms]
+    rows, sums = _combined(exponents, coefs)
+    want_rows, want_sums = unique_reference(exponents, coefs)
+    assert np.array_equal(rows, want_rows) and np.array_equal(sums, want_sums)
+    assert rows.tolist() == [[0, 1, 0, 1]] and sums.tolist() == [0.1 + 0.2 + 0.3]
+    empty_rows, empty_sums = _combined(exponents[:0], [])
+    assert empty_rows.shape == (0, 4) and empty_sums.shape == (0,)
