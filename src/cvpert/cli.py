@@ -34,6 +34,7 @@ import numpy as np
 from . import scenarios
 from .errors import ConfigError, CvpError, ShapeError, integer, shown
 from .fitting import lambda_grid, strict_loglog_slope
+from .mixing import MAX_SEED
 
 SCHEMA_VERSION = 1
 
@@ -44,13 +45,14 @@ CONFIG_KEYS = ("schema_version", "scenario", "scenario_config", "seed", "out", "
 
 def validate_config(config: dict):
     """ConfigError unless ``config`` is an object of known keys with
-    ``schema_version`` 1, an integer ``seed`` >= 0, a string ``out`` and a
-    boolean ``strict`` (each optional but the version)."""
+    ``schema_version`` 1, an integer ``seed`` in 0..``MAX_SEED``, a string
+    ``out`` and a boolean ``strict`` (each optional but the version)."""
     scenarios._object(config, "config", CONFIG_KEYS, required=("schema_version",))
     version = config["schema_version"]
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"config: schema_version must be {SCHEMA_VERSION}, got {shown(version)}")
-    integer(config.get("seed", 0), 0, "config: seed", ConfigError)
+    if integer(config.get("seed", 0), 0, "config: seed", ConfigError) > MAX_SEED:
+        raise ConfigError(f"config: seed must be at most {MAX_SEED}")
     for key, kind, name in (("out", str, "a string"), ("strict", bool, "a boolean")):
         if key in config and not isinstance(config[key], kind):
             raise ConfigError(f"config: {key} must be {name}, got {shown(config[key])}")
@@ -82,13 +84,13 @@ def _expectations(config: dict) -> list:
     string ``path``, an ``op`` of ``OPS`` and a numeric ``tol`` if any."""
     expectations = config.get("expectations", [])
     if not isinstance(expectations, list):
-        raise ConfigError(f"expectations must be a list, got {expectations!r}")
+        raise ConfigError(f"expectations must be a list, got {shown(expectations)}")
     for k, exp in enumerate(expectations):
         what = f"expectations.{k}"
         scenarios._object(exp, what, ("path", "op", "value", "tol"), required=("path", "op"))
         if not isinstance(exp["path"], str) or exp["op"] not in tuple(OPS):
             raise ConfigError(f"{what}: path must be a string and op one of {list(OPS)}, "
-                              f"got {exp['path']!r} and {exp['op']!r}")
+                              f"got {shown(exp['path'])} and {shown(exp['op'])}")
         scenarios._number(exp, "tol", 1e-9, what)
     return expectations
 
@@ -133,7 +135,7 @@ def _run_inline(config: dict, seed: int, outdir: Path):
             raise ShapeError(f"measure points have dimension {mu.dimension}, "
                              f"Lagrangian {lag.name!r} has dimension {lag.dim}")
         if config.get("test_space", "full") != "full":
-            raise ConfigError(f"test_space must be 'full', got {config['test_space']!r}")
+            raise ConfigError(f"test_space must be 'full', got {shown(config['test_space'])}")
         nu = (calibrate_nu(mu, lag, tol=1e-6) if config.get("nu", "calibrate") == "calibrate"
               else scenarios._number(config, "nu", None, "setup"))
         yield "setup", {"nu": nu, "points": mu.size,
@@ -145,7 +147,7 @@ def _run_inline(config: dict, seed: int, outdir: Path):
         convention = econf.get("convention", "standard")
         if convention not in ("standard", "breve"):
             raise ConfigError(f"expansion: convention must be 'standard' or 'breve', "
-                              f"got {convention!r}")
+                              f"got {shown(convention)}")
         grid = lambda_grid(scenarios._array(econf.get("lambda_grid", scenarios.LAMBDA_GRID),
                                             "expansion: lambda_grid", 1),
                            2, "expansion", ConfigError)
@@ -211,9 +213,10 @@ def run_config(config: dict, seed: int | None = None, out: str | None = None,
         status = "error"
         stages.append({"name": "run", "status": "error",
                        "error": f"{type(err).__name__}: {err}"})
+    scenario = config.get("scenario", "inline")  # a rejected name is shown as text
     report = {
         "schema_version": SCHEMA_VERSION,
-        "scenario": config.get("scenario", "inline"),
+        "scenario": scenario if isinstance(scenario, str) else shown(scenario),
         "seed": seed,
         "status": status,
         "stages": stages,

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import linops
 from .errors import (ArgError, DegenerateFit, LedgerMissing, NotCritical, NotLinearized,
-                     OutOfRange, ShapeError, finite_real, integer, overflow_fails)
+                     OutOfRange, ShapeError, finite_real, integer, overflow_fails, shown)
 from .fitting import lambda_grid, loglog_slope
 from .jets import DualJet, Jet, check_on_support
 from .lagrangian import LagrangianModel
@@ -167,15 +167,16 @@ class PerturbationSeries:
     @classmethod
     def from_json(cls, data) -> "PerturbationSeries":
         try:
-            order, nu = data["order"], float(data["nu"])
-            base = DiscreteMeasure.from_json(data["base"])
-            jets = [Jet(np.array(j["c"]), np.array(j["F"])) for j in data["jets"]]
-        except (KeyError, TypeError) as err:
+            order, nu, base = data["order"], float(data["nu"]), data["base"]
+            parts = [(np.array(j["c"], dtype=float), np.array(j["F"], dtype=float))
+                     for j in data["jets"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ShapeError(f"a series document needs order, nu, base and jets {{c, F}}: "
                              f"{err!r}") from None
-        if int(order) != len(jets):
-            raise ShapeError(f"order {order} given with {len(jets)} jets")
-        return cls(base, nu, jets, convention=data.get("convention", "standard"))
+        if integer(order, 0, "a series document's order", ShapeError) != len(parts):
+            raise ShapeError(f"order {shown(order)} given with {len(parts)} jets")
+        return cls(DiscreteMeasure.from_json(base), nu, [Jet(c, F) for c, F in parts],
+                   convention=data.get("convention", "standard"))
 
 
 def error_term(p: int, jets_so_far: list, measure: DiscreteMeasure, lagrangian: LagrangianModel,

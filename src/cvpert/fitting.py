@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateFit
+from .errors import DegenerateFit, shown
 
 
 def check_distinct(xs):
@@ -21,15 +21,20 @@ def lambda_grid(grid, least, what, error, shape_error=None) -> np.ndarray:
     """grid as a float array, checked before any work on it: ``error``
     unless it is 1-D with at least ``least`` finite lambdas > 0 (the log-log
     fits need lambda > 0), ``shape_error`` for the shape instead if given,
-    and DegenerateFit unless two lambdas differ (``check_distinct``)."""
-    grid = np.asarray(grid, dtype=float)
+    and DegenerateFit unless two lambdas differ (``check_distinct``).  A grid
+    that is no array of numbers (text, ragged, an int too large for a float)
+    raises ``error``."""
+    message = f"{what}: lambda_grid must be at least {least} finite numbers > 0, got "
+    try:
+        grid = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(message + shown(grid)) from None
     short = grid.ndim != 1 or len(grid) < least
     if short and shape_error is not None:
         raise shape_error(f"{what}: lambda_grid must be 1-D with at least {least} points, "
                           f"got shape {grid.shape}")
     if short or not np.all(np.isfinite(grid) & (grid > 0)):
-        raise error(f"{what}: lambda_grid must be at least {least} finite numbers > 0, "
-                    f"got {grid.tolist()!r}")
+        raise error(message + repr(grid.tolist()))
     check_distinct(grid)
     return grid
 

@@ -134,6 +134,7 @@ class FragmentedMeasure:
     def positions(self) -> np.ndarray:
         return self.base.points[None, :, :] + self.shifts
 
+    @overflow_fails("the fragmented weights")
     def weights(self) -> np.ndarray:
         L = self.n_subsystems
         return self.base.weights[None, :] * np.exp(self.log_weights) / L
@@ -366,7 +367,7 @@ def example52_scenario(f1: float = 1.0, w: float | None = None,
     ansatz = FragmentationAnsatz(np.array([f1, 2.0 - f1]), 1.0, 1.0, mean_jet,
                                  linf_fluct=linf)
     name = "example52" + ("-regularized" if regularized else "")
-    grid = {} if lam_grid is None else {"lam_grid": np.asarray(lam_grid)}
+    grid = {} if lam_grid is None else {"lam_grid": lam_grid}
     return Scenario(name, measure, lag, 0.0, ansatz, **grid)
 
 

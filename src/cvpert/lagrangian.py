@@ -40,7 +40,7 @@ import sys
 import numpy as np
 
 from .errors import (ArgError, ConfigError, NumericalFailure, OrderUnsupported, ShapeError,
-                     UnknownModel, finite_real, integer)
+                     UnknownModel, finite_real, integer, shown)
 from .series import TruncatedSeries, basis_values, cauchy_matmul, lower_set
 
 
@@ -136,9 +136,8 @@ class PolynomialLagrangian(LagrangianModel):
     falling-factorial coefficients, held as the rows of its x and y
     monomials in ``basis`` (U x m: every exponent vector below a term's x or
     y exponents, sorted by mixed-radix code) and built once per partial into
-    ``_cache``; the terms of a list of partials, grouped by term count for
-    ``gathered_sums``, are built once per list into ``_batches``.  A
-    non-polynomial expression compiles each partial through
+    ``_cache``, whose entries ``gathered_sums`` groups by term count on each
+    read.  A non-polynomial expression compiles each partial through
     ``_compiled_partial`` into ``_cache``; ``is_polynomial`` is then False
     and the model cannot take truncated series.
     """
@@ -147,7 +146,7 @@ class PolynomialLagrangian(LagrangianModel):
         super().__init__(name, dim, max_order, nonnegative)
         self._symbolic = (expr, tuple(xs), tuple(ys))
         self._value_fn = None  # compiled on first use
-        self._cache, self._batches = {}, {}
+        self._cache = {}
         self.is_polynomial = bool(expr.is_polynomial(*xs, *ys))
         if self.is_polynomial:
             terms = _sympy().Poly(expr, *xs, *ys).terms()
@@ -164,7 +163,7 @@ class PolynomialLagrangian(LagrangianModel):
         LagrangianModel.__init__(lag, name, dim, nonnegative=nonnegative)
         lag._symbolic = None  # written from the table on first use
         lag._value_fn = value
-        lag._cache, lag._batches = {}, {}
+        lag._cache = {}
         lag.is_polynomial = True
         expansion = value(*_Expansion.variables(2 * dim))
         lag._set_table(expansion.exponents, expansion.coefs)
@@ -227,26 +226,6 @@ class PolynomialLagrangian(LagrangianModel):
         bounds = k.searchsorted(np.arange(len(partials) + 1)).tolist()
         return [(ix[a:b], iy[a:b], coefs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    def _groups(self, partials) -> list:
-        """(rows, ix, iy, coefs) for each term count T of the polynomial's
-        partials: the positions in ``partials`` of those with T terms and
-        their terms stacked, each (G, T); partials without terms are in no
-        group.  Built once per tuple of partials, the terms of its partials
-        new to ``_cache`` by one ``_terms``."""
-        found = self._batches.get(partials)
-        if found is None:
-            new = [p for p in partials if p not in self._cache]
-            if new:
-                self._cache.update(zip(new, self._terms(new)))
-            terms = [self._cache[p] for p in partials]
-            counts = [len(coefs) for _, _, coefs in terms]
-            found = []
-            for count in sorted(set(counts) - {0}):
-                rows = [k for k, c in enumerate(counts) if c == count]
-                found.append((rows, *map(np.array, zip(*(terms[k] for k in rows)))))
-            self._batches[partials] = found
-        return found
-
     def gathered_sums(self, partials, VX, VY) -> list:
         """The (..., n, n', K) series of each partial (alpha, beta) at every
         pair of points whose basis values are VX (..., U, n, K) and VY (..., U,
@@ -254,16 +233,24 @@ class PolynomialLagrangian(LagrangianModel):
         from the values, never a dense product with the basis.  The partials
         with one term count share one ``cauchy_matmul`` on a partial axis; the
         partials without terms share one zero array, with no product.  The
+        terms of the partials new to ``_cache`` come from one ``_terms``.  The
         model must be a polynomial."""
+        new = [p for p in partials if p not in self._cache]
+        if new:
+            self._cache.update(zip(new, self._terms(new)))
+        terms = [self._cache[p] for p in partials]
+        counts = [len(coefs) for _, _, coefs in terms]
         zero = np.zeros(VX.shape[:-3] + (VX.shape[-2], VY.shape[-2], VX.shape[-1]))
         sums = [zero] * len(partials)
-        for rows, ix, iy, coefs in self._groups(tuple(partials)):
+        for count in sorted(set(counts) - {0}):
+            rows = [k for k, c in enumerate(counts) if c == count]
+            ix, iy, coefs = map(np.array, zip(*(terms[k] for k in rows)))
             group = cauchy_matmul(VX[..., ix, :, :] * coefs[..., None, None], VY[..., iy, :, :])
             for g, k in enumerate(rows):
                 sums[k] = group[..., g, :, :, :]
         return sums
 
-    def _tables(self, X, Y, partials, values=None) -> np.ndarray:
+    def _tables(self, X, Y, partials, values) -> np.ndarray:
         """(P, ..., n, n') tables of the P partials at the rows of X and Y.  A
         polynomial gathers those of order >= 1 in one ``gathered_sums`` from
         the basis values (VX, VY) of X and Y, those that ``values()`` returns
@@ -292,9 +279,8 @@ class PolynomialLagrangian(LagrangianModel):
         return float(self._values()(*np.asarray(x, float), *np.asarray(y, float)))
 
     def partial(self, x, y, alpha, beta) -> float:
-        alpha, beta = _multi_indices(self, alpha, beta)
-        return float(self._tables(np.asarray(x, float)[None], np.asarray(y, float)[None],
-                                  [(alpha, beta)])[0, 0, 0])
+        """The 1 x 1 case of ``pair_table``."""
+        return float(pair_table(self, x, y, alpha, beta)[0, 0])
 
 
 def pair_tables(lag, X, Y, partials, values=None) -> np.ndarray:
@@ -332,12 +318,19 @@ def pair_tables(lag, X, Y, partials, values=None) -> np.ndarray:
                 table[...] = [[lag(x, y) for y in Y] for x in X]
             else:
                 table[...] = [[lag.partial(x, y, alpha, beta) for y in Y] for x in X]
-    if not np.isfinite(tables).all():
-        k, *g, i, j = np.argwhere(~np.isfinite(tables))[0]
+    _check_finite(lag, np.isfinite(tables), partials, X, Y)
+    return tables
+
+
+def _check_finite(lag, finite, partials, X, Y):
+    """NumericalFailure naming the partial and the pair of points of the first
+    False in ``finite`` (P, ..., n, n'), whether each partial is finite at
+    each pair of rows of X and Y."""
+    if not finite.all():
+        k, *g, i, j = np.argwhere(~finite)[0]
         alpha, beta = partials[k]
         raise NumericalFailure(f"{lag.name}: partial {alpha}, {beta} not finite at pair",
                                pair=(X[(*g, i)], Y[(*g, j)]))
-    return tables
 
 
 def pair_table(lag, X, Y, alpha, beta, values=None) -> np.ndarray:
@@ -357,7 +350,8 @@ def pair_series(lag: PolynomialLagrangian, X, Y, alpha, beta) -> TruncatedSeries
     lambda-coefficients of the coordinates, the result is the (n, n', K)
     series of d^alpha_x d^beta_y L(X[i], Y[j]), gathered from the basis values
     of X and Y as in pair_table, with Cauchy products on the coefficient axis.
-    The model must take series."""
+    The model must take series; a non-finite coefficient raises
+    NumericalFailure, as in pair_tables."""
     if not takes_series(lag):
         raise ArgError(f"{lag.name}: truncated series need a polynomial model")
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
@@ -366,7 +360,9 @@ def pair_series(lag: PolynomialLagrangian, X, Y, alpha, beta) -> TruncatedSeries
     with np.errstate(all="ignore"):
         VX = basis_values(lag.basis, X)
         VY = VX if Y is X else basis_values(lag.basis, Y)
-        return TruncatedSeries(lag.gathered_sums([(alpha, beta)], VX, VY)[0])
+        coef = lag.gathered_sums([(alpha, beta)], VX, VY)[0]
+    _check_finite(lag, np.isfinite(coef).all(axis=-1)[None], [(alpha, beta)], X, Y)
+    return TruncatedSeries(coef)
 
 
 def fd_step(total_order: int) -> float:
@@ -536,7 +532,8 @@ def build_lagrangian(name: str, params: dict | None = None) -> LagrangianModel:
     try:
         builder, keys = REGISTRY[name]
     except (KeyError, TypeError):  # TypeError: a name that does not hash, e.g. a list
-        raise UnknownModel(f"unknown Lagrangian model {name!r}, have {sorted(REGISTRY)}") from None
+        raise UnknownModel(f"unknown Lagrangian model {shown(name)}, "
+                           f"have {sorted(REGISTRY)}") from None
     params = dict(params or {})
     unknown = sorted(k for k in params if k not in keys)
     if unknown:

@@ -203,12 +203,12 @@ class DiscreteMeasure(_Support):
 
     @classmethod
     def from_json(cls, data) -> "DiscreteMeasure":
-        if isinstance(data, str):
-            data = json.loads(data)
         try:
+            if isinstance(data, str):
+                data = json.loads(data)  # JSONDecodeError is a ValueError
             pts = np.array([entry["point"] for entry in data], dtype=float)
             wts = np.array([entry["weight"] for entry in data], dtype=float)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ShapeError(f"a measure document is a list of {{point, weight}} entries: "
                              f"{err!r}") from None
         return cls(pts, wts)

@@ -21,6 +21,7 @@ TOL_FUNCTIONAL_UNITARY = 1e-8  # unitarity defect accepted by mixing_functional
 TOL_STRATUM = 1e-8  # max | |(Uv)^a| - 1 | on the minimal stratum
 TOL_ORBIT = 1e-8  # max displacement of an orbit vector by the orthogonal factor
 MAX_RESTARTS = 10_000  # restarts minimize_mixing accepts; each one holds an (L, L) start
+MAX_SEED = 2 ** 64 - 1  # the largest seed minimize_mixing and a config accept
 
 
 def _adjoint(A: np.ndarray) -> np.ndarray:
@@ -206,13 +207,15 @@ def minimize_mixing(L: int, subgroup: SubgroupSample | None = None,
     group never steps.  Returns (best value, best U, per-restart trace), the
     values L + ``gap_to_infimum`` of the final stack: the functional, without
     the rounding of U's unitarity that can put it below L.  More than
-    ``MAX_RESTARTS`` restarts raise ShapeError before any start is drawn.
+    ``MAX_RESTARTS`` restarts raise ShapeError, and a seed above ``MAX_SEED``
+    ArgError, before any start is drawn.
     """
     integer(L, 1, "L", ShapeError)
     if integer(restarts, 1, "restarts", ShapeError) > MAX_RESTARTS:
         raise ShapeError(f"restarts must be at most {MAX_RESTARTS}")
     integer(iters, 0, "iters", ArgError)
-    integer(seed, 0, "seed", ArgError)
+    if integer(seed, 0, "seed", ArgError) > MAX_SEED:
+        raise ArgError(f"seed must be at most {MAX_SEED}")
     if subgroup is not None and not subgroup.generators:
         raise ShapeError("subgroup sample needs generators")
     if subgroup is not None and subgroup.generators[0].shape != (L, L):

@@ -229,5 +229,5 @@ def list_scenarios() -> list:
 def run_scenario(name: str, config, outdir: Path):
     """Run builtin scenario ``name``; returns (stage name, data, files)."""
     if not isinstance(name, str) or name not in REGISTRY:
-        raise ConfigError(f"unknown scenario {name!r}; have {sorted(REGISTRY)}")
+        raise ConfigError(f"unknown scenario {shown(name)}; have {sorted(REGISTRY)}")
     return REGISTRY[name][1](config, outdir)

@@ -717,7 +717,31 @@ def test_restarts_above_the_bound_end_in_error_report(tmp_path, monkeypatch, res
       "lagrangian": {"name": "pair_distance"}},
      "ConfigError: measure.weights must be a regular array of numbers (1-D), "
      "got a list holding an integer too long to print"),
-], ids=["restarts", "distance", "scenario-config", "orders", "weights"])
+    ({"expectations": 10 ** 5000},
+     "ConfigError: expectations must be a list, got an integer of about 5001 digits"),
+    ({"expectations": [{"path": 10 ** 5000, "op": "eq"}]},
+     "ConfigError: expectations.0: path must be a string and op one of "
+     "['approx', 'le', 'ge', 'eq', 'true'], got an integer of about 5001 digits and 'eq'"),
+    ({"measure": {"points": [[1.0], [-1.0]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": "pair_distance"}, "test_space": 10 ** 5000},
+     "ConfigError: test_space must be 'full', got an integer of about 5001 digits"),
+    ({"measure": {"points": [[1.0], [-1.0]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": "pair_distance"}, "nu": 0.0,
+      "expansion": {"convention": 10 ** 5000}},
+     "ConfigError: expansion: convention must be 'standard' or 'breve', "
+     "got an integer of about 5001 digits"),
+    ({"measure": {"points": [[1.0], [-1.0]], "weights": [1.0, 1.0]},
+      "lagrangian": {"name": 10 ** 5000}},
+     "UnknownModel: unknown Lagrangian model an integer of about 5001 digits, have ['cfs', "
+     "'example52', 'example52_regularized', 'pair_distance', 'quartic_pair']"),
+    ({"scenario": 10 ** 5000},
+     "ConfigError: unknown scenario an integer of about 5001 digits; have ['cfs-two-point', "
+     "'example52-expansion', 'example52-fragmentation', 'mixing-L2', 'mixing-L3', "
+     "'quartic-pair-expansion']"),
+    ({"scenario": "mixing-L2", "scenario_config": {"seed": 10 ** 5000}},
+     f"ArgError: seed must be at most {2 ** 64 - 1}"),
+], ids=["restarts", "distance", "scenario-config", "orders", "weights", "expectations",
+        "expectation-path", "test-space", "convention", "model", "scenario", "mixing-seed"])
 def test_integers_too_long_to_print_end_in_error_report(tmp_path, monkeypatch, config, error):
     from cvpert import mixing
 
@@ -741,3 +765,19 @@ def test_config_check_names_an_int_too_long_to_print_by_its_digit_count(config, 
     with pytest.raises(ConfigError) as info:
         validate_config(config)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, 10 ** 5000], ids=["above-bound", "too-long-to-print"])
+def test_config_seed_has_an_upper_bound(seed):
+    # the report echoes the seed, and json cannot write an int too long to print
+    validate_config({"schema_version": 1, "seed": 2 ** 64 - 1})
+    with pytest.raises(ConfigError) as info:
+        validate_config({"schema_version": 1, "seed": seed})
+    assert str(info.value) == f"config: seed must be at most {2 ** 64 - 1}"
+
+
+def test_report_shows_a_rejected_scenario_name_as_text(tmp_path):
+    report, code = run_config({"schema_version": 1, "scenario": 10 ** 5000}, out=str(tmp_path))
+    assert code == 1
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["scenario"] == report["scenario"] == "an integer of about 5001 digits"

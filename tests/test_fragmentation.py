@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -495,3 +496,13 @@ def test_fragment_measure_pushes_each_subsystem_by_its_order_one_jet(rng):
         vec = lam ** p * (mean.vector + compl.jets[a].vector) + lam ** q * linf.jets[a].vector
         assert np.array_equal(frag.log_weights[a], np.log(f0[a]) + scal)
         assert np.array_equal(frag.shifts[a], vec)
+
+
+def test_overflowing_fragmented_weights_raise_numerical_failure():
+    # exp(2000 lam) overflows a float at every lambda of the grid; the SVD of
+    # the stacked form would end in numpy's LinAlgError
+    scen = example52_scenario(lam_grid=np.geomspace(0.5, 1.0, 5))
+    mean = Jet(np.array([2000.0]), scen.ansatz.mean_jet.vector)
+    scen = replace(scen, ansatz=replace(scen.ansatz, mean_jet=mean))
+    with pytest.raises(NumericalFailure, match="^overflow in the fragmented weights$"):
+        wellposedness_check(scen)

@@ -76,7 +76,10 @@ def test_lambda_grid_rejects_a_shape_with_the_shape_class_if_given(error, shape_
 @GRID_ERRORS
 @SHAPE_ERRORS
 @pytest.mark.parametrize("grid", [[0.1, math.nan, 0.3], [0.1, 0.2, math.inf], [0.0, 0.1, 0.2],
-                                  [0.1, -0.2, 0.3]], ids=["nan", "inf", "zero", "negative"])
+                                  [0.1, -0.2, 0.3], [0.1, 10 ** 400, 0.3], "abc",
+                                  [[0.1], [0.2, 0.3], [0.4]], [0.1, "x", 0.3]],
+                         ids=["nan", "inf", "zero", "negative", "huge-int", "text", "ragged",
+                              "text-entry"])
 def test_lambda_grid_rejects_a_value_with_the_callers_class(error, shape_error, grid):
     with pytest.raises(error, match=VALUE_MESSAGE):
         lambda_grid(grid, 3, "study", error, shape_error)

@@ -24,7 +24,7 @@ from cvpert.errors import (ArgError, CvpError, DegenerateFit, InconclusiveFit, N
                            NumericalFailure, OrderUnsupported, ShapeError, UnknownModel)
 from cvpert.expansion import (LedgerTerm, PerturbationSeries, compositions, error_term, expand,
                               expand_inhomogeneous, family_from_linearized,
-                              order_scaling_slopes, reconstruct)
+                              order_scaling_slopes, reconstruct, residual_slope)
 from cvpert.fitting import loglog_slope, strict_loglog_slope
 from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, FragmentedMeasure,
                                   Scenario, example52_scenario, fragment_expand,
@@ -198,6 +198,16 @@ ROWS = [
     ("order_scaling_slopes/zero-lambda", lambda: study([1], [0.0, 0.01]), ArgError),
     ("order_scaling_slopes/nan-lambda", lambda: study([1], [np.nan, 0.01, 0.02]), ArgError),
     ("order_scaling_slopes/2-D-grid", lambda: study([1], [[0.01, 0.02]]), ArgError),
+    ("order_scaling_slopes/huge-lambda", lambda: study([1], [0.01, 10 ** 400]), ArgError),
+    ("order_scaling_slopes/text-grid", lambda: study([1], "0.01 0.02"), ArgError),
+    ("order_scaling_slopes/ragged-grid", lambda: study([1], [[0.01], [0.02, 0.03]]), ArgError),
+    ("residual_slope/huge-lambda", lambda: residual_slope(
+        PerturbationSeries(PAIR_1D, 0.0, [Jet.zero(2, 1)]), LINE, 0.0, [0.01, 10 ** 400]),
+     DegenerateFit),
+    ("wellposedness_check/huge-lambda", lambda: wellposedness_check(
+        example52_scenario(lam_grid=[0.01, 0.02, 0.05, 10 ** 400])), ArgError),
+    ("wellposedness_check/ragged-grid", lambda: wellposedness_check(
+        example52_scenario(lam_grid=[[0.01], [0.02, 0.03], [0.04], [0.05]])), ArgError),
     ("order_scaling_slopes/fractional-order", lambda: study([2.5], [0.01, 0.02]), ArgError),
     ("order_scaling_slopes/bool-order", lambda: study([True], [0.01, 0.02]), ArgError),
     ("order_scaling_slopes/deviation-shape",
@@ -305,6 +315,22 @@ ROWS = [
         [{"point": [0.0, 0.0], "weight": 1.0}, {"point": [1.0], "weight": 1.0}]), ShapeError),
     ("PerturbationSeries.from_json/missing-keys",
      lambda: PerturbationSeries.from_json({"order": 1}), ShapeError),
+    ("DiscreteMeasure.from_json/huge-point", lambda: DiscreteMeasure.from_json(
+        [{"point": [10 ** 400, 0.0], "weight": 1.0}]), ShapeError),
+    ("DiscreteMeasure.from_json/malformed-text",
+     lambda: DiscreteMeasure.from_json('[{"point": [0.0], "weight": 1'), ShapeError),
+    ("DiscreteMeasure.from_json/huge-weight", lambda: DiscreteMeasure.from_json(
+        [{"point": [0.0, 0.0], "weight": 10 ** 400}]), ShapeError),
+    ("PerturbationSeries.from_json/huge-nu", lambda: PerturbationSeries.from_json(
+        {**series_document(2), "nu": 10 ** 400}), ShapeError),
+    ("PerturbationSeries.from_json/huge-jet-entry", lambda: PerturbationSeries.from_json(
+        {**series_document(1), "jets": [{"c": [10 ** 400, 0.0], "F": [[0.0, 0.0]] * 2}]}),
+     ShapeError),
+    ("PerturbationSeries.from_json/huge-base-point", lambda: PerturbationSeries.from_json(
+        {**series_document(2), "base": [{"point": [10 ** 400, 0.0], "weight": 1.0}]}),
+     ShapeError),
+    ("PerturbationSeries.from_json/order-not-a-number", lambda: PerturbationSeries.from_json(
+        series_document("x")), ShapeError),
     ("point_from_json/not-pairs", lambda: point_from_json([[1, 2]]), ShapeError),
     ("Jet.unflatten/length", lambda: Jet.unflatten(np.zeros(5), 1), ShapeError),
     ("MultiJet.unflatten/length", lambda: MultiJet.unflatten(np.zeros(5), 2, 1), ShapeError),
