@@ -229,8 +229,7 @@ def run_config(config: dict, seed: int | None = None, out: str | None = None,
     report["wall_clock_s"] = time.monotonic() - t0
     report_path = outdir / "report.json"
     with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True, default=float) + "\n")
     return report, (0 if ok else 1)
 
 

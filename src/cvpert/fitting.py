@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -17,15 +18,25 @@ def check_distinct(xs):
         raise DegenerateFit(f"log-log fit needs two distinct x values, got {xs.tolist()}")
 
 
+def _numbers(raw) -> bool:
+    """Whether every entry of the array is a number, not text that numpy would
+    parse as one; a complex array, which numpy would cast to its real part,
+    is none."""
+    kind = raw.dtype.kind
+    return kind in "biuf" or kind == "O" and all(isinstance(v, numbers.Number) for v in raw.flat)
+
+
 def lambda_grid(grid, least, what, error, shape_error=None) -> np.ndarray:
     """grid as a float array, checked before any work on it: ``error``
     unless it is 1-D with at least ``least`` finite lambdas > 0 (the log-log
     fits need lambda > 0), ``shape_error`` for the shape instead if given,
     and DegenerateFit unless two lambdas differ (``check_distinct``).  A grid
-    that is no array of numbers (text, ragged, an int too large for a float)
-    raises ``error``."""
+    that is no array of numbers (text, even text of a number, ragged, an int
+    too large for a float) raises ``error``."""
     message = f"{what}: lambda_grid must be at least {least} finite numbers > 0, got "
     try:
+        if not _numbers(np.asarray(grid)):
+            raise TypeError
         grid = np.asarray(grid, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise error(message + shown(grid)) from None

@@ -474,10 +474,13 @@ def fragment_expand(scenario: Scenario, order: int, lam: float | None = None,
     The mean and complement residuals are reported but not corrected.  For
     a single subsystem this reduces to the plain expansion, to which the
     call is delegated.  An order that is no integer >= 0 raises ArgError.
+    Without ``lam``, the sweeps run at the geometric mean of the ends of the
+    scenario's grid, which is read through ``lambda_grid`` (ArgError).
     """
     expansion._check_order(order)
     if lam is None:
-        lam = float(np.sqrt(scenario.lam_grid[0] * scenario.lam_grid[-1]))
+        grid = lambda_grid(scenario.lam_grid, 2, "fragment_expand", ArgError)
+        lam = float(np.sqrt(grid[0] * grid[-1]))
     L = scenario.n_subsystems
     measure, lagrangian, nu = scenario.measure, scenario.lagrangian, scenario.nu
     if L == 1:

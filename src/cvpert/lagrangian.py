@@ -14,7 +14,9 @@ Three backends are supplied:
   sum (V[ix] c)^T V[iy], never a dense product with U; the partials of a
   list that share a term count are gathered by one contraction
   (``gathered_sums``), and a partial without terms is zero.  The built-in
-  polynomial models build their tables in numpy; a user's sympy
+  polynomial models build their tables in numpy, once per process and
+  parameter set: each ``build_lagrangian`` call returns a new model that
+  shares the read-only table and keeps its own ``_cache``.  A user's sympy
   polynomial is converted once;
 * any other sympy expression, whose partials are differentiated and
   lambdified, each compiled once per model;
@@ -34,6 +36,8 @@ higher operators are never differentiated.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import sys
 
@@ -480,19 +484,38 @@ def _example52_regularized(x0, x1, y0, y1):
             - (x0 - y0) ** 2 * (x1 + y1) ** 2 + (x1 - y1) ** 2)
 
 
+@functools.lru_cache(maxsize=32)
+def _prototype(make, *args):
+    """The model ``make(*args)`` builds, once per process and arguments (the
+    builder's validated values), with its table arrays read-only.  It is
+    never handed out: ``_shared`` copies it."""
+    model = make(*args)
+    for table in (model._exponents, model._coefs, model._falling, model.basis, model._place,
+                  model._codes):
+        table.flags.writeable = False
+    return model
+
+
+def _shared(make, *args):
+    """A new model sharing the table and formula of ``_prototype(make,
+    *args)``, with its own ``_cache``, settings and symbolic form."""
+    model = copy.copy(_prototype(make, *args))
+    model._cache = {}
+    return model
+
+
 def _build_example52(params):
-    return PolynomialLagrangian.from_formula("example52", 2, _example52)
+    return _shared(PolynomialLagrangian.from_formula, "example52", 2, _example52)
 
 
 def _build_example52_regularized(params):
-    return PolynomialLagrangian.from_formula("example52_regularized", 2, _example52_regularized)
+    return _shared(PolynomialLagrangian.from_formula, "example52_regularized", 2,
+                   _example52_regularized)
 
 
-def _build_quartic_pair(params):
+def _quartic_pair(dim, s):
     # sum_k c(x_k) + c(y_k) + (x_k - y_k)^4, with the sextic double well
     # c(t) = t^2 (t^2 - s^2)^2 >= 0
-    dim = integer(params.get("dim", 1), 1, "dim", ConfigError)
-    s = finite_real(params.get("well_scale", 4.0), "well_scale", ConfigError)
     s2 = s ** 2
 
     def value(*coords):
@@ -503,13 +526,22 @@ def _build_quartic_pair(params):
     return PolynomialLagrangian.from_formula("quartic_pair", dim, value, nonnegative=True)
 
 
-def _build_pair_distance(params):
+def _build_quartic_pair(params):
+    return _shared(_quartic_pair, integer(params.get("dim", 1), 1, "dim", ConfigError),
+                   finite_real(params.get("well_scale", 4.0), "well_scale", ConfigError))
+
+
+def _pair_distance(d):
     # ((x-y)^2 - d^2)^2 in 1-D: translation invariant, preferred pair distance d
-    d = finite_real(params.get("distance", 1.0), "distance", ConfigError)
     d2 = d ** 2
     return PolynomialLagrangian.from_formula("pair_distance", 1,
                                              lambda x0, y0: ((x0 - y0) ** 2 - d2) ** 2,
                                              nonnegative=True)
+
+
+def _build_pair_distance(params):
+    return _shared(_pair_distance,
+                   finite_real(params.get("distance", 1.0), "distance", ConfigError))
 
 
 def _build_cfs(params):

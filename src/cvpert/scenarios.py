@@ -41,8 +41,7 @@ def _write_csv(path: Path, header, rows):
 
 def _write_json(path: Path, data):
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _object(value, what, keys=None, required=()) -> dict:

@@ -132,3 +132,32 @@ def test_config_array_takes_ints_floats_and_numpy_numbers(value, ndim):
 def test_config_array_rejects_a_bool_entry(value):
     with pytest.raises(ConfigError, match=r"^x must be a regular array of numbers, got "):
         scenarios._array(value, "x")
+
+
+@API_AND_CONFIG
+@pytest.mark.parametrize("grid", [["0.01", "0.1", "0.2"], [0.01, "0.1", 0.2],
+                                  np.array(["0.01", "0.1", "0.2"]),
+                                  np.array([0.01, "0.1", 0.2], dtype=object), "0.1",
+                                  np.array([0.01, 0.1, 0.2], dtype=complex)],
+                         ids=["text", "one-text-entry", "text-array", "object-array", "one-text",
+                              "complex-array"])
+def test_lambda_grid_rejects_text_of_numbers_and_complex_numbers(error, grid):
+    with pytest.raises(error, match=VALUE_MESSAGE):
+        lambda_grid(grid, 3, "study", error)
+
+
+def test_order_scaling_slopes_rejects_a_grid_of_text(quartic_pair, quartic_base):
+    from cvpert.expansion import order_scaling_slopes
+    from cvpert.jets import Jet
+
+    deviation = Jet(np.array([0.2, -0.1]), np.array([[0.3], [-0.1]]))
+    with pytest.raises(ArgError, match=r"^order_scaling_slopes: lambda_grid must be "):
+        order_scaling_slopes(quartic_base, quartic_pair, 0.3, deviation, [1], ["0.01", "0.1"])
+
+
+@pytest.mark.parametrize("grid", ["abc", []], ids=["text", "empty"])
+def test_fragment_expand_reads_the_scenario_grid_before_its_default_lambda(grid):
+    from cvpert.fragmentation import example52_scenario, fragment_expand
+
+    with pytest.raises(ArgError, match=r"^fragment_expand: lambda_grid must be "):
+        fragment_expand(example52_scenario(lam_grid=grid), 1)
