@@ -31,9 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import scenarios
+from . import expansion, scenarios
+from .el import calibrate_nu
 from .errors import ConfigError, CvpError, ShapeError, integer, shown
 from .fitting import lambda_grid, strict_loglog_slope
+from .jets import Jet
+from .lagrangian import build_lagrangian
+from .linops import delta_zero_dual
+from .measure import DiscreteMeasure
 from .mixing import MAX_SEED
 
 SCHEMA_VERSION = 1
@@ -110,13 +115,6 @@ def evaluate_expectations(report: dict, expectations) -> list:
 
 def _run_inline(config: dict, seed: int, outdir: Path):
     """Yield the inline stages one at a time as (name, data, files)."""
-    from . import expansion as expmod
-    from .el import calibrate_nu
-    from .jets import Jet
-    from .lagrangian import build_lagrangian
-    from .linops import delta_zero_dual
-    from .measure import DiscreteMeasure
-
     if "scenario_config" in config:
         raise ConfigError("scenario_config needs a scenario")
     orphans = [k for k in ("lagrangian", "nu", "test_space", "expansion") if k in config]
@@ -156,14 +154,14 @@ def _run_inline(config: dict, seed: int, outdir: Path):
                      scenarios._object(econf["deviation"], "deviation", ("c", "F")).items()}
             dev = Jet(parts.get("c", np.zeros(mu.size)),
                       parts.get("F", np.zeros((mu.size, mu.dimension))))
-            slope, table = expmod.order_scaling_slope(mu, lag, nu, dev, order, grid,
+            slope, table = expansion.order_scaling_slope(mu, lag, nu, dev, order, grid,
                                                       convention=convention)
             path = outdir / "expansion_residuals.csv"
             scenarios._write_csv(path, ["lambda", "residual", "order"],
                                  [(lam, res, order) for lam, res in table])
             data = {"order": order, "slope": slope}
         else:
-            series = expmod.expand(mu, lag, nu, order, convention=convention,
+            series = expansion.expand(mu, lag, nu, order, convention=convention,
                                    strict=config.get("strict", False))
             path = outdir / "series.json"
             scenarios._write_json(path, series.to_json())

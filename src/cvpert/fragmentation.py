@@ -44,7 +44,7 @@ from .errors import (ArgError, InconclusiveFit, NotWellPosed, NumericalFailure, 
 from .el import ell_field
 from .fitting import lambda_grid, loglog_slope
 from .jets import Jet, MultiJet, check_on_support
-from .lagrangian import LagrangianModel
+from .lagrangian import LagrangianModel, build_lagrangian
 from .measure import DiscreteMeasure, pair_reader, push_forward
 
 RESIDUAL_FLOOR = 5e-15
@@ -54,11 +54,8 @@ MAX_FIT_RESIDUAL = 0.1  # a worse log-log fit of the form's singular values is i
 def split_mean_fluct(mj: MultiJet) -> tuple:
     """Decompose a multi-jet into its subsystem mean and zero-mean remainder."""
     L = mj.n_subsystems
-    mean_scal = sum(j.scalar for j in mj.jets) / L
-    mean_vec = sum(j.vector for j in mj.jets) / L
-    mean = Jet(mean_scal, mean_vec)
-    fluct = MultiJet([Jet(j.scalar - mean_scal, j.vector - mean_vec) for j in mj.jets])
-    return mean, fluct
+    mean = Jet(np.sum(mj.scalar, axis=0) / L, np.sum(mj.vector, axis=0) / L)
+    return mean, MultiJet(mj.scalar - mean.scalar, mj.vector - mean.vector)
 
 
 @dataclass
@@ -95,9 +92,9 @@ class FragmentationAnsatz:
         if self.linf_fluct is None:
             self.linf_fluct = MultiJet.zero(L, n, m)
         for mj in (self.compl_fluct, self.linf_fluct):
-            if mj.n_subsystems != L or mj.size != n or mj.dimension != m:
+            if mj.vector.shape != (L, n, m):
                 raise ShapeError("fluctuation jets do not match (L, N, m)")
-            if max(np.max(np.abs(j.scalar)) for j in mj.jets) > 0.0:
+            if np.any(mj.scalar):
                 raise ShapeError("fluctuation jets must have zero scalar part")
             mean, _ = split_mean_fluct(mj)
             if mean.norm() > 1e-13:
@@ -161,13 +158,12 @@ def fragment_measure(measure: DiscreteMeasure, ansatz: FragmentationAnsatz,
     lin-F_a, whose scalar part adds to log f0_a."""
     if finite_real(lam, "coupling lambda", ArgError) < 0.0:
         raise ArgError(f"coupling lambda must be >= 0, got {lam}")
-    mean, compl, linf = ansatz.mean_jet, ansatz.compl_fluct.jets, ansatz.linf_fluct.jets
+    mean, compl, linf = ansatz.mean_jet, ansatz.compl_fluct, ansatz.linf_fluct
     with overflow_fails(f"the fragmentation at lambda {lam}"):
-        scalars = lam ** ansatz.p * (mean.scalar + [j.scalar for j in compl])
+        scalars = lam ** ansatz.p * (mean.scalar + compl.scalar)
         with np.errstate(divide="ignore"):  # f0_a = 0: a massless subsystem
             log_w = np.log(ansatz.f0)[:, None] + scalars
-        shifts = (lam ** ansatz.p * (mean.vector + [j.vector for j in compl])
-                  + lam ** ansatz.q * np.array([j.vector for j in linf]))
+        shifts = lam ** ansatz.p * (mean.vector + compl.vector) + lam ** ansatz.q * linf.vector
     return FragmentedMeasure(measure, log_w, shifts)
 
 
@@ -178,10 +174,10 @@ class FluctuationForm:
     hessians: np.ndarray  # (N, m, m)
 
     def form(self, u: MultiJet, v: MultiJet) -> float:
+        check_on_support((u, v), len(self.hessians), self.hessians.shape[-1], "multi-jet")
         if v.n_subsystems != u.n_subsystems:
             raise ShapeError("subsystem counts differ")
-        U, V = (np.array([j.vector for j in mj.jets]) for mj in (u, v))
-        return float(np.einsum("aik,ikl,ail->", U, self.hessians, V)) / u.n_subsystems
+        return float(np.einsum("aik,ikl,ail->", u.vector, self.hessians, v.vector)) / u.n_subsystems
 
     def eigenvalues(self) -> np.ndarray:
         return np.concatenate([np.linalg.eigvalsh(h) for h in self.hessians])
@@ -297,8 +293,11 @@ def fragmented_jacobian(frag: FragmentedMeasure, lagrangian) -> np.ndarray:
 
 
 def apply_increment(frag: FragmentedMeasure, mj: MultiJet) -> FragmentedMeasure:
-    return FragmentedMeasure(frag.base, frag.log_weights + [j.scalar for j in mj.jets],
-                             frag.shifts + [j.vector for j in mj.jets])
+    """The configuration moved by a multi-jet of its own (L, N, m)."""
+    if mj.vector.shape != frag.shifts.shape:
+        raise ShapeError(f"an increment of shape {mj.vector.shape} on a configuration "
+                         f"of shape {frag.shifts.shape}")
+    return FragmentedMeasure(frag.base, frag.log_weights + mj.scalar, frag.shifts + mj.vector)
 
 
 def perturbed_laplacian_linF(measure: DiscreteMeasure, lagrangian: LagrangianModel,
@@ -355,8 +354,6 @@ def example52_scenario(f1: float = 1.0, w: float | None = None,
                        lam_grid=None) -> Scenario:
     """The two-subsystem worked example: Dirac at the origin, fragmentation
     along the flat direction with weights (f1, 2 - f1) and spread w."""
-    from .lagrangian import build_lagrangian
-
     if w is None:
         w = 1.0 / math.sqrt(2.0)
     lag = build_lagrangian("example52_regularized" if regularized else "example52")

@@ -7,6 +7,9 @@ share one implementation, which rejects non-finite entries and sums of
 another kind or shape.  Flattened vectors use point-major layout: for point
 i the block [scalar, vector_1 .. vector_m].  The jets of a
 ``measure.SupportStack`` carry its leading axis, with one norm per start.
+A multi-jet is a jet with a leading subsystem axis: it shares the sums,
+differences and checks, flattens subsystem major into one vector, has one
+norm over all subsystems, and its ``jets`` are views of its parts.
 """
 
 from __future__ import annotations
@@ -140,54 +143,49 @@ class TestBasis:
         return len(self.jets)
 
 
-@dataclass
-class MultiJet:
-    """Subsystem-indexed jet: one Jet per subsystem index a = 1..L."""
+class MultiJet(_PointPairs):
+    """Subsystem-indexed jet: a jet whose parts carry a leading subsystem axis
+    a = 1..L, scalar (L, N) and vector (L, N, m).  Built from its two parts
+    or from a list of one Jet per subsystem."""
 
-    jets: list
+    def __init__(self, scalar, vector=None):
+        if vector is None:
+            if not scalar:
+                raise ShapeError("multi-jet needs at least one subsystem")
+            check_on_support(scalar, scalar[0].size, scalar[0].dimension, "subsystem jet")
+            scalar, vector = [j.scalar for j in scalar], [j.vector for j in scalar]
+        super().__init__(scalar, vector)
 
     def __post_init__(self):
-        if not self.jets:
-            raise ShapeError("multi-jet needs at least one subsystem")
-        check_on_support(self.jets, self.size, self.dimension, "subsystem jet")
+        super().__post_init__()
+        if self.vector.ndim != 3 or not len(self.vector):
+            raise ShapeError(f"multi-jet parts of shape {self.vector.shape} carry no "
+                             f"leading subsystem axis")
 
     @property
     def n_subsystems(self) -> int:
-        return len(self.jets)
+        return len(self.vector)
 
     @property
-    def size(self) -> int:
-        return self.jets[0].size
-
-    @property
-    def dimension(self) -> int:
-        return self.jets[0].dimension
+    def jets(self) -> list:
+        """One Jet per subsystem, each a view of the parts."""
+        return [Jet(s, v) for s, v in zip(self.scalar, self.vector)]
 
     @classmethod
     def zero(cls, n_subsystems: int, n_points: int, dim: int) -> "MultiJet":
-        return cls([Jet.zero(n_points, dim) for _ in range(n_subsystems)])
+        return cls(np.zeros((n_subsystems, n_points)), np.zeros((n_subsystems, n_points, dim)))
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([j.flatten() for j in self.jets])
+        """Subsystem major: the subsystem jets' ``flatten`` one after another."""
+        return super().flatten().ravel()
 
     @classmethod
     def unflatten(cls, vec, n_subsystems: int, dim: int) -> "MultiJet":
         vec = np.asarray(vec, dtype=float)
-        if vec.ndim != 1 or len(vec) % n_subsystems:
+        if vec.ndim != 1 or n_subsystems < 1 or len(vec) % n_subsystems:
             raise ShapeError(f"a flat vector of shape {vec.shape} splits into no "
                              f"{n_subsystems} equal subsystems")
-        parts = np.split(vec, n_subsystems)
-        return cls([Jet.unflatten(p, dim) for p in parts])
+        return super().unflatten(vec.reshape(n_subsystems, -1), dim)
 
     def norm(self) -> float:
-        return max(j.norm() for j in self.jets)
-
-    def __add__(self, other: "MultiJet") -> "MultiJet":
-        if other.n_subsystems != self.n_subsystems:
-            raise ShapeError("multi-jets of different subsystem counts")
-        return MultiJet([a + b for a, b in zip(self.jets, other.jets)])
-
-    def __mul__(self, factor: float) -> "MultiJet":
-        return MultiJet([j * factor for j in self.jets])
-
-    __rmul__ = __mul__
+        return float(np.max(super().norm()))
