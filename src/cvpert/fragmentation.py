@@ -43,7 +43,7 @@ from .errors import (ArgError, InconclusiveFit, NotWellPosed, NumericalFailure, 
                      finite_real, overflow_fails)
 from .el import ell_field
 from .fitting import lambda_grid, loglog_slope
-from .jets import Jet, MultiJet, check_on_support
+from .jets import Jet, MultiJet, check_multi, check_on_support
 from .lagrangian import LagrangianModel, build_lagrangian
 from .measure import DiscreteMeasure, pair_reader, push_forward
 
@@ -53,6 +53,7 @@ MAX_FIT_RESIDUAL = 0.1  # a worse log-log fit of the form's singular values is i
 
 def split_mean_fluct(mj: MultiJet) -> tuple:
     """Decompose a multi-jet into its subsystem mean and zero-mean remainder."""
+    check_multi([mj])
     L = mj.n_subsystems
     mean = Jet(np.sum(mj.scalar, axis=0) / L, np.sum(mj.vector, axis=0) / L)
     return mean, MultiJet(mj.scalar - mean.scalar, mj.vector - mean.vector)
@@ -174,6 +175,7 @@ class FluctuationForm:
     hessians: np.ndarray  # (N, m, m)
 
     def form(self, u: MultiJet, v: MultiJet) -> float:
+        check_multi((u, v))
         check_on_support((u, v), len(self.hessians), self.hessians.shape[-1], "multi-jet")
         if v.n_subsystems != u.n_subsystems:
             raise ShapeError("subsystem counts differ")
@@ -315,6 +317,7 @@ def perturbed_laplacian_linF(measure: DiscreteMeasure, lagrangian: LagrangianMod
     if directions is None:
         cols = lin_fluct_columns(measure, lagrangian, ansatz.n_subsystems)
     else:
+        check_multi(directions, "direction")
         check_on_support(directions, measure.size, measure.dimension, "direction")
         if any(d.n_subsystems != ansatz.n_subsystems for d in directions):
             raise ShapeError(f"directions need {ansatz.n_subsystems} subsystems")

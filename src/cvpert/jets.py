@@ -150,6 +150,10 @@ class MultiJet(_PointPairs):
 
     def __init__(self, scalar, vector=None):
         if vector is None:
+            if not isinstance(scalar, (list, tuple)) or not all(
+                    isinstance(j, Jet) for j in scalar):
+                raise ShapeError("a multi-jet takes its two parts or a list of Jets, "
+                                 f"not one {type(scalar).__name__}")
             if not scalar:
                 raise ShapeError("multi-jet needs at least one subsystem")
             check_on_support(scalar, scalar[0].size, scalar[0].dimension, "subsystem jet")
@@ -189,3 +193,10 @@ class MultiJet(_PointPairs):
 
     def norm(self) -> float:
         return float(np.max(super().norm()))
+
+
+def check_multi(jets, what: str = "multi-jet") -> None:
+    """ShapeError unless every entry is a MultiJet."""
+    for w in jets:
+        if not isinstance(w, MultiJet):
+            raise ShapeError(f"{what} is a {type(w).__name__}, not a MultiJet")

@@ -58,6 +58,7 @@ from .series import TruncatedSeries, _cauchy, basis_values, cauchy_matmul
 
 TOL_RANK = 1e-8
 TOL_SOLVE = 1e-8
+_EPS = float(np.finfo(float).eps)
 TOL_SYMMETRIC = 1e-14  # relative symmetry defect up to which Delta is decomposed by eigh
 
 
@@ -468,7 +469,10 @@ class GreensOperator:
     Delta contracts the right-hand side with the test basis it was assembled
     against.  ``strict`` raises OutOfRange when the requested dual jet has a
     component outside range(Delta), relative to TOL_SOLVE; otherwise that
-    component is projected away and reported.  The solves use Delta's
+    component is projected away and reported.  Strict mode also lets pass a
+    component within the rounding floor s eps sigma_max, the rounding of
+    Delta (s rows) applied to a unit jet, so a right-hand side that is
+    rounding noise counts as in range.  The solves use Delta's
     decomposition (``DeltaMatrix.decomposition``) with the singular values
     up to TOL_RANK * sigma_max cut, a stack of any ranks by one mask of the
     kept values per start.
@@ -504,7 +508,8 @@ class GreensOperator:
 
     def apply(self, dual: DualJet):
         """Solve Delta w = -dual (min-norm); returns (jet, out-of-range residual),
-        one residual per start of a stack."""
+        one residual per start of a stack: the norm of the right-hand side's
+        part outside range(Delta) over its own norm."""
         check_on_support([dual], self.delta.weights.shape[-1], self.delta.dim, "dual jet")
         u, s, vt = self.delta.decomposition
         b = -self._rhs(dual)[..., None]
@@ -513,8 +518,10 @@ class GreensOperator:
         rel = np.divide(resid, scale, out=np.zeros_like(scale), where=scale > 0)
         w = (vt.swapaxes(-1, -2) @ np.divide(coef, s[..., None], out=np.zeros_like(coef),
                                              where=self._kept))[..., 0]
-        if self.strict and np.any(rel > TOL_SOLVE):
-            raise OutOfRange(float(np.max(rel)))
+        if self.strict:
+            out = (rel > TOL_SOLVE) & (resid > b.shape[-2] * _EPS * s[..., 0])  # over the floor
+            if np.any(out):
+                raise OutOfRange(float(np.max(rel[out])))
         return Jet.unflatten(w, self.delta.dim), float(rel) if rel.ndim == 0 else rel
 
 

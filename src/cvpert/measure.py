@@ -3,13 +3,16 @@
 Integrals against the measure are weighted sums over the support.  Points
 within ``TOL_POINT_MERGE`` (max norm, chart units) are close; a support has
 no close pair.  ``merge_close`` merges each chain of close points (a~b, b~c,
-a not~ c) into its lowest-index point, whatever the input order; the
-search for close pairs sorts by a projection on a fixed generic direction
-(``close_pairs``).  A ``SupportStack`` holds measures of one support size
-on a leading axis; ``push`` returns its pushed starts stacked by size and
-merges only those whose keys fail the search's first test.  A pair reader
-(``pair_reader``) reads the pair tables of a model and its partials on a
-support, a list of partials at a time.
+a not~ c) into its lowest-index point, whatever the input order: at the
+fixed point of its min-label propagation every chain is labelled by that
+point, the one point that labels itself.  The search for close pairs sorts
+by a projection on a fixed generic direction (``close_pairs``) and orders
+the pairs it finds by the same stable argsort, on their flat index.  A
+``SupportStack`` holds measures of one support size on a leading axis;
+``push`` returns its pushed starts stacked by size and merges only those
+whose keys fail the search's first test.  A pair reader (``pair_reader``)
+reads the pair tables of a model and its partials on a support, a list of
+partials at a time.
 """
 
 from __future__ import annotations
@@ -72,17 +75,24 @@ def close_pairs(points) -> np.ndarray:
         return found[0]
     for k in range(1, int(width.max())):  # candidates k places apart in sorted order
         s = pos[width > k]
-        ij = np.sort(np.stack([order[s], order[s + k]], axis=1), axis=1)
-        near = np.max(np.abs(pts[ij[:, 0]] - pts[ij[:, 1]]), axis=1) <= TOL_POINT_MERGE
-        found.append(ij[near])
+        a, b = order[s], order[s + k]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        near = np.max(np.abs(pts[i] - pts[j]), axis=1) <= TOL_POINT_MERGE
+        found.append(np.stack([i[near], j[near]], axis=1))
     pairs = np.concatenate(found)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    # each pair is found once, so one stable sort of i n + j orders them as (i, j)
+    return pairs[np.argsort(pairs[:, 0] * len(pts) + pairs[:, 1], kind="stable")]
 
 
 def merge_close(points, weights) -> tuple:
     """Merge each connected component of the close-pair graph into its
     lowest-index point (coordinates kept, weights summed); the kept points
-    stay in input order, so an input without close pairs comes back unchanged."""
+    stay in input order, so an input without close pairs comes back unchanged.
+
+    Min-label propagation stops at its fixed point, where every component
+    carries the label of its lowest index and that index labels itself:
+    the kept rows are the fixed points of the labelling, and a point's
+    cluster is the rank of its label among them."""
     points = np.asarray(points, dtype=float)
     pairs = close_pairs(points)
     if not len(pairs):
@@ -97,8 +107,9 @@ def merge_close(points, weights) -> tuple:
         if np.array_equal(low, label):
             break
         label = low
-    kept, cluster = np.unique(label, return_inverse=True)
-    return points[kept], np.bincount(cluster, weights=weights, minlength=len(kept))
+    kept = np.flatnonzero(label == np.arange(len(points)))
+    return points[kept], np.bincount(kept.searchsorted(label), weights=weights,
+                                     minlength=len(kept))
 
 
 def pair_reader(lagrangian, points):

@@ -7,8 +7,9 @@ family x -> exp(lambda J) x has the jets v^(p) = J^p x / p!, the family
 x -> x + lambda e_1 the jets v^(1) = e_1, v^(p >= 2) = 0, all with zero
 scalars.  Fed as the inhomogeneity, each order's right-hand side
 E^(p) + Delta v^(p) vanishes to rounding, so the expansion returns the
-prescribed jets unchanged.  Permissive mode only: strict mode still flags
-those rounding-level right-hand sides as outside range(Delta).
+prescribed jets unchanged.  Those rounding-level right-hand sides lie
+within the range test's floor, so strict mode accepts both families, while
+a kernel component above the floor is still out of range.
 """
 
 import math
@@ -17,9 +18,12 @@ import numpy as np
 import pytest
 
 from cvpert import DiscreteMeasure, Jet, calibrate_nu
-from cvpert.expansion import Inhomogeneity, error_term, expand_inhomogeneous, reconstruct
+from cvpert.errors import OutOfRange
+from cvpert.expansion import (Inhomogeneity, error_term, expand_inhomogeneous,
+                              family_from_linearized, reconstruct)
+from cvpert.jets import DualJet
 from cvpert.lagrangian import PolynomialLagrangian
-from cvpert.linops import assemble_delta, delta_zero_dual
+from cvpert.linops import GreensOperator, assemble_delta, delta_zero_dual, kernel_basis
 
 N = 16
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -77,3 +81,32 @@ def test_the_reconstructed_rotation_stays_critical(ring):
     assert delta_zero_dual(moved, lag, nu).norm() <= 1e-10
     turned = mu.points @ (math.cos(0.1) * np.eye(2) + math.sin(0.1) * J).T
     assert np.max(np.abs(moved.points - turned)) <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["rotation", "translation"])
+def test_strict_family_accepts_a_rigid_motion(ring, family):
+    # E^(p) is rounding noise at every order, within the floor of the range test
+    mu, lag, nu = ring
+    (w1,) = rotation(mu.points, 1) if family == "rotation" else translation(1)
+    strict = family_from_linearized(w1, mu, lag, nu, 4, strict=True)
+    loose = family_from_linearized(w1, mu, lag, nu, 4)
+    assert strict.range_defects == loose.range_defects
+    for a, b in zip(strict.jets, loose.jets):
+        assert np.array_equal(a.flatten(), b.flatten())
+
+
+@pytest.mark.parametrize("size, raises", [(1.0, True), (1e-12, True), (1e-17, False)])
+def test_a_kernel_component_is_out_of_range_above_the_floor(ring, size, raises):
+    # Delta is symmetric, so a kernel jet is orthogonal to its range; the floor,
+    # rows * eps * sigma_max = 5.3e-15 here, lies between the two smallest sizes
+    mu, lag, nu = ring
+    delta = assemble_delta(mu, lag, nu)
+    kernel = kernel_basis(delta).jets[0]
+    dual = DualJet(kernel.scalar, kernel.vector) * (size / mu.weights[0])
+    _, defect = GreensOperator(delta).apply(dual)
+    assert defect > 0.9  # the part outside the range, relative to the right-hand side
+    if raises:
+        with pytest.raises(OutOfRange):
+            GreensOperator(delta, strict=True).apply(dual)
+    else:
+        GreensOperator(delta, strict=True).apply(dual)

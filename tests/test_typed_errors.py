@@ -29,7 +29,8 @@ from cvpert.fitting import loglog_slope, strict_loglog_slope
 from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, FragmentedMeasure,
                                   Scenario, example52_scenario, fragment_expand,
                                   fragment_expand_study, fragment_measure,
-                                  perturbed_laplacian_linF, wellposedness_check)
+                                  perturbed_laplacian_linF, split_mean_fluct,
+                                  wellposedness_check)
 from cvpert.jets import DualJet, Jet, MultiJet, TestBasis, pairing
 from cvpert.lagrangian import NumericLagrangian, build_lagrangian, pair_series, pair_table
 from cvpert.linops import (DeltaMatrix, GreensOperator, assemble_delta, delta_ell,
@@ -142,6 +143,9 @@ ROWS = [
         example52_scenario().measure, example52_scenario().lagrangian,
         example52_scenario().ansatz, 0.05,
         directions=[MultiJet([Jet.zero(2, 2)] * 2)]), ShapeError),
+    ("perturbed_laplacian_linF/jet", lambda: perturbed_laplacian_linF(
+        example52_scenario().measure, example52_scenario().lagrangian,
+        example52_scenario().ansatz, 0.05, directions=[Jet.zero(1, 2)]), ShapeError),
     # fragmentation data: finite, non-negative couplings, an ansatz that fits
     ("FragmentationAnsatz/nan-f0", lambda: ansatz(f0=(np.nan, 1.0)), ShapeError),
     ("FragmentationAnsatz/inf-q", lambda: ansatz(q=np.inf), ShapeError),
@@ -245,6 +249,8 @@ ROWS = [
     ("TestBasis/full-zero-scalar", lambda: TestBasis(
         [Jet(np.array([1.0, 0.0]), np.zeros((2, 1)))], full_space=True), ShapeError),
     ("MultiJet/empty", lambda: MultiJet([]), ShapeError),
+    ("MultiJet/one-array", lambda: MultiJet(np.zeros((2, 1))), ShapeError),
+    ("split_mean_fluct/jet", lambda: split_mean_fluct(Jet.zero(1, 2)), ShapeError),
     ("FragmentationAnsatz/negative-f0", lambda: ansatz(f0=(-1.0, 3.0)), ShapeError),
     ("FragmentationAnsatz/fluct-shape",
      lambda: ansatz(compl_fluct=MultiJet([Jet.zero(2, 2)] * 2)), ShapeError),
@@ -254,6 +260,8 @@ ROWS = [
      lambda: FragmentedMeasure(PAIR, np.zeros((2, 2)), np.zeros((2, 3, 2))), ShapeError),
     ("FluctuationForm.form/subsystems", lambda: FluctuationForm(np.zeros((1, 2, 2))).form(
         subsystem_direction(2), subsystem_direction(3)), ShapeError),
+    ("FluctuationForm.form/jets", lambda: FluctuationForm(np.zeros((1, 2, 2))).form(
+        Jet.zero(1, 2), Jet.zero(1, 2)), ShapeError),
     ("wellposedness_check/short-grid",
      lambda: wellposedness_check(example52_scenario(lam_grid=[0.05, 0.1])), ShapeError),
     ("wellposedness_check/repeated-lambda",
