@@ -15,7 +15,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import NotCritical, ShapeError
+from .errors import ArgError, NotCritical, ShapeError, finite_real
 from .jets import DualJet, TestBasis, check_on_support, pairing
 from .lagrangian import LagrangianModel, pair_table
 from .measure import DiscreteMeasure
@@ -85,8 +85,10 @@ def calibrate_nu(measure: DiscreteMeasure, lagrangian: LagrangianModel, tol: flo
     """nu making ell vanish on the support: twice the mean of the L-integrals.
 
     Raises NotCritical if the per-point integrals deviate from their mean by
-    more than tol, since no single nu can then zero out ell on the support.
+    more than tol >= 0, since no single nu can then zero out ell on the support.
     """
+    if finite_real(tol, "tol", ArgError) < 0:
+        raise ArgError(f"tol must be >= 0, got {tol!r}")
     vals = ell_on_support(measure, lagrangian, nu=0.0)
     mean = float(np.mean(vals))
     deviation = float(np.max(np.abs(vals - mean))) if len(vals) else 0.0

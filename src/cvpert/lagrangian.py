@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (ArgError, ConfigError, NumericalFailure, OrderUnsupported, ShapeError,
                      UnknownModel, finite_real, integer, shown)
-from .series import TruncatedSeries, basis_values, cauchy_matmul, lower_set
+from .series import TruncatedSeries, _Arithmetic, basis_values, cauchy_matmul, lower_set
 
 
 def __getattr__(name):
@@ -160,16 +160,20 @@ class PolynomialLagrangian(LagrangianModel):
     @classmethod
     def from_formula(cls, name, dim, value, nonnegative=False):
         """L given by ``value(x0, .., x{m-1}, y0, .., y{m-1})``, a formula in
-        +, -, * and integer powers evaluated elementwise on broadcast
-        coordinates.  Its monomial table is the same formula run on the
-        coordinate monomials; no sympy is involved."""
+        +, -, * and non-negative integer powers evaluated elementwise on
+        broadcast coordinates.  Its monomial table is the same formula run on
+        the coordinate monomials, without sympy; any other formula raises
+        ArgError."""
         lag = cls.__new__(cls)
         LagrangianModel.__init__(lag, name, dim, nonnegative=nonnegative)
         lag._symbolic = None  # written from the table on first use
         lag._value_fn = value
         lag._cache = {}
         lag.is_polynomial = True
-        expansion = value(*_Expansion.variables(2 * dim))
+        try:
+            expansion = value(*_Expansion.variables(2 * dim))
+        except (TypeError, ValueError, OverflowError) as err:  # ** nan, ** inf
+            raise ArgError(f"{name}: the formula is no polynomial: {err}") from None
         lag._set_table(expansion.exponents, expansion.coefs)
         return lag
 
@@ -280,7 +284,8 @@ class PolynomialLagrangian(LagrangianModel):
         return tables
 
     def __call__(self, x, y) -> float:
-        return float(self._values()(*np.asarray(x, float), *np.asarray(y, float)))
+        """The 1 x 1 order-0 case of ``pair_table``."""
+        return float(pair_table(self, x, y, (0,) * self.dim, (0,) * self.dim)[0, 0])
 
     def partial(self, x, y, alpha, beta) -> float:
         """The 1 x 1 case of ``pair_table``."""
@@ -360,6 +365,8 @@ def pair_series(lag: PolynomialLagrangian, X, Y, alpha, beta) -> TruncatedSeries
         raise ArgError(f"{lag.name}: truncated series need a polynomial model")
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     check_points(lag, X, Y, series=True)
+    if X.shape[-1] != Y.shape[-1]:
+        raise ShapeError(f"{lag.name}: series points of unequal coefficient counts")
     alpha, beta = _multi_indices(lag, alpha, beta)
     with np.errstate(all="ignore"):
         VX = basis_values(lag.basis, X)
@@ -424,10 +431,11 @@ class NumericLagrangian(LagrangianModel):
         return float(numeric_partial(self._evaluator, x, y, alpha, beta))
 
 
-class _Expansion:
-    """A polynomial as a monomial table (exponents, coefs) under +, -, * and
-    non-negative integer powers, so that a formula run on ``variables``
-    expands itself; equal monomials are summed by ``_combined`` later."""
+class _Expansion(_Arithmetic):
+    """A polynomial as a monomial table (exponents, coefs) under + and *
+    (subtraction and non-negative integer powers come from ``_Arithmetic``),
+    so that a formula run on ``variables`` expands itself; equal monomials
+    are summed by ``_combined`` later."""
 
     def __init__(self, exponents, coefs):
         self.exponents, self.coefs = exponents, np.asarray(coefs, dtype=float)
@@ -446,30 +454,11 @@ class _Expansion:
         return _Expansion(np.concatenate([self.exponents, other.exponents]),
                           np.concatenate([self.coefs, other.coefs]))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Expansion(self.exponents, -self.coefs)
-
-    def __sub__(self, other):
-        return self + -self._lift(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         other = self._lift(other)
         exponents = self.exponents[:, None] + other.exponents[None]
         return _Expansion(exponents.reshape(-1, exponents.shape[-1]),
                           (self.coefs[:, None] * other.coefs[None]).ravel())
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = self if n else self._lift(1.0)
-        for _ in range(n - 1):
-            out = out * self
-        return out
 
 
 # -- built-in polynomial models, each written once in factored form: on arrays

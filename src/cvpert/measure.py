@@ -265,7 +265,10 @@ class SupportStack(_Support):
 
 
 def _pushed(points, weights, log_weight, shift) -> tuple:
-    """(points + shift, weights * exp(log_weight)), checked finite."""
+    """(points + shift, weights * exp(log_weight)), checked for shape and finiteness."""
+    log_weight, shift = np.asarray(log_weight, dtype=float), np.asarray(shift, dtype=float)
+    if log_weight.shape + points.shape[-1:] != shift.shape or shift.shape[-2:] != points.shape[-2:]:
+        raise ShapeError("log-weights (..., N) and shifts (..., N, m) do not match the support")
     with overflow_fails("exp of log-weight field"):
         factors = np.exp(log_weight)
     pushed = points + shift, weights * factors
@@ -283,6 +286,4 @@ def push_forward(measure: DiscreteMeasure, log_weight, shift) -> DiscreteMeasure
     """
     log_weight = np.asarray(log_weight, dtype=float).ravel()
     shift = np.atleast_2d(np.asarray(shift, dtype=float))
-    if len(log_weight) != measure.size or shift.shape != measure.points.shape:
-        raise ShapeError("log_weight/shift shapes do not match the support")
     return DiscreteMeasure.merged(*_pushed(measure.points, measure.weights, log_weight, shift))

@@ -37,17 +37,49 @@ def _cauchy(a, b):
     return outer.reshape(outer.shape[:-2] + (K * K,)) @ _antidiagonals(K)
 
 
-class TruncatedSeries:
+class _Arithmetic:
+    """Subtraction, negation, the reflected + and *, and non-negative integer
+    powers (by squaring), derived from a subclass's + and *."""
+
+    __array_ufunc__ = None  # a numpy scalar operand defers to the reflected operator
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, n):
+        if n != int(n) or n < 0:
+            raise TypeError(f"only non-negative integer powers are defined, not {n!r}")
+        n, result, base = int(n), None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self * 0.0 + 1.0 if result is None else result
+
+
+class TruncatedSeries(_Arithmetic):
     """Power series in lambda cut after lambda^(K-1), with numpy coefficients
     on a trailing axis of length K (Taylor propagation, Griewank & Walther,
     *Evaluating Derivatives*, ch. 13).
 
-    Supports +, -, * (the truncated Cauchy product) and non-negative integer
-    powers, with another series or with a scalar, broadcasting the leading
-    axes.
+    Supports + and * (the truncated Cauchy product), and from ``_Arithmetic``
+    subtraction and non-negative integer powers, with another series or with
+    a scalar, broadcasting the leading axes.
     """
-
-    __array_ufunc__ = None  # a numpy scalar operand defers to the reflected operator
 
     def __init__(self, coef):
         self.coef = np.asarray(coef, dtype=float)
@@ -59,35 +91,10 @@ class TruncatedSeries:
         coef[..., 0] += other
         return TruncatedSeries(coef)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(-self.coef)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.coef * other)
         return TruncatedSeries(_cauchy(self.coef, other.coef))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n != int(n) or n < 0:
-            raise TypeError(f"a truncated series takes only non-negative integer powers, not {n!r}")
-        n, result, base = int(n), None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self * 0.0 + 1.0 if result is None else result
 
     def exp(self) -> "TruncatedSeries":
         """exp of the series, from e' = a' e: e_k = sum_{j=1..k} j a_j e_{k-j} / k."""

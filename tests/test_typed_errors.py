@@ -32,7 +32,8 @@ from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, Fragment
                                   perturbed_laplacian_linF, split_mean_fluct,
                                   wellposedness_check)
 from cvpert.jets import DualJet, Jet, MultiJet, TestBasis, pairing
-from cvpert.lagrangian import NumericLagrangian, build_lagrangian, pair_series, pair_table
+from cvpert.lagrangian import (NumericLagrangian, PolynomialLagrangian, build_lagrangian,
+                               pair_series, pair_table)
 from cvpert.linops import (DeltaMatrix, GreensOperator, assemble_delta, delta_ell,
                            delta_ell_dual, delta_zero_dual, kernel_basis, taylor_error_dual)
 from cvpert.measure import DiscreteMeasure, SupportStack, push_forward
@@ -351,6 +352,37 @@ ROWS = [
     ("CfsParams/hilbert-dim-0", lambda: CfsParams(0, 0, 1.0), ShapeError),
     ("CfsParams/inf-trace-constant", lambda: CfsParams(2, 1, np.inf), ShapeError),
     ("CfsParams/inf-kappa", lambda: CfsParams(2, 1, 1.0, np.inf), ShapeError),
+    # a formula that is no polynomial, and a model's value read as its pair table
+    ("from_formula/negative-power", lambda: PolynomialLagrangian.from_formula(
+        "b", 1, lambda x0, y0: (x0 - y0) ** -2 + 1.0), ArgError),
+    ("from_formula/fractional-power", lambda: PolynomialLagrangian.from_formula(
+        "b", 1, lambda x0, y0: (x0 - y0) ** 0.5), ArgError),
+    ("from_formula/nan-power", lambda: PolynomialLagrangian.from_formula(
+        "b", 1, lambda x0, y0: (x0 - y0) ** np.nan), ArgError),
+    ("from_formula/division", lambda: PolynomialLagrangian.from_formula(
+        "b", 1, lambda x0, y0: (x0 - y0) / 2), ArgError),
+    ("from_formula/numpy-function", lambda: PolynomialLagrangian.from_formula(
+        "b", 1, lambda x0, y0: np.exp(x0 - y0)), ArgError),
+    ("PolynomialLagrangian()/2-D-points-on-1-D", lambda: LINE([1.0, 2.0], [0.5, 1.0]),
+     ShapeError),
+    ("PolynomialLagrangian()/1-D-points-on-2-D",
+     lambda: build_lagrangian("example52")([0.5], [0.0]), ShapeError),
+    ("PolynomialLagrangian()/nan",
+     lambda: build_lagrangian("example52")([np.nan, 0.0], [0.0, 0.0]), NumericalFailure),
+    ("PolynomialLagrangian()/overflow",
+     lambda: build_lagrangian("example52")([1e200, 0.0], [0.0, 0.0]), NumericalFailure),
+    # one shape check for both push paths, one coefficient count, a checked tol
+    ("SupportStack.push/leading-axes", lambda: SupportStack(PAIR.points[None], PAIR.weights[None])
+     .push(np.zeros((3, 2)), np.zeros((4, 2, 2))), ShapeError),
+    ("SupportStack.push/support-size", lambda: SupportStack(PAIR.points[None], PAIR.weights[None])
+     .push(np.zeros((2, 5)), np.zeros((2, 2, 2))), ShapeError),
+    ("SupportStack.push/coordinates", lambda: SupportStack(PAIR.points[None], PAIR.weights[None])
+     .push(np.zeros((2, 2)), np.zeros((2, 2, 1))), ShapeError),
+    ("pair_series/coefficient-counts", lambda: pair_series(
+        LINE, np.zeros((2, 1, 3)), np.zeros((2, 1, 4)), (0,), (0,)), ShapeError),
+    ("calibrate_nu/nan-tol", lambda: calibrate_nu(PAIR_1D, LINE, tol=np.nan), ArgError),
+    ("calibrate_nu/negative-tol", lambda: calibrate_nu(PAIR_1D, LINE, tol=-1.0), ArgError),
+    ("calibrate_nu/text-tol", lambda: calibrate_nu(PAIR_1D, LINE, tol="1e-9"), ArgError),
 ]
 
 
