@@ -218,23 +218,23 @@ def _solve(greens: linops.GreensOperator, rhs: DualJet, p: int) -> tuple:
 
 
 def _zero_jets(inhom: Inhomogeneity | None, order, measure) -> list:
+    """The inhomogeneity's jets v^(1..order), None for each order it leaves zero."""
     given = [] if inhom is None else list(inhom.jets[:order])
     check_on_support(given, measure.size, measure.dimension, "inhomogeneity")
-    return given + [Jet(np.zeros(measure.weights.shape),
-                        np.zeros(measure.points.shape))] * (order - len(given))
+    return given + [None] * (order - len(given))
 
 
 def _recursion(jets: list, defects: list, vjets: list, measure, lagrangian, nu,
                delta: linops.DeltaMatrix, greens: linops.GreensOperator,
                convention: str = "standard") -> tuple:
     """Extend the jets w^(1..k) and their range defects, in place, to the
-    orders k+1..len(vjets): w^(p) = v^(p) + S (E^(p) + Delta v^(p))."""
+    orders k+1..len(vjets): w^(p) = v^(p) + S (E^(p) + Delta v^(p)), S E^(p) if v^(p) is None."""
     for p in range(len(jets) + 1, len(vjets) + 1):
         E = error_term(p, jets, measure, lagrangian, nu, convention)
         v = vjets[p - 1]
-        correction, defect = _solve(greens, E + delta.apply(v), p)
+        correction, defect = _solve(greens, E if v is None else E + delta.apply(v), p)
         defects.append(defect)
-        jets.append(v + correction)
+        jets.append(correction if v is None else v + correction)
     return jets, defects
 
 

@@ -13,11 +13,11 @@ Three backends are supplied:
   (``series``), and each table over all pairs of points is the gathered
   sum (V[ix] c)^T V[iy], never a dense product with U; the partials of a
   list that share a term count are gathered by one contraction
-  (``gathered_sums``), and a partial without terms is zero.  The built-in
-  polynomial models build their tables in numpy, once per process and
-  parameter set: each ``build_lagrangian`` call returns a new model that
-  shares the read-only table and keeps its own ``_cache``.  A user's sympy
-  polynomial is converted once;
+  (``gathered_sums``), planned once per table and process (``_plans``),
+  and a partial without terms is zero.  The built-in models build their
+  tables in numpy, once per process and parameter set: each
+  ``build_lagrangian`` call returns a new model that shares the read-only
+  table and keeps its own ``_cache``.  A sympy polynomial is converted once;
 * any other sympy expression, whose partials are differentiated and
   lambdified, each compiled once per model;
 * central finite differences with one Richardson step, used as the
@@ -139,11 +139,11 @@ class PolynomialLagrangian(LagrangianModel):
     every truncated series, from its table: the shifted table with its
     falling-factorial coefficients, held as the rows of its x and y
     monomials in ``basis`` (U x m: every exponent vector below a term's x or
-    y exponents, sorted by mixed-radix code) and built once per partial into
-    ``_cache``, whose entries ``gathered_sums`` groups by term count on each
-    read.  A non-polynomial expression compiles each partial through
-    ``_compiled_partial`` into ``_cache``; ``is_polynomial`` is then False
-    and the model cannot take truncated series.
+    y exponents, sorted by mixed-radix code).  A list of partials reads their
+    terms and groups by term count from the table's ``_plans``, one partial
+    from ``_cache``, which records every partial read.  A non-polynomial
+    expression compiles each partial through ``_compiled_partial`` into
+    ``_cache``; ``is_polynomial`` is then False and it takes no series.
     """
 
     def __init__(self, name, dim, expr, xs, ys, max_order=8, nonnegative=False):
@@ -161,9 +161,9 @@ class PolynomialLagrangian(LagrangianModel):
     def from_formula(cls, name, dim, value, nonnegative=False):
         """L given by ``value(x0, .., x{m-1}, y0, .., y{m-1})``, a formula in
         +, -, * and non-negative integer powers evaluated elementwise on
-        broadcast coordinates.  Its monomial table is the same formula run on
-        the coordinate monomials, without sympy; any other formula raises
-        ArgError."""
+        broadcast coordinates, or a constant.  Its monomial table is the same
+        formula run on the coordinate monomials, without sympy; any other
+        formula raises ArgError."""
         lag = cls.__new__(cls)
         LagrangianModel.__init__(lag, name, dim, nonnegative=nonnegative)
         lag._symbolic = None  # written from the table on first use
@@ -174,6 +174,9 @@ class PolynomialLagrangian(LagrangianModel):
             expansion = value(*_Expansion.variables(2 * dim))
         except (TypeError, ValueError, OverflowError) as err:  # ** nan, ** inf
             raise ArgError(f"{name}: the formula is no polynomial: {err}") from None
+        if not isinstance(expansion, _Expansion):  # a constant
+            expansion = _Expansion(np.zeros((1, 2 * dim), dtype=int),
+                                   [finite_real(expansion, f"{name}: the value", ArgError)])
         lag._set_table(expansion.exponents, expansion.coefs)
         return lag
 
@@ -240,19 +243,25 @@ class PolynomialLagrangian(LagrangianModel):
         n', K): the sum over its terms c_t VX[ix_t, i] VY[iy_t, j], gathered
         from the values, never a dense product with the basis.  The partials
         with one term count share one ``cauchy_matmul`` on a partial axis; the
-        partials without terms share one zero array, with no product.  The
-        terms of the partials new to ``_cache`` come from one ``_terms``.  The
-        model must be a polynomial."""
-        new = [p for p in partials if p not in self._cache]
-        if new:
-            self._cache.update(zip(new, self._terms(new)))
-        terms = [self._cache[p] for p in partials]
-        counts = [len(coefs) for _, _, coefs in terms]
+        partials without terms share one zero array, with no product.  A list
+        of two or more partials reads its terms and groups from the read plans
+        of the model's table (``_plans``), made on the list's first read, and
+        records its partials in ``_cache``; a single partial is read through
+        ``_cache`` alone.  The model must be a polynomial."""
+        if len(partials) == 1:
+            groups = _groups([self._partial(*partials[0])])
+        else:
+            terms, plans = _plans(self._exponents)
+            key = tuple(partials)
+            if key not in plans:
+                new = [p for p in dict.fromkeys(partials) if p not in terms]
+                terms.update(zip(new, self._terms(new) if new else []))
+                plans[key] = _groups([terms[p] for p in partials]), {p: terms[p] for p in key}
+            groups, read = plans[key]
+            self._cache.update(read)
         zero = np.zeros(VX.shape[:-3] + (VX.shape[-2], VY.shape[-2], VX.shape[-1]))
         sums = [zero] * len(partials)
-        for count in sorted(set(counts) - {0}):
-            rows = [k for k, c in enumerate(counts) if c == count]
-            ix, iy, coefs = map(np.array, zip(*(terms[k] for k in rows)))
+        for rows, ix, iy, coefs in groups:
             group = cauchy_matmul(VX[..., ix, :, :] * coefs[..., None, None], VY[..., iy, :, :])
             for g, k in enumerate(rows):
                 sums[k] = group[..., g, :, :, :]
@@ -473,7 +482,34 @@ def _example52_regularized(x0, x1, y0, y1):
             - (x0 - y0) ** 2 * (x1 + y1) ** 2 + (x1 - y1) ** 2)
 
 
-@functools.lru_cache(maxsize=32)
+_TABLES = 32  # the tables that _prototype and _plans keep
+
+
+def _groups(terms) -> list:
+    """(rows, ix, iy, c) per term count > 0 of the partials' terms (ix, iy, c):
+    the positions of the partials with that count, their terms stacked."""
+    counts = [len(c) for _, _, c in terms]
+    return [(rows, *map(np.array, zip(*(terms[k] for k in rows))))
+            for rows in ([k for k, c in enumerate(counts) if c == count]
+                         for count in sorted(set(counts) - {0}))]
+
+
+_PLANS = {}  # id(table): (table, terms, groups), the least recently read first
+
+
+def _plans(table) -> tuple:
+    """(terms, groups) of a model's table ``_exponents``, which the builds of
+    a built-in share: each partial's terms, and the ``_groups`` and terms of
+    each list of partials read.  Kept, with the table, so that no other
+    table takes its id, for the ``_TABLES`` tables read last."""
+    entry = _PLANS.pop(id(table), None) or (table, {}, {})
+    _PLANS[id(table)] = entry
+    if len(_PLANS) > _TABLES:
+        del _PLANS[next(iter(_PLANS))]
+    return entry[1:]
+
+
+@functools.lru_cache(maxsize=_TABLES)
 def _prototype(make, *args):
     """The model ``make(*args)`` builds, once per process and arguments (the
     builder's validated values), with its table arrays read-only.  It is

@@ -269,6 +269,10 @@ def _pushed(points, weights, log_weight, shift) -> tuple:
     log_weight, shift = np.asarray(log_weight, dtype=float), np.asarray(shift, dtype=float)
     if log_weight.shape + points.shape[-1:] != shift.shape or shift.shape[-2:] != points.shape[-2:]:
         raise ShapeError("log-weights (..., N) and shifts (..., N, m) do not match the support")
+    try:
+        np.broadcast_shapes(log_weight.shape[:-1], points.shape[:-2])
+    except ValueError:
+        raise ShapeError("the fields' leading axes do not match the stack's starts") from None
     with overflow_fails("exp of log-weight field"):
         factors = np.exp(log_weight)
     pushed = points + shift, weights * factors

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cvpert import DiscreteMeasure, Jet, TestBasis, calibrate_nu, cli, expansion
+from cvpert import DiscreteMeasure, Jet, TestBasis, calibrate_nu, cli, expansion, linops
 from cvpert.el import residual_norm
 from cvpert.errors import ArgError, LedgerMissing, NotLinearized, ShapeError
 from cvpert.expansion import (Inhomogeneity, PerturbationSeries, compositions, error_term,
@@ -130,6 +130,17 @@ def test_expand_inhomogeneous_zero_reduces_bitwise(quartic_pair, quartic_base):
     inhom = expand_inhomogeneous(start, quartic_pair, nu, order=2,
                                  inhom=Inhomogeneity.zero(2, 2, 1))
     for a, b in zip(plain.jets, inhom.jets):
+        assert np.array_equal(a.flatten(), b.flatten())
+
+
+def test_expand_makes_no_delta_product(quartic_pair, quartic_base, monkeypatch):
+    # without an inhomogeneity each order is solved from E^(p) alone
+    nu = calibrate_nu(quartic_base, quartic_pair, tol=1e-8)
+    start = push_forward(quartic_base, np.zeros(2), np.array([[0.05], [-0.02]]))
+    want = expand(start, quartic_pair, nu, order=3)
+    monkeypatch.setattr(linops.DeltaMatrix, "apply", None)  # a call would fail
+    got = expand(start, quartic_pair, nu, order=3)
+    for a, b in zip(got.jets, want.jets):
         assert np.array_equal(a.flatten(), b.flatten())
 
 

@@ -155,6 +155,17 @@ def test_formula_subtracted_from_a_number_expands_to_its_polynomial():
     assert got == want
 
 
+@pytest.mark.parametrize("constant", [1.0, 0.0, 2, np.float64(-0.5)])
+def test_constant_formula_is_the_constant_table(constant):
+    lag = PolynomialLagrangian.from_formula("c", 1, lambda x0, y0: constant)
+    x, y = np.array([0.3]), np.array([-0.2])
+    assert lag(x, y) == float(constant)
+    assert lag.partial(x, y, (1,), (0,)) == 0.0
+    assert np.array_equal(pair_table(lag, np.zeros((3, 1)), np.ones((2, 1)), (1,), (1,)),
+                          np.zeros((3, 2)))
+    assert lag._exponents.tolist() == ([[0, 0]] if constant else [])
+
+
 def unique_reference(exponents, coefs):
     """The table combined by ``np.unique`` over rows and ``np.add.at``."""
     rows, inverse = np.unique(np.asarray(exponents, dtype=int), axis=0, return_inverse=True)

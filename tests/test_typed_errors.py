@@ -363,6 +363,8 @@ ROWS = [
         "b", 1, lambda x0, y0: (x0 - y0) / 2), ArgError),
     ("from_formula/numpy-function", lambda: PolynomialLagrangian.from_formula(
         "b", 1, lambda x0, y0: np.exp(x0 - y0)), ArgError),
+    ("from_formula/text-value", lambda: PolynomialLagrangian.from_formula(
+        "b", 1, lambda x0, y0: "1.0"), ArgError),
     ("PolynomialLagrangian()/2-D-points-on-1-D", lambda: LINE([1.0, 2.0], [0.5, 1.0]),
      ShapeError),
     ("PolynomialLagrangian()/1-D-points-on-2-D",
@@ -378,6 +380,8 @@ ROWS = [
      .push(np.zeros((2, 5)), np.zeros((2, 2, 2))), ShapeError),
     ("SupportStack.push/coordinates", lambda: SupportStack(PAIR.points[None], PAIR.weights[None])
      .push(np.zeros((2, 2)), np.zeros((2, 2, 1))), ShapeError),
+    ("SupportStack.push/starts", lambda: SupportStack(np.stack([PAIR.points] * 2), np.ones((2, 2)))
+     .push(np.zeros((3, 2)), np.zeros((3, 2, 2))), ShapeError),
     ("pair_series/coefficient-counts", lambda: pair_series(
         LINE, np.zeros((2, 1, 3)), np.zeros((2, 1, 4)), (0,), (0,)), ShapeError),
     ("calibrate_nu/nan-tol", lambda: calibrate_nu(PAIR_1D, LINE, tol=np.nan), ArgError),
