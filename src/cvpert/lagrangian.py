@@ -13,11 +13,12 @@ Three backends are supplied:
   (``series``), and each table over all pairs of points is the gathered
   sum (V[ix] c)^T V[iy], never a dense product with U; the partials of a
   list that share a term count are gathered by one contraction
-  (``gathered_sums``), planned once per table and process (``_plans``),
-  and a partial without terms is zero.  The built-in models build their
-  tables in numpy, once per process and parameter set: each
-  ``build_lagrangian`` call returns a new model that shares the read-only
-  table and keeps its own ``_cache``.  A sympy polynomial is converted once;
+  (``gathered_sums``), planned on the list's first read and kept with the
+  table (``_plans``), and a partial without terms is zero.  The built-in
+  models build their tables in numpy, once per process and parameter set:
+  each ``build_lagrangian`` call returns a new model that shares the
+  read-only table and its plans and keeps its own ``_cache``.  A sympy
+  polynomial is converted once;
 * any other sympy expression, whose partials are differentiated and
   lambdified, each compiled once per model;
 * central finite differences with one Richardson step, used as the
@@ -77,11 +78,15 @@ def _multi_indices(lag, alpha, beta) -> tuple:
 
 def check_points(lag, *points, series=False):
     """ShapeError unless every point array (..., n, m), or (..., n, m, K) for
-    ``series``, has the model's dimension m."""
+    ``series``, has the model's dimension m and the leading axes (...) of the
+    first."""
     axis = -2 if series else -1
     for P in points:
         if P.ndim < 1 - axis or P.shape[axis] != lag.dim:
             raise ShapeError(f"{lag.name}: points of shape {P.shape} for dimension {lag.dim}")
+        if P.shape[:axis - 1] != points[0].shape[:axis - 1]:
+            raise ShapeError(f"{lag.name}: points of shapes {points[0].shape} and {P.shape} "
+                             "have unequal leading axes")
 
 
 class LagrangianModel:
@@ -140,10 +145,11 @@ class PolynomialLagrangian(LagrangianModel):
     falling-factorial coefficients, held as the rows of its x and y
     monomials in ``basis`` (U x m: every exponent vector below a term's x or
     y exponents, sorted by mixed-radix code).  A list of partials reads their
-    terms and groups by term count from the table's ``_plans``, one partial
-    from ``_cache``, which records every partial read.  A non-polynomial
-    expression compiles each partial through ``_compiled_partial`` into
-    ``_cache``; ``is_polynomial`` is then False and it takes no series.
+    terms and groups by term count from ``_plans``, made with the table and
+    shared with it, one partial from ``_cache``, which records every partial
+    read.  A non-polynomial expression compiles each partial through
+    ``_compiled_partial`` into ``_cache``; ``is_polynomial`` is then False
+    and it takes no series.
     """
 
     def __init__(self, name, dim, expr, xs, ys, max_order=8, nonnegative=False):
@@ -184,6 +190,7 @@ class PolynomialLagrangian(LagrangianModel):
         self._exponents, self._coefs = _combined(exponents, coefs)
         self._falling = _falling_factorials(int(self._exponents.max(initial=0)))
         self.basis, self._place, self._codes = lower_set(self._exponents.reshape(-1, self.dim))
+        self._plans = {}, {}  # each partial's terms; each list's (groups, terms)
 
     def _symbols(self):
         """(expr, xs, ys) of the model."""
@@ -244,14 +251,14 @@ class PolynomialLagrangian(LagrangianModel):
         from the values, never a dense product with the basis.  The partials
         with one term count share one ``cauchy_matmul`` on a partial axis; the
         partials without terms share one zero array, with no product.  A list
-        of two or more partials reads its terms and groups from the read plans
-        of the model's table (``_plans``), made on the list's first read, and
-        records its partials in ``_cache``; a single partial is read through
-        ``_cache`` alone.  The model must be a polynomial."""
+        of two or more partials reads its terms and groups from the table's
+        ``_plans``, made on the list's first read by any model sharing the
+        table, and records its partials in ``_cache``; a single partial is
+        read through ``_cache`` alone.  The model must be a polynomial."""
         if len(partials) == 1:
             groups = _groups([self._partial(*partials[0])])
         else:
-            terms, plans = _plans(self._exponents)
+            terms, plans = self._plans
             key = tuple(partials)
             if key not in plans:
                 new = [p for p in dict.fromkeys(partials) if p not in terms]
@@ -482,9 +489,6 @@ def _example52_regularized(x0, x1, y0, y1):
             - (x0 - y0) ** 2 * (x1 + y1) ** 2 + (x1 - y1) ** 2)
 
 
-_TABLES = 32  # the tables that _prototype and _plans keep
-
-
 def _groups(terms) -> list:
     """(rows, ix, iy, c) per term count > 0 of the partials' terms (ix, iy, c):
     the positions of the partials with that count, their terms stacked."""
@@ -494,26 +498,11 @@ def _groups(terms) -> list:
                          for count in sorted(set(counts) - {0}))]
 
 
-_PLANS = {}  # id(table): (table, terms, groups), the least recently read first
-
-
-def _plans(table) -> tuple:
-    """(terms, groups) of a model's table ``_exponents``, which the builds of
-    a built-in share: each partial's terms, and the ``_groups`` and terms of
-    each list of partials read.  Kept, with the table, so that no other
-    table takes its id, for the ``_TABLES`` tables read last."""
-    entry = _PLANS.pop(id(table), None) or (table, {}, {})
-    _PLANS[id(table)] = entry
-    if len(_PLANS) > _TABLES:
-        del _PLANS[next(iter(_PLANS))]
-    return entry[1:]
-
-
-@functools.lru_cache(maxsize=_TABLES)
+@functools.lru_cache(maxsize=32)
 def _prototype(make, *args):
     """The model ``make(*args)`` builds, once per process and arguments (the
-    builder's validated values), with its table arrays read-only.  It is
-    never handed out: ``_shared`` copies it."""
+    builder's validated values) for the 32 read last, with its table arrays
+    read-only.  It is never handed out: ``_shared`` copies it."""
     model = make(*args)
     for table in (model._exponents, model._coefs, model._falling, model.basis, model._place,
                   model._codes):
@@ -522,8 +511,9 @@ def _prototype(make, *args):
 
 
 def _shared(make, *args):
-    """A new model sharing the table and formula of ``_prototype(make,
-    *args)``, with its own ``_cache``, settings and symbolic form."""
+    """A new model sharing the table, its read plans and the formula of
+    ``_prototype(make, *args)``, with its own ``_cache``, settings and
+    symbolic form."""
     model = copy.copy(_prototype(make, *args))
     model._cache = {}
     return model

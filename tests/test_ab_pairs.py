@@ -36,3 +36,10 @@ def test_summary_of_an_even_count_takes_the_middle_mean(tool):
     pairs = [(side(1.0, 1.0, 1.0), side(2.0, 1.0, 1.0)),
              (side(3.0, 1.0, 1.0), side(4.0, 1.0, 1.0))]
     assert tool.summary(pairs)["wall_s"] == (2.0, 3.0, 0)
+
+
+def test_spread_is_the_parents_interquartile_distance(tool):
+    pairs = [(side(wall, 1.0, 55.0), side(0.0, 2.0, 9.0))
+             for wall in (5.0, 1.0, 4.0, 2.0, 3.0)]
+    # quartiles 2 and 4 of the parent's walls; the change's values play no part
+    assert tool.spread(pairs) == {"wall_s": 2.0, "setup_s": 0.0, "peak_rss_mb": 0.0}

@@ -33,7 +33,7 @@ from cvpert.fragmentation import (FluctuationForm, FragmentationAnsatz, Fragment
                                   wellposedness_check)
 from cvpert.jets import DualJet, Jet, MultiJet, TestBasis, pairing
 from cvpert.lagrangian import (NumericLagrangian, PolynomialLagrangian, build_lagrangian,
-                               pair_series, pair_table)
+                               pair_series, pair_table, pair_tables)
 from cvpert.linops import (DeltaMatrix, GreensOperator, assemble_delta, delta_ell,
                            delta_ell_dual, delta_zero_dual, kernel_basis, taylor_error_dual)
 from cvpert.measure import DiscreteMeasure, SupportStack, push_forward
@@ -384,6 +384,17 @@ ROWS = [
      .push(np.zeros((3, 2)), np.zeros((3, 2, 2))), ShapeError),
     ("pair_series/coefficient-counts", lambda: pair_series(
         LINE, np.zeros((2, 1, 3)), np.zeros((2, 1, 4)), (0,), (0,)), ShapeError),
+    # stacked points pair start by start, so their leading axes must be equal
+    ("pair_tables/black-box-leading-axes", lambda: pair_tables(
+        NUMERIC, np.zeros((3, 3, 2)), np.zeros((1, 3, 2)), [((0, 0), (0, 0))]), ShapeError),
+    ("pair_tables/black-box-unstacked-y", lambda: pair_tables(
+        NUMERIC, np.zeros((2, 3, 2)), np.zeros((4, 2)), [((1, 0), (0, 0))]), ShapeError),
+    ("pair_tables/polynomial-unstacked-y", lambda: pair_tables(
+        LINE, np.zeros((2, 3, 1)), np.zeros((4, 1)), [((1,), (0,))]), ShapeError),
+    ("pair_tables/polynomial-leading-axes", lambda: pair_tables(
+        LINE, np.zeros((2, 3, 1)), np.zeros((3, 3, 1)), [((1,), (0,))]), ShapeError),
+    ("pair_series/leading-axes", lambda: pair_series(
+        LINE, np.zeros((2, 3, 1, 2)), np.zeros((3, 3, 1, 2)), (1,), (0,)), ShapeError),
     ("calibrate_nu/nan-tol", lambda: calibrate_nu(PAIR_1D, LINE, tol=np.nan), ArgError),
     ("calibrate_nu/negative-tol", lambda: calibrate_nu(PAIR_1D, LINE, tol=-1.0), ArgError),
     ("calibrate_nu/text-tol", lambda: calibrate_nu(PAIR_1D, LINE, tol="1e-9"), ArgError),
